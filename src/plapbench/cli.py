@@ -13,15 +13,13 @@ Every command reads one JSON config (--config), writes its artifacts under
 an output directory (--out), and finishes by writing ``manifest.json``
 listing the seed, the config hash, and the SHA-256 of every artifact.
 Outputs are canonical (sorted keys, fixed separators, no timestamps), so a
-rerun with identical config, seed, and thread count produces byte-identical
-files; ``report`` verifies exactly that.  Exit codes: 0 pass, 1 analytic
+rerun with identical config and seed produces byte-identical files;
+``report`` verifies exactly that.  Exit codes: 0 pass, 1 analytic
 failure (non-convergence, failed verdict, manifest mismatch), 2 usage or
 configuration error.
 
 The seed only influences commands whose config asks for drawn fields
-(``random_bumps``); everything else is deterministic outright.  The thread
-count is recorded in the manifest for provenance; reductions are
-deterministic regardless of it.
+(``random_bumps``); everything else is deterministic outright.
 """
 
 from __future__ import annotations
@@ -94,11 +92,10 @@ def _sha256(path: Path) -> str:
 class _OutputDir:
     """Tracks written artifacts and finishes with the manifest."""
 
-    def __init__(self, root: Path, command: str, seed: int, threads: int, config_text: str):
+    def __init__(self, root: Path, command: str, seed: int, config_text: str):
         self.root = root
         self.command = command
         self.seed = seed
-        self.threads = threads
         self.config_sha = hashlib.sha256(config_text.encode()).hexdigest()
         self.files: dict[str, str] = {}
         root.mkdir(parents=True, exist_ok=True)
@@ -117,7 +114,6 @@ class _OutputDir:
         manifest = {
             "command": self.command,
             "seed": self.seed,
-            "threads": self.threads,
             "config_sha256": self.config_sha,
             "files": dict(sorted(self.files.items())),
         }
@@ -408,7 +404,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", help="path to the JSON config for the command")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=0, help="seed for drawn fields (default 0)")
-    parser.add_argument("--threads", type=int, default=1, help="thread count hint, recorded in the manifest")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -435,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     rng = np.random.default_rng(args.seed)
-    out = _OutputDir(out_root, args.command, args.seed, args.threads, config_text)
+    out = _OutputDir(out_root, args.command, args.seed, config_text)
     try:
         if args.command == "check":
             code = cmd_check(cfg, out)

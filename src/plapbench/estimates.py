@@ -43,6 +43,7 @@ import numpy as np
 from .field import (
     Region,
     ScalarField,
+    _stress_values,
     ball_mask,
     cutoff_eta,
     delta_h,
@@ -81,15 +82,6 @@ class EstimateReport:
         }
 
 
-def _stress_vals(a: np.ndarray, p: float) -> np.ndarray:
-    """|a|^{p-2} a on the last axis, 0 at a = 0."""
-    mag2 = np.einsum("...k,...k->...", a, a)
-    factor = np.zeros_like(mag2)
-    nz = mag2 > 0.0
-    factor[nz] = mag2[nz] ** (0.5 * (p - 2.0))
-    return a * factor[..., None]
-
-
 def monotonicity_gap(a, b, p: float):
     """Gap (phi_p(a) - phi_p(b)) . (a - b) and its reference quantity.
 
@@ -105,7 +97,7 @@ def monotonicity_gap(a, b, p: float):
     if av.shape != bv.shape:
         raise ValueError("a and b must have the same shape")
     d = av - bv
-    gap = np.einsum("...k,...k->...", _stress_vals(av, p) - _stress_vals(bv, p), d)
+    gap = np.einsum("...k,...k->...", _stress_values(av, p) - _stress_values(bv, p), d)
     d2 = np.einsum("...k,...k->...", d, d)
     if p >= 2.0:
         ref = d2 ** (0.5 * p)

@@ -212,16 +212,20 @@ def gradient(u: ScalarField) -> VectorField:
     return VectorField(g, out)
 
 
+def _stress_values(a: np.ndarray, p: float) -> np.ndarray:
+    """|a|^{p-2} a on the last axis, 0 at a = 0."""
+    mag2 = np.einsum("...k,...k->...", a, a)
+    factor = np.zeros_like(mag2)
+    nz = mag2 > 0.0
+    factor[nz] = mag2[nz] ** (0.5 * (p - 2.0))
+    return a * factor[..., None]
+
+
 def stress_field(u: ScalarField, p: float) -> VectorField:
     """|grad u|^{p-2} grad u, with the value 0 wherever grad u = 0."""
     if not p > 1.0:
         raise ValueError("p must exceed 1")
-    g = gradient(u).values
-    mag2 = np.einsum("...k,...k->...", g, g)
-    factor = np.zeros_like(mag2)
-    nz = mag2 > 0.0
-    factor[nz] = mag2[nz] ** ((p - 2.0) / 2.0)
-    return VectorField(u.grid, g * factor[..., None])
+    return VectorField(u.grid, _stress_values(gradient(u).values, p))
 
 
 def _magnitude(field: Field) -> np.ndarray:

@@ -314,10 +314,5 @@ def admissibility_report(config: ExponentConfig) -> AdmissibilityReport:
         h1a = check_H1a(config)
         h2 = check_H2(config)
         ok = not ranges and h1a.passed and h2.passed
-        assert h1a.passed == (not derived.r_window.is_empty and not derived.s_window.is_empty and config.zeta1 > config.N and config.zeta2 > config.N)
         return AdmissibilityReport(config, ranges, derived, h1a, h2, ok)
     return AdmissibilityReport(config, ranges, None, None, None, False)
-
-
-def report_to_json(report: AdmissibilityReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")

@@ -11,6 +11,7 @@ The discrete gradient entering the energy is the average of the two
 one-sided (forward/backward) differences per axis; a difference that
 crosses into a constrained cell is taken to the Dirichlet value over the
 half spacing h/2, i.e. to the cell face where the boundary actually sits.
+Both differences are read off G_k, the jumps of u across the cell faces.
 For p = 2 this is exactly the standard finite-volume 5/7-point scheme with
 face-centered Dirichlet data; the plain forward-difference energy would be
 reflection-asymmetric (Neumann on one side of every axis) and visibly skews
@@ -25,8 +26,9 @@ mix, and phi_eps is nonlinear).  On radial problems the resulting axis-flip
 asymmetry of the minimizer is a discretization effect that shrinks under
 refinement and vanishes identically at p = 2.
 
-Outer iteration: lagged diffusivity (freeze the weights (|Du|^2+eps^2)^{(p-2)/2},
-solve the resulting SPD system by preconditioned conjugate gradients, Armijo
+Outer iteration: lagged diffusivity (freeze the weights (|Du|^2+eps^2)^{(p-2)/2}
+into one weight T_k per face, solve the SPD flux-form system
+-sum_k diff(T_k G_k) = f by preconditioned conjugate gradients, Armijo
 backtrack on the true energy).  For p <= 2 the frozen quadratic majorizes the
 energy, so the full step already descends; for p > 2 the backtracking enforces
 a monotone energy history.
@@ -114,45 +116,36 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class _Discretization:
-    """One-sided differences with half-spacing stretch at Dirichlet faces."""
+    """Face differences G_k = diff(u, axis=k, prepend=0, append=0), n + 1 per axis.
+
+    A cell's forward difference is c_f G_k[1:] and its backward one c_b G_k[:-1],
+    with c = 1/h, or 2/h across a face that ends the free region (the Dirichlet
+    value sits on that face, h/2 away), and c = 0 on constrained cells.  Frozen
+    weights give one weight per face, T_k = w_f c_f^2/2 from the cell before it
+    plus w_b c_b^2/2 from the cell after it; the frozen quadratic is
+    (1/2) sum_k sum_faces T_k G_k^2 and its gradient -sum_k diff(T_k G_k).
+    """
 
     def __init__(self, free: np.ndarray, h: float):
         self.free = free
-        self.h = h
         self.ndim = free.ndim
-        inv_f: list[np.ndarray] = []
-        inv_b: list[np.ndarray] = []
-        for k in range(self.ndim):
-            nb_fwd = np.zeros_like(free)
-            nb_fwd[_axslice(self.ndim, k, slice(0, -1))] = free[_axslice(self.ndim, k, slice(1, None))]
-            coef = np.where(nb_fwd, 1.0 / h, 2.0 / h)
-            coef[~free] = 0.0
-            inv_f.append(coef)
-            nb_bwd = np.zeros_like(free)
-            nb_bwd[_axslice(self.ndim, k, slice(1, None))] = free[_axslice(self.ndim, k, slice(0, -1))]
-            coef = np.where(nb_bwd, 1.0 / h, 2.0 / h)
-            coef[~free] = 0.0
-            inv_b.append(coef)
-        self.inv_f = inv_f
-        self.inv_b = inv_b
+        self.lo = [_axslice(self.ndim, k, slice(None, -1)) for k in range(self.ndim)]
+        self.hi = [_axslice(self.ndim, k, slice(1, None)) for k in range(self.ndim)]
+        # boolean diff is xor: True on the faces where the free region ends
+        ends = [np.diff(free, axis=k, prepend=False, append=False) for k in range(self.ndim)]
+        self.cf = [free * (1.0 + e[hi]) / h for e, hi in zip(ends, self.hi)]
+        self.cb = [free * (1.0 + e[lo]) / h for e, lo in zip(ends, self.lo)]
 
-    def _shift_fwd(self, u: np.ndarray, k: int) -> np.ndarray:
-        out = np.zeros_like(u)
-        out[_axslice(self.ndim, k, slice(0, -1))] = u[_axslice(self.ndim, k, slice(1, None))]
-        return out
-
-    def _shift_bwd(self, u: np.ndarray, k: int) -> np.ndarray:
-        out = np.zeros_like(u)
-        out[_axslice(self.ndim, k, slice(1, None))] = u[_axslice(self.ndim, k, slice(0, -1))]
-        return out
+    def _face_diffs(self, u: np.ndarray) -> list[np.ndarray]:
+        return [np.diff(u, axis=k, prepend=0.0, append=0.0) for k in range(self.ndim)]
 
     def one_sided_sq(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Squared magnitudes of the forward and backward difference gradients."""
         m2f = np.zeros_like(u)
         m2b = np.zeros_like(u)
-        for k in range(self.ndim):
-            df = (self._shift_fwd(u, k) - u) * self.inv_f[k]
-            db = (u - self._shift_bwd(u, k)) * self.inv_b[k]
+        for k, G in enumerate(self._face_diffs(u)):
+            df = self.cf[k] * G[self.hi[k]]
+            db = self.cb[k] * G[self.lo[k]]
             m2f += df * df
             m2b += db * db
         return m2f, m2b
@@ -178,50 +171,30 @@ class _Discretization:
         wb[~self.free] = 0.0
         return wf, wb
 
-    def apply(self, u: np.ndarray, wf: np.ndarray, wb: np.ndarray) -> np.ndarray:
-        """Gradient of the frozen quadratic (1/2) sum_sk w_s d_sk(u)^2 (no h^N)."""
+    def faces(self, wf: np.ndarray, wb: np.ndarray) -> list[np.ndarray]:
+        """Per-face weights T_k of the frozen quadratic, one array of n + 1 faces per axis."""
+        T = []
+        for k in range(self.ndim):
+            t = np.zeros(tuple(n + (i == k) for i, n in enumerate(wf.shape)))
+            t[self.hi[k]] += 0.5 * wf * self.cf[k] ** 2
+            t[self.lo[k]] += 0.5 * wb * self.cb[k] ** 2
+            T.append(t)
+        return T
+
+    def apply(self, u: np.ndarray, T: list[np.ndarray]) -> np.ndarray:
+        """Gradient of the frozen quadratic, -sum_k diff(T_k G_k) (no h^N)."""
         out = np.zeros_like(u)
-        nd = self.ndim
-        for k in range(nd):
-            df = (self._shift_fwd(u, k) - u) * self.inv_f[k]
-            gf = 0.5 * wf * self.inv_f[k] * df
-            out -= gf
-            out[_axslice(nd, k, slice(1, None))] += gf[_axslice(nd, k, slice(0, -1))]
-            db = (u - self._shift_bwd(u, k)) * self.inv_b[k]
-            gb = 0.5 * wb * self.inv_b[k] * db
-            out += gb
-            out[_axslice(nd, k, slice(0, -1))] -= gb[_axslice(nd, k, slice(1, None))]
+        for k, G in enumerate(self._face_diffs(u)):
+            out -= np.diff(T[k] * G, axis=k)
         out[~self.free] = 0.0
         return out
 
-    def diagonal(self, wf: np.ndarray, wb: np.ndarray) -> np.ndarray:
-        nd = self.ndim
-        diag = np.zeros_like(wf)
-        for k in range(nd):
-            diag += 0.5 * (wf * self.inv_f[k] ** 2 + wb * self.inv_b[k] ** 2)
-            # terms where u(c) enters a neighbor's one-sided difference
-            tf = 0.5 * wf * self.inv_f[k] ** 2
-            diag[_axslice(nd, k, slice(1, None))] += tf[_axslice(nd, k, slice(0, -1))]
-            tb = 0.5 * wb * self.inv_b[k] ** 2
-            diag[_axslice(nd, k, slice(0, -1))] += tb[_axslice(nd, k, slice(1, None))]
+    def diagonal(self, T: list[np.ndarray]) -> np.ndarray:
+        diag = np.zeros(self.free.shape)
+        for k in range(self.ndim):
+            diag += T[k][self.lo[k]] + T[k][self.hi[k]]
         diag[~self.free] = 1.0
         return np.maximum(diag, 1e-300)
-
-    def flux_pairing(self, u: np.ndarray, phi: np.ndarray, p: float, eps: float) -> float:
-        """sum over cells of the discrete stress of u paired with D(phi) (no h^N).
-
-        Matches the solver's own quadrature, so at a converged solve this is
-        <A(u), phi> and the weak residual sits at linear-solver tolerance.
-        """
-        wf, wb = self.weights(u, p, eps)
-        acc = 0.0
-        for k in range(self.ndim):
-            duf = (self._shift_fwd(u, k) - u) * self.inv_f[k]
-            dpf = (self._shift_fwd(phi, k) - phi) * self.inv_f[k]
-            dub = (u - self._shift_bwd(u, k)) * self.inv_b[k]
-            dpb = (phi - self._shift_bwd(phi, k)) * self.inv_b[k]
-            acc += 0.5 * (_dot(wf * duf, dpf) + _dot(wb * dub, dpb))
-        return acc
 
 
 def _pcg(
@@ -307,8 +280,7 @@ def solve(
         raise ValueError("no free cells")
     crop = _bbox_slices(free_full)
     free = np.ascontiguousarray(free_full[crop])
-    fv = np.ascontiguousarray(prob.f.values[crop])
-    fv = np.where(free, fv, 0.0)
+    fv = np.where(free, prob.f.values[crop], 0.0)
     disc = _Discretization(free, grid.spacing)
     p, eps = prob.p, prob.resolved_eps
     hvol = grid.cell_volume
@@ -323,8 +295,8 @@ def solve(
         inner_tol = min(1e-10, prob.tol * 1e-2)
     cg_cap = max(2000, 40 * max(free.shape))
 
-    def residual_l2(vals: np.ndarray, wf: np.ndarray, wb: np.ndarray) -> float:
-        r = disc.apply(vals, wf, wb) - fv * free
+    def residual_l2(vals: np.ndarray, T: list[np.ndarray]) -> float:
+        r = disc.apply(vals, T) - fv
         return float(np.sqrt(np.sum(r * r) * hvol))
 
     E = disc.energy(u, fv, p, eps, hvol)
@@ -338,10 +310,9 @@ def solve(
         if it == 1 and p > 2.0 and not u.any():
             # from a zero start the degenerate weights eps^{p-2} blow up the
             # first linear solution; seed with the unit-weight (p = 2) solve
-            wf = np.where(free, 1.0, 0.0)
-            wb = wf
+            T = disc.faces(free * 1.0, free * 1.0)
         else:
-            wf, wb = disc.weights(u, p, eps)
+            T = disc.faces(*disc.weights(u, p, eps))
 
         if residual_phase:
             # energy is exhausted at float resolution but the lagged weights
@@ -349,18 +320,17 @@ def solve(
             # an under-relaxation ladder and accept on residual decrease
             # (for p > 3 the undamped map oscillates; damping restores
             # contraction)
-            res_now = residual_l2(u, wf, wb)
+            res_now = residual_l2(u, T)
             if res_now <= stationarity_tol:
                 converged = True
                 break
-            sol, cg_its = _pcg(lambda x: disc.apply(x, wf, wb), fv * free, u, disc.diagonal(wf, wb), inner_tol, cg_cap)
+            sol, cg_its = _pcg(lambda x: disc.apply(x, T), fv, u, disc.diagonal(T), inner_tol, cg_cap)
             cg_total += cg_its
             d = sol - u
             best_u, best_res = None, res_now
             for s in (1.0, 0.75, 0.5, 0.25):
                 u_try = u + s * d
-                wf2, wb2 = disc.weights(u_try, p, eps)
-                res_try = residual_l2(u_try, wf2, wb2)
+                res_try = residual_l2(u_try, disc.faces(*disc.weights(u_try, p, eps)))
                 if res_try < best_res:
                     best_u, best_res = u_try, res_try
             if best_u is not None and best_res <= stationarity_tol:
@@ -373,7 +343,7 @@ def solve(
             converged = False  # residual floor reached above the target
             break
 
-        sol, cg_its = _pcg(lambda x: disc.apply(x, wf, wb), fv * free, u, disc.diagonal(wf, wb), inner_tol, cg_cap)
+        sol, cg_its = _pcg(lambda x: disc.apply(x, T), fv, u, disc.diagonal(T), inner_tol, cg_cap)
         cg_total += cg_its
         d = sol - u
         if p <= 2.0:
@@ -407,8 +377,7 @@ def solve(
             if stationarity_tol is None:
                 converged = it > 1 or best_s > 0.0
                 break
-            wf2, wb2 = disc.weights(u, p, eps)
-            if residual_l2(u, wf2, wb2) <= stationarity_tol:
+            if residual_l2(u, disc.faces(*disc.weights(u, p, eps))) <= stationarity_tol:
                 converged = True
                 break
             residual_phase = True
@@ -468,24 +437,26 @@ def weak_residual(
 ) -> float:
     """max over test functions of |<stress(u), D phi> - <f, phi>| / (1 + ||D phi||_{p'}).
 
-    The stress is paired through the solver's own one-sided quadrature, so the
-    residual of a converged solve measures algebraic (not discretization)
-    error.
+    The pairing <stress(u), D phi> is <A_{w(u)} u, phi> with the solver's own
+    operator, so A(u) - f is formed once and a converged solve's residual
+    measures algebraic (not discretization) error.
     """
     _require_same_grid(u, prob)
     grid = prob.grid
-    if test_family is None:
-        test_family = default_test_family(grid, prob.domain)
     free = _free_mask(prob)
     disc = _Discretization(free, grid.spacing)
     uv = u.values * free
+    residual = disc.apply(uv, disc.faces(*disc.weights(uv, prob.p, prob.resolved_eps))) - prob.f.values
+    del disc, uv  # release the full-grid arrays before the test family is built
+    if test_family is None:
+        test_family = default_test_family(grid, prob.domain)
     pprime = prob.p / (prob.p - 1.0)
     hvol = grid.cell_volume
     worst = 0.0
     for phi in test_family:
         _require_same_grid(phi, prob)
         pv = phi.values * free
-        num = hvol * (disc.flux_pairing(uv, pv, prob.p, prob.resolved_eps) - _dot(prob.f.values, pv))
+        num = hvol * _dot(residual, pv)
         den = 1.0 + lp_norm(gradient(ScalarField(grid, pv)), pprime)
         worst = max(worst, abs(num) / den)
     return worst

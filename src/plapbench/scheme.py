@@ -43,6 +43,7 @@ from .field import (
     Region,
     ScalarField,
     VectorField,
+    _magnitude,
     ball_mask,
     gradient,
     linf_norm,
@@ -66,11 +67,8 @@ class ReactionSpec:
     coeff_grad1_other: float = 1.0  # multiplies |grad v|^{delta1} in f
     coeff_grad2_own: float = 1.0  # multiplies |grad v|^{delta2} in g
     coeff_grad2_other: float = 1.0  # multiplies |grad u|^{gamma2} in g
-    form: str = "model"
 
     def __post_init__(self) -> None:
-        if self.form != "model":
-            raise ValueError(f"unknown reaction form {self.form!r}")
         if self.weight_a1.grid != self.weight_a2.grid:
             raise ValueError("weight fields live on different grids")
         for name in ("weight_a1", "weight_a2"):
@@ -167,10 +165,6 @@ class SchemeReport:
         }
 
 
-def _grad_mag(g: VectorField) -> np.ndarray:
-    return np.sqrt(np.einsum("...k,...k->...", g.values, g.values))
-
-
 def eval_f(
     spec: ReactionSpec,
     u_shifted: ScalarField,
@@ -186,8 +180,8 @@ def eval_f(
         raise ValueError("shifted iterate fell below eps/2: positivity invariant broken upstream")
     c = spec.exponents
     sing = np.power(u_shifted.values, c.alpha1) * np.power(np.maximum(v.values, 0.0), c.beta1)
-    conv = spec.coeff_grad1_own * np.power(_grad_mag(grad_u), c.gamma1)
-    conv = conv + spec.coeff_grad1_other * np.power(_grad_mag(grad_v), c.delta1)
+    conv = spec.coeff_grad1_own * np.power(_magnitude(grad_u), c.gamma1)
+    conv = conv + spec.coeff_grad1_other * np.power(_magnitude(grad_v), c.delta1)
     return ScalarField(spec.grid, c.mhat1 * spec.weight_a1.values * (sing + conv))
 
 
@@ -206,8 +200,8 @@ def eval_g(
         raise ValueError("shifted iterate fell below eps/2: positivity invariant broken upstream")
     c = spec.exponents
     sing = np.power(np.maximum(u.values, 0.0), c.alpha2) * np.power(v_shifted.values, c.beta2)
-    conv = spec.coeff_grad2_other * np.power(_grad_mag(grad_u), c.gamma2)
-    conv = conv + spec.coeff_grad2_own * np.power(_grad_mag(grad_v), c.delta2)
+    conv = spec.coeff_grad2_other * np.power(_magnitude(grad_u), c.gamma2)
+    conv = conv + spec.coeff_grad2_own * np.power(_magnitude(grad_v), c.delta2)
     return ScalarField(spec.grid, c.mhat2 * spec.weight_a2.values * (sing + conv))
 
 

@@ -10,6 +10,7 @@ import math
 import pytest
 
 from _oracles import exact_admissible, lattice_configs
+from plapbench.cli import canonical_json
 from plapbench.hypotheses import (
     INF,
     Interval,
@@ -19,7 +20,6 @@ from plapbench.hypotheses import (
     config_from_dict,
     config_from_json,
     derive,
-    report_to_json,
     sobolev_conjugate,
 )
 
@@ -126,11 +126,9 @@ def test_config_dict_roundtrip(tmp_path):
         config_from_dict(dict(GOOD, zeta1="huge"))
 
 
-def test_report_json_is_serializable(tmp_path):
+def test_report_json_is_serializable():
     rep = admissibility_report(config_from_dict(GOOD))
-    path = tmp_path / "rep.json"
-    report_to_json(rep, path)
-    back = json.loads(path.read_text())
+    back = json.loads(canonical_json(rep.to_json_dict()))
     assert back["admissible"] is True
     assert back["derived"]["pstar"] == 15.0
     assert back["config"]["zeta1"] == "inf"
@@ -146,6 +144,9 @@ def test_checker_matches_exact_oracle_sample():
         pkg["zeta2"] = "inf" if c["zeta2"] is None else c["zeta2"]
         rep = admissibility_report(config_from_dict(pkg))
         assert rep.admissible == exact_admissible(c), f"verdict mismatch at {c}"
+        # H1(a) holds exactly when both windows are open and both zeta exceed N
+        windows_open = not rep.derived.r_window.is_empty and not rep.derived.s_window.is_empty
+        assert rep.h1a.passed == (windows_open and rep.config.zeta1 > rep.config.N and rep.config.zeta2 > rep.config.N)
 
 
 def test_h1a_failure_lists_every_broken_inequality():

@@ -60,8 +60,6 @@ def test_reaction_spec_validation():
     with pytest.raises(ValueError):
         ReactionSpec(config_from_dict(BENCH), a, a, coeff_grad1_own=-1.0)
     with pytest.raises(ValueError):
-        ReactionSpec(config_from_dict(BENCH), a, a, form="tabled")
-    with pytest.raises(ValueError):
         ReactionSpec(config_from_dict(dict(BENCH, alpha1=0.5)), a, a)
     with pytest.raises(ValueError):
         ReactionSpec(config_from_dict(dict(BENCH, beta1=-0.2)), a, a)

@@ -1,5 +1,6 @@
 """Dirichlet p-Laplacian solver: radial oracle, direct linear-algebra
-cross-check at p = 2, energy descent, and local minimality for p != 2."""
+cross-check at p = 2, the frozen operator's symmetry and its tie to the
+energy's differences, energy descent, and local minimality for p != 2."""
 
 import math
 
@@ -7,10 +8,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import assume, given, settings, strategies as st
 
 from plapbench.field import Grid, ScalarField, ball_mask, gradient, linf_norm
 from plapbench.plap_solver import (
     DirichletProblem,
+    _Discretization,
     default_test_family,
     energy,
     exact_radial,
@@ -98,7 +101,7 @@ def test_sparse_direct_crosscheck_p2():
 
     # assemble A by applying the frozen-weight operator to unit vectors;
     # the factorization below is the independent half of the check
-    from plapbench.plap_solver import _Discretization, _free_mask
+    from plapbench.plap_solver import _free_mask
 
     disc = _Discretization(_free_mask(prob), prob.grid.spacing)
     wf, wb = disc.weights(np.zeros(prob.grid.shape), prob.p, prob.resolved_eps)
@@ -106,11 +109,45 @@ def test_sparse_direct_crosscheck_p2():
     for j in range(n_free):
         e = np.zeros(prob.grid.shape)
         e[tuple(a[j] for a in np.nonzero(free))] = 1.0
-        cols.append(disc.apply(e, wf, wb)[free])
+        cols.append(disc.apply(e, disc.faces(wf, wb))[free])
     A = sp.csc_matrix(np.column_stack(cols))
     b = prob.f.values[free]
     direct = spla.spsolve(A, b)
     assert float(np.max(np.abs(u.values[free] - direct))) < 1e-8
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    N=st.sampled_from((2, 3)),
+    n=st.integers(3, 8),
+    center=st.tuples(*[st.floats(-0.5, 0.5)] * 3),
+    radius=st.floats(0.4, 1.6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flux_operator_symmetric_and_tied_to_energy(N, n, center, radius, seed):
+    # the flux form -sum_k diff(T_k G_k), probed on unit vectors, is a
+    # symmetric matrix whose diagonal is diagonal(T), and its quadratic form
+    # is the frozen energy (1/2) sum (w_f m2f + w_b m2b) of one_sided_sq
+    grid = Grid(N, 1.0, n)
+    free = ball_mask(grid, center[:N], radius).mask
+    assume(free.any())
+    disc = _Discretization(free, grid.spacing)
+    rng = np.random.default_rng(seed)
+    wf = rng.uniform(0.1, 10.0, free.shape)
+    wb = rng.uniform(0.1, 10.0, free.shape)
+    T = disc.faces(wf, wb)
+    cells = np.argwhere(free)
+    A = np.empty((len(cells), len(cells)))
+    for j, cell in enumerate(cells):
+        e = np.zeros(free.shape)
+        e[tuple(cell)] = 1.0
+        A[:, j] = disc.apply(e, T)[free]
+    assert np.max(np.abs(A - A.T)) <= 1e-14 * np.max(np.abs(A))
+    assert np.allclose(np.diag(A), disc.diagonal(T)[free], rtol=1e-14, atol=0.0)
+    u = rng.standard_normal(free.shape) * free
+    m2f, m2b = disc.one_sided_sq(u)
+    frozen = 0.5 * float(np.sum(wf * m2f + wb * m2b))
+    assert float(np.sum(u * disc.apply(u, T))) == pytest.approx(frozen, rel=1e-12)
 
 
 def test_local_minimality_nonlinear():
