@@ -63,6 +63,11 @@ class Grid:
         """Full coordinate arrays, one per axis, each of shape ``grid.shape``."""
         return list(np.meshgrid(*([self.axis_centers()] * self.N), indexing="ij"))
 
+    def open_centers(self) -> list[np.ndarray]:
+        """Axis coordinates shaped to broadcast against each other (no full arrays)."""
+        ax = self.axis_centers()
+        return [ax.reshape([-1 if j == k else 1 for j in range(self.N)]) for k in range(self.N)]
+
     def squared_distance(self, center: Sequence[float]) -> np.ndarray:
         """|x - center|^2 at every cell center (broadcast, one full array)."""
         if len(center) != self.N:
@@ -189,6 +194,21 @@ def ball_mask(grid: Grid, center: Sequence[float], radius: float) -> Region:
     return Region(grid, mask, cnt * grid.cell_volume, cnt)
 
 
+def _gradient_values(vals: np.ndarray, h: float) -> np.ndarray:
+    """Forward differences per axis, backward in the last layer, on any box shape."""
+    nd = vals.ndim
+    out = np.empty(vals.shape + (nd,))
+    for k, n in enumerate(vals.shape):
+        dk = out[..., k]
+        lead = _axslice(nd, k, slice(0, n - 1))
+        lag = _axslice(nd, k, slice(1, n))
+        dk[lead] = (vals[lag] - vals[lead]) / h
+        last = _axslice(nd, k, slice(n - 1, n))
+        prev = _axslice(nd, k, slice(n - 2, n - 1))
+        dk[last] = (vals[last] - vals[prev]) / h
+    return out
+
+
 def gradient(u: ScalarField) -> VectorField:
     """Cell-centered one-sided gradient.
 
@@ -196,20 +216,7 @@ def gradient(u: ScalarField) -> VectorField:
     along each axis, where no forward neighbor exists, uses the backward
     difference instead.
     """
-    g = u.grid
-    h = g.spacing
-    n = g.cells_per_axis
-    vals = u.values
-    out = np.empty(g.shape + (g.N,))
-    for k in range(g.N):
-        dk = out[..., k]
-        lead = _axslice(g.N, k, slice(0, n - 1))
-        lag = _axslice(g.N, k, slice(1, n))
-        dk[lead] = (vals[lag] - vals[lead]) / h
-        last = _axslice(g.N, k, slice(n - 1, n))
-        prev = _axslice(g.N, k, slice(n - 2, n - 1))
-        dk[last] = (vals[last] - vals[prev]) / h
-    return VectorField(g, out)
+    return VectorField(u.grid, _gradient_values(u.values, u.grid.spacing))
 
 
 def _stress_values(a: np.ndarray, p: float) -> np.ndarray:
@@ -313,17 +320,26 @@ def cutoff_eta(
     """
     if center is None:
         center = (0.0,) * grid.N
+    vals = _cutoff_values(grid, grid.open_centers(), t, s, center)
+    eta = ScalarField(grid, vals)
+    gmax = linf_norm(gradient(eta))
+    eps_geom = max(0.0, gmax * (s - t) - 1.0)
+    return eta, eps_geom
+
+
+def _cutoff_values(
+    grid: Grid, coords: Sequence[np.ndarray], t: float, s: float, center: Sequence[float]
+) -> np.ndarray:
+    """The values of ``cutoff_eta`` at the broadcast axis coordinates ``coords``."""
+    if len(center) != grid.N:
+        raise ValueError("center dimension mismatch")
     if not (0.0 < t < s):
         raise ValueError("need 0 < t < s")
     for ck in center:
         if abs(ck) + s > grid.extent * (1.0 + 1e-12):
             raise ValueError("B_s must lie inside the box")
-    r = np.sqrt(grid.squared_distance(center))
-    vals = np.clip((s - r) / (s - t), 0.0, 1.0)
-    eta = ScalarField(grid, vals)
-    gmax = linf_norm(gradient(eta))
-    eps_geom = max(0.0, gmax * (s - t) - 1.0)
-    return eta, eps_geom
+    r = np.sqrt(sum((x - ck) ** 2 for x, ck in zip(coords, center)))
+    return np.clip((s - r) / (s - t), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

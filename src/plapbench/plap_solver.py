@@ -28,16 +28,21 @@ refinement and vanishes identically at p = 2.
 
 Outer iteration: lagged diffusivity (freeze the weights (|Du|^2+eps^2)^{(p-2)/2}
 into one weight T_k per face, solve the SPD flux-form system
--sum_k diff(T_k G_k) = f by preconditioned conjugate gradients, Armijo
-backtrack on the true energy).  For p <= 2 the frozen quadratic majorizes the
-energy, so the full step already descends; for p > 2 the backtracking enforces
-a monotone energy history.
+-sum_k diff(T_k G_k) = f by conjugate gradients, Armijo backtrack on the true
+energy).  For p <= 2 the frozen quadratic majorizes the energy, so the full
+step already descends; for p > 2 the backtracking enforces a monotone energy
+history.  The conjugate gradients are preconditioned by a symmetric
+aggregation V-cycle built once per outer step from the same face weights:
+2^N box aggregates, Galerkin coarse operators that are again flux forms (plus
+a sink per cell, no stored matrix), damped Jacobi smoothing and an
+over-corrected coarse step (Notay, ETNA 37, 2010; Braess, Computing 55,
+1995), so the iterations per outer step do not grow with the grid size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,10 +51,9 @@ from .field import (
     Region,
     ScalarField,
     _axslice,
+    _cutoff_values,
+    _gradient_values,
     _require_same_grid,
-    cutoff_eta,
-    gradient,
-    lp_norm,
 )
 
 
@@ -115,7 +119,52 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b))
 
 
-class _Discretization:
+class _FluxForm:
+    """The flux-form operator -sum_k diff(T_k G_k) + S u on the free cells of a box.
+
+    G_k = diff(u, axis=k, prepend=0, append=0) are the jumps of u across the
+    n + 1 faces per axis, T_k holds one weight per face and S (None: no sink)
+    one weight per cell.  Rows of constrained cells are zero and their diagonal
+    entries 1, so every level of the multigrid hierarchy is one of these.
+    """
+
+    def __init__(self, free: np.ndarray):
+        self.free = free
+        self.fixed = ~free
+        nd = self.ndim = free.ndim
+        self.lo = [_axslice(nd, k, slice(None, -1)) for k in range(nd)]
+        self.hi = [_axslice(nd, k, slice(1, None)) for k in range(nd)]
+        # u goes into the interior of a zero border, and G_k is a difference of
+        # two shifted views of it (the border supplies the prepended/appended 0)
+        self._padded = np.zeros(tuple(n + 2 for n in free.shape))
+        self._interior = (slice(1, -1),) * nd
+        self._before = [tuple(slice(None, -1) if i == k else slice(1, -1) for i in range(nd)) for k in range(nd)]
+        self._after = [tuple(slice(1, None) if i == k else slice(1, -1) for i in range(nd)) for k in range(nd)]
+
+    def _face_diffs(self, u: np.ndarray) -> list[np.ndarray]:
+        padded = self._padded
+        padded[self._interior] = u
+        return [padded[after] - padded[before] for before, after in zip(self._before, self._after)]
+
+    def apply(self, u: np.ndarray, T: list[np.ndarray], S: np.ndarray | None = None) -> np.ndarray:
+        """Gradient of the frozen quadratic, -sum_k diff(T_k G_k) + S u (no h^N)."""
+        out = np.zeros(u.shape) if S is None else S * u
+        for k, (t, TG) in enumerate(zip(T, self._face_diffs(u))):
+            TG *= t
+            out -= TG[self.hi[k]]
+            out += TG[self.lo[k]]
+        out[self.fixed] = 0.0
+        return out
+
+    def diagonal(self, T: list[np.ndarray], S: np.ndarray | None = None) -> np.ndarray:
+        diag = np.zeros(self.free.shape) if S is None else S.copy()
+        for k, t in enumerate(T):
+            diag += t[self.lo[k]] + t[self.hi[k]]
+        diag[self.fixed] = 1.0
+        return np.maximum(diag, 1e-300)
+
+
+class _Discretization(_FluxForm):
     """Face differences G_k = diff(u, axis=k, prepend=0, append=0), n + 1 per axis.
 
     A cell's forward difference is c_f G_k[1:] and its backward one c_b G_k[:-1],
@@ -127,17 +176,11 @@ class _Discretization:
     """
 
     def __init__(self, free: np.ndarray, h: float):
-        self.free = free
-        self.ndim = free.ndim
-        self.lo = [_axslice(self.ndim, k, slice(None, -1)) for k in range(self.ndim)]
-        self.hi = [_axslice(self.ndim, k, slice(1, None)) for k in range(self.ndim)]
+        super().__init__(free)
         # boolean diff is xor: True on the faces where the free region ends
         ends = [np.diff(free, axis=k, prepend=False, append=False) for k in range(self.ndim)]
         self.cf = [free * (1.0 + e[hi]) / h for e, hi in zip(ends, self.hi)]
         self.cb = [free * (1.0 + e[lo]) / h for e, lo in zip(ends, self.lo)]
-
-    def _face_diffs(self, u: np.ndarray) -> list[np.ndarray]:
-        return [np.diff(u, axis=k, prepend=0.0, append=0.0) for k in range(self.ndim)]
 
     def one_sided_sq(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Squared magnitudes of the forward and backward difference gradients."""
@@ -181,27 +224,107 @@ class _Discretization:
             T.append(t)
         return T
 
-    def apply(self, u: np.ndarray, T: list[np.ndarray]) -> np.ndarray:
-        """Gradient of the frozen quadratic, -sum_k diff(T_k G_k) (no h^N)."""
-        out = np.zeros_like(u)
-        for k, G in enumerate(self._face_diffs(u)):
-            out -= np.diff(T[k] * G, axis=k)
-        out[~self.free] = 0.0
-        return out
 
-    def diagonal(self, T: list[np.ndarray]) -> np.ndarray:
-        diag = np.zeros(self.free.shape)
-        for k in range(self.ndim):
-            diag += T[k][self.lo[k]] + T[k][self.hi[k]]
-        diag[~self.free] = 1.0
-        return np.maximum(diag, 1e-300)
+# V(2,2) cycle: damped Jacobi weight and sweeps per side; the coarse step is
+# scaled by _ALPHA because the piecewise-constant Galerkin operator is about
+# twice too stiff for a Laplacian; the coarsest level (at most _COARSEST_CELLS
+# free cells) gets _COARSEST_SWEEPS Jacobi sweeps instead of a direct solve
+_OMEGA = 0.7
+_SWEEPS = 2
+_ALPHA = 1.8
+_COARSEST_CELLS = 16
+_COARSEST_SWEEPS = 8
+
+
+def _pair_sums(x: np.ndarray, axes: Iterable[int]) -> np.ndarray:
+    """Sums of neighbouring pairs along ``axes``; an odd axis keeps its last layer alone."""
+    for k in axes:
+        odd = x[_axslice(x.ndim, k, slice(1, None, 2))]
+        x = x[_axslice(x.ndim, k, slice(None, None, 2))].copy()
+        x[_axslice(x.ndim, k, slice(None, odd.shape[k]))] += odd
+    return x
+
+
+def _coarsen(
+    free: np.ndarray, T: list[np.ndarray], S: np.ndarray | None
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """Galerkin P^T A P for piecewise-constant P from 2^N box aggregates onto the free cells.
+
+    A face between free cells of neighbouring aggregates adds its weight to
+    the coarse face between them; a face from a free cell to a constrained
+    cell or the box edge adds it to the sink of the free cell's aggregate;
+    a face inside an aggregate between two free cells drops out.  An odd axis
+    is padded with one constrained layer.
+    """
+    nd = free.ndim
+    coarse = [(n + 1) // 2 for n in free.shape]
+    sink = np.zeros(free.shape) if S is None else S.copy()
+    Tc = []
+    for k, t in enumerate(T):
+        lo, hi = _axslice(nd, k, slice(None, -1)), _axslice(nd, k, slice(1, None))
+        # boolean diff is xor: True on the faces with exactly one free side
+        ts = t * np.diff(free, axis=k, prepend=False, append=False)
+        sink += free * (ts[lo] + ts[hi])
+        # tb[j] is fine face j + 1 if both its sides are free; the even fine
+        # faces 2, 4, ... (tb[1::2]) separate aggregates
+        tb = t[_axslice(nd, k, slice(1, -1))] * (free[lo] & free[hi])
+        between = _pair_sums(tb[_axslice(nd, k, slice(1, None, 2))], set(range(nd)) - {k})
+        tc = np.zeros([m + (i == k) for i, m in enumerate(coarse)])
+        tc[_axslice(nd, k, slice(1, -1))] = between
+        Tc.append(tc)
+    every = range(nd)
+    return _pair_sums(free, every), Tc, _pair_sums(sink, every)
+
+
+def _prolong(v: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Copy each aggregate's value onto its free cells of the finer level."""
+    for k in range(v.ndim):
+        v = np.repeat(v, 2, axis=k)
+    return v[tuple(slice(0, n) for n in free.shape)] * free
+
+
+class _VCycle:
+    """Symmetric aggregation V-cycle for the flux form with face weights T.
+
+    Each coarser level is the Galerkin operator of ``_coarsen``, itself a
+    ``_FluxForm`` with a sink, so no matrix is stored.  The cycle is a fixed
+    linear map, symmetric positive definite whenever the operator is, and
+    serves as the conjugate-gradient preconditioner.
+    """
+
+    def __init__(self, disc: _FluxForm, T: list[np.ndarray]):
+        form, S = disc, None
+        self.levels = []
+        while True:
+            self.levels.append((form, T, S, _OMEGA / form.diagonal(T, S)))
+            if np.count_nonzero(form.free) <= _COARSEST_CELLS:
+                break
+            free, T, S = _coarsen(form.free, T, S)
+            form = _FluxForm(free)
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        return self._cycle(0, r)
+
+    def _cycle(self, i: int, r: np.ndarray) -> np.ndarray:
+        form, T, S, wd = self.levels[i]
+        coarsest = i + 1 == len(self.levels)
+        z = wd * r
+        for _ in range((_COARSEST_SWEEPS if coarsest else _SWEEPS) - 1):
+            z += wd * (r - form.apply(z, T, S))
+        if coarsest:
+            return z
+        rc = _pair_sums(r - form.apply(z, T, S), range(r.ndim))
+        z += _ALPHA * _prolong(self._cycle(i + 1, rc), form.free)
+        for _ in range(_SWEEPS):
+            z += wd * (r - form.apply(z, T, S))
+        return z
 
 
 def _pcg(
     apply_A: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
     x0: np.ndarray,
-    diag: np.ndarray,
+    precond: Callable[[np.ndarray], np.ndarray],
     rel_tol: float,
     max_iter: int,
 ) -> tuple[np.ndarray, int]:
@@ -212,10 +335,11 @@ def _pcg(
         bnorm = 1.0
     if np.sqrt(_dot(r, r)) <= rel_tol * bnorm:
         return x, 0
-    z = r / diag
-    pvec = z.copy()
-    rz = _dot(r, z)
+    pvec = precond(r)
+    rz = _dot(r, pvec)
     for it in range(1, max_iter + 1):
+        if not 0.0 < rz < np.inf:
+            raise SolverDivergenceError("preconditioner breakdown (not positive definite?)")
         Ap = apply_A(pvec)
         denom = _dot(pvec, Ap)
         if denom <= 0.0 or not np.isfinite(denom):
@@ -225,7 +349,7 @@ def _pcg(
         r -= alpha * Ap
         if np.sqrt(_dot(r, r)) <= rel_tol * bnorm:
             return x, it
-        z = r / diag
+        z = precond(r)
         rz_new = _dot(r, z)
         pvec = z + (rz_new / rz) * pvec
         rz = rz_new
@@ -324,7 +448,7 @@ def solve(
             if res_now <= stationarity_tol:
                 converged = True
                 break
-            sol, cg_its = _pcg(lambda x: disc.apply(x, T), fv, u, disc.diagonal(T), inner_tol, cg_cap)
+            sol, cg_its = _pcg(lambda x: disc.apply(x, T), fv, u, _VCycle(disc, T), inner_tol, cg_cap)
             cg_total += cg_its
             d = sol - u
             best_u, best_res = None, res_now
@@ -343,7 +467,7 @@ def solve(
             converged = False  # residual floor reached above the target
             break
 
-        sol, cg_its = _pcg(lambda x: disc.apply(x, T), fv, u, disc.diagonal(T), inner_tol, cg_cap)
+        sol, cg_its = _pcg(lambda x: disc.apply(x, T), fv, u, _VCycle(disc, T), inner_tol, cg_cap)
         cg_total += cg_its
         d = sol - u
         if p <= 2.0:
@@ -399,6 +523,32 @@ def solve(
     return out, report
 
 
+def _test_functions(grid: Grid, free: np.ndarray, crop: tuple[slice, ...]) -> Iterator[np.ndarray]:
+    """The default test functions on the cells ``crop`` of the box, one at a time."""
+    centers = grid.open_centers()
+    cnt = float(np.count_nonzero(free))
+    centroid = [float(np.sum(np.broadcast_to(c, free.shape)[free])) / cnt for c in centers]
+    bbox = _bbox_slices(free)
+    half = min((bbox[k].stop - bbox[k].start) * grid.spacing / 2.0 for k in range(grid.N))
+    coords = [c[_axslice(grid.N, k, crop[k])] for k, c in enumerate(centers)]
+    inside = free[crop]
+
+    def hat(center: Sequence[float], width: float) -> np.ndarray:
+        vals = 1.0
+        for x, ck in zip(coords, center):
+            vals = vals * np.maximum(0.0, 1.0 - np.abs(x - ck) / width)
+        return vals * inside
+
+    yield hat(centroid, 0.3 * half)
+    for k in range(grid.N):
+        for sgn in (+1.0, -1.0):
+            c = list(centroid)
+            c[k] += sgn * 0.35 * half
+            yield hat(c, 0.25 * half)
+    for t_frac, s_frac in ((0.45, 0.8), (0.25, 0.5)):
+        yield _cutoff_values(grid, coords, t_frac * half, s_frac * half, centroid) * inside
+
+
 def default_test_family(grid: Grid, domain: Region | None = None) -> list[ScalarField]:
     """Interior-supported test functions: tensor hat bumps plus radial cutoffs.
 
@@ -406,28 +556,8 @@ def default_test_family(grid: Grid, domain: Region | None = None) -> list[Scalar
     domains as well as for the whole box.
     """
     free = domain.mask if domain is not None else np.ones(grid.shape, dtype=bool)
-    centers = grid.centers()
-    cnt = float(free.sum())
-    centroid = [float(np.sum(c[free])) / cnt for c in centers]
-    crop = _bbox_slices(free)
-    half = min((crop[k].stop - crop[k].start) * grid.spacing / 2.0 for k in range(grid.N))
-
-    def hat(center: Sequence[float], width: float) -> ScalarField:
-        vals = np.ones(grid.shape)
-        for k in range(grid.N):
-            vals = vals * np.maximum(0.0, 1.0 - np.abs(centers[k] - center[k]) / width)
-        return ScalarField(grid, vals * free)
-
-    family = [hat(centroid, 0.3 * half)]
-    for k in range(grid.N):
-        for sgn in (+1.0, -1.0):
-            c = list(centroid)
-            c[k] += sgn * 0.35 * half
-            family.append(hat(c, 0.25 * half))
-    for t_frac, s_frac in ((0.45, 0.8), (0.25, 0.5)):
-        eta, _ = cutoff_eta(grid, t_frac * half, s_frac * half, centroid)
-        family.append(ScalarField(grid, eta.values * free))
-    return family
+    whole = (slice(None),) * grid.N
+    return [ScalarField(grid, vals) for vals in _test_functions(grid, free, whole)]
 
 
 def weak_residual(
@@ -439,25 +569,34 @@ def weak_residual(
 
     The pairing <stress(u), D phi> is <A_{w(u)} u, phi> with the solver's own
     operator, so A(u) - f is formed once and a converged solve's residual
-    measures algebraic (not discretization) error.
+    measures algebraic (not discretization) error.  Everything is evaluated
+    on the free bounding box plus one cell below and two above, where the
+    one-sided differences of ``gradient`` see the same values as on the box.
     """
     _require_same_grid(u, prob)
     grid = prob.grid
-    free = _free_mask(prob)
+    n = grid.cells_per_axis
+    free_box = _free_mask(prob)
+    crop = tuple(slice(max(s.start - 1, 0), min(s.stop + 2, n)) for s in _bbox_slices(free_box))
+    free = free_box[crop]
     disc = _Discretization(free, grid.spacing)
-    uv = u.values * free
-    residual = disc.apply(uv, disc.faces(*disc.weights(uv, prob.p, prob.resolved_eps))) - prob.f.values
-    del disc, uv  # release the full-grid arrays before the test family is built
+    uv = u.values[crop] * free
+    residual = disc.apply(uv, disc.faces(*disc.weights(uv, prob.p, prob.resolved_eps))) - prob.f.values[crop]
     if test_family is None:
-        test_family = default_test_family(grid, prob.domain)
+        tests: Iterable[np.ndarray] = _test_functions(grid, free_box, crop)
+    else:
+        for phi in test_family:
+            _require_same_grid(phi, prob)
+        tests = (phi.values[crop] for phi in test_family)
     pprime = prob.p / (prob.p - 1.0)
     hvol = grid.cell_volume
     worst = 0.0
-    for phi in test_family:
-        _require_same_grid(phi, prob)
-        pv = phi.values * free
+    for phi in tests:
+        pv = phi * free
         num = hvol * _dot(residual, pv)
-        den = 1.0 + lp_norm(gradient(ScalarField(grid, pv)), pprime)
+        g = _gradient_values(pv, grid.spacing)
+        mag = np.sqrt(np.einsum("...k,...k->...", g, g))
+        den = 1.0 + (float(np.sum(mag**pprime)) * hvol) ** (1.0 / pprime)
         worst = max(worst, abs(num) / den)
     return worst
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -107,9 +107,9 @@ def potential_P(f: ScalarField, x: Sequence[float], R: float, quad: PotentialQua
     return total
 
 
-def _ball_masses_fft(f2: np.ndarray, grid: Grid, radii: np.ndarray) -> list[np.ndarray]:
+def _ball_masses_fft(f2: np.ndarray, grid: Grid, radii: np.ndarray) -> Iterator[np.ndarray]:
     """Mass arrays sum_{|c_j - c_i| < rho} f2(j) h^N for every center i, one
-    array per radius, via circular convolution on a zero-padded lattice."""
+    array per radius in turn, via circular convolution on a zero-padded lattice."""
     n = grid.cells_per_axis
     nd = grid.N
     h = grid.spacing
@@ -129,15 +129,12 @@ def _ball_masses_fft(f2: np.ndarray, grid: Grid, radii: np.ndarray) -> list[np.n
         sh[k] = size
         dist2 = dist2 + ((off * h) ** 2).reshape(sh)
         valid &= valid_ax.reshape(sh)
-    out: list[np.ndarray] = []
     hvol = grid.cell_volume
     for rho in radii:
         kernel = (dist2 < rho * rho) & valid
         axes = tuple(range(nd))
         conv = np.fft.irfftn(F * np.fft.rfftn(kernel.astype(np.float64)), s=pad_shape, axes=axes)
-        mass = np.maximum(conv[(slice(0, n),) * nd], 0.0) * hvol
-        out.append(mass)
-    return out
+        yield np.maximum(conv[(slice(0, n),) * nd], 0.0) * hvol
 
 
 def potential_profile(f: ScalarField, R: float, quad: PotentialQuadrature) -> ScalarField:
@@ -158,10 +155,9 @@ def potential_profile(f: ScalarField, R: float, quad: PotentialQuadrature) -> Sc
     vals = np.abs(f.values) * (math.sqrt(unit_ball_volume(N)) * rho0)
     if rho0 < R:
         rho, width = _quad_nodes(rho0, R, quad.num_nodes)
-        masses = _ball_masses_fft(f.values**2, grid, rho)
         acc = np.zeros(grid.shape)
-        for j in range(quad.num_nodes):
-            acc += np.sqrt(masses[j]) * float(rho[j]) ** (-0.5 * N)
+        for j, mass in enumerate(_ball_masses_fft(f.values**2, grid, rho)):
+            acc += np.sqrt(mass) * float(rho[j]) ** (-0.5 * N)
         vals = vals + acc * width
     return ScalarField(grid, vals)
 

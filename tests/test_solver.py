@@ -1,6 +1,8 @@
 """Dirichlet p-Laplacian solver: radial oracle, direct linear-algebra
 cross-check at p = 2, the frozen operator's symmetry and its tie to the
-energy's differences, energy descent, and local minimality for p != 2."""
+energy's differences, the multigrid preconditioner's symmetry, definiteness,
+Galerkin coarse operator and size-independent work, energy descent, and
+local minimality for p != 2."""
 
 import math
 
@@ -14,12 +16,14 @@ from plapbench.field import Grid, ScalarField, ball_mask, gradient, linf_norm
 from plapbench.plap_solver import (
     DirichletProblem,
     _Discretization,
+    _VCycle,
     default_test_family,
     energy,
     exact_radial,
     solve,
     weak_residual,
 )
+from plapbench.synth import BumpParams, bump_field
 
 
 def radial_problem(p, N, n_c, tol=1e-12, extent=2.0):
@@ -148,6 +152,63 @@ def test_flux_operator_symmetric_and_tied_to_energy(N, n, center, radius, seed):
     m2f, m2b = disc.one_sided_sq(u)
     frozen = 0.5 * float(np.sum(wf * m2f + wb * m2b))
     assert float(np.sum(u * disc.apply(u, T))) == pytest.approx(frozen, rel=1e-12)
+
+
+def _probe(op, free):
+    """Matrix of a linear map on fields, restricted to the free cells."""
+    cells = np.argwhere(free)
+    M = np.empty((len(cells), len(cells)))
+    for j, cell in enumerate(cells):
+        e = np.zeros(free.shape)
+        e[tuple(cell)] = 1.0
+        M[:, j] = op(e)[free]
+    return M
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.one_of(
+        st.tuples(st.integers(2, 13), st.integers(2, 13)),
+        st.tuples(st.integers(2, 6), st.integers(2, 6), st.integers(2, 6)),
+    ),
+    density=st.floats(0.3, 1.0),
+    p=st.sampled_from((1.5, 2.0, 3.0, 5.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_vcycle_symmetric_positive_and_galerkin(shape, density, p, seed):
+    # random masks (odd sizes, isolated cells) and lagged weights on a field
+    # that vanishes on part of the box, so some gradients are exactly zero
+    rng = np.random.default_rng(seed)
+    free = rng.random(shape) < density
+    assume(free.any())
+    disc = _Discretization(free, 0.1)
+    u = rng.standard_normal(shape) * (rng.random(shape) < 0.5) * free
+    T = disc.faces(*disc.weights(u, p, 1e-3 if p < 2.0 else 1e-6))
+    A = _probe(lambda x: disc.apply(x, T), free)
+    vcycle = _VCycle(disc, T)
+    B = _probe(vcycle, free)
+    assert np.max(np.abs(B - B.T)) <= 1e-13 * np.max(np.abs(B))
+    assert np.min(np.linalg.eigvals(B @ A).real) > 0.0
+    if len(vcycle.levels) > 1:
+        # level 1 is P^T A P for P = 1 on the free cells of each 2^N box
+        coarse, Tc, Sc, _ = vcycle.levels[1]
+        fine_agg = [tuple(c) for c in np.argwhere(free) // 2]
+        coarse_cells = [tuple(c) for c in np.argwhere(coarse.free)]
+        assert set(coarse_cells) == set(fine_agg)
+        P = np.array([[float(a == c) for c in coarse_cells] for a in fine_agg])
+        Ac = _probe(lambda x: coarse.apply(x, Tc, Sc), coarse.free)
+        assert np.max(np.abs(Ac - P.T @ A @ P)) <= 1e-13 * np.max(np.abs(A))
+
+
+def test_cg_work_flat_in_n():
+    # the multigrid-preconditioned CG needs a bounded number of iterations
+    # per outer step however fine the grid (Jacobi-PCG grows like n)
+    bumps = [BumpParams((0.3, -0.2), 0.2, 2.0), BumpParams((-0.4, 0.1), 0.1, 1.0)]
+    for n in (32, 64, 128):
+        grid = Grid(2, 2.0, n)
+        _, rep = solve(DirichletProblem(grid, 2.5, bump_field(grid, bumps), tol=1e-10))
+        assert rep.converged, n
+        assert rep.cg_iterations / rep.iterations <= 20.0, (n, rep.cg_iterations, rep.iterations)
 
 
 def test_local_minimality_nonlinear():
