@@ -192,8 +192,7 @@ def cmd_solve(cfg: dict, out: _OutputDir, rng: np.random.Generator) -> int:
         max_iter=int(cfg.get("max_iter", 200)),
         domain=domain,
     )
-    stat = cfg.get("stationarity_tol")
-    u, rep = solve(prob, stationarity_tol=None if stat is None else float(stat))
+    u, rep = solve(prob)
     save_field(u, out.path("solution.fld"))
     out.register("solution.fld")
     report = rep.to_json_dict()
@@ -255,12 +254,28 @@ def _spec_from(cfg: dict) -> ReactionSpec:
     )
 
 
+# the keywords of picard_solve_level that a scheme config may set
+_PICARD_KEYS = {"damping": float, "tol": float, "max_picard": int, "solver_tol": float, "solver_max_iter": int}
+
+
+def _picard_from(cfg: dict) -> dict:
+    picard = cfg.get("picard", {})
+    if not isinstance(picard, dict):
+        raise ConfigError("picard must be a JSON object")
+    unknown = sorted(set(picard) - set(_PICARD_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown picard keys {unknown}; allowed: {sorted(_PICARD_KEYS)}")
+    try:
+        return {k: _PICARD_KEYS[k](v) for k, v in picard.items()}
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"picard values must be numbers: {exc}") from exc
+
+
 def cmd_scheme(cfg: dict, out: _OutputDir, config_text: str) -> int:
     spec = _spec_from(cfg)
     n_list = [int(n) for n in _require(cfg, "n_list")]
     rho = float(_require(cfg, "rho"))
-    picard = cfg.get("picard", {})
-    states, report = run_scheme(spec, n_list, rho, **{k: v for k, v in picard.items()})
+    states, report = run_scheme(spec, n_list, rho, **_picard_from(cfg))
     for state in states:
         for name, fld in (("u", state.u), ("v", state.v)):
             fname = f"level_{state.n:04d}_{name}.fld"

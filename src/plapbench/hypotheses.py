@@ -204,6 +204,11 @@ def _interval_json(w: Interval) -> dict[str, Any]:
     return {"lo": _inf_out(w.lo), "hi": _inf_out(w.hi), "empty": w.is_empty}
 
 
+def _over(a: float, b: float) -> float:
+    """a/b, or 0 when b is infinite: p/p* (p* = inf for p >= N) and 1/zeta."""
+    return 0.0 if math.isinf(b) else a / b
+
+
 def _window(zeta: float, theta: float, sobolev_ratio: float) -> Interval:
     """Solve 1/zeta + theta < 1/r' < 1 - sobolev_ratio for r = r'/(r'-1).
 
@@ -211,7 +216,7 @@ def _window(zeta: float, theta: float, sobolev_ratio: float) -> Interval:
     x-interval maps to an open r-interval endpoint by endpoint; x = 1 maps
     to r = +inf.
     """
-    lo_x = (0.0 if math.isinf(zeta) else 1.0 / zeta) + theta
+    lo_x = _over(1.0, zeta) + theta
     hi_x = 1.0 - sobolev_ratio
     lo_r = 1.0 / (1.0 - lo_x) if lo_x < 1.0 else INF
     hi_r = 1.0 / (1.0 - hi_x) if hi_x < 1.0 else INF
@@ -226,8 +231,6 @@ def derive(config: ExponentConfig) -> DerivedExponents:
     qstar = sobolev_conjugate(c.q, c.N)
     theta1 = max(c.beta1 / qstar, c.gamma1 / c.p, c.delta1 / c.q)
     theta2 = max(c.alpha2 / pstar, c.gamma2 / c.p, c.delta2 / c.q)
-    p_ratio = 0.0 if math.isinf(pstar) else c.p / pstar
-    q_ratio = 0.0 if math.isinf(qstar) else c.q / qstar
     return DerivedExponents(
         pstar=pstar,
         qstar=qstar,
@@ -237,8 +240,8 @@ def derive(config: ExponentConfig) -> DerivedExponents:
         theta2=theta2,
         eta1=max(c.beta1, c.delta1),
         eta2=max(c.alpha2, c.gamma2),
-        r_window=_window(c.zeta1, theta1, p_ratio),
-        s_window=_window(c.zeta2, theta2, q_ratio),
+        r_window=_window(c.zeta1, theta1, _over(c.p, pstar)),
+        s_window=_window(c.zeta2, theta2, _over(c.q, qstar)),
     )
 
 
@@ -255,10 +258,10 @@ def check_H1a(config: ExponentConfig) -> HypothesisCheck:
     """Weight summability: zeta_i > N plus the strict window inequalities."""
     c = config
     d = derive(c)
-    p_ratio = 0.0 if math.isinf(d.pstar) else c.p / d.pstar
-    q_ratio = 0.0 if math.isinf(d.qstar) else c.q / d.qstar
-    inv_z1 = 0.0 if math.isinf(c.zeta1) else 1.0 / c.zeta1
-    inv_z2 = 0.0 if math.isinf(c.zeta2) else 1.0 / c.zeta2
+    p_ratio = _over(c.p, d.pstar)
+    q_ratio = _over(c.q, d.qstar)
+    inv_z1 = _over(1.0, c.zeta1)
+    inv_z2 = _over(1.0, c.zeta2)
     failures: list[str] = []
     if not c.zeta1 > c.N:
         failures.append("zeta1 <= N")
@@ -278,10 +281,9 @@ def check_H1a(config: ExponentConfig) -> HypothesisCheck:
 def check_H2(config: ExponentConfig) -> HypothesisCheck:
     """Coupling smallness: eta1 * eta2 < (p - 1 - gamma1)(q - 1 - delta2)."""
     c = config
-    eta1 = max(c.beta1, c.delta1)
-    eta2 = max(c.alpha2, c.gamma2)
+    d = derive(c)
     rhs = (c.p - 1.0 - c.gamma1) * (c.q - 1.0 - c.delta2)
-    if eta1 * eta2 < rhs:
+    if d.eta1 * d.eta2 < rhs:
         return HypothesisCheck(True, ())
     return HypothesisCheck(False, ("eta1*eta2 >= (p-1-gamma1)(q-1-delta2)",))
 

@@ -26,13 +26,14 @@ mix, and phi_eps is nonlinear).  On radial problems the resulting axis-flip
 asymmetry of the minimizer is a discretization effect that shrinks under
 refinement and vanishes identically at p = 2.
 
-Outer iteration: lagged diffusivity (freeze the weights (|Du|^2+eps^2)^{(p-2)/2}
-into one weight T_k per face, solve the SPD flux-form system
--sum_k diff(T_k G_k) = f by conjugate gradients, Armijo backtrack on the true
-energy).  For p <= 2 the frozen quadratic majorizes the energy, so the full
-step already descends; for p > 2 the backtracking enforces a monotone energy
-history.  The conjugate gradients are preconditioned by a symmetric
-aggregation V-cycle built once per outer step from the same face weights:
+Outer iteration: lagged diffusivity (Kacanov).  Freeze the weights
+(|Du|^2+eps^2)^{(p-2)/2} into one weight T_k per face, solve the SPD
+flux-form system -sum_k diff(T_k G_k) = f by conjugate gradients from u until
+the CG residual falls by the forcing factor _ETA, and step along d = sol - u
+by the slopes <grad E(u + s d), d>, exact since grad E(v) = h^N (A(v) v - f).
+The one stopping rule is the residual certificate
+||A(u) u - f||_{L2} <= tol (1 + ||f||_{L2}).  The CG is preconditioned by a
+symmetric aggregation V-cycle built once per outer step from the face weights:
 2^N box aggregates, Galerkin coarse operators that are again flux forms (plus
 a sink per cell, no stored matrix), damped Jacobi smoothing and an
 over-corrected coarse step (Notay, ETNA 37, 2010; Braess, Computing 55,
@@ -41,7 +42,8 @@ over-corrected coarse step (Notay, ETNA 37, 2010; Braess, Computing 55,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -104,14 +106,7 @@ class SolveReport:
     cg_iterations: int = 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "final_energy": self.final_energy,
-            "energy_history": list(self.energy_history),
-            "weak_residual": self.weak_residual,
-            "converged": self.converged,
-            "cg_iterations": self.cg_iterations,
-        }
+        return asdict(self)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -234,6 +229,11 @@ _SWEEPS = 2
 _ALPHA = 1.8
 _COARSEST_CELLS = 16
 _COARSEST_SWEEPS = 8
+# forcing term: each outer step's CG solve stops once its residual is this
+# fraction of the nonlinear residual at u, so the linear solves are only as
+# tight as the outer residual needs (Eisenstat & Walker, SIAM J. Sci.
+# Comput. 17, 1996)
+_ETA = 0.1
 
 
 def _pair_sums(x: np.ndarray, axes: Iterable[int]) -> np.ndarray:
@@ -322,19 +322,16 @@ class _VCycle:
 
 def _pcg(
     apply_A: Callable[[np.ndarray], np.ndarray],
-    b: np.ndarray,
+    r0: np.ndarray,
     x0: np.ndarray,
     precond: Callable[[np.ndarray], np.ndarray],
-    rel_tol: float,
+    reduction: float,
     max_iter: int,
 ) -> tuple[np.ndarray, int]:
+    """Preconditioned CG from x0, whose residual b - A x0 is r0, until the residual falls by the factor ``reduction``."""
     x = x0.copy()
-    r = b - apply_A(x)
-    bnorm = np.sqrt(_dot(b, b))
-    if bnorm == 0.0:
-        bnorm = 1.0
-    if np.sqrt(_dot(r, r)) <= rel_tol * bnorm:
-        return x, 0
+    r = r0.copy()
+    stop = reduction * np.sqrt(_dot(r, r))
     pvec = precond(r)
     rz = _dot(r, pvec)
     for it in range(1, max_iter + 1):
@@ -347,7 +344,7 @@ def _pcg(
         alpha = rz / denom
         x += alpha * pvec
         r -= alpha * Ap
-        if np.sqrt(_dot(r, r)) <= rel_tol * bnorm:
+        if np.sqrt(_dot(r, r)) <= stop:
             return x, it
         z = precond(r)
         rz_new = _dot(r, z)
@@ -381,20 +378,44 @@ def energy(u: ScalarField, prob: DirichletProblem) -> float:
     return disc.energy(vals, prob.f.values, prob.p, prob.resolved_eps, prob.grid.cell_volume)
 
 
-def solve(
-    prob: DirichletProblem,
-    initial: ScalarField | None = None,
-    inner_tol: float | None = None,
-    stationarity_tol: float | None = None,
-) -> tuple[ScalarField, SolveReport]:
-    """Minimize the regularized p-energy; returns the field and a report.
+def _line_step(
+    u: np.ndarray,
+    sol: np.ndarray,
+    r: np.ndarray,
+    lagged: Callable[[np.ndarray], tuple[list[np.ndarray], np.ndarray]],
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """The next iterate along d = sol - u, with its face weights and residual from ``lagged``.
 
-    Stops when the relative energy decrease drops below prob.tol (or at
-    max_iter).  If ``stationarity_tol`` is given, the loop additionally keeps
-    iterating until the discrete L2 norm of the nonlinear residual
-    grad E(u) - f falls below it; for p != 2 the lagged weights otherwise
-    leave a residual far above the linear-solver tolerance even once the
-    energy has stalled.
+    The step s comes from the slopes <grad E(u + s d), d> = h^N <r(u + s d), d>,
+    negative at s = 0 (r is the residual at u and d a CG iterate from u).
+    E is convex along d, so take the full step unless the slope has turned
+    positive at s = 1; then the secant zero of the slope on [0, s], unless the
+    chord puts it below s/8, which happens when the slope grows like s^{p-1}
+    (p > 2) and the chord falls far short of the zero: then s/8, and look again.
+    """
+    d = sol - u
+    slope0 = _dot(r, d)
+    s, v = 1.0, sol
+    T, r = lagged(v)
+    slope = _dot(r, d)
+    while slope > 0.0:
+        zero = s * slope0 / (slope0 - slope)
+        s = max(zero, s / 8.0)
+        v = u + s * d
+        T, r = lagged(v)
+        if s == zero:
+            break
+        slope = _dot(r, d)
+    return v, T, r
+
+
+def solve(prob: DirichletProblem, initial: ScalarField | None = None) -> tuple[ScalarField, SolveReport]:
+    """Minimize the regularized p-energy by the outer iteration above; returns the field and a report.
+
+    prob.tol is the relative stationarity tolerance: ``converged`` means
+    ||A(u) u - f||_{L2} <= prob.tol (1 + ||f||_{L2}); otherwise the loop stops
+    after prob.max_iter steps.  ``iterations`` counts the steps taken and
+    ``energy_history`` holds the energy before the first and after each.
 
     Raises SolverDivergenceError on non-finite values; never clips.
     """
@@ -415,108 +436,45 @@ def solve(
     else:
         u = np.zeros(free.shape)
 
-    if inner_tol is None:
-        inner_tol = min(1e-10, prob.tol * 1e-2)
     cg_cap = max(2000, 40 * max(free.shape))
+    # the certificate in Euclidean norm: ||r||_{L2} = sqrt(hvol) ||r||_2
+    target = prob.tol * (1.0 + math.sqrt(_dot(fv, fv) * hvol)) / math.sqrt(hvol)
 
-    def residual_l2(vals: np.ndarray, T: list[np.ndarray]) -> float:
-        r = disc.apply(vals, T) - fv
-        return float(np.sqrt(np.sum(r * r) * hvol))
+    def lagged(vals: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """Face weights frozen at vals and the residual A(vals) vals - f = grad E / h^N."""
+        T = disc.faces(*disc.weights(vals, p, eps))
+        return T, disc.apply(vals, T) - fv
 
+    T, r = lagged(u)
+    if p > 2.0 and not u.any():
+        # from a zero start the degenerate weights eps^{p-2} blow up the
+        # first linear solution; seed with the unit-weight (p = 2) operator
+        # (the residual at u = 0 is -f whatever the weights)
+        T = disc.faces(free * 1.0, free * 1.0)
     E = disc.energy(u, fv, p, eps, hvol)
     history = [E]
-    converged = False
     iterations = 0
     cg_total = 0
-    residual_phase = False
-    for it in range(1, prob.max_iter + 1):
-        iterations = it
-        if it == 1 and p > 2.0 and not u.any():
-            # from a zero start the degenerate weights eps^{p-2} blow up the
-            # first linear solution; seed with the unit-weight (p = 2) solve
-            T = disc.faces(free * 1.0, free * 1.0)
-        else:
-            T = disc.faces(*disc.weights(u, p, eps))
-
-        if residual_phase:
-            # energy is exhausted at float resolution but the lagged weights
-            # still leave a nonlinear residual: run the fixed-point map with
-            # an under-relaxation ladder and accept on residual decrease
-            # (for p > 3 the undamped map oscillates; damping restores
-            # contraction)
-            res_now = residual_l2(u, T)
-            if res_now <= stationarity_tol:
-                converged = True
-                break
-            sol, cg_its = _pcg(lambda x: disc.apply(x, T), fv, u, _VCycle(disc, T), inner_tol, cg_cap)
-            cg_total += cg_its
-            d = sol - u
-            best_u, best_res = None, res_now
-            for s in (1.0, 0.75, 0.5, 0.25):
-                u_try = u + s * d
-                res_try = residual_l2(u_try, disc.faces(*disc.weights(u_try, p, eps)))
-                if res_try < best_res:
-                    best_u, best_res = u_try, res_try
-            if best_u is not None and best_res <= stationarity_tol:
-                u = best_u
-                converged = True
-                break
-            if best_u is not None and best_res < 0.999 * res_now:
-                u = best_u
-                continue
-            converged = False  # residual floor reached above the target
-            break
-
-        sol, cg_its = _pcg(lambda x: disc.apply(x, T), fv, u, _VCycle(disc, T), inner_tol, cg_cap)
+    converged = math.sqrt(_dot(r, r)) <= target
+    while not converged and iterations < prob.max_iter:
+        iterations += 1
+        sol, cg_its = _pcg(lambda x: disc.apply(x, T), -r, u, _VCycle(disc, T), _ETA, cg_cap)
         cg_total += cg_its
-        d = sol - u
-        if p <= 2.0:
-            # frozen quadratic majorizes the energy: full step descends
-            candidates = [1.0]
-        else:
-            # full step can overshoot for p > 2; evaluate a backtracking
-            # ladder and keep the best energy (pure descent acceptance)
-            candidates = [1.0, 0.75, 0.5, 0.375, 0.25]
-        best_s, best_E = 0.0, E
-        for s in candidates:
-            E_try = disc.energy(u + s * d, fv, p, eps, hvol)
-            if E_try < best_E:
-                best_s, best_E = s, E_try
-        if best_s == 0.0:
-            s = candidates[-1]
-            for _ in range(40):
-                s *= 0.5
-                E_try = disc.energy(u + s * d, fv, p, eps, hvol)
-                if E_try <= E:
-                    best_s, best_E = s, E_try
-                    break
-        stalled = best_s == 0.0
-        if not stalled:
-            u = u + best_s * d
-            history.append(best_E)
-            rel = (E - best_E) / max(abs(E), abs(best_E), 1e-300)
-            E = best_E
-            stalled = rel < prob.tol
-        if stalled:
-            if stationarity_tol is None:
-                converged = it > 1 or best_s > 0.0
-                break
-            if residual_l2(u, disc.faces(*disc.weights(u, p, eps))) <= stationarity_tol:
-                converged = True
-                break
-            residual_phase = True
+        u, T, r = _line_step(u, sol, r, lagged)
+        E = disc.energy(u, fv, p, eps, hvol)
+        history.append(E)
+        converged = math.sqrt(_dot(r, r)) <= target
     if not np.all(np.isfinite(u)):
         raise SolverDivergenceError("non-finite iterate")
 
     full = np.zeros(grid.shape)
     full[crop] = u * free
     out = ScalarField(grid, full)
-    res = weak_residual(out, prob)
     report = SolveReport(
         iterations=iterations,
         final_energy=E,
         energy_history=history,
-        weak_residual=res,
+        weak_residual=weak_residual(out, prob),
         converged=converged,
         cg_iterations=cg_total,
     )

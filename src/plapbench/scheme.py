@@ -226,7 +226,6 @@ def _positivity_seed(
     eps: float,
     solver_tol: float,
     solver_max_iter: int,
-    stationarity_scale: float,
 ) -> tuple[ScalarField, ScalarField]:
     """Strictly positive starting pair for a cold Picard start.
 
@@ -243,9 +242,7 @@ def _positivity_seed(
     rg = ScalarField(grid, c.mhat2 * spec.weight_a2.values * eps ** (c.alpha2 + c.beta2))
     out = []
     for pw, rhs in ((c.p, rf), (c.q, rg)):
-        prob = DirichletProblem(grid, pw, rhs, tol=solver_tol, max_iter=solver_max_iter)
-        stat = stationarity_scale * (1.0 + lp_norm(rhs, 2.0))
-        w, _ = solve(prob, stationarity_tol=stat)
+        w, _ = solve(DirichletProblem(grid, pw, rhs, tol=solver_tol, max_iter=solver_max_iter))
         out.append(ScalarField(grid, np.maximum(w.values, 0.0)))
     return out[0], out[1]
 
@@ -257,15 +254,15 @@ def picard_solve_level(
     damping: float = 0.5,
     tol: float = 1e-5,
     max_picard: int = 60,
-    solver_tol: float = 1e-12,
+    solver_tol: float = 1e-9,
     solver_max_iter: int = 200,
-    stationarity_scale: float = 1e-9,
 ) -> SystemState:
     """Resolve level n of the approximating system by damped Picard iteration.
 
     Each outer step freezes the reactions at the current pair, solves the two
-    Dirichlet problems (warm-started, to a scaled stationarity target), forms
-    the damped update, truncates negatives, and measures the increments in
+    Dirichlet problems (warm-started, each until its residual certificate
+    ||A(w) w - f||_{L2} <= solver_tol (1 + ||f||_{L2}) holds), forms the
+    damped update, truncates negatives, and measures the increments in
     W^{1,p} x W^{1,q}.  A step that inflates the combined increment beyond
     the previous one halves tau (reusing the solved pair) down to 1/64.
     Convergence requires both increments below tol with both inner solves
@@ -287,7 +284,7 @@ def picard_solve_level(
             raise ValueError("warm start lives on a different grid")
         u, v = warm_start.u, warm_start.v
     else:
-        u, v = _positivity_seed(spec, eps, solver_tol, solver_max_iter, stationarity_scale)
+        u, v = _positivity_seed(spec, eps, solver_tol, solver_max_iter)
 
     tau = damping
     prev_inc = np.inf
@@ -305,10 +302,8 @@ def picard_solve_level(
         rhs_g = eval_g(spec, u, v_sh, gu, gv, eps)
         prob_u = DirichletProblem(grid, c.p, rhs_f, tol=solver_tol, max_iter=solver_max_iter)
         prob_v = DirichletProblem(grid, c.q, rhs_g, tol=solver_tol, max_iter=solver_max_iter)
-        stat_u = stationarity_scale * (1.0 + lp_norm(rhs_f, 2.0))
-        stat_v = stationarity_scale * (1.0 + lp_norm(rhs_g, 2.0))
-        u_t, rep_u = solve(prob_u, initial=u, stationarity_tol=stat_u)
-        v_t, rep_v = solve(prob_v, initial=v, stationarity_tol=stat_v)
+        u_t, rep_u = solve(prob_u, initial=u)
+        v_t, rep_v = solve(prob_v, initial=v)
         inner_ok = rep_u.converged and rep_v.converged
 
         while True:

@@ -190,6 +190,16 @@ def test_scheme_verify_and_determinism(tmp_path):
     assert main(["report", "--out", str(scheme_out)]) == 1
 
 
+def test_scheme_rejects_bad_picard_config(tmp_path):
+    # unknown keys and values that are not numbers are config errors: exit 2
+    # before any level runs, and no manifest
+    bad = ({"bogus": 1}, {"tol": [1e-4]}, {"max_picard": "many"}, [1e-4])
+    for k, picard in enumerate(bad):
+        code, out_dir = run(tmp_path, "scheme", {**SCHEME_CFG, "picard": picard}, name=f"p{k}.json", out=f"p{k}")
+        assert code == 2, picard
+        assert not (out_dir / "manifest.json").exists()
+
+
 def test_verify_rejects_non_scheme_dir(tmp_path):
     (tmp_path / "empty").mkdir()
     vcfg = {"scheme_out": str(tmp_path / "empty"), "t": 0.4, "s": 0.6, "R": 1.25,
