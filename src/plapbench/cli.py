@@ -120,6 +120,16 @@ class _OutputDir:
         (self.root / "manifest.json").write_text(canonical_json(manifest))
 
 
+# the top-level keys each command reads; any other key is a config error
+_CONFIG_KEYS = {
+    "check": {"exponents"},
+    "solve": {"grid", "field", "domain", "p", "eps_reg", "tol", "max_iter", "radial_oracle"},
+    "potential": {"grid", "field", "R", "x", "num_nodes", "rho_min", "holder_r"},
+    "scheme": {"exponents", "grid", "weight", "coeffs", "n_list", "rho", "picard"},
+    "verify": {"scheme_out", "t", "s", "R", "h_cells", "r"},
+}
+
+
 def _require(cfg: dict, key: str):
     if key not in cfg:
         raise ConfigError(f"config is missing the key {key!r}")
@@ -440,6 +450,10 @@ def main(argv: list[str] | None = None) -> int:
         cfg = json.loads(config_text)
         if not isinstance(cfg, dict):
             raise ConfigError("config root must be a JSON object")
+        allowed = _CONFIG_KEYS[args.command]
+        unknown = sorted(set(cfg) - allowed)
+        if unknown:
+            raise ConfigError(f"unknown {args.command} config keys {unknown}; allowed: {sorted(allowed)}")
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

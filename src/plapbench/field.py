@@ -16,6 +16,7 @@ repeated runs (and any thread-count setting) give bit-identical results.
 from __future__ import annotations
 
 import csv
+import itertools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -380,15 +381,19 @@ def load_field(path: str | Path) -> Field:
 def export_csv(field: Field, path: str | Path) -> None:
     """One cell per row: coordinates, then value (scalar) or components (vector)."""
     grid = field.grid
-    coords = [c.ravel() for c in grid.centers()]
+    ax = [repr(x) for x in grid.axis_centers().tolist()]
+    names = [f"x{k + 1}" for k in range(grid.N)]
     if isinstance(field, ScalarField):
-        cols: list[np.ndarray] = [field.values.ravel()]
-        names = [f"x{k + 1}" for k in range(grid.N)] + ["v"]
+        names.append("v")
+        per_cell = 1
     else:
-        cols = [field.values[..., k].ravel() for k in range(grid.N)]
-        names = [f"x{k + 1}" for k in range(grid.N)] + [f"v{k + 1}" for k in range(grid.N)]
+        names += [f"v{k + 1}" for k in range(grid.N)]
+        per_cell = grid.N
+    # C order: the last axis runs fastest, in the coordinates and the values
+    values = map(repr, field.values.ravel().tolist())
+    cells = itertools.product(ax, repeat=grid.N)
+    rows = (coords + comps for coords, comps in zip(cells, zip(*[values] * per_cell)))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
-        for row in zip(*coords, *cols):
-            writer.writerow([repr(float(x)) for x in row])
+        writer.writerows(rows)

@@ -20,9 +20,13 @@ The companion bound exchanges the mass for the full L^r norm by Hölder
 (r > N): P_f(x, 2) <= C ||f||_{L^r} int_0^2 rho^{-N/r} drho, and the rho
 integral has the closed form 2^{1-N/r}/(1 - N/r).  ``potential_sup`` scans
 all cell centers of a region at once by evaluating the ball masses with an
-FFT convolution against ball indicator kernels (zero padding matches the
-zero extension of f, and one kernel transform is needed per quadrature
-node).
+FFT convolution against ball indicator kernels.  Zero padding matches the
+zero extension of f; the padded lattice has n + m slots per axis (rounded
+up to a 2^a 3^b 5^c length), where m is the number of cells the largest
+ball reaches, so no wrapped term meets a real cell.  One kernel transform
+is needed per quadrature node; the transforms are kept from the second
+request of the same grid and radii on, so a sweep of fields on one grid
+pays for them about twice and a single call keeps nothing.
 """
 
 from __future__ import annotations
@@ -72,10 +76,16 @@ def ball_l2_mass(f: ScalarField, x: Sequence[float], rho: float) -> float:
         raise ValueError("rho must be positive")
     grid = f.grid
     idx = grid.nearest_index(x)  # also validates that x lies in the box
+    return _ball_mass(f, idx, f.values**2, grid.squared_distance(x), rho)
+
+
+def _ball_mass(f: ScalarField, idx: tuple[int, ...], f2: np.ndarray, dist2: np.ndarray, rho: float) -> float:
+    """``ball_l2_mass`` from f^2 and |c - x|^2 built by the caller, so a
+    sweep over radii builds them once; idx is the cell nearest to x."""
+    grid = f.grid
     if rho < grid.spacing:
         return float(f.values[idx]) ** 2 * unit_ball_volume(grid.N) * rho**grid.N
-    mask = grid.squared_distance(x) < rho * rho
-    return float(np.sum(f.values[mask] ** 2)) * grid.cell_volume
+    return float(np.sum(f2[dist2 < rho * rho])) * grid.cell_volume
 
 
 def _quad_nodes(rho0: float, R: float, num_nodes: int) -> tuple[np.ndarray, float]:
@@ -100,40 +110,95 @@ def potential_P(f: ScalarField, x: Sequence[float], R: float, quad: PotentialQua
     total = abs(float(f.values[idx])) * math.sqrt(unit_ball_volume(N)) * rho0
     if rho0 < R:
         rho, width = _quad_nodes(rho0, R, quad.num_nodes)
+        f2 = f.values**2
+        dist2 = grid.squared_distance(x)
         g = np.empty(quad.num_nodes)
         for j in range(quad.num_nodes):
-            g[j] = math.sqrt(ball_l2_mass(f, x, float(rho[j]))) * float(rho[j]) ** (-0.5 * N)
+            g[j] = math.sqrt(_ball_mass(f, idx, f2, dist2, float(rho[j]))) * float(rho[j]) ** (-0.5 * N)
         total += float(np.sum(g)) * width
     return total
 
 
+def _smooth_size(k: int) -> int:
+    """Smallest 2^a 3^b 5^c >= k, a length pocketfft transforms quickly."""
+    size = k
+    while True:
+        r = size
+        for prime in (2, 3, 5):
+            while r % prime == 0:
+                r //= prime
+        if r == 1:
+            return size
+        size += 1
+
+
+# Kernel spectra are kept for one key only, and only from the key's second
+# request on: a one-off call (a CLI run) holds none of them, a sweep over
+# fields on one grid reuses them.
+_last_key: tuple | None = None
+_kept: tuple[tuple, list[np.ndarray]] | None = None
+
+
+def _kernel_spectra(grid: Grid, L: int, m: int, radii: np.ndarray) -> Iterator[np.ndarray]:
+    """Real spectra of the ball indicator kernels on the (L,)*N lattice, one
+    per radius in turn; slot s holds the offset ((s + L//2) mod L) - L//2."""
+    global _last_key, _kept
+    key = (grid, L, radii.tobytes())
+    if _kept is not None and _kept[0] == key:
+        yield from _kept[1]
+        return
+    keep = key == _last_key
+    _last_key = key
+    if keep:
+        _kept = None  # hold one set at a time
+    nd = grid.N
+    h = grid.spacing
+    off = ((np.arange(L) + L // 2) % L - L // 2).astype(np.float64)
+    valid_ax = np.abs(off) <= m
+    dist2 = np.zeros((L,) * nd)
+    valid = np.ones((L,) * nd, dtype=bool)
+    for k in range(nd):
+        sh = [1] * nd
+        sh[k] = L
+        dist2 = dist2 + ((off * h) ** 2).reshape(sh)
+        valid &= valid_ax.reshape(sh)
+    spectra = []
+    for rho in radii:
+        kernel = (dist2 < rho * rho) & valid
+        # the kernel is even, so its spectrum is real up to rounding
+        spec = np.ascontiguousarray(np.fft.rfftn(kernel.astype(np.float64)).real)
+        if keep:
+            spectra.append(spec)
+        yield spec
+    if keep:
+        _kept = (key, spectra)
+
+
 def _ball_masses_fft(f2: np.ndarray, grid: Grid, radii: np.ndarray) -> Iterator[np.ndarray]:
     """Mass arrays sum_{|c_j - c_i| < rho} f2(j) h^N for every center i, one
-    array per radius in turn, via circular convolution on a zero-padded lattice."""
+    array per radius in turn, via circular convolution on a zero-padded lattice.
+
+    The largest radius reaches m cells along an axis (the largest offset o
+    with (o h)^2 < rho_max^2, the kernel's own test), so the lattice needs
+    only L >= n + m slots per axis, not 2n: a wrapped offset of a pair of
+    real cells then never lands within m of zero.  L is rounded up to a
+    2^a 3^b 5^c length.  The kernel spectra come from ``_kernel_spectra``,
+    which keeps them from the second request of the same grid and radii on.
+    """
     n = grid.cells_per_axis
     nd = grid.N
     h = grid.spacing
-    size = 2 * n
-    pad_shape = (size,) * nd
+    rho_max = radii.max()
+    reach = (np.arange(n, dtype=np.float64) * h) ** 2 < rho_max * rho_max
+    m = int(np.flatnonzero(reach)[-1])
+    L = _smooth_size(n + m)
+    pad_shape = (L,) * nd
     f2pad = np.zeros(pad_shape)
     f2pad[(slice(0, n),) * nd] = f2
     F = np.fft.rfftn(f2pad)
-    # lattice offsets wrapped onto the padded grid: slot i holds offset
-    # ((i + n) mod 2n) - n cells; only |offset| <= n - 1 pairs real cells
-    off = ((np.arange(size) + n) % size - n).astype(np.float64)
-    valid_ax = np.abs(off) <= n - 1
-    dist2 = np.zeros(pad_shape)
-    valid = np.ones(pad_shape, dtype=bool)
-    for k in range(nd):
-        sh = [1] * nd
-        sh[k] = size
-        dist2 = dist2 + ((off * h) ** 2).reshape(sh)
-        valid &= valid_ax.reshape(sh)
     hvol = grid.cell_volume
-    for rho in radii:
-        kernel = (dist2 < rho * rho) & valid
-        axes = tuple(range(nd))
-        conv = np.fft.irfftn(F * np.fft.rfftn(kernel.astype(np.float64)), s=pad_shape, axes=axes)
+    for spec in _kernel_spectra(grid, L, m, radii):
+        conv = np.fft.irfftn(F * spec, s=pad_shape, axes=tuple(range(nd)))
         yield np.maximum(conv[(slice(0, n),) * nd], 0.0) * hvol
 
 

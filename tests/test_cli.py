@@ -200,6 +200,36 @@ def test_scheme_rejects_bad_picard_config(tmp_path):
         assert not (out_dir / "manifest.json").exists()
 
 
+GRID_16 = {"N": 2, "extent": 2.0, "cells_per_axis": 16}
+CONSTANT_FIELD = {"kind": "constant", "value": 1.0}
+TINY_SCHEME_CFG = {**SCHEME_CFG, "grid": GRID_16, "n_list": [1]}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, extra",
+    [
+        ("check", {"exponents": GOOD_EXPONENTS}, "exponent"),
+        ("solve", {"grid": GRID_16, "p": 2.0, "field": CONSTANT_FIELD}, "stationarity_tol"),
+        ("potential", {"grid": GRID_16, "field": CONSTANT_FIELD, "R": 1.0}, "nodes"),
+        ("scheme", TINY_SCHEME_CFG, "n_levels"),
+        ("verify", {"t": 0.4, "s": 0.6, "R": 1.25, "h_cells": [[1, 0]]}, "rr"),
+    ],
+)
+def test_unknown_config_key_exit_2(tmp_path, command, cfg, extra):
+    # a misspelt or retired key is a config error: exit 2, before any work and
+    # without a manifest; the same config without it runs
+    if command == "verify":
+        code, scheme_out = run(tmp_path, "scheme", TINY_SCHEME_CFG, name="s.json", out="scheme")
+        assert code == 0
+        cfg = {**cfg, "scheme_out": str(scheme_out)}
+    code, out_dir = run(tmp_path, command, {**cfg, extra: 1e-3}, out="bad")
+    assert code == 2
+    assert not out_dir.exists()
+    code, out_dir = run(tmp_path, command, cfg, out="good")
+    assert code == 0
+    assert (out_dir / "manifest.json").exists()
+
+
 def test_verify_rejects_non_scheme_dir(tmp_path):
     (tmp_path / "empty").mkdir()
     vcfg = {"scheme_out": str(tmp_path / "empty"), "t": 0.4, "s": 0.6, "R": 1.25,

@@ -1,5 +1,6 @@
 """Grid geometry, norms, shifts, and field IO against hand-computable cases."""
 
+import csv
 import math
 
 import numpy as np
@@ -262,3 +263,38 @@ def test_export_csv_roundtrips_values(tmp_path):
     first = [float(x) for x in rows[1].split(",")]
     ax = g.axis_centers()
     assert first == [ax[0], ax[0], 0.0]
+
+
+def _export_csv_reference(field, path):
+    """The row-by-row writer: full coordinate arrays, one writerow per cell."""
+    grid = field.grid
+    coords = [c.ravel() for c in grid.centers()]
+    if isinstance(field, ScalarField):
+        cols = [field.values.ravel()]
+        names = [f"x{k + 1}" for k in range(grid.N)] + ["v"]
+    else:
+        cols = [field.values[..., k].ravel() for k in range(grid.N)]
+        names = [f"x{k + 1}" for k in range(grid.N)] + [f"v{k + 1}" for k in range(grid.N)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for row in zip(*coords, *cols):
+            writer.writerow([repr(float(x)) for x in row])
+
+
+def test_export_csv_bytes_match_row_writer(tmp_path):
+    rng = np.random.default_rng(12)
+    values = rng.standard_normal((7, 7))
+    values[0, 0] = -0.0
+    values[1, 0] = 1e-300
+    cases = [
+        ScalarField(Grid(2, 1.5, 7), values),
+        ScalarField(Grid(3, 2.0, 5), rng.standard_normal((5, 5, 5)) * 1e5),
+        VectorField(Grid(2, 1.0, 6), rng.standard_normal((6, 6, 2))),
+    ]
+    for k, f in enumerate(cases):
+        export_csv(f, tmp_path / f"new{k}.csv")
+        _export_csv_reference(f, tmp_path / f"ref{k}.csv")
+        new = (tmp_path / f"new{k}.csv").read_bytes()
+        assert new == (tmp_path / f"ref{k}.csv").read_bytes(), k
+        assert new.count(b"\r\n") == f.grid.cells_per_axis**f.grid.N + 1

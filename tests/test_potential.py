@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from plapbench import potential
 from plapbench.field import Grid, ScalarField, ball_mask, full_region
 from plapbench.potential import (
     PotentialQuadrature,
@@ -82,13 +83,15 @@ def test_potential_monotone_in_radius():
 
 
 def test_profile_matches_pointwise_potential():
-    # the FFT convolution path must agree with the direct masked sums
-    for N in (2, 3):
-        g = Grid(N, 1.0, 24 if N == 3 else 48)
+    # the FFT convolution path must agree with the direct masked sums; the
+    # last two cases take the ball kernel to its extremes: R beyond the box
+    # diagonal (the kernel reaches n - 1 cells) and R < 2h (at most 1 cell)
+    cases = ((2, 48, 0.7), (3, 24, 0.7), (2, 48, 3.0), (2, 48, 1.5 * 2.0 / 48))
+    for N, n, R in cases:
+        g = Grid(N, 1.0, n)
         rng = np.random.default_rng(40 + N)
         f = bump_field(g, draw_bump_params(rng, N))
         q = PotentialQuadrature(num_nodes=16)
-        R = 0.7
         prof = potential_profile(f, R, q)
         idxs = [tuple(rng.integers(0, g.cells_per_axis, N)) for _ in range(12)]
         centers = g.centers()
@@ -97,7 +100,53 @@ def test_profile_matches_pointwise_potential():
             direct = potential_P(f, x, R, q)
             # mixed tolerance: a single boundary cell can flip sides between
             # the kernel's off*h distances and rounded center differences
-            assert abs(prof.values[idx] - direct) <= 1e-6 * (1.0 + direct), (N, idx)
+            assert abs(prof.values[idx] - direct) <= 1e-6 * (1.0 + direct), (N, R, idx)
+
+
+def test_profile_bit_identical_across_repeated_calls(monkeypatch):
+    # the kernel spectra are rebuilt on the first call of a grid and radii,
+    # kept on the second and reused after that; every path must give the
+    # same bytes, and kept spectra must never serve another grid or radii
+    # (the 3-D grid has the 2-D grid's radii and lattice size)
+    monkeypatch.setattr(potential, "_kept", None)
+    monkeypatch.setattr(potential, "_last_key", None)
+    g, g3 = Grid(2, 1.0, 24), Grid(3, 1.0, 24)
+    rng = np.random.default_rng(8)
+    f = bump_field(g, draw_bump_params(rng, 2))
+    f3 = bump_field(g3, draw_bump_params(rng, 3))
+    q, q24 = PotentialQuadrature(num_nodes=20), PotentialQuadrature(num_nodes=24)
+    other_nodes = potential_profile(f, 0.9, q24).values.tobytes()
+    other_grid = potential_profile(f3, 0.9, q).values.tobytes()
+
+    def kept_grid():
+        return potential._kept[0][0] if potential._kept is not None else None
+
+    first = potential_profile(f, 0.9, q).values.tobytes()
+    assert kept_grid() != g  # a single call keeps nothing
+    assert potential_profile(f, 0.9, q).values.tobytes() == first
+    assert kept_grid() == g
+    assert potential_profile(f, 0.9, q).values.tobytes() == first
+    assert potential_profile(f3, 0.9, q).values.tobytes() == other_grid
+    assert potential_profile(f, 0.9, q).values.tobytes() == first
+    assert potential_profile(f, 0.9, q24).values.tobytes() == other_nodes
+    assert potential_profile(f, 0.9, q).values.tobytes() == first
+
+
+def test_potential_P_is_sum_of_ball_masses():
+    # potential_P must equal, bit for bit, the midpoint sum over ball_l2_mass
+    rng = np.random.default_rng(21)
+    for N, n in ((2, 32), (3, 12)):
+        g = Grid(N, 1.0, n)
+        f = bump_field(g, draw_bump_params(rng, N))
+        q = PotentialQuadrature(num_nodes=16, rho_min_policy=0.5 * g.spacing)
+        for x, R in (((0.0,) * N, 0.8), ((0.31,) * N, 1.7), ((-0.9,) * N, 0.1)):
+            rho0 = min(q.rho_min(g), R)
+            total = abs(float(f.values[g.nearest_index(x)])) * math.sqrt(unit_ball_volume(N)) * rho0
+            width = (R - rho0) / q.num_nodes
+            rho = rho0 + (np.arange(q.num_nodes) + 0.5) * width
+            terms = [math.sqrt(ball_l2_mass(f, x, float(r))) * float(r) ** (-0.5 * N) for r in rho]
+            total += float(np.sum(np.array(terms))) * width
+            assert potential_P(f, x, R, q) == total, (N, x, R)
 
 
 def test_potential_sup_consistency():
