@@ -90,7 +90,7 @@ def _sha256(path: Path) -> str:
 
 
 class _OutputDir:
-    """Tracks written artifacts and finishes with the manifest."""
+    """Makes the directory on the first write, tracks the artifacts, finishes with the manifest."""
 
     def __init__(self, root: Path, command: str, seed: int, config_text: str):
         self.root = root
@@ -98,16 +98,16 @@ class _OutputDir:
         self.seed = seed
         self.config_sha = hashlib.sha256(config_text.encode()).hexdigest()
         self.files: dict[str, str] = {}
-        root.mkdir(parents=True, exist_ok=True)
 
     def path(self, name: str) -> Path:
+        self.root.mkdir(parents=True, exist_ok=True)
         return self.root / name
 
     def register(self, name: str) -> None:
         self.files[name] = _sha256(self.root / name)
 
     def write_json(self, name: str, obj: Any) -> None:
-        (self.root / name).write_text(canonical_json(obj))
+        self.path(name).write_text(canonical_json(obj))
         self.register(name)
 
     def finish(self) -> None:
@@ -117,7 +117,7 @@ class _OutputDir:
             "config_sha256": self.config_sha,
             "files": dict(sorted(self.files.items())),
         }
-        (self.root / "manifest.json").write_text(canonical_json(manifest))
+        self.path("manifest.json").write_text(canonical_json(manifest))
 
 
 # the top-level keys each command reads; any other key is a config error
@@ -222,10 +222,12 @@ def cmd_potential(cfg: dict, out: _OutputDir, rng: np.random.Generator) -> int:
     grid = _grid_from(cfg)
     f = _field_from_spec(grid, _require(cfg, "field"), rng)
     R = float(_require(cfg, "R"))
-    quad = PotentialQuadrature(
-        num_nodes=int(cfg.get("num_nodes", 64)),
-        rho_min_policy=cfg.get("rho_min"),
-    )
+    rho_min = cfg.get("rho_min")
+    try:
+        rho_min = None if rho_min is None else float(rho_min)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"rho_min must be a number: {exc}") from exc
+    quad = PotentialQuadrature(num_nodes=int(cfg.get("num_nodes", 64)), rho_min_policy=rho_min)
     x = tuple(float(c) for c in cfg.get("x", (0.0,) * grid.N))
     value = potential_P(f, x, R, quad)
     profile = potential_profile(f, R, quad)

@@ -32,19 +32,25 @@ flux-form system -sum_k diff(T_k G_k) = f by conjugate gradients from u until
 the CG residual falls by the forcing factor _ETA, and step along d = sol - u
 by the slopes <grad E(u + s d), d>, exact since grad E(v) = h^N (A(v) v - f).
 The one stopping rule is the residual certificate
-||A(u) u - f||_{L2} <= tol (1 + ||f||_{L2}).  The CG is preconditioned by a
-symmetric aggregation V-cycle built once per outer step from the face weights:
+||A(u) u - f||_{L2} <= tol (1 + ||f||_{L2}).  At p = 2 the weights are 1 and
+the system is linear, so the CG runs once, to half the certificate.  The CG
+is preconditioned by a symmetric aggregation V-cycle built once per outer
+step from the face weights (at p = 2 once per solver context):
 2^N box aggregates, Galerkin coarse operators that are again flux forms (plus
 a sink per cell, no stored matrix), damped Jacobi smoothing and an
 over-corrected coarse step (Notay, ETNA 37, 2010; Braess, Computing 55,
 1995), so the iterations per outer step do not grow with the grid size.
+
+``_SolveContext`` keeps what depends only on the grid and the free-cell mask
+(crop, free cells, discretization, unit-weight V-cycle).  ``solve`` builds one
+per call, freed before its weak residual; the Picard scheme keeps one per level.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -409,6 +415,89 @@ def _line_step(
     return v, T, r
 
 
+class _Minimum(NamedTuple):
+    values: np.ndarray  # on the full grid
+    iterations: int
+    cg_iterations: int
+    converged: bool
+    energy_history: list[float]
+
+
+class _SolveContext:
+    """What every solve on one grid and free-cell mask shares.
+
+    The crop to the free bounding box, the free cells and the discretization;
+    at p = 2 the weights (m^2 + eps^2)^0 are 1 on every free cell, so the
+    unit-weight face weights and their V-cycle are built on first use and kept.
+    """
+
+    def __init__(self, grid: Grid, mask: np.ndarray):
+        self.grid = grid
+        self.mask = mask
+        self.crop = _bbox_slices(mask)
+        self.free = np.ascontiguousarray(mask[self.crop])
+        self.disc = _Discretization(self.free, grid.spacing)
+        self._unit: tuple[list[np.ndarray], _VCycle] | None = None
+
+    def unit(self) -> tuple[list[np.ndarray], _VCycle]:
+        """Face weights of the unit-weight (p = 2) operator and its V-cycle."""
+        if self._unit is None:
+            T = self.disc.faces(self.free * 1.0, self.free * 1.0)
+            self._unit = (T, _VCycle(self.disc, T))
+        return self._unit
+
+    def minimize(self, prob: DirichletProblem, initial: ScalarField | None = None) -> _Minimum:
+        """The outer iteration of ``solve`` for a problem on this grid and mask."""
+        if prob.grid != self.grid or not np.array_equal(_free_mask(prob), self.mask):
+            raise ValueError("problem lives on another grid or mask than the solver context")
+        crop, free, disc = self.crop, self.free, self.disc
+        fv = np.where(free, prob.f.values[crop], 0.0)
+        p, eps = prob.p, prob.resolved_eps
+        hvol = self.grid.cell_volume
+
+        if initial is not None:
+            _require_same_grid(initial, prob)
+            u = np.ascontiguousarray(initial.values[crop]) * free
+        else:
+            u = np.zeros(free.shape)
+
+        cg_cap = max(2000, 40 * max(free.shape))
+        # the certificate in Euclidean norm: ||r||_{L2} = sqrt(hvol) ||r||_2
+        target = prob.tol * (1.0 + math.sqrt(_dot(fv, fv) * hvol)) / math.sqrt(hvol)
+
+        def lagged(vals: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+            """Face weights frozen at vals and the residual A(vals) vals - f = grad E / h^N."""
+            T = self.unit()[0] if p == 2.0 else disc.faces(*disc.weights(vals, p, eps))
+            return T, disc.apply(vals, T) - fv
+
+        T, r = lagged(u)
+        # from a zero start at p > 2 the degenerate weights eps^{p-2} blow up
+        # the first linear solution; seed with the unit-weight operator (the
+        # residual at u = 0 is -f whatever the weights)
+        unit = p == 2.0 or (p > 2.0 and not u.any())
+        history = [disc.energy(u, fv, p, eps, hvol)]
+        iterations = cg_total = 0
+        rnorm = math.sqrt(_dot(r, r))
+        while rnorm > target and iterations < prob.max_iter:
+            iterations += 1
+            T, precond = self.unit() if unit else (T, _VCycle(disc, T))
+            # at p = 2 the system is linear, so one CG run to half the target
+            # meets the certificate; otherwise the forcing factor
+            reduction = min(_ETA, 0.5 * target / rnorm) if p == 2.0 else _ETA
+            sol, cg_its = _pcg(lambda x: disc.apply(x, T), -r, u, precond, reduction, cg_cap)
+            del precond  # a V-cycle built for this step is not needed past its CG run
+            cg_total += cg_its
+            u, T, r = _line_step(u, sol, r, lagged)
+            unit = p == 2.0
+            history.append(disc.energy(u, fv, p, eps, hvol))
+            rnorm = math.sqrt(_dot(r, r))
+        if not np.all(np.isfinite(u)):
+            raise SolverDivergenceError("non-finite iterate")
+        full = np.zeros(self.grid.shape)
+        full[crop] = u * free
+        return _Minimum(full, iterations, cg_total, rnorm <= target, history)
+
+
 def solve(prob: DirichletProblem, initial: ScalarField | None = None) -> tuple[ScalarField, SolveReport]:
     """Minimize the regularized p-energy by the outer iteration above; returns the field and a report.
 
@@ -419,65 +508,10 @@ def solve(prob: DirichletProblem, initial: ScalarField | None = None) -> tuple[S
 
     Raises SolverDivergenceError on non-finite values; never clips.
     """
-    grid = prob.grid
-    free_full = _free_mask(prob)
-    if not free_full.any():
-        raise ValueError("no free cells")
-    crop = _bbox_slices(free_full)
-    free = np.ascontiguousarray(free_full[crop])
-    fv = np.where(free, prob.f.values[crop], 0.0)
-    disc = _Discretization(free, grid.spacing)
-    p, eps = prob.p, prob.resolved_eps
-    hvol = grid.cell_volume
-
-    if initial is not None:
-        _require_same_grid(initial, prob)
-        u = np.ascontiguousarray(initial.values[crop]) * free
-    else:
-        u = np.zeros(free.shape)
-
-    cg_cap = max(2000, 40 * max(free.shape))
-    # the certificate in Euclidean norm: ||r||_{L2} = sqrt(hvol) ||r||_2
-    target = prob.tol * (1.0 + math.sqrt(_dot(fv, fv) * hvol)) / math.sqrt(hvol)
-
-    def lagged(vals: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """Face weights frozen at vals and the residual A(vals) vals - f = grad E / h^N."""
-        T = disc.faces(*disc.weights(vals, p, eps))
-        return T, disc.apply(vals, T) - fv
-
-    T, r = lagged(u)
-    if p > 2.0 and not u.any():
-        # from a zero start the degenerate weights eps^{p-2} blow up the
-        # first linear solution; seed with the unit-weight (p = 2) operator
-        # (the residual at u = 0 is -f whatever the weights)
-        T = disc.faces(free * 1.0, free * 1.0)
-    E = disc.energy(u, fv, p, eps, hvol)
-    history = [E]
-    iterations = 0
-    cg_total = 0
-    converged = math.sqrt(_dot(r, r)) <= target
-    while not converged and iterations < prob.max_iter:
-        iterations += 1
-        sol, cg_its = _pcg(lambda x: disc.apply(x, T), -r, u, _VCycle(disc, T), _ETA, cg_cap)
-        cg_total += cg_its
-        u, T, r = _line_step(u, sol, r, lagged)
-        E = disc.energy(u, fv, p, eps, hvol)
-        history.append(E)
-        converged = math.sqrt(_dot(r, r)) <= target
-    if not np.all(np.isfinite(u)):
-        raise SolverDivergenceError("non-finite iterate")
-
-    full = np.zeros(grid.shape)
-    full[crop] = u * free
-    out = ScalarField(grid, full)
-    report = SolveReport(
-        iterations=iterations,
-        final_energy=E,
-        energy_history=history,
-        weak_residual=weak_residual(out, prob),
-        converged=converged,
-        cg_iterations=cg_total,
-    )
+    res = _SolveContext(prob.grid, _free_mask(prob)).minimize(prob, initial)
+    out = ScalarField(prob.grid, res.values)
+    report = SolveReport(res.iterations, res.energy_history[-1], res.energy_history,
+                         weak_residual(out, prob), res.converged, res.cg_iterations)
     return out, report
 
 

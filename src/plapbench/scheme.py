@@ -1,4 +1,4 @@
-"""Regularized approximating system solved by damped Picard iteration.
+"""Regularized approximating system solved by Picard iteration.
 
 The coupled singular system is approximated at level n by shifting the
 singular arguments with eps = 1/n:
@@ -20,10 +20,11 @@ and 0^b = 0 for b > 0.
 
 Each Picard step freezes the reactions at the current iterate, solves the
 two decoupled Dirichlet problems on the box (Jacobi-style: both use the
-same frozen state, so the step is order-independent), damps the update by
-tau, and truncates negative parts to zero.  tau is halved when a step
-inflates the Sobolev increment, down to 1/64.  The per-level states are
-warm starts for the next level, and the report collects the discrete
+same frozen state, so the step is order-independent), steps by tau
+(undamped by default), and truncates negative parts to zero.  tau is halved
+when a step inflates the Sobolev increment, down to 1/64.  The solves of a
+level share one solver context and form no weak residual.  The per-level
+states are warm starts for the next level, and the report collects the discrete
 shadows of the uniform bounds: sup norms, interior infima on a ball,
 gradient norms, and Cauchy increments between consecutive levels.
 
@@ -51,7 +52,7 @@ from .field import (
     w1p_norm,
 )
 from .hypotheses import ExponentConfig, check_H1a, check_H2
-from .plap_solver import DirichletProblem, solve
+from .plap_solver import DirichletProblem, _SolveContext
 
 _TAU_MIN = 1.0 / 64.0
 
@@ -226,6 +227,7 @@ def _positivity_seed(
     eps: float,
     solver_tol: float,
     solver_max_iter: int,
+    ctx: _SolveContext,
 ) -> tuple[ScalarField, ScalarField]:
     """Strictly positive starting pair for a cold Picard start.
 
@@ -242,7 +244,7 @@ def _positivity_seed(
     rg = ScalarField(grid, c.mhat2 * spec.weight_a2.values * eps ** (c.alpha2 + c.beta2))
     out = []
     for pw, rhs in ((c.p, rf), (c.q, rg)):
-        w, _ = solve(DirichletProblem(grid, pw, rhs, tol=solver_tol, max_iter=solver_max_iter))
+        w = ctx.minimize(DirichletProblem(grid, pw, rhs, tol=solver_tol, max_iter=solver_max_iter))
         out.append(ScalarField(grid, np.maximum(w.values, 0.0)))
     return out[0], out[1]
 
@@ -251,20 +253,21 @@ def picard_solve_level(
     spec: ReactionSpec,
     n: int,
     warm_start: SystemState | None = None,
-    damping: float = 0.5,
+    damping: float = 1.0,
     tol: float = 1e-5,
     max_picard: int = 60,
     solver_tol: float = 1e-9,
     solver_max_iter: int = 200,
 ) -> SystemState:
-    """Resolve level n of the approximating system by damped Picard iteration.
+    """Resolve level n of the approximating system by Picard iteration.
 
     Each outer step freezes the reactions at the current pair, solves the two
     Dirichlet problems (warm-started, each until its residual certificate
     ||A(w) w - f||_{L2} <= solver_tol (1 + ||f||_{L2}) holds), forms the
-    damped update, truncates negatives, and measures the increments in
-    W^{1,p} x W^{1,q}.  A step that inflates the combined increment beyond
-    the previous one halves tau (reusing the solved pair) down to 1/64.
+    update with step tau <= damping (1: undamped), truncates negatives, and
+    measures the increments in W^{1,p} x W^{1,q}.  A step that inflates the
+    combined increment beyond the previous one halves tau (reusing the solved
+    pair) down to 1/64; the next step doubles it back towards ``damping``.
     Convergence requires both increments below tol with both inner solves
     converged; otherwise the state is returned flagged.
     """
@@ -278,13 +281,14 @@ def picard_solve_level(
     c = spec.exponents
     eps = 1.0 / n
     hyp_ok = _hypotheses_ok(c)
+    ctx = _SolveContext(grid, np.ones(grid.shape, dtype=bool))
 
     if warm_start is not None:
         if warm_start.u.grid != grid:
             raise ValueError("warm start lives on a different grid")
         u, v = warm_start.u, warm_start.v
     else:
-        u, v = _positivity_seed(spec, eps, solver_tol, solver_max_iter)
+        u, v = _positivity_seed(spec, eps, solver_tol, solver_max_iter, ctx)
 
     tau = damping
     prev_inc = np.inf
@@ -302,9 +306,9 @@ def picard_solve_level(
         rhs_g = eval_g(spec, u, v_sh, gu, gv, eps)
         prob_u = DirichletProblem(grid, c.p, rhs_f, tol=solver_tol, max_iter=solver_max_iter)
         prob_v = DirichletProblem(grid, c.q, rhs_g, tol=solver_tol, max_iter=solver_max_iter)
-        u_t, rep_u = solve(prob_u, initial=u)
-        v_t, rep_v = solve(prob_v, initial=v)
-        inner_ok = rep_u.converged and rep_v.converged
+        u_t = ctx.minimize(prob_u, initial=u)
+        v_t = ctx.minimize(prob_v, initial=v)
+        inner_ok = u_t.converged and v_t.converged
 
         while True:
             u_new = ScalarField(grid, np.maximum((1.0 - tau) * u.values + tau * u_t.values, 0.0))

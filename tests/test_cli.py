@@ -230,6 +230,16 @@ def test_unknown_config_key_exit_2(tmp_path, command, cfg, extra):
     assert (out_dir / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("rho_min", ["abc", [0.1], {"value": 0.1}, -0.1])
+def test_potential_rejects_bad_rho_min(tmp_path, rho_min):
+    # a rho_min that is not a positive number is a config error: exit 2 and
+    # no output directory
+    cfg = {"grid": GRID_16, "field": CONSTANT_FIELD, "R": 1.0, "rho_min": rho_min}
+    code, out_dir = run(tmp_path, "potential", cfg)
+    assert code == 2
+    assert not out_dir.exists()
+
+
 def test_verify_rejects_non_scheme_dir(tmp_path):
     (tmp_path / "empty").mkdir()
     vcfg = {"scheme_out": str(tmp_path / "empty"), "t": 0.4, "s": 0.6, "R": 1.25,

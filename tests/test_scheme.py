@@ -171,6 +171,28 @@ def test_picard_fixed_point_parameter_independent():
     assert w1p_norm(a.v - b.v, 2.0) < 1e-4
 
 
+def test_picard_default_undamped_matches_damped():
+    # the default step (undamped, halving guard kept) reaches the pair that
+    # damping 0.5 reaches
+    g = Grid(2, 2.0, 32)
+    spec = bench_spec(g)
+    a = picard_solve_level(spec, 2)
+    b = picard_solve_level(spec, 2, damping=0.5)
+    assert a.converged and b.converged
+    assert a.picard_iters < b.picard_iters
+    assert w1p_norm(a.u - b.u, 2.5) < 1e-4
+    assert w1p_norm(a.v - b.v, 2.0) < 1e-4
+
+
+def test_run_scheme_default_picard_steps():
+    # four levels with default keywords: every level converges, in at most 40
+    # Picard steps in all (damping 0.5 took 73)
+    g = Grid(2, 2.0, 32)
+    states, report = run_scheme(bench_spec(g), [1, 2, 4, 8], rho=0.5)
+    assert all(report.converged_n)
+    assert sum(s.picard_iters for s in states) <= 40, [s.picard_iters for s in states]
+
+
 def test_picard_flags_h2_violation():
     g = Grid(2, 2.0, 16)
     spec = bench_spec(g, beta1=0.9, alpha2=1.4)  # eta1*eta2 = 1.26 > 0.66

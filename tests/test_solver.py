@@ -1,8 +1,9 @@
 """Dirichlet p-Laplacian solver: radial oracle, direct linear-algebra
 cross-check at p = 2, the frozen operator's symmetry and its tie to the
 energy's differences, the multigrid preconditioner's symmetry, definiteness,
-Galerkin coarse operator and size-independent work, energy descent, and
-local minimality for p != 2."""
+Galerkin coarse operator and size-independent work, the single CG run of a
+p = 2 solve and the solver context it keeps, energy descent, and local
+minimality for p != 2."""
 
 import math
 
@@ -16,6 +17,7 @@ from plapbench.field import Grid, ScalarField, ball_mask, gradient, linf_norm
 from plapbench.plap_solver import (
     DirichletProblem,
     _Discretization,
+    _SolveContext,
     _VCycle,
     default_test_family,
     energy,
@@ -211,6 +213,16 @@ def test_cg_work_flat_in_n():
         assert rep.cg_iterations / rep.iterations <= 20.0, (n, rep.cg_iterations, rep.iterations)
 
 
+def _certified(u, prob, free):
+    # the residual certificate recomputed on the full grid with the free mask
+    disc = _Discretization(free, prob.grid.spacing)
+    T = disc.faces(*disc.weights(u.values, prob.p, prob.resolved_eps))
+    r = (disc.apply(u.values, T) - prob.f.values) * free
+    f = prob.f.values * free
+    hvol = prob.grid.cell_volume
+    return math.sqrt(np.sum(r * r) * hvol) <= prob.tol * (1.0 + math.sqrt(np.sum(f * f) * hvol))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(12, 24),
@@ -226,15 +238,68 @@ def test_converged_meets_residual_certificate(n, p, tol, seed):
     prob = DirichletProblem(grid, p, f, tol=tol)
     u, rep = solve(prob)
     if rep.converged:
-        disc = _Discretization(np.ones(grid.shape, dtype=bool), grid.spacing)
-        T = disc.faces(*disc.weights(u.values, p, prob.resolved_eps))
-        r = disc.apply(u.values, T) - f.values
-        hvol = grid.cell_volume
-        assert math.sqrt(np.sum(r * r) * hvol) <= tol * (1.0 + math.sqrt(np.sum(f.values**2) * hvol))
+        assert _certified(u, prob, np.ones(grid.shape, dtype=bool))
     # the energy never increases; near the minimizer its changes fall below
     # the rounding of the energy sum, which a few ulps of |E| cover
     hist = rep.energy_history
     assert all(b <= a + 1e-14 * abs(a) for a, b in zip(hist, hist[1:]))
+
+
+@pytest.mark.parametrize("N, n, ball", [(2, 32, False), (3, 24, True)])
+def test_p2_solve_is_one_outer_step(N, n, ball):
+    # at p = 2 the weights are 1 whatever u is: one CG run meets the
+    # certificate, from a zero start and from a warm start alike
+    grid = Grid(N, 2.0, n)
+    domain = ball_mask(grid, (0.0,) * N, 1.0) if ball else None
+    free = domain.mask if ball else np.ones(grid.shape, dtype=bool)
+    rng = np.random.default_rng(7 + N)
+    warm = bump_field(grid, draw_bump_params(rng, N))
+    for tol in (1e-6, 1e-10):
+        f = bump_field(grid, draw_bump_params(rng, N))
+        prob = DirichletProblem(grid, 2.0, f, tol=tol, domain=domain)
+        for initial in (None, warm):
+            u, rep = solve(prob, initial=initial)
+            assert rep.converged and rep.iterations == 1, (tol, initial is None, rep.iterations)
+            assert _certified(u, prob, free)
+        warm = u
+
+
+def test_kept_context_solves_bit_identical():
+    # solves through one kept context equal solves that each build their own,
+    # bit for bit, whatever ran on the context before
+    grid = Grid(2, 2.0, 24)
+    domain = ball_mask(grid, (0.1, -0.2), 0.9)
+    ctx = _SolveContext(grid, domain.mask.copy())
+    rng = np.random.default_rng(3)
+    warm = None
+    for p in (2.0, 2.5, 2.0, 1.5, 2.0):
+        f = bump_field(grid, draw_bump_params(rng, 2))
+        prob = DirichletProblem(grid, p, f, tol=1e-9, domain=domain)
+        for initial in (None, warm):
+            kept = ctx.minimize(prob, initial)
+            own = _SolveContext(grid, domain.mask.copy()).minimize(prob, initial)
+            u, rep = solve(prob, initial)
+            assert np.array_equal(kept.values, own.values) and np.array_equal(kept.values, u.values)
+            assert kept.energy_history == own.energy_history == rep.energy_history
+            assert (kept.iterations, kept.cg_iterations, kept.converged) == (
+                rep.iterations, rep.cg_iterations, rep.converged)
+        warm = ScalarField(grid, kept.values)
+
+
+def test_context_refuses_another_grid_or_mask():
+    grid = Grid(2, 2.0, 16)
+    ball = ball_mask(grid, (0.0, 0.0), 0.8)
+    ctx = _SolveContext(grid, ball.mask.copy())
+    f = ScalarField(grid, np.ones(grid.shape))
+    others = [
+        DirichletProblem(grid, 2.0, f),
+        DirichletProblem(grid, 2.0, f, domain=ball_mask(grid, (0.0, 0.0), 0.7)),
+        DirichletProblem(Grid(2, 2.0, 17), 2.0, ScalarField(Grid(2, 2.0, 17), np.ones((17, 17)))),
+    ]
+    for prob in others:
+        with pytest.raises(ValueError):
+            ctx.minimize(prob)
+    assert ctx.minimize(DirichletProblem(grid, 2.0, f, domain=ball)).converged
 
 
 def test_local_minimality_nonlinear():
