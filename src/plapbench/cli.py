@@ -218,32 +218,41 @@ def cmd_solve(cfg: dict, out: _OutputDir, rng: np.random.Generator) -> int:
     return 0 if rep.converged else 1
 
 
+def _cast(kind: type, value: Any, key: str) -> Any:
+    """value as a number of type kind; a value that is not one is a config error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be a number: {exc}") from exc
+
+
+def _cast_list(kind: type, values: Any, key: str) -> list:
+    if not isinstance(values, list):
+        raise ConfigError(f"{key} must be a list of numbers")
+    return [_cast(kind, v, key) for v in values]
+
+
 def cmd_potential(cfg: dict, out: _OutputDir, rng: np.random.Generator) -> int:
     grid = _grid_from(cfg)
     f = _field_from_spec(grid, _require(cfg, "field"), rng)
-    R = float(_require(cfg, "R"))
-    rho_min = cfg.get("rho_min")
-    try:
-        rho_min = None if rho_min is None else float(rho_min)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"rho_min must be a number: {exc}") from exc
-    quad = PotentialQuadrature(num_nodes=int(cfg.get("num_nodes", 64)), rho_min_policy=rho_min)
-    x = tuple(float(c) for c in cfg.get("x", (0.0,) * grid.N))
+    R = _cast(float, _require(cfg, "R"), "R")
+    rho_min = None if cfg.get("rho_min") is None else _cast(float, cfg["rho_min"], "rho_min")
+    quad = PotentialQuadrature(_cast(int, cfg.get("num_nodes", 64), "num_nodes"), rho_min)
+    x = _cast_list(float, cfg["x"], "x") if "x" in cfg else [0.0] * grid.N
+    # every value is cast and every bound formed before the profile, so a bad config writes nothing
+    holder_r = _cast_list(float, cfg.get("holder_r", []), "holder_r")
+    bounds = {str(r): potential_holder_bound(f, r, grid.N) for r in holder_r}
     value = potential_P(f, x, R, quad)
     profile = potential_profile(f, R, quad)
     export_csv(profile, out.path("potential_profile.csv"))
     out.register("potential_profile.csv")
     report: dict[str, Any] = {
         "R": R,
-        "x": list(x),
+        "x": x,
         "value_at_x": value,
         "sup_over_box": float(np.max(profile.values)),
         "num_nodes": quad.num_nodes,
     }
-    bounds = {}
-    for r in cfg.get("holder_r", []):
-        r = float(r)
-        bounds[str(r)] = potential_holder_bound(f, r, grid.N)
     if bounds:
         report["holder_bounds"] = bounds
     out.write_json("potential_report.json", report)
@@ -277,10 +286,7 @@ def _picard_from(cfg: dict) -> dict:
     unknown = sorted(set(picard) - set(_PICARD_KEYS))
     if unknown:
         raise ConfigError(f"unknown picard keys {unknown}; allowed: {sorted(_PICARD_KEYS)}")
-    try:
-        return {k: _PICARD_KEYS[k](v) for k, v in picard.items()}
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"picard values must be numbers: {exc}") from exc
+    return {k: _cast(_PICARD_KEYS[k], v, f"picard.{k}") for k, v in picard.items()}
 
 
 def cmd_scheme(cfg: dict, out: _OutputDir, config_text: str) -> int:

@@ -20,7 +20,7 @@ import itertools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -175,10 +175,17 @@ def _require_same_grid(a, b) -> None:
         raise ValueError("fields live on different grids")
 
 
-def _axslice(ndim: int, axis: int, sl: slice) -> tuple:
+def _axslice(ndim: int, axis: int, sl: slice | np.ndarray) -> tuple:
     idx: list = [slice(None)] * ndim
     idx[axis] = sl
     return tuple(idx)
+
+
+def _bbox_slices(mask: np.ndarray) -> tuple[slice, ...]:
+    """The bounding box of the True cells of a nonempty mask, one slice per axis."""
+    nd = mask.ndim
+    idx = [np.flatnonzero(np.any(mask, axis=tuple(i for i in range(nd) if i != k))) for k in range(nd)]
+    return tuple(slice(int(i[0]), int(i[-1]) + 1) for i in idx)
 
 
 def full_region(grid: Grid) -> Region:
@@ -236,34 +243,30 @@ def stress_field(u: ScalarField, p: float) -> VectorField:
     return VectorField(u.grid, _stress_values(gradient(u).values, p))
 
 
-def _magnitude(field: Field) -> np.ndarray:
+def _magnitude(field: Field, region: Region | None = None) -> np.ndarray:
+    """|value| at every cell, or at the cells of a nonempty region."""
     if isinstance(field, ScalarField):
-        return np.abs(field.values)
-    return np.sqrt(np.einsum("...k,...k->...", field.values, field.values))
+        mag = np.abs(field.values)
+    else:
+        mag = np.sqrt(np.einsum("...k,...k->...", field.values, field.values))
+    if region is None:
+        return mag
+    _require_same_grid(field, region)
+    if region.count == 0:
+        raise ValueError("empty region")
+    return mag[region.mask]
 
 
 def lp_norm(field: Field, p_exp: float, region: Region | None = None) -> float:
     """(sum |value|^p_exp * h^N)^{1/p_exp} over the region (default: whole box)."""
     if not (np.isfinite(p_exp) and p_exp >= 1.0):
         raise ValueError("p_exp must be a finite real >= 1")
-    mag = _magnitude(field)
-    if region is not None:
-        _require_same_grid(field, region)
-        if region.count == 0:
-            raise ValueError("empty region")
-        mag = mag[region.mask]
-    s = float(np.sum(mag**p_exp))
+    s = float(np.sum(_magnitude(field, region) ** p_exp))
     return (s * field.grid.cell_volume) ** (1.0 / p_exp)
 
 
 def linf_norm(field: Field, region: Region | None = None) -> float:
-    mag = _magnitude(field)
-    if region is not None:
-        _require_same_grid(field, region)
-        if region.count == 0:
-            raise ValueError("empty region")
-        mag = mag[region.mask]
-    return float(np.max(mag))
+    return float(np.max(_magnitude(field, region)))
 
 
 def w1p_norm(u: ScalarField, p_exp: float, region: Region | None = None) -> float:
@@ -283,12 +286,8 @@ def _shift_values(values: np.ndarray, grid: Grid, cells: Sequence[int]) -> np.nd
         c = int(c)
         if abs(c) > n:
             raise ValueError(f"lattice shift {c} cells exceeds the box size {n}")
-        if c >= 0:
-            src.append(slice(c, n))
-            dst.append(slice(0, n - c))
-        else:
-            src.append(slice(0, n + c))
-            dst.append(slice(-c, n))
+        src.append(slice(max(c, 0), n + min(c, 0)))
+        dst.append(slice(max(-c, 0), n - max(c, 0)))
     out = np.zeros_like(values)
     out[tuple(dst)] = values[tuple(src)]
     return out

@@ -59,6 +59,7 @@ from .field import (
     Region,
     ScalarField,
     _axslice,
+    _bbox_slices,
     _cutoff_values,
     _gradient_values,
     _require_same_grid,
@@ -359,16 +360,6 @@ def _pcg(
     return x, max_iter
 
 
-def _bbox_slices(free: np.ndarray) -> tuple[slice, ...]:
-    sl = []
-    nd = free.ndim
-    for k in range(nd):
-        proj = np.any(free, axis=tuple(i for i in range(nd) if i != k))
-        idx = np.where(proj)[0]
-        sl.append(slice(int(idx[0]), int(idx[-1]) + 1))
-    return tuple(sl)
-
-
 def _free_mask(prob: DirichletProblem) -> np.ndarray:
     if prob.domain is None:
         return np.ones(prob.grid.shape, dtype=bool)
@@ -520,8 +511,7 @@ def _test_functions(grid: Grid, free: np.ndarray, crop: tuple[slice, ...]) -> It
     centers = grid.open_centers()
     cnt = float(np.count_nonzero(free))
     centroid = [float(np.sum(np.broadcast_to(c, free.shape)[free])) / cnt for c in centers]
-    bbox = _bbox_slices(free)
-    half = min((bbox[k].stop - bbox[k].start) * grid.spacing / 2.0 for k in range(grid.N))
+    half = min((b.stop - b.start) * grid.spacing / 2.0 for b in _bbox_slices(free))
     coords = [c[_axslice(grid.N, k, crop[k])] for k, c in enumerate(centers)]
     inside = free[crop]
 

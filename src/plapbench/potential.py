@@ -18,15 +18,15 @@ up to rounding.
 
 The companion bound exchanges the mass for the full L^r norm by Hölder
 (r > N): P_f(x, 2) <= C ||f||_{L^r} int_0^2 rho^{-N/r} drho, and the rho
-integral has the closed form 2^{1-N/r}/(1 - N/r).  ``potential_sup`` scans
-all cell centers of a region at once by evaluating the ball masses with an
-FFT convolution against ball indicator kernels.  Zero padding matches the
-zero extension of f; the padded lattice has n + m slots per axis (rounded
-up to a 2^a 3^b 5^c length), where m is the number of cells the largest
-ball reaches, so no wrapped term meets a real cell.  One kernel transform
-is needed per quadrature node; the transforms are kept from the second
-request of the same grid and radii on, so a sweep of fields on one grid
-pays for them about twice and a single call keeps nothing.
+integral has the closed form 2^{1-N/r}/(1 - N/r).  ``potential_profile``
+(every cell) and ``potential_sup`` (its region's bounding box) get the ball
+masses of the cells they read at once, by FFT convolution against ball
+indicator kernels on a zero-padded lattice sized by the read box, with
+transforms pruned to the lattice lines that hold data or are read (see
+``_ball_masses_fft``).  One kernel transform is needed per quadrature node;
+the transforms are kept from the second request of the same grid, lattice
+and radii on, so a sweep of fields on one grid pays for them about twice
+and a single call keeps nothing.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .field import Grid, Region, ScalarField, linf_norm, lp_norm
+from .field import Grid, Region, ScalarField, _axslice, _bbox_slices, linf_norm, lp_norm
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,13 @@ def _ball_mass(f: ScalarField, idx: tuple[int, ...], f2: np.ndarray, dist2: np.n
     return float(np.sum(f2[dist2 < rho * rho])) * grid.cell_volume
 
 
-def _quad_nodes(rho0: float, R: float, num_nodes: int) -> tuple[np.ndarray, float]:
-    width = (R - rho0) / num_nodes
-    rho = rho0 + (np.arange(num_nodes) + 0.5) * width
-    return rho, width
+def _quad_nodes(quad: PotentialQuadrature, grid: Grid, R: float) -> tuple[float, np.ndarray, float]:
+    """rho0 = min(rho_min, R), and the midpoint nodes on [rho0, R] with their width."""
+    if not R > 0.0:
+        raise ValueError("R must be positive")
+    rho0 = min(quad.rho_min(grid), R)
+    width = (R - rho0) / quad.num_nodes
+    return rho0, rho0 + (np.arange(quad.num_nodes) + 0.5) * width, width
 
 
 def potential_P(f: ScalarField, x: Sequence[float], R: float, quad: PotentialQuadrature) -> float:
@@ -101,35 +104,28 @@ def potential_P(f: ScalarField, x: Sequence[float], R: float, quad: PotentialQua
     value |f(x)| sqrt(omega_N) rho0; the rest is a midpoint sum of
     mass(rho)^{1/2} rho^{-N/2}.
     """
-    if not R > 0.0:
-        raise ValueError("R must be positive")
-    grid = f.grid
+    grid, N = f.grid, f.grid.N
+    rho0, rho, width = _quad_nodes(quad, grid, R)
     idx = grid.nearest_index(x)
-    N = grid.N
-    rho0 = min(quad.rho_min(grid), R)
     total = abs(float(f.values[idx])) * math.sqrt(unit_ball_volume(N)) * rho0
     if rho0 < R:
-        rho, width = _quad_nodes(rho0, R, quad.num_nodes)
         f2 = f.values**2
         dist2 = grid.squared_distance(x)
-        g = np.empty(quad.num_nodes)
-        for j in range(quad.num_nodes):
-            g[j] = math.sqrt(_ball_mass(f, idx, f2, dist2, float(rho[j]))) * float(rho[j]) ** (-0.5 * N)
+        g = np.array([math.sqrt(_ball_mass(f, idx, f2, dist2, float(r))) * float(r) ** (-0.5 * N) for r in rho])
         total += float(np.sum(g)) * width
     return total
 
 
 def _smooth_size(k: int) -> int:
     """Smallest 2^a 3^b 5^c >= k, a length pocketfft transforms quickly."""
-    size = k
     while True:
-        r = size
+        r = k
         for prime in (2, 3, 5):
             while r % prime == 0:
                 r //= prime
         if r == 1:
-            return size
-        size += 1
+            return k
+        k += 1
 
 
 # Kernel spectra are kept for one key only, and only from the key's second
@@ -139,9 +135,21 @@ _last_key: tuple | None = None
 _kept: tuple[tuple, list[np.ndarray]] | None = None
 
 
+def _lattice_rfftn(a: np.ndarray, L: int, slots: np.ndarray | None = None) -> np.ndarray:
+    """``np.fft.rfftn`` of a on the (L,)*N lattice, entry i of each axis in slot ``slots[i]`` (i if None),
+    one axis at a time in rfftn's order, placed or zero-padded just before its transform."""
+    for axis in reversed(range(a.ndim)):
+        if slots is not None:
+            placed = np.zeros(a.shape[:axis] + (L,) + a.shape[axis + 1:], dtype=a.dtype)
+            placed[_axslice(a.ndim, axis, slots)] = a
+            a = placed
+        a = np.fft.rfft(a, n=L, axis=axis) if axis == a.ndim - 1 else np.fft.fft(a, n=L, axis=axis)
+    return a
+
+
 def _kernel_spectra(grid: Grid, L: int, m: int, radii: np.ndarray) -> Iterator[np.ndarray]:
     """Real spectra of the ball indicator kernels on the (L,)*N lattice, one
-    per radius in turn; slot s holds the offset ((s + L//2) mod L) - L//2."""
+    per radius in turn; the offset o (|o| <= m per axis) sits in slot o mod L."""
     global _last_key, _kept
     key = (grid, L, radii.tobytes())
     if _kept is not None and _kept[0] == key:
@@ -151,22 +159,15 @@ def _kernel_spectra(grid: Grid, L: int, m: int, radii: np.ndarray) -> Iterator[n
     _last_key = key
     if keep:
         _kept = None  # hold one set at a time
-    nd = grid.N
-    h = grid.spacing
-    off = ((np.arange(L) + L // 2) % L - L // 2).astype(np.float64)
-    valid_ax = np.abs(off) <= m
-    dist2 = np.zeros((L,) * nd)
-    valid = np.ones((L,) * nd, dtype=bool)
-    for k in range(nd):
-        sh = [1] * nd
-        sh[k] = L
-        dist2 = dist2 + ((off * h) ** 2).reshape(sh)
-        valid &= valid_ax.reshape(sh)
+    off = np.arange(-m, m + 1)
+    # |o h|^2 on the (2m + 1)^N block of offsets, summed over the axes in order
+    sq = (off * grid.spacing) ** 2
+    dist2 = sum(sq.reshape([-1 if j == k else 1 for j in range(grid.N)]) for k in range(grid.N))
     spectra = []
     for rho in radii:
-        kernel = (dist2 < rho * rho) & valid
+        kernel = (dist2 < rho * rho).astype(np.float64)
         # the kernel is even, so its spectrum is real up to rounding
-        spec = np.ascontiguousarray(np.fft.rfftn(kernel.astype(np.float64)).real)
+        spec = np.ascontiguousarray(_lattice_rfftn(kernel, L, off % L).real)
         if keep:
             spectra.append(spec)
         yield spec
@@ -174,32 +175,48 @@ def _kernel_spectra(grid: Grid, L: int, m: int, radii: np.ndarray) -> Iterator[n
         _kept = (key, spectra)
 
 
-def _ball_masses_fft(f2: np.ndarray, grid: Grid, radii: np.ndarray) -> Iterator[np.ndarray]:
-    """Mass arrays sum_{|c_j - c_i| < rho} f2(j) h^N for every center i, one
-    array per radius in turn, via circular convolution on a zero-padded lattice.
+def _ball_masses_fft(f2: np.ndarray, grid: Grid, radii: np.ndarray, box: tuple[slice, ...]) -> Iterator[np.ndarray]:
+    """Mass arrays sum_{|c_j - c_i| < rho} f2(j) h^N for every center i of
+    ``box``, one array of the box's shape per radius in turn, via circular
+    convolution on a zero-padded lattice.
 
     The largest radius reaches m cells along an axis (the largest offset o
-    with (o h)^2 < rho_max^2, the kernel's own test), so the lattice needs
-    only L >= n + m slots per axis, not 2n: a wrapped offset of a pair of
-    real cells then never lands within m of zero.  L is rounded up to a
-    2^a 3^b 5^c length.  The kernel spectra come from ``_kernel_spectra``,
-    which keeps them from the second request of the same grid and radii on.
+    with (o h)^2 < rho_max^2, the kernel's own test), so the sources are the
+    box widened by m, clamped to the grid.  With D the largest axis offset
+    between a read cell and a source, L >= D + m + 1 slots per axis keep every
+    wrapped term off the read cells (n + m for the whole grid), and L >= 2m + 1
+    gives each kernel offset a slot of its own; L is rounded up to 2^a 3^b 5^c.
+    The transforms skip all-zero input lines and unread output rows; every
+    other line sees full-lattice rfftn/irfftn's data, so the bits match theirs.
     """
-    n = grid.cells_per_axis
-    nd = grid.N
-    h = grid.spacing
+    n, nd = grid.cells_per_axis, grid.N
     rho_max = radii.max()
-    reach = (np.arange(n, dtype=np.float64) * h) ** 2 < rho_max * rho_max
-    m = int(np.flatnonzero(reach)[-1])
-    L = _smooth_size(n + m)
-    pad_shape = (L,) * nd
-    f2pad = np.zeros(pad_shape)
-    f2pad[(slice(0, n),) * nd] = f2
-    F = np.fft.rfftn(f2pad)
+    m = int(np.flatnonzero((np.arange(n, dtype=np.float64) * grid.spacing) ** 2 < rho_max * rho_max)[-1])
+    src = tuple(slice(max(b.start - m, 0), min(b.stop + m, n)) for b in box)
+    D = max(max(b.stop - 1 - s.start, s.stop - 1 - b.start) for b, s in zip(box, src))
+    L = _smooth_size(max(D, m) + m + 1)
+    rows = tuple(slice(b.start - s.start, b.stop - s.start) for b, s in zip(box, src))
+    F = _lattice_rfftn(f2[src], L)
     hvol = grid.cell_volume
     for spec in _kernel_spectra(grid, L, m, radii):
-        conv = np.fft.irfftn(F * spec, s=pad_shape, axes=tuple(range(nd)))
-        yield np.maximum(conv[(slice(0, n),) * nd], 0.0) * hvol
+        # irfftn in its own order (axes 0 .. N-2, then the last), dropping the unread rows after each axis
+        G = F * spec
+        for axis in range(nd - 1):
+            G = np.fft.ifft(G, axis=axis)[_axslice(nd, axis, rows[axis])]
+        yield np.maximum(np.fft.irfft(G, n=L, axis=nd - 1)[_axslice(nd, nd - 1, rows[-1])], 0.0) * hvol
+
+
+def _profile_values(f: ScalarField, R: float, quad: PotentialQuadrature, box: tuple[slice, ...]) -> np.ndarray:
+    """P_f(x, R) at the cell centers of ``box`` (one bounded slice per axis), as an array of its shape."""
+    grid, N = f.grid, f.grid.N
+    rho0, rho, width = _quad_nodes(quad, grid, R)
+    vals = np.abs(f.values[box]) * (math.sqrt(unit_ball_volume(N)) * rho0)
+    if rho0 < R:
+        acc = np.zeros(vals.shape)
+        for j, mass in enumerate(_ball_masses_fft(f.values**2, grid, rho, box)):
+            acc += np.sqrt(mass) * float(rho[j]) ** (-0.5 * N)
+        vals = vals + acc * width
+    return vals
 
 
 def potential_profile(f: ScalarField, R: float, quad: PotentialQuadrature) -> ScalarField:
@@ -212,29 +229,17 @@ def potential_profile(f: ScalarField, R: float, quad: PotentialQuadrature) -> Sc
     the direct path takes differences of rounded cell centers, so a cell
     sitting within one ulp of a quadrature sphere can land on different sides.
     """
-    if not R > 0.0:
-        raise ValueError("R must be positive")
-    grid = f.grid
-    N = grid.N
-    rho0 = min(quad.rho_min(grid), R)
-    vals = np.abs(f.values) * (math.sqrt(unit_ball_volume(N)) * rho0)
-    if rho0 < R:
-        rho, width = _quad_nodes(rho0, R, quad.num_nodes)
-        acc = np.zeros(grid.shape)
-        for j, mass in enumerate(_ball_masses_fft(f.values**2, grid, rho)):
-            acc += np.sqrt(mass) * float(rho[j]) ** (-0.5 * N)
-        vals = vals + acc * width
-    return ScalarField(grid, vals)
+    return ScalarField(f.grid, _profile_values(f, R, quad, (slice(0, f.grid.cells_per_axis),) * f.grid.N))
 
 
 def potential_sup(f: ScalarField, region: Region, R: float, quad: PotentialQuadrature) -> float:
-    """max over cell centers of the region of P_f(x, R)."""
+    """max over cell centers of the region of P_f(x, R), evaluated on the region's bounding box only."""
     if f.grid != region.grid:
         raise ValueError("field and region live on different grids")
     if region.count == 0:
         raise ValueError("region is empty")
-    profile = potential_profile(f, R, quad)
-    return float(profile.values[region.mask].max())
+    box = _bbox_slices(region.mask)
+    return float(_profile_values(f, R, quad, box)[region.mask[box]].max())
 
 
 def holder_rho_integral(N: int, r: float) -> float:

@@ -41,7 +41,6 @@ import numpy as np
 
 from .field import (
     Grid,
-    Region,
     ScalarField,
     VectorField,
     _magnitude,

@@ -240,6 +240,21 @@ def test_potential_rejects_bad_rho_min(tmp_path, rho_min):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("R", [1]), ("R", None), ("x", [[0], [0]]), ("num_nodes", [64]), ("holder_r", 6), ("holder_r", [[6]]),
+     ("holder_r", [2.0])],
+)
+def test_potential_rejects_bad_values(tmp_path, key, value):
+    # a value that is not a number (or a list of numbers), or a Hölder
+    # exponent r <= N, is a config error: exit 2 before any profile is
+    # computed, and no output directory
+    cfg = {"grid": GRID_16, "field": CONSTANT_FIELD, "R": 1.0, key: value}
+    code, out_dir = run(tmp_path, "potential", cfg)
+    assert code == 2
+    assert not out_dir.exists()
+
+
 def test_verify_rejects_non_scheme_dir(tmp_path):
     (tmp_path / "empty").mkdir()
     vcfg = {"scheme_out": str(tmp_path / "empty"), "t": 0.4, "s": 0.6, "R": 1.25,

@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from plapbench import potential
-from plapbench.field import Grid, ScalarField, ball_mask, full_region
+from plapbench.field import Grid, Region, ScalarField, ball_mask, full_region
 from plapbench.potential import (
     PotentialQuadrature,
     ball_l2_mass,
@@ -130,6 +131,121 @@ def test_profile_bit_identical_across_repeated_calls(monkeypatch):
     assert potential_profile(f, 0.9, q).values.tobytes() == first
     assert potential_profile(f, 0.9, q24).values.tobytes() == other_nodes
     assert potential_profile(f, 0.9, q).values.tobytes() == first
+
+
+def _full_lattice_profile(f, R, q):
+    """The profile from full-lattice transforms: every ball kernel built on the
+    whole (L,)*N lattice (L the smallest 2^a 3^b 5^c >= n + m), ``rfftn`` of the
+    kernel and of the zero-padded f^2, ``irfftn`` of the product, then the
+    real cells sliced out.  Returns the values and the kernel reach m."""
+    g = f.grid
+    n, N, h = g.cells_per_axis, g.N, g.spacing
+    rho0 = min(q.rho_min(g), R)
+    width = (R - rho0) / q.num_nodes
+    rho = rho0 + (np.arange(q.num_nodes) + 0.5) * width
+    m = int(np.flatnonzero((np.arange(n, dtype=np.float64) * h) ** 2 < rho.max() * rho.max())[-1])
+    L = potential._smooth_size(n + m)
+    off = ((np.arange(L) + L // 2) % L - L // 2).astype(np.float64)
+    dist2 = np.zeros((L,) * N)
+    valid = np.ones((L,) * N, dtype=bool)
+    for k in range(N):
+        sh = [1] * N
+        sh[k] = L
+        dist2 = dist2 + ((off * h) ** 2).reshape(sh)
+        valid &= (np.abs(off) <= m).reshape(sh)
+    f2pad = np.zeros((L,) * N)
+    f2pad[(slice(0, n),) * N] = f.values**2
+    F = np.fft.rfftn(f2pad)
+    acc = np.zeros(g.shape)
+    for r in rho:
+        spec = np.fft.rfftn(((dist2 < r * r) & valid).astype(np.float64)).real
+        conv = np.fft.irfftn(F * spec, s=(L,) * N, axes=tuple(range(N)))
+        mass = np.maximum(conv[(slice(0, n),) * N], 0.0) * g.cell_volume
+        acc += np.sqrt(mass) * float(r) ** (-0.5 * N)
+    return np.abs(f.values) * (math.sqrt(unit_ball_volume(N)) * rho0) + acc * width, m
+
+
+def test_pruned_transforms_equal_full_lattice():
+    # the pruned transforms give every 1-D transform the full lattice's data,
+    # so the profile equals the full-lattice one bit for bit; odd n, the
+    # kernel reaching one cell (R < 2h) and reaching n - 1 cells (R beyond
+    # the box diagonal), in 2-D and 3-D
+    cases = ((2, 33, 1.9 * 2.0 / 33, 1), (2, 33, 0.45, None), (2, 33, 3.0, 32),
+             (3, 13, 1.9 * 2.0 / 13, 1), (3, 13, 0.7, None), (3, 13, 3.0, 12))
+    for N, n, R, reach in cases:
+        g = Grid(N, 1.0, n)
+        f = bump_field(g, draw_bump_params(np.random.default_rng(n + N), N))
+        q = PotentialQuadrature(num_nodes=12)
+        ref, m = _full_lattice_profile(f, R, q)
+        assert reach is None or m == reach, (N, n, R, m)
+        assert potential_profile(f, R, q).values.tobytes() == ref.tobytes(), (N, n, R)
+
+
+def _region(g, mask):
+    return Region(g, mask, int(mask.sum()) * g.cell_volume, int(mask.sum()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.sampled_from((2, 3)),
+    n=st.integers(5, 14),
+    kind=st.sampled_from(("ball", "edge", "cell", "slab")),
+    frac=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+    R=st.floats(0.05, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_potential_sup_on_region_box(N, n, kind, frac, R, seed):
+    # the sup reads only the region's bounding box, with a lattice sized by
+    # it; it must equal the max of the whole-grid profile over the region.
+    # The FFT's rounding is relative to the largest mass, so the field is
+    # kept away from zero, where every mass is of that size
+    g = Grid(N, 1.0, n)
+    rng = np.random.default_rng(seed)
+    f = ScalarField(g, rng.uniform(0.5, 1.5, g.shape) * rng.choice((-1.0, 1.0), g.shape))
+    idx = tuple(min(int(t * n), n - 1) for t in frac[:N])
+    if kind == "ball":  # off-centre
+        mask = ball_mask(g, tuple(0.8 * (2.0 * t - 1.0) for t in frac[:N]), 0.2 + 0.5 * frac[-1]).mask
+    elif kind == "edge":  # a ball centred on a face of the box
+        center = (1.0,) + tuple(2.0 * t - 1.0 for t in frac[1:N])
+        mask = ball_mask(g, center, 0.1 + 0.6 * frac[0]).mask
+    else:
+        mask = np.zeros(g.shape, dtype=bool)
+        if kind == "cell":
+            mask[idx] = True
+        else:  # a slab one cell thick, part of the other axes: a non-cubic box
+            mask[(idx[0],) + tuple(slice(i // 2, i + 1) for i in idx[1:])] = True
+    assume(mask.any())
+    region = _region(g, mask)
+    q = PotentialQuadrature(num_nodes=8)
+    sup = potential_sup(f, region, R, q)
+    assert math.isclose(sup, float(np.max(potential_profile(f, R, q).values[mask])), rel_tol=1e-13)
+
+
+def test_sup_and_profile_lattices_keep_apart(monkeypatch):
+    # on the 64^2 grid with R = 2 the sup over B_1 reads a 32^2 box and needs
+    # an 80^2 lattice, the whole-grid profile 96^2; alternating calls on one
+    # grid and one set of radii must never serve one lattice's kept spectra
+    # to the other, so every profile has the bytes of a fresh call
+    monkeypatch.setattr(potential, "_kept", None)
+    monkeypatch.setattr(potential, "_last_key", None)
+    g = Grid(2, 2.0, 64)
+    f = bump_field(g, draw_bump_params(np.random.default_rng(12), 2))
+    region = ball_mask(g, (0.0, 0.0), 1.0)
+    q = PotentialQuadrature(num_nodes=16)
+
+    def kept_lattice():
+        return potential._kept[0][1] if potential._kept is not None else None
+
+    fresh = potential_profile(f, 2.0, q).values.tobytes()
+    first = potential_sup(f, region, 2.0, q)
+    assert potential_sup(f, region, 2.0, q) == first
+    assert kept_lattice() == 80
+    assert potential_profile(f, 2.0, q).values.tobytes() == fresh
+    assert potential_sup(f, region, 2.0, q) == first  # served from the kept 80^2 spectra
+    assert potential_profile(f, 2.0, q).values.tobytes() == fresh
+    assert kept_lattice() == 96
+    assert potential_sup(f, region, 2.0, q) == first
+    assert potential_profile(f, 2.0, q).values.tobytes() == fresh  # served from the kept 96^2 spectra
 
 
 def test_potential_P_is_sum_of_ball_masses():
