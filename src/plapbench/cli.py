@@ -96,6 +96,7 @@ class _OutputDir:
         self.root = root
         self.command = command
         self.seed = seed
+        self.config_text = config_text
         self.config_sha = hashlib.sha256(config_text.encode()).hexdigest()
         self.files: dict[str, str] = {}
 
@@ -120,95 +121,166 @@ class _OutputDir:
         self.path("manifest.json").write_text(canonical_json(manifest))
 
 
-# the top-level keys each command reads; any other key is a config error
-_CONFIG_KEYS = {
-    "check": {"exponents"},
-    "solve": {"grid", "field", "domain", "p", "eps_reg", "tol", "max_iter", "radial_oracle"},
-    "potential": {"grid", "field", "R", "x", "num_nodes", "rho_min", "holder_r"},
-    "scheme": {"exponents", "grid", "weight", "coeffs", "n_list", "rho", "picard"},
-    "verify": {"scheme_out", "t", "s", "R", "h_cells", "r"},
+class AnalyticFailure(RuntimeError):
+    """Raised when a command's inputs fail an analytic precondition (exit 1)."""
+
+
+class _Kinds(dict):
+    """Schema of an object whose string "kind" picks the schema of its other keys."""
+
+
+_REQUIRED = object()  # the default of a key that the config must give
+
+
+def _required(**specs: Any) -> dict:
+    return {key: (spec, _REQUIRED) for key, spec in specs.items()}
+
+
+def _float_or_inf(value: Any) -> float:
+    """A float as canonical_json writes it: a number, or "inf"."""
+    if value == "inf" or (isinstance(value, (int, float)) and not isinstance(value, bool)):
+        return float(value)
+    raise ValueError(f"must be a number or 'inf', got {value!r}")
+
+
+_GRID = _required(N=int, extent=float, cells_per_axis=int)
+_FIELD = _Kinds(
+    constant=_required(value=float),
+    ball_indicator={"radius": (float, _REQUIRED), "value": (float, 1.0), "center": ([float], None)},
+    bumps=_required(bumps=[_required(center=[float], width=float, amplitude=float)]),
+    random_bumps={"max_bumps": (int, 3), "center_halfwidth": (float, 0.5)},
+    file=_required(path=str),
+)
+# each command's config as key -> (spec, default); a default of None means "not given".
+# The exponents go through a lambda, so a wrapper put on the name config_from_dict sees the call.
+_SCHEMAS = {
+    "check": _required(exponents=lambda d: config_from_dict(d)),
+    "solve": {
+        **_required(grid=_GRID, field=_FIELD, p=float),
+        "domain": ({"ball_radius": (float, _REQUIRED), "center": ([float], None)}, None),
+        "eps_reg": (float, None),
+        "tol": (float, 1e-10),
+        "max_iter": (int, 200),
+        "radial_oracle": (_required(R=float), None),
+    },
+    "potential": {
+        **_required(grid=_GRID, field=_FIELD, R=float),
+        "x": ([float], None),
+        "num_nodes": (int, 64),
+        "rho_min": (float, None),
+        "holder_r": ([float], []),
+    },
+    "scheme": {
+        **_required(exponents=lambda d: config_from_dict(d), grid=_GRID, n_list=[int], rho=float),
+        "weight": (_Kinds(gaussian=_required(amplitude=float)), {"kind": "gaussian", "amplitude": 1.0}),
+        "coeffs": ({key: (float, 1.0) for key in ("grad1_own", "grad1_other", "grad2_own", "grad2_other")}, {}),
+        # picard_solve_level's keywords; an absent one keeps that function's default
+        "picard": ({"damping": (float, None), "tol": (float, None), "max_picard": (int, None),
+                    "solver_tol": (float, None), "solver_max_iter": (int, None)}, {}),
+    },
+    "verify": {**_required(scheme_out=str, t=float, s=float, R=float, h_cells=[[int]]), "r": (float, None)},
 }
+# one entry of a scheme directory's states.json, as SystemState.summary writes it
+_LEVEL = _required(n=int, eps=float, picard_iters=int, increment_p=_float_or_inf, increment_q=_float_or_inf,
+                   converged=bool, hypotheses_ok=bool, sup_u=float, sup_v=float)
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"config is missing the key {key!r}")
-    return cfg[key]
+def _check(value: Any, spec: Any, key: str) -> Any:
+    """value checked against spec at every depth and returned typed, defaults filled in.
+
+    A spec is float, int, str, bool, [spec] (a list), {key: (spec, default)}
+    (an object), a _Kinds, or a converter that raises ValueError.  Numbers are
+    finite JSON numbers, not bools or strings, and integral for int; null is
+    allowed only where the default is None.  A mismatch is a ConfigError naming its path.
+    """
+    if spec is float or spec is int:
+        number = isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+        if number and (spec is float or isinstance(value, int) or value.is_integer()):
+            return spec(value)
+        raise ConfigError(f"{key} must be {'a number' if spec is float else 'an integer'}, got {value!r}")
+    if spec is str or spec is bool:
+        if isinstance(value, spec):
+            return value
+        raise ConfigError(f"{key} must be a {spec.__name__}, got {value!r}")
+    if isinstance(spec, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        return [_check(item, spec[0], f"{key}[{i}]") for i, item in enumerate(value)]
+    if not isinstance(spec, dict):
+        try:
+            return spec(value)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key or 'config root'} must be a JSON object, got {value!r}")
+    prefix = f"{key}." if key else ""
+    if isinstance(spec, _Kinds):
+        kind = value.get("kind")
+        if not isinstance(kind, str) or kind not in spec:
+            raise ConfigError(f"{prefix}kind must be one of {sorted(spec)}, got {kind!r}")
+        spec = {"kind": (str, _REQUIRED), **spec[kind]}
+    unknown = sorted(set(value) - set(spec))
+    if unknown:
+        raise ConfigError(f"unknown config keys {[prefix + k for k in unknown]}; allowed: {sorted(spec)}")
+    checked = {}
+    for k, (sub, default) in spec.items():
+        item = value.get(k, default)
+        if item is _REQUIRED:
+            raise ConfigError(f"config is missing the key {prefix + k!r}")
+        checked[k] = None if item is None and default is None else _check(item, sub, prefix + k)
+    return checked
 
 
-def _grid_from(cfg: dict) -> Grid:
-    g = _require(cfg, "grid")
-    return Grid(int(_require(g, "N")), float(_require(g, "extent")), int(_require(g, "cells_per_axis")))
+def _point(value: list[float] | None, grid: Grid) -> tuple[float, ...]:
+    """A configured point; the origin when none is given."""
+    return (0.0,) * grid.N if value is None else tuple(value)
 
 
-def _field_from_spec(grid: Grid, spec: dict, rng: np.random.Generator) -> ScalarField:
-    kind = _require(spec, "kind")
+def _field_from_spec(grid: Grid, spec: dict, seed: int) -> ScalarField:
+    kind = spec["kind"]
     if kind == "constant":
-        return ScalarField(grid, np.full(grid.shape, float(_require(spec, "value"))))
+        return ScalarField(grid, np.full(grid.shape, spec["value"]))
     if kind == "ball_indicator":
-        radius = float(_require(spec, "radius"))
-        value = float(spec.get("value", 1.0))
-        mask = ball_mask(grid, tuple(spec.get("center", (0.0,) * grid.N)), radius).mask
-        return ScalarField(grid, np.where(mask, value, 0.0))
+        mask = ball_mask(grid, _point(spec["center"], grid), spec["radius"]).mask
+        return ScalarField(grid, np.where(mask, spec["value"], 0.0))
     if kind == "bumps":
-        params = [
-            BumpParams(tuple(float(c) for c in b["center"]), float(b["width"]), float(b["amplitude"]))
-            for b in _require(spec, "bumps")
-        ]
-        return bump_field(grid, params)
+        return bump_field(grid, [BumpParams(tuple(b["center"]), b["width"], b["amplitude"]) for b in spec["bumps"]])
     if kind == "random_bumps":
-        params = draw_bump_params(
-            rng,
-            grid.N,
-            max_bumps=int(spec.get("max_bumps", 3)),
-            center_halfwidth=float(spec.get("center_halfwidth", 0.5)),
-        )
+        rng = np.random.default_rng(seed)
+        params = draw_bump_params(rng, grid.N, max_bumps=spec["max_bumps"], center_halfwidth=spec["center_halfwidth"])
         return bump_field(grid, params)
-    if kind == "file":
-        fld = load_field(_require(spec, "path"))
-        if not isinstance(fld, ScalarField):
-            raise ConfigError("field file holds a vector field, expected scalar")
-        if fld.grid != grid:
-            raise ConfigError("field file grid does not match the configured grid")
-        return fld
-    raise ConfigError(f"unknown field kind {kind!r}")
-
-
-def _domain_from(cfg: dict, grid: Grid) -> Region | None:
-    dom = cfg.get("domain")
-    if dom is None:
-        return None
-    radius = float(_require(dom, "ball_radius"))
-    return ball_mask(grid, tuple(dom.get("center", (0.0,) * grid.N)), radius)
+    fld = load_field(spec["path"])
+    if not isinstance(fld, ScalarField):
+        raise ConfigError("field file holds a vector field, expected scalar")
+    if fld.grid != grid:
+        raise ConfigError("field file grid does not match the configured grid")
+    return fld
 
 
 def cmd_check(cfg: dict, out: _OutputDir) -> int:
-    report = admissibility_report(config_from_dict(_require(cfg, "exponents")))
+    report = admissibility_report(cfg["exponents"])
     out.write_json("admissibility.json", report.to_json_dict())
     return 0 if report.admissible else 1
 
 
-def cmd_solve(cfg: dict, out: _OutputDir, rng: np.random.Generator) -> int:
-    grid = _grid_from(cfg)
-    f = _field_from_spec(grid, _require(cfg, "field"), rng)
-    domain = _domain_from(cfg, grid)
-    eps_reg = cfg.get("eps_reg")
+def cmd_solve(cfg: dict, out: _OutputDir) -> int:
+    grid = Grid(**cfg["grid"])
+    dom = cfg["domain"]
     prob = DirichletProblem(
         grid,
-        float(_require(cfg, "p")),
-        f,
-        eps_reg=None if eps_reg is None else float(eps_reg),
-        tol=float(cfg.get("tol", 1e-10)),
-        max_iter=int(cfg.get("max_iter", 200)),
-        domain=domain,
+        cfg["p"],
+        _field_from_spec(grid, cfg["field"], out.seed),
+        eps_reg=cfg["eps_reg"],
+        tol=cfg["tol"],
+        max_iter=cfg["max_iter"],
+        domain=None if dom is None else ball_mask(grid, _point(dom["center"], grid), dom["ball_radius"]),
     )
     u, rep = solve(prob)
     save_field(u, out.path("solution.fld"))
     out.register("solution.fld")
     report = rep.to_json_dict()
-    oracle = cfg.get("radial_oracle")
-    if oracle is not None:
-        R = float(_require(oracle, "R"))
+    if cfg["radial_oracle"] is not None:
+        R = cfg["radial_oracle"]["R"]
         rr = np.sqrt(grid.squared_distance((0.0,) * grid.N))
         ex = exact_radial(prob.p, grid.N, R, np.minimum(rr, R))
         inner = ball_mask(grid, (0.0,) * grid.N, 0.8 * R)
@@ -218,30 +290,14 @@ def cmd_solve(cfg: dict, out: _OutputDir, rng: np.random.Generator) -> int:
     return 0 if rep.converged else 1
 
 
-def _cast(kind: type, value: Any, key: str) -> Any:
-    """value as a number of type kind; a value that is not one is a config error."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be a number: {exc}") from exc
-
-
-def _cast_list(kind: type, values: Any, key: str) -> list:
-    if not isinstance(values, list):
-        raise ConfigError(f"{key} must be a list of numbers")
-    return [_cast(kind, v, key) for v in values]
-
-
-def cmd_potential(cfg: dict, out: _OutputDir, rng: np.random.Generator) -> int:
-    grid = _grid_from(cfg)
-    f = _field_from_spec(grid, _require(cfg, "field"), rng)
-    R = _cast(float, _require(cfg, "R"), "R")
-    rho_min = None if cfg.get("rho_min") is None else _cast(float, cfg["rho_min"], "rho_min")
-    quad = PotentialQuadrature(_cast(int, cfg.get("num_nodes", 64), "num_nodes"), rho_min)
-    x = _cast_list(float, cfg["x"], "x") if "x" in cfg else [0.0] * grid.N
-    # every value is cast and every bound formed before the profile, so a bad config writes nothing
-    holder_r = _cast_list(float, cfg.get("holder_r", []), "holder_r")
-    bounds = {str(r): potential_holder_bound(f, r, grid.N) for r in holder_r}
+def cmd_potential(cfg: dict, out: _OutputDir) -> int:
+    grid = Grid(**cfg["grid"])
+    f = _field_from_spec(grid, cfg["field"], out.seed)
+    R = cfg["R"]
+    quad = PotentialQuadrature(cfg["num_nodes"], cfg["rho_min"])
+    x = _point(cfg["x"], grid)
+    # every bound is formed before the profile, so a bad Hölder exponent writes nothing
+    bounds = {str(r): potential_holder_bound(f, r, grid.N) for r in cfg["holder_r"]}
     value = potential_P(f, x, R, quad)
     profile = potential_profile(f, R, quad)
     export_csv(profile, out.path("potential_profile.csv"))
@@ -260,75 +316,36 @@ def cmd_potential(cfg: dict, out: _OutputDir, rng: np.random.Generator) -> int:
 
 
 def _spec_from(cfg: dict) -> ReactionSpec:
-    grid = _grid_from(cfg)
-    weight = cfg.get("weight", {"kind": "gaussian", "amplitude": 1.0})
-    a = make_weight(str(_require(weight, "kind")), float(_require(weight, "amplitude")), grid)
-    coeffs = cfg.get("coeffs", {})
-    return ReactionSpec(
-        exponents=config_from_dict(_require(cfg, "exponents")),
-        weight_a1=a,
-        weight_a2=a,
-        coeff_grad1_own=float(coeffs.get("grad1_own", 1.0)),
-        coeff_grad1_other=float(coeffs.get("grad1_other", 1.0)),
-        coeff_grad2_own=float(coeffs.get("grad2_own", 1.0)),
-        coeff_grad2_other=float(coeffs.get("grad2_other", 1.0)),
-    )
+    a = make_weight(cfg["weight"]["kind"], cfg["weight"]["amplitude"], Grid(**cfg["grid"]))
+    coeffs = {f"coeff_{key}": value for key, value in cfg["coeffs"].items()}
+    return ReactionSpec(exponents=cfg["exponents"], weight_a1=a, weight_a2=a, **coeffs)
 
 
-# the keywords of picard_solve_level that a scheme config may set
-_PICARD_KEYS = {"damping": float, "tol": float, "max_picard": int, "solver_tol": float, "solver_max_iter": int}
-
-
-def _picard_from(cfg: dict) -> dict:
-    picard = cfg.get("picard", {})
-    if not isinstance(picard, dict):
-        raise ConfigError("picard must be a JSON object")
-    unknown = sorted(set(picard) - set(_PICARD_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown picard keys {unknown}; allowed: {sorted(_PICARD_KEYS)}")
-    return {k: _cast(_PICARD_KEYS[k], v, f"picard.{k}") for k, v in picard.items()}
-
-
-def cmd_scheme(cfg: dict, out: _OutputDir, config_text: str) -> int:
-    spec = _spec_from(cfg)
-    n_list = [int(n) for n in _require(cfg, "n_list")]
-    rho = float(_require(cfg, "rho"))
-    states, report = run_scheme(spec, n_list, rho, **_picard_from(cfg))
+def cmd_scheme(cfg: dict, out: _OutputDir) -> int:
+    picard = {key: value for key, value in cfg["picard"].items() if value is not None}
+    states, report = run_scheme(_spec_from(cfg), cfg["n_list"], cfg["rho"], **picard)
     for state in states:
         for name, fld in (("u", state.u), ("v", state.v)):
             fname = f"level_{state.n:04d}_{name}.fld"
             save_field(fld, out.path(fname))
             out.register(fname)
-    out.path("config.json").write_text(config_text)
+    out.path("config.json").write_text(out.config_text)
     out.register("config.json")
     out.write_json("states.json", [s.summary() for s in states])
     out.write_json("scheme_report.json", report.to_json_dict())
     return 0 if all(report.converged_n) else 1
 
 
-def _load_scheme_output(scheme_dir: Path) -> tuple[ReactionSpec, list[SystemState], dict]:
-    cfg = json.loads((scheme_dir / "config.json").read_text())
-    spec = _spec_from(cfg)
-    summaries = json.loads((scheme_dir / "states.json").read_text())
+def _load_scheme_output(scheme_dir: Path) -> tuple[ReactionSpec, list[SystemState]]:
+    """The spec and levels of a scheme directory, read through the scheme and level schemas."""
+    cfg_path, states_path = scheme_dir / "config.json", scheme_dir / "states.json"
+    spec = _spec_from(_check(json.loads(cfg_path.read_text()), _SCHEMAS["scheme"], str(cfg_path)))
     states = []
-    for summ in summaries:
-        n = int(summ["n"])
-        u = load_field(scheme_dir / f"level_{n:04d}_u.fld")
-        v = load_field(scheme_dir / f"level_{n:04d}_v.fld")
-        states.append(
-            SystemState(
-                n=n,
-                eps=1.0 / n,
-                u=u,
-                v=v,
-                picard_iters=int(summ["picard_iters"]),
-                increment_p=float(summ["increment_p"]),
-                increment_q=float(summ["increment_q"]),
-                converged=bool(summ["converged"]),
-                hypotheses_ok=bool(summ["hypotheses_ok"]),
-            )
-        )
-    return spec, states, cfg
+    for summ in _check(json.loads(states_path.read_text()), [_LEVEL], str(states_path)):
+        del summ["sup_u"], summ["sup_v"]
+        u, v = (load_field(scheme_dir / f"level_{summ['n']:04d}_{name}.fld") for name in "uv")
+        states.append(SystemState(u=u, v=v, **summ))
+    return spec, states
 
 
 def _decay_csv(path: Path, table) -> None:
@@ -359,19 +376,14 @@ def _chain_csv(path: Path, reports) -> None:
 
 
 def cmd_verify(cfg: dict, out: _OutputDir) -> int:
-    scheme_dir = Path(_require(cfg, "scheme_out"))
-    if not (scheme_dir / "config.json").exists():
-        raise ConfigError(f"{scheme_dir} does not look like a scheme output directory")
-    spec, states, _ = _load_scheme_output(scheme_dir)
+    spec, states = _load_scheme_output(Path(cfg["scheme_out"]))
+    unconverged = [state.n for state in states if not state.converged]
+    if unconverged:
+        raise AnalyticFailure(f"scheme levels n = {unconverged} did not converge; verify uses converged levels only")
     c = spec.exponents
-    t = float(_require(cfg, "t"))
-    s = float(_require(cfg, "s"))
-    R = float(_require(cfg, "R"))
-    h_cells_list = [tuple(int(x) for x in cells) for cells in _require(cfg, "h_cells")]
-    r = cfg.get("r")
-    if r is None:
-        r = derive(c).r_window.midpoint()
-    r = float(r)
+    t, s, R = cfg["t"], cfg["s"], cfg["R"]
+    h_cells_list = [tuple(cells) for cells in cfg["h_cells"]]
+    r = derive(c).r_window.midpoint() if cfg["r"] is None else cfg["r"]
 
     chain_reports = []
     for state in states:
@@ -455,34 +467,20 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         config_text = Path(args.config).read_text()
-        cfg = json.loads(config_text)
-        if not isinstance(cfg, dict):
-            raise ConfigError("config root must be a JSON object")
-        allowed = _CONFIG_KEYS[args.command]
-        unknown = sorted(set(cfg) - allowed)
-        if unknown:
-            raise ConfigError(f"unknown {args.command} config keys {unknown}; allowed: {sorted(allowed)}")
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+        cfg = _check(json.loads(config_text), _SCHEMAS[args.command], "")
+    except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError and ConfigError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    rng = np.random.default_rng(args.seed)
     out = _OutputDir(out_root, args.command, args.seed, config_text)
+    commands = {"check": cmd_check, "solve": cmd_solve, "potential": cmd_potential, "scheme": cmd_scheme,
+                "verify": cmd_verify}
     try:
-        if args.command == "check":
-            code = cmd_check(cfg, out)
-        elif args.command == "solve":
-            code = cmd_solve(cfg, out, rng)
-        elif args.command == "potential":
-            code = cmd_potential(cfg, out, rng)
-        elif args.command == "scheme":
-            code = cmd_scheme(cfg, out, config_text)
-        else:
-            code = cmd_verify(cfg, out)
-    except SolverDivergenceError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
+        code = commands[args.command](cfg, out)
+    except (SolverDivergenceError, AnalyticFailure) as exc:
+        print(f"analytic failure: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out.finish()

@@ -140,16 +140,18 @@ def _inf_out(x):
     return x
 
 
-def _parse_zeta(x) -> float:
+def _parse_zeta(x: Any) -> Any:
     if isinstance(x, str):
         if x.lower() in ("inf", "infinity", "+inf"):
             return INF
         raise ValueError(f"bad zeta value {x!r}")
-    return float(x)
+    return x
 
 
 def config_from_dict(d: dict[str, Any]) -> ExponentConfig:
     """Build a config from a JSON dict whose keys exactly match the fields."""
+    if not isinstance(d, dict):
+        raise ValueError(f"exponents must be a JSON object, got {d!r}")
     names = {f.name for f in fields(ExponentConfig)}
     missing = names - set(d)
     if missing:
@@ -159,12 +161,12 @@ def config_from_dict(d: dict[str, Any]) -> ExponentConfig:
         raise ValueError(f"unknown config keys: {sorted(extra)}")
     kwargs: dict[str, Any] = {}
     for name in names:
-        if name == "N":
-            kwargs[name] = int(d[name])
-        elif name in ("zeta1", "zeta2"):
-            kwargs[name] = _parse_zeta(d[name])
-        else:
-            kwargs[name] = float(d[name])
+        x = _parse_zeta(d[name]) if name in ("zeta1", "zeta2") else d[name]
+        # a JSON number: not a bool or a string, and integral for N
+        number = isinstance(x, (int, float)) and not isinstance(x, bool)
+        if not number or (name == "N" and isinstance(x, float) and not x.is_integer()):
+            raise ValueError(f"exponent {name} must be {'an integer' if name == 'N' else 'a number'}, got {x!r}")
+        kwargs[name] = int(x) if name == "N" else float(x)
     return ExponentConfig(**kwargs)
 
 

@@ -1,12 +1,18 @@
 """Command-line driver: exit codes, manifests, and byte-level determinism."""
 
+import copy
 import json
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plapbench.cli import canonical_json, main
+from plapbench.cli import _SCHEMAS, _check, canonical_json, main
 from plapbench.field import load_field
 
 GOOD_EXPONENTS = {
@@ -266,3 +272,122 @@ def test_verify_rejects_non_scheme_dir(tmp_path):
 def test_report_missing_manifest(tmp_path):
     (tmp_path / "nothing").mkdir()
     assert main(["report", "--out", str(tmp_path / "nothing")]) == 1
+
+
+def test_verify_refuses_unconverged_levels(tmp_path):
+    # one Picard step leaves every level unconverged: scheme exits 1, and
+    # verify refuses the levels with exit 1, writing nothing report accepts
+    code, scheme_out = run(tmp_path, "scheme", {**SCHEME_CFG, "picard": {"max_picard": 1}}, out="scheme")
+    assert code == 1
+    assert not any(s["converged"] for s in json.loads((scheme_out / "states.json").read_text()))
+    vcfg = {"scheme_out": str(scheme_out), "t": 0.4, "s": 0.6, "R": 1.25, "h_cells": [[1, 0]]}
+    code, verify_out = run(tmp_path, "verify", vcfg, name="v.json", out="verify")
+    assert code == 1
+    assert not (verify_out / "manifest.json").exists()
+    assert main(["report", "--out", str(verify_out)]) == 1
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        # misspelt nested keys
+        ("potential", {"grid": {**GRID_16, "cell_per_axis": 64}, "field": CONSTANT_FIELD, "R": 1.0}),
+        ("potential", {"grid": GRID_16, "field": {**CONSTANT_FIELD, "valu": 3.0}, "R": 1.0}),
+        ("solve", {"grid": GRID_16, "p": 2.0, "field": CONSTANT_FIELD, "domain": {"ball_radius": 1.0, "centre": [0, 0]}}),
+        ("scheme", {**TINY_SCHEME_CFG, "coeffs": {"grad1_onw": 2.0}}),
+        # values that are not numbers, or not integers where one is needed
+        ("solve", {"grid": GRID_16, "p": [2], "field": CONSTANT_FIELD}),
+        ("scheme", {**TINY_SCHEME_CFG, "rho": [0.5]}),
+        ("check", {"exponents": {**GOOD_EXPONENTS, "p": [2.5]}}),
+        ("scheme", {**TINY_SCHEME_CFG, "exponents": {**TINY_SCHEME_CFG["exponents"], "p": [2.5]}}),
+        ("solve", {"grid": GRID_16, "p": 2.0, "field": CONSTANT_FIELD, "tol": True}),
+        ("solve", {"grid": GRID_16, "p": 2.0, "field": CONSTANT_FIELD, "tol": math.inf}),
+        ("solve", {"grid": {**GRID_16, "cells_per_axis": 16.7}, "p": 2.0, "field": CONSTANT_FIELD}),
+    ],
+)
+def test_nested_config_errors_exit_2(tmp_path, command, cfg):
+    code, out_dir = run(tmp_path, command, cfg)
+    assert code == 2
+    assert not out_dir.exists()
+
+
+# one valid config per command that gives only required keys, so that
+# dropping any key, or setting any value to null, makes it invalid
+FUZZ_BASES = {
+    "check": {"exponents": GOOD_EXPONENTS},
+    "solve": {"grid": GRID_16, "p": 2.0, "field": {"kind": "ball_indicator", "radius": 1.0}},
+    "potential": {
+        "grid": GRID_16,
+        "R": 1.0,
+        "field": {"kind": "bumps", "bumps": [{"center": [0.1, 0.0], "width": 0.3, "amplitude": 1.0}]},
+    },
+    "scheme": {"exponents": {**GOOD_EXPONENTS, "N": 2}, "grid": GRID_16, "n_list": [1], "rho": 0.5},
+    "verify": {"t": 0.4, "s": 0.6, "R": 1.25, "h_cells": [[1, 0]]},  # scheme_out is added per run
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_bases(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    code, scheme_out = run(root, "scheme", FUZZ_BASES["scheme"], name="s.json", out="scheme")
+    assert code == 0
+    return root, {**FUZZ_BASES, "verify": {**FUZZ_BASES["verify"], "scheme_out": str(scheme_out)}}
+
+
+def test_fuzz_bases_run(fuzz_bases):
+    root, bases = fuzz_bases
+    for command, cfg in bases.items():
+        code, out_dir = run(root, command, cfg, name=f"{command}.json", out=f"base-{command}")
+        assert code == 0, command
+        assert (out_dir / "manifest.json").exists()
+
+
+def _mutation_sites(node, path=()):
+    """(operation, path) for every object (insert a key), object key (drop
+    it) and leaf (replace it) of a config, at every depth."""
+    if isinstance(node, dict):
+        yield "insert", path
+        for key, child in node.items():
+            yield "drop", path + (key,)
+            yield from _mutation_sites(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _mutation_sites(child, path + (i,))
+    else:
+        yield "replace", path
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_configs_exit_2(fuzz_bases, data):
+    root, bases = fuzz_bases
+    command = data.draw(st.sampled_from(sorted(bases)))
+    cfg = copy.deepcopy(bases[command])
+    op, path = data.draw(st.sampled_from(list(_mutation_sites(cfg))))
+    target = cfg  # the object that holds the mutation site
+    for step in path if op == "insert" else path[:-1]:
+        target = target[step]
+    if op == "insert":
+        target["unknown_" + data.draw(st.text(max_size=8))] = 1.0
+    elif op == "drop":
+        del target[path[-1]]
+    else:
+        target[path[-1]] = data.draw(st.sampled_from([[1.0], {"value": 1.0}, True, None, "not-a-number"]))
+    work = Path(tempfile.mkdtemp(dir=root))
+    code, out_dir = run(work, command, cfg)
+    assert code == 2, (op, path, cfg)
+    assert not out_dir.exists()
+
+
+def test_readme_cli_examples_fit_the_schemas():
+    # every JSON example of the README's command-line section passes its
+    # command's schema, and every command has one
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command-line driver\n")[1].split("\n## ")[0]
+    seen = set()
+    for subsection in section.split("\n### ")[1:]:
+        command = subsection.split()[0]
+        for block in re.findall(r"```json\n(.*?)```", subsection, re.S):
+            _check(json.loads(block), _SCHEMAS[command], "")
+            seen.add(command)
+    assert seen == set(_SCHEMAS)

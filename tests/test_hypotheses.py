@@ -124,6 +124,13 @@ def test_config_dict_roundtrip(tmp_path):
         config_from_dict(dict(GOOD, bogus=1.0))
     with pytest.raises(ValueError):
         config_from_dict(dict(GOOD, zeta1="huge"))
+    # exponents are JSON numbers: a list, a bool or a numeric string is a
+    # ValueError, as is a non-integral dimension
+    for bad in (dict(GOOD, p=[2.5]), dict(GOOD, p=True), dict(GOOD, q="2.0"), dict(GOOD, zeta1=None), dict(GOOD, N=2.5)):
+        with pytest.raises(ValueError):
+            config_from_dict(bad)
+    with pytest.raises(ValueError):
+        config_from_dict([GOOD])
 
 
 def test_report_json_is_serializable():
