@@ -28,8 +28,8 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
@@ -38,7 +38,6 @@ import numpy as np
 from .estimates import comptest_chain, rfk_decay
 from .field import (
     Grid,
-    Region,
     ScalarField,
     ball_mask,
     export_csv,
@@ -46,6 +45,7 @@ from .field import (
     save_field,
 )
 from .hypotheses import admissibility_report, config_from_dict, derive
+from .jsonio import _REQUIRED, ConfigError, _check, _float_or_inf, _Kinds, _required, canonical_json
 from .plap_solver import DirichletProblem, SolverDivergenceError, exact_radial, solve
 from .potential import (
     PotentialQuadrature,
@@ -55,30 +55,6 @@ from .potential import (
 )
 from .scheme import ReactionSpec, SystemState, make_weight, frozen_reactions, run_scheme
 from .synth import BumpParams, bump_field, draw_bump_params
-
-
-class ConfigError(ValueError):
-    """Raised for malformed or inconsistent command configuration."""
-
-
-def _json_safe(obj: Any) -> Any:
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            raise ValueError("NaN has no canonical JSON form")
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-    return obj
-
-
-def canonical_json(obj: Any) -> str:
-    """Deterministic JSON text: sorted keys, fixed separators, inf as a string."""
-    return json.dumps(_json_safe(obj), sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def _sha256(path: Path) -> str:
@@ -108,7 +84,8 @@ class _OutputDir:
         self.files[name] = _sha256(self.root / name)
 
     def write_json(self, name: str, obj: Any) -> None:
-        self.path(name).write_text(canonical_json(obj))
+        text = canonical_json(obj)  # before path() makes the directory, so a NaN leaves none
+        self.path(name).write_text(text)
         self.register(name)
 
     def finish(self) -> None:
@@ -123,24 +100,6 @@ class _OutputDir:
 
 class AnalyticFailure(RuntimeError):
     """Raised when a command's inputs fail an analytic precondition (exit 1)."""
-
-
-class _Kinds(dict):
-    """Schema of an object whose string "kind" picks the schema of its other keys."""
-
-
-_REQUIRED = object()  # the default of a key that the config must give
-
-
-def _required(**specs: Any) -> dict:
-    return {key: (spec, _REQUIRED) for key, spec in specs.items()}
-
-
-def _float_or_inf(value: Any) -> float:
-    """A float as canonical_json writes it: a number, or "inf"."""
-    if value == "inf" or (isinstance(value, (int, float)) and not isinstance(value, bool)):
-        return float(value)
-    raise ValueError(f"must be a number or 'inf', got {value!r}")
 
 
 _GRID = _required(N=int, extent=float, cells_per_axis=int)
@@ -185,50 +144,14 @@ _LEVEL = _required(n=int, eps=float, picard_iters=int, increment_p=_float_or_inf
                    converged=bool, hypotheses_ok=bool, sup_u=float, sup_v=float)
 
 
-def _check(value: Any, spec: Any, key: str) -> Any:
-    """value checked against spec at every depth and returned typed, defaults filled in.
+def _file_hashes(value: Any) -> dict[str, str]:
+    if isinstance(value, dict) and all(isinstance(digest, str) for digest in value.values()):
+        return value
+    raise ValueError(f"must be an object of file name -> SHA-256 string, got {value!r}")
 
-    A spec is float, int, str, bool, [spec] (a list), {key: (spec, default)}
-    (an object), a _Kinds, or a converter that raises ValueError.  Numbers are
-    finite JSON numbers, not bools or strings, and integral for int; null is
-    allowed only where the default is None.  A mismatch is a ConfigError naming its path.
-    """
-    if spec is float or spec is int:
-        number = isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
-        if number and (spec is float or isinstance(value, int) or value.is_integer()):
-            return spec(value)
-        raise ConfigError(f"{key} must be {'a number' if spec is float else 'an integer'}, got {value!r}")
-    if spec is str or spec is bool:
-        if isinstance(value, spec):
-            return value
-        raise ConfigError(f"{key} must be a {spec.__name__}, got {value!r}")
-    if isinstance(spec, list):
-        if not isinstance(value, list):
-            raise ConfigError(f"{key} must be a list, got {value!r}")
-        return [_check(item, spec[0], f"{key}[{i}]") for i, item in enumerate(value)]
-    if not isinstance(spec, dict):
-        try:
-            return spec(value)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key or 'config root'} must be a JSON object, got {value!r}")
-    prefix = f"{key}." if key else ""
-    if isinstance(spec, _Kinds):
-        kind = value.get("kind")
-        if not isinstance(kind, str) or kind not in spec:
-            raise ConfigError(f"{prefix}kind must be one of {sorted(spec)}, got {kind!r}")
-        spec = {"kind": (str, _REQUIRED), **spec[kind]}
-    unknown = sorted(set(value) - set(spec))
-    if unknown:
-        raise ConfigError(f"unknown config keys {[prefix + k for k in unknown]}; allowed: {sorted(spec)}")
-    checked = {}
-    for k, (sub, default) in spec.items():
-        item = value.get(k, default)
-        if item is _REQUIRED:
-            raise ConfigError(f"config is missing the key {prefix + k!r}")
-        checked[k] = None if item is None and default is None else _check(item, sub, prefix + k)
-    return checked
+
+# a run directory's manifest.json, as _OutputDir.finish writes it
+_MANIFEST = _required(command=str, seed=int, config_sha256=str, files=_file_hashes)
 
 
 def _point(value: list[float] | None, grid: Grid) -> tuple[float, ...]:
@@ -259,7 +182,7 @@ def _field_from_spec(grid: Grid, spec: dict, seed: int) -> ScalarField:
 
 def cmd_check(cfg: dict, out: _OutputDir) -> int:
     report = admissibility_report(cfg["exponents"])
-    out.write_json("admissibility.json", report.to_json_dict())
+    out.write_json("admissibility.json", report)
     return 0 if report.admissible else 1
 
 
@@ -278,7 +201,7 @@ def cmd_solve(cfg: dict, out: _OutputDir) -> int:
     u, rep = solve(prob)
     save_field(u, out.path("solution.fld"))
     out.register("solution.fld")
-    report = rep.to_json_dict()
+    report = asdict(rep)
     if cfg["radial_oracle"] is not None:
         R = cfg["radial_oracle"]["R"]
         rr = np.sqrt(grid.squared_distance((0.0,) * grid.N))
@@ -332,7 +255,7 @@ def cmd_scheme(cfg: dict, out: _OutputDir) -> int:
     out.path("config.json").write_text(out.config_text)
     out.register("config.json")
     out.write_json("states.json", [s.summary() for s in states])
-    out.write_json("scheme_report.json", report.to_json_dict())
+    out.write_json("scheme_report.json", report)
     return 0 if all(report.converged_n) else 1
 
 
@@ -401,7 +324,7 @@ def cmd_verify(cfg: dict, out: _OutputDir) -> int:
     out.register("decay_table.csv")
     _chain_csv(out.path("chain_reports.csv"), chain_reports)
     out.register("chain_reports.csv")
-    out.write_json("decay_table.json", table.to_json_dict())
+    out.write_json("decay_table.json", table)
     out.write_json(
         "verify_report.json",
         {
@@ -412,7 +335,7 @@ def cmd_verify(cfg: dict, out: _OutputDir) -> int:
             "chain_instances": len(chain_reports),
             "chain_all_ok": chain_ok,
             "decay_non_increasing": decay_ok,
-            "chain": [dict(n=n, **rep.to_json_dict()) for n, rep in chain_reports],
+            "chain": [dict(n=n, **asdict(rep)) for n, rep in chain_reports],
         },
     )
     return 0 if chain_ok and decay_ok else 1
@@ -423,17 +346,17 @@ def cmd_report(out_dir: Path) -> int:
     if not manifest_path.exists():
         print(f"no manifest.json in {out_dir}", file=sys.stderr)
         return 1
-    manifest = json.loads(manifest_path.read_text())
+    manifest = _check(json.loads(manifest_path.read_text()), _MANIFEST, str(manifest_path))
     bad = []
-    for name, digest in manifest.get("files", {}).items():
+    for name, digest in manifest["files"].items():
         path = out_dir / name
         if not path.exists():
             bad.append(f"{name}: missing")
         elif _sha256(path) != digest:
             bad.append(f"{name}: hash mismatch")
     summary = {
-        "command": manifest.get("command"),
-        "files_listed": len(manifest.get("files", {})),
+        "command": manifest["command"],
+        "files_listed": len(manifest["files"]),
         "problems": bad,
     }
     print(canonical_json(summary), end="")
@@ -458,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "report":
         try:
             return cmd_report(out_root)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError and ConfigError
             print(f"error: {exc}", file=sys.stderr)
             return 2
 

@@ -72,15 +72,6 @@ class EstimateReport:
         if self.verdict != (self.lhs <= self.rhs):
             raise ValueError("verdict inconsistent with stored sides")
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "constant_estimate": self.constant_estimate,
-            "verdict": self.verdict,
-            "context": dict(self.context),
-        }
-
 
 def monotonicity_gap(a, b, p: float):
     """Gap (phi_p(a) - phi_p(b)) . (a - b) and its reference quantity.
@@ -329,17 +320,8 @@ class DecayRow:
     holder_bound_per_n: tuple[float, ...] | None = None
 
     def to_json_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "h_cells": list(self.h_cells),
-            "h_mag": self.h_mag,
-            "per_n": list(self.per_n),
-            "sup_over_n": self.sup_over_n,
-        }
-        if self.weighted_per_n is not None:
-            out["weighted_per_n"] = list(self.weighted_per_n)
-        if self.holder_bound_per_n is not None:
-            out["holder_bound_per_n"] = list(self.holder_bound_per_n)
-        return out
+        """The fields, less the optional columns that were not computed."""
+        return {key: value for key, value in vars(self).items() if value is not None}
 
 
 @dataclass(frozen=True)
@@ -357,9 +339,6 @@ class DecayTable:
         for row in self.rows:
             if row.sup_over_n != max(row.per_n):
                 raise ValueError("sup_over_n must equal the row maximum")
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {"p": self.p, "t": self.t, "rows": [row.to_json_dict() for row in self.rows]}
 
 
 def rfk_decay(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,8 +40,8 @@ class Grid:
     def __post_init__(self) -> None:
         if self.N not in (2, 3):
             raise ValueError(f"N must be 2 or 3, got {self.N}")
-        if not self.extent > 0.0:
-            raise ValueError("extent must be positive")
+        if not 0.0 < self.extent < math.inf:
+            raise ValueError(f"extent must be positive and finite, got {self.extent}")
         if self.cells_per_axis < 2:
             raise ValueError("need at least 2 cells per axis")
 
@@ -368,7 +369,7 @@ def load_field(path: str | Path) -> Field:
         shape = grid.shape + (grid.N,)
     else:
         raise ValueError(f"{path}: component count {ncomp} not supported for N={grid.N}")
-    expected = _HEADER.size + 8 * int(np.prod(shape))
+    expected = _HEADER.size + 8 * math.prod(shape)  # Python integers: a header's n**N cannot overflow
     if len(raw) != expected:
         raise ValueError(f"{path}: payload size {len(raw)} != expected {expected}")
     vals = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(shape)

@@ -31,6 +31,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
+from .jsonio import _check, _float_or_inf, _required
+
 INF = float("inf")
 
 
@@ -63,6 +65,9 @@ class Interval:
         if math.isinf(self.hi):
             return 2.0 * self.lo if self.lo > 0 else 1.0
         return 0.5 * (self.lo + self.hi)
+
+    def to_json_dict(self) -> dict[str, Any]:
+        return {"lo": self.lo, "hi": self.hi, "empty": self.is_empty}
 
 
 @dataclass(frozen=True)
@@ -130,44 +135,16 @@ class ExponentConfig:
                 v.append(f"{name} > 0 required")
         return v
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {f.name: _inf_out(getattr(self, f.name)) for f in fields(self)}
+
+# every exponent a number, N an integer, the zetas a number or inf; all required
+_EXPONENTS = _required(
+    **{f.name: float for f in fields(ExponentConfig)} | {"N": int, "zeta1": _float_or_inf, "zeta2": _float_or_inf}
+)
 
 
-def _inf_out(x):
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
-    return x
-
-
-def _parse_zeta(x: Any) -> Any:
-    if isinstance(x, str):
-        if x.lower() in ("inf", "infinity", "+inf"):
-            return INF
-        raise ValueError(f"bad zeta value {x!r}")
-    return x
-
-
-def config_from_dict(d: dict[str, Any]) -> ExponentConfig:
-    """Build a config from a JSON dict whose keys exactly match the fields."""
-    if not isinstance(d, dict):
-        raise ValueError(f"exponents must be a JSON object, got {d!r}")
-    names = {f.name for f in fields(ExponentConfig)}
-    missing = names - set(d)
-    if missing:
-        raise ValueError(f"missing config keys: {sorted(missing)}")
-    extra = set(d) - names
-    if extra:
-        raise ValueError(f"unknown config keys: {sorted(extra)}")
-    kwargs: dict[str, Any] = {}
-    for name in names:
-        x = _parse_zeta(d[name]) if name in ("zeta1", "zeta2") else d[name]
-        # a JSON number: not a bool or a string, and integral for N
-        number = isinstance(x, (int, float)) and not isinstance(x, bool)
-        if not number or (name == "N" and isinstance(x, float) and not x.is_integer()):
-            raise ValueError(f"exponent {name} must be {'an integer' if name == 'N' else 'a number'}, got {x!r}")
-        kwargs[name] = int(x) if name == "N" else float(x)
-    return ExponentConfig(**kwargs)
+def config_from_dict(d: Any) -> ExponentConfig:
+    """Build a config from a JSON object whose keys exactly match the fields; a mismatch is a ConfigError."""
+    return ExponentConfig(**_check(d, _EXPONENTS, "exponents"))
 
 
 def config_from_json(path: str | Path) -> ExponentConfig:
@@ -186,24 +163,6 @@ class DerivedExponents:
     eta2: float
     r_window: Interval
     s_window: Interval
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "pstar": _inf_out(self.pstar),
-            "qstar": _inf_out(self.qstar),
-            "pprime": self.pprime,
-            "qprime": self.qprime,
-            "theta1": self.theta1,
-            "theta2": self.theta2,
-            "eta1": self.eta1,
-            "eta2": self.eta2,
-            "r_window": _interval_json(self.r_window),
-            "s_window": _interval_json(self.s_window),
-        }
-
-
-def _interval_json(w: Interval) -> dict[str, Any]:
-    return {"lo": _inf_out(w.lo), "hi": _inf_out(w.hi), "empty": w.is_empty}
 
 
 def _over(a: float, b: float) -> float:
@@ -252,9 +211,6 @@ class HypothesisCheck:
     passed: bool
     failures: tuple[str, ...]
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {"passed": self.passed, "failures": list(self.failures)}
-
 
 def check_H1a(config: ExponentConfig) -> HypothesisCheck:
     """Weight summability: zeta_i > N plus the strict window inequalities."""
@@ -298,16 +254,6 @@ class AdmissibilityReport:
     h1a: HypothesisCheck | None
     h2: HypothesisCheck | None
     admissible: bool
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "config": self.config.to_json_dict(),
-            "range_violations": list(self.range_violations),
-            "derived": self.derived.to_json_dict() if self.derived else None,
-            "h1a": self.h1a.to_json_dict() if self.h1a else None,
-            "h2": self.h2.to_json_dict() if self.h2 else None,
-            "admissible": self.admissible,
-        }
 
 
 def admissibility_report(config: ExponentConfig) -> AdmissibilityReport:

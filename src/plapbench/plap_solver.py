@@ -49,7 +49,7 @@ per call, freed before its weak residual; the Picard scheme keeps one per level.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -111,9 +111,6 @@ class SolveReport:
     weak_residual: float
     converged: bool
     cg_iterations: int = 0
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:

@@ -149,21 +149,6 @@ class SchemeReport:
         if not self.M_observed >= self.sigma_rho >= 0.0:
             raise ValueError("report invariant M_observed >= sigma_rho >= 0 violated")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_list": list(self.n_list),
-            "rho": self.rho,
-            "M_observed": self.M_observed,
-            "sigma_rho": self.sigma_rho,
-            "sigma_rho_levels": list(self.sigma_rho_levels),
-            "gradient_p_norms": list(self.gradient_p_norms),
-            "gradient_q_norms": list(self.gradient_q_norms),
-            "cauchy_p": list(self.cauchy_p),
-            "cauchy_q": list(self.cauchy_q),
-            "converged_n": list(self.converged_n),
-            "hypotheses_ok": self.hypotheses_ok,
-        }
-
 
 def eval_f(
     spec: ReactionSpec,

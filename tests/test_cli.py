@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plapbench.cli import _SCHEMAS, _check, canonical_json, main
+from plapbench.cli import _SCHEMAS, _OutputDir, _check, canonical_json, main
 from plapbench.field import load_field
 
 GOOD_EXPONENTS = {
@@ -51,6 +51,13 @@ def test_canonical_json_layout():
     assert s == '{"a":["inf","-inf"],"b":1,"c":0.5}\n'
     with pytest.raises(ValueError):
         canonical_json({"x": math.nan})
+
+
+def test_unserializable_report_leaves_no_directory(tmp_path):
+    out = _OutputDir(tmp_path / "out", "check", 0, "{}")
+    with pytest.raises(ValueError):
+        out.write_json("x.json", {"a": math.nan})
+    assert not out.root.exists()
 
 
 def test_check_pass_and_manifest(tmp_path):
@@ -274,6 +281,15 @@ def test_report_missing_manifest(tmp_path):
     assert main(["report", "--out", str(tmp_path / "nothing")]) == 1
 
 
+def test_report_malformed_manifest_exit_2(tmp_path):
+    # a manifest that is not the object _OutputDir writes is a config error
+    files_list = {"command": "check", "seed": 0, "config_sha256": "0" * 64, "files": []}
+    for k, manifest in enumerate((files_list, [1])):
+        (tmp_path / f"m{k}").mkdir()
+        (tmp_path / f"m{k}" / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["report", "--out", str(tmp_path / f"m{k}")]) == 2, manifest
+
+
 def test_verify_refuses_unconverged_levels(tmp_path):
     # one Picard step leaves every level unconverged: scheme exits 1, and
     # verify refuses the levels with exit 1, writing nothing report accepts
@@ -303,6 +319,9 @@ def test_verify_refuses_unconverged_levels(tmp_path):
         ("solve", {"grid": GRID_16, "p": 2.0, "field": CONSTANT_FIELD, "tol": True}),
         ("solve", {"grid": GRID_16, "p": 2.0, "field": CONSTANT_FIELD, "tol": math.inf}),
         ("solve", {"grid": {**GRID_16, "cells_per_axis": 16.7}, "p": 2.0, "field": CONSTANT_FIELD}),
+        # an integer beyond the float range, and NaN
+        ("check", {"exponents": {**GOOD_EXPONENTS, "m1": 10**400}}),
+        ("check", {"exponents": {**GOOD_EXPONENTS, "p": math.nan}}),
     ],
 )
 def test_nested_config_errors_exit_2(tmp_path, command, cfg):

@@ -2,6 +2,7 @@
 chain, and the difference-quotient decay table."""
 
 import functools
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from plapbench.estimates import (
     rfk_decay,
 )
 from plapbench.field import Grid, ScalarField, ball_mask
+from plapbench.jsonio import canonical_json
 from plapbench.plap_solver import DirichletProblem, solve
 
 
@@ -101,7 +103,7 @@ def test_estimate_report_consistency():
     with pytest.raises(ValueError):
         EstimateReport(lhs=2.0, rhs=1.0, constant_estimate=2.0, verdict=True, context={})
     rep = EstimateReport(lhs=1.0, rhs=2.0, constant_estimate=0.5, verdict=True, context={"p": 2.0})
-    d = rep.to_json_dict()
+    d = json.loads(canonical_json(rep))
     assert d["verdict"] is True and d["context"]["p"] == 2.0
 
 

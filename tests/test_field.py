@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from plapbench.field import (
+    _HEADER,
+    _MAGIC,
     Grid,
     Region,
     ScalarField,
@@ -53,6 +55,9 @@ def test_grid_rejects_bad_parameters():
         Grid(2, -1.0, 8)
     with pytest.raises(ValueError):
         Grid(2, 1.0, 1)
+    for extent in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            Grid(2, extent, 8)
 
 
 def test_nearest_index_and_squared_distance():
@@ -250,6 +255,28 @@ def test_save_load_roundtrip(tmp_path):
     trunc.write_bytes(path.read_bytes()[:40])
     with pytest.raises(ValueError):
         load_field(trunc)
+
+
+@pytest.mark.parametrize(
+    "header, payload, match",
+    [
+        ((2, 4, 1.0, 3), np.zeros(16 * 3), "component count 3"),
+        ((5, 4, 1.0, 1), np.zeros(4**5), "N must be 2 or 3"),
+        ((2, 4, math.inf, 1), np.zeros(16), "extent"),
+        ((2, 4, math.nan, 1), np.zeros(16), "extent"),
+        ((2, 4, 1.0, 1), np.zeros(15), "payload size"),
+        ((2, 4, 1.0, 1), np.full(16, math.nan), "finite"),
+        # n**N overflows a 64-bit integer; the expected size must not
+        ((2, 2**32 - 1, 1.0, 1), np.zeros(16), f"expected {_HEADER.size + 8 * (2**32 - 1) ** 2}$"),
+    ],
+    ids=["ncomp-3", "N-5", "extent-inf", "extent-nan", "short-payload", "nan-payload", "size-overflow"],
+)
+def test_load_field_rejects_bad_headers(tmp_path, header, payload, match):
+    # header fields: N, cells_per_axis, extent, component count
+    path = tmp_path / "f.fld"
+    path.write_bytes(_HEADER.pack(_MAGIC, *header) + np.asarray(payload, dtype="<f8").tobytes())
+    with pytest.raises(ValueError, match=match):
+        load_field(path)
 
 
 def test_export_csv_roundtrips_values(tmp_path):

@@ -112,7 +112,7 @@ def test_range_violations_reported_not_raised():
 
 def test_config_dict_roundtrip(tmp_path):
     c = config_from_dict(GOOD)
-    d = c.to_json_dict()
+    d = json.loads(canonical_json(c))
     assert d["zeta1"] == "inf"
     assert config_from_dict(d) == c
     path = tmp_path / "cfg.json"
@@ -124,9 +124,11 @@ def test_config_dict_roundtrip(tmp_path):
         config_from_dict(dict(GOOD, bogus=1.0))
     with pytest.raises(ValueError):
         config_from_dict(dict(GOOD, zeta1="huge"))
-    # exponents are JSON numbers: a list, a bool or a numeric string is a
-    # ValueError, as is a non-integral dimension
-    for bad in (dict(GOOD, p=[2.5]), dict(GOOD, p=True), dict(GOOD, q="2.0"), dict(GOOD, zeta1=None), dict(GOOD, N=2.5)):
+    # exponents are finite JSON numbers: a list, a bool, a numeric string, NaN
+    # or an integer beyond the float range is a ValueError, as is a
+    # non-integral dimension
+    for bad in (dict(GOOD, p=[2.5]), dict(GOOD, p=True), dict(GOOD, q="2.0"), dict(GOOD, zeta1=None), dict(GOOD, N=2.5),
+                dict(GOOD, m1=10**400), dict(GOOD, p=math.nan)):
         with pytest.raises(ValueError):
             config_from_dict(bad)
     with pytest.raises(ValueError):
@@ -135,7 +137,7 @@ def test_config_dict_roundtrip(tmp_path):
 
 def test_report_json_is_serializable():
     rep = admissibility_report(config_from_dict(GOOD))
-    back = json.loads(canonical_json(rep.to_json_dict()))
+    back = json.loads(canonical_json(rep))
     assert back["admissible"] is True
     assert back["derived"]["pstar"] == 15.0
     assert back["config"]["zeta1"] == "inf"

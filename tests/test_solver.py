@@ -5,6 +5,7 @@ Galerkin coarse operator and size-independent work, the single CG run of a
 p = 2 solve and the solver context it keeps, energy descent, and local
 minimality for p != 2."""
 
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings, strategies as st
 
 from plapbench.field import Grid, ScalarField, ball_mask, gradient, linf_norm
+from plapbench.jsonio import canonical_json
 from plapbench.plap_solver import (
     DirichletProblem,
     _Discretization,
@@ -390,7 +392,7 @@ def test_solution_symmetry_group():
 def test_report_json_dict():
     prob, _ = radial_problem(2.0, 2, 16)
     _, rep = solve(prob)
-    d = rep.to_json_dict()
+    d = json.loads(canonical_json(rep))
     assert set(d) == {
         "iterations",
         "final_energy",
