@@ -25,13 +25,13 @@ The seed only influences commands whose config asks for drawn fields
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .estimates import comptest_chain, rfk_decay
 from .field import (
     Grid,
     ScalarField,
+    _write_csv,
     ball_mask,
     export_csv,
     load_field,
@@ -66,7 +67,7 @@ def _sha256(path: Path) -> str:
 
 
 class _OutputDir:
-    """Makes the directory on the first write, tracks the artifacts, finishes with the manifest."""
+    """Lands every artifact of a run and finishes with the manifest that lists them."""
 
     def __init__(self, root: Path, command: str, seed: int, config_text: str):
         self.root = root
@@ -76,17 +77,21 @@ class _OutputDir:
         self.config_sha = hashlib.sha256(config_text.encode()).hexdigest()
         self.files: dict[str, str] = {}
 
-    def path(self, name: str) -> Path:
-        self.root.mkdir(parents=True, exist_ok=True)
-        return self.root / name
+    def write(self, name: str, save: Callable[[Path], Any]) -> None:
+        """``save(path)`` writes the artifact ``name``; then its hash is recorded.
 
-    def register(self, name: str) -> None:
+        The first write makes the directory and removes the manifest of an
+        earlier run there, so a run that fails part-way leaves none to certify.
+        """
+        if not self.files:
+            self.root.mkdir(parents=True, exist_ok=True)
+            (self.root / "manifest.json").unlink(missing_ok=True)
+        save(self.root / name)
         self.files[name] = _sha256(self.root / name)
 
     def write_json(self, name: str, obj: Any) -> None:
-        text = canonical_json(obj)  # before path() makes the directory, so a NaN leaves none
-        self.path(name).write_text(text)
-        self.register(name)
+        text = canonical_json(obj)  # before write() makes the directory, so a NaN leaves none
+        self.write(name, lambda path: path.write_text(text))
 
     def finish(self) -> None:
         manifest = {
@@ -95,7 +100,7 @@ class _OutputDir:
             "config_sha256": self.config_sha,
             "files": dict(sorted(self.files.items())),
         }
-        self.path("manifest.json").write_text(canonical_json(manifest))
+        (self.root / "manifest.json").write_text(canonical_json(manifest))
 
 
 class AnalyticFailure(RuntimeError):
@@ -134,7 +139,7 @@ _SCHEMAS = {
         "weight": (_Kinds(gaussian=_required(amplitude=float)), {"kind": "gaussian", "amplitude": 1.0}),
         "coeffs": ({key: (float, 1.0) for key in ("grad1_own", "grad1_other", "grad2_own", "grad2_other")}, {}),
         # picard_solve_level's keywords; an absent one keeps that function's default
-        "picard": ({"damping": (float, None), "tol": (float, None), "max_picard": (int, None),
+        "picard": ({"tol": (float, None), "max_picard": (int, None),
                     "solver_tol": (float, None), "solver_max_iter": (int, None)}, {}),
     },
     "verify": {**_required(scheme_out=str, t=float, s=float, R=float, h_cells=[[int]]), "r": (float, None)},
@@ -199,8 +204,7 @@ def cmd_solve(cfg: dict, out: _OutputDir) -> int:
         domain=None if dom is None else ball_mask(grid, _point(dom["center"], grid), dom["ball_radius"]),
     )
     u, rep = solve(prob)
-    save_field(u, out.path("solution.fld"))
-    out.register("solution.fld")
+    out.write("solution.fld", partial(save_field, u))
     report = asdict(rep)
     if cfg["radial_oracle"] is not None:
         R = cfg["radial_oracle"]["R"]
@@ -223,8 +227,7 @@ def cmd_potential(cfg: dict, out: _OutputDir) -> int:
     bounds = {str(r): potential_holder_bound(f, r, grid.N) for r in cfg["holder_r"]}
     value = potential_P(f, x, R, quad)
     profile = potential_profile(f, R, quad)
-    export_csv(profile, out.path("potential_profile.csv"))
-    out.register("potential_profile.csv")
+    out.write("potential_profile.csv", partial(export_csv, profile))
     report: dict[str, Any] = {
         "R": R,
         "x": x,
@@ -249,11 +252,8 @@ def cmd_scheme(cfg: dict, out: _OutputDir) -> int:
     states, report = run_scheme(_spec_from(cfg), cfg["n_list"], cfg["rho"], **picard)
     for state in states:
         for name, fld in (("u", state.u), ("v", state.v)):
-            fname = f"level_{state.n:04d}_{name}.fld"
-            save_field(fld, out.path(fname))
-            out.register(fname)
-    out.path("config.json").write_text(out.config_text)
-    out.register("config.json")
+            out.write(f"level_{state.n:04d}_{name}.fld", partial(save_field, fld))
+    out.write("config.json", lambda path: path.write_text(out.config_text))
     out.write_json("states.json", [s.summary() for s in states])
     out.write_json("scheme_report.json", report)
     return 0 if all(report.converged_n) else 1
@@ -269,33 +269,6 @@ def _load_scheme_output(scheme_dir: Path) -> tuple[ReactionSpec, list[SystemStat
         u, v = (load_field(scheme_dir / f"level_{summ['n']:04d}_{name}.fld") for name in "uv")
         states.append(SystemState(u=u, v=v, **summ))
     return spec, states
-
-
-def _decay_csv(path: Path, table) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["h_cells", "h_mag", "sup_over_n"] + [f"n_index_{i}" for i in range(len(table.rows[0].per_n))])
-        for row in table.rows:
-            writer.writerow([" ".join(str(c) for c in row.h_cells), repr(row.h_mag), repr(row.sup_over_n)]
-                            + [repr(x) for x in row.per_n])
-
-
-def _chain_csv(path: Path, reports) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "h_cells", "h_mag", "lhs", "rhs", "ratio", "verdict"])
-        for n, rep in reports:
-            writer.writerow(
-                [
-                    n,
-                    " ".join(str(c) for c in rep.context["h_cells"]),
-                    repr(rep.context["h_mag"]),
-                    repr(rep.lhs),
-                    repr(rep.rhs),
-                    repr(rep.constant_estimate),
-                    rep.verdict,
-                ]
-            )
 
 
 def cmd_verify(cfg: dict, out: _OutputDir) -> int:
@@ -320,10 +293,14 @@ def cmd_verify(cfg: dict, out: _OutputDir) -> int:
     sups = [row.sup_over_n for row in table.rows]
     decay_ok = all(b <= 1.05 * a for a, b in zip(sups, sups[1:]))
 
-    _decay_csv(out.path("decay_table.csv"), table)
-    out.register("decay_table.csv")
-    _chain_csv(out.path("chain_reports.csv"), chain_reports)
-    out.register("chain_reports.csv")
+    decay_header = ["h_cells", "h_mag", "sup_over_n"] + [f"n_index_{i}" for i in range(len(states))]
+    decay_rows = [[" ".join(map(str, row.h_cells)), repr(row.h_mag), repr(row.sup_over_n), *map(repr, row.per_n)]
+                  for row in table.rows]
+    out.write("decay_table.csv", lambda path: _write_csv(path, decay_header, decay_rows))
+    chain_header = ["n", "h_cells", "h_mag", "lhs", "rhs", "ratio", "verdict"]
+    chain_rows = [[n, " ".join(map(str, rep.context["h_cells"])), repr(rep.context["h_mag"]), repr(rep.lhs),
+                   repr(rep.rhs), repr(rep.constant_estimate), rep.verdict] for n, rep in chain_reports]
+    out.write("chain_reports.csv", lambda path: _write_csv(path, chain_header, chain_rows))
     out.write_json("decay_table.json", table)
     out.write_json(
         "verify_report.json",
@@ -377,37 +354,25 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
-    out_root = Path(args.out)
-    if args.command == "report":
-        try:
-            return cmd_report(out_root)
-        except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError and ConfigError
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    if args.config is None:
-        print("error: --config is required for this command", file=sys.stderr)
-        return 2
-    try:
-        config_text = Path(args.config).read_text()
-        cfg = _check(json.loads(config_text), _SCHEMAS[args.command], "")
-    except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError and ConfigError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    out = _OutputDir(out_root, args.command, args.seed, config_text)
     commands = {"check": cmd_check, "solve": cmd_solve, "potential": cmd_potential, "scheme": cmd_scheme,
                 "verify": cmd_verify}
     try:
+        if args.command == "report":
+            return cmd_report(Path(args.out))
+        if args.config is None:
+            raise ConfigError("--config is required for this command")
+        config_text = Path(args.config).read_text()
+        cfg = _check(json.loads(config_text), _SCHEMAS[args.command], "")
+        out = _OutputDir(Path(args.out), args.command, args.seed, config_text)
         code = commands[args.command](cfg, out)
+        out.finish()
+        return code
     except (SolverDivergenceError, AnalyticFailure) as exc:
         print(f"analytic failure: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ValueError covers JSONDecodeError and ConfigError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out.finish()
-    return code
 
 
 if __name__ == "__main__":

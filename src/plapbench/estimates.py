@@ -43,6 +43,7 @@ import numpy as np
 from .field import (
     Region,
     ScalarField,
+    VectorField,
     _stress_values,
     ball_mask,
     cutoff_eta,
@@ -52,7 +53,6 @@ from .field import (
     linf_norm,
     lp_norm,
     shift,
-    stress_field,
 )
 from .potential import PotentialQuadrature, potential_sup
 
@@ -264,7 +264,7 @@ def comptest_chain(
 
     eta, eps_geom = cutoff_eta(grid, t, s, center)
     grad_u = gradient(u_n)
-    V = stress_field(u_n, p)
+    V = VectorField(grid, _stress_values(grad_u.values, p))
     dV = delta_h(V, h_cells)
     dgrad = delta_h(grad_u, h_cells)
     du = delta_h(u_n, h_cells)
@@ -275,7 +275,7 @@ def comptest_chain(
     grad_eta = gradient(eta)
     phi = ScalarField(grid, eta.values**2 * du.values)
     neg_h = [-c for c in h_cells]
-    d_minus_phi = ScalarField(grid, shift(phi, neg_h).values - phi.values)
+    d_minus_phi = delta_h(phi, neg_h)
     eq_weighted = float(np.sum(eta.values**2 * integrand)) * hvol
     eq_cross = 2.0 * float(
         np.sum(eta.values * du.values * np.einsum("...k,...k->...", dV.values, grad_eta.values))

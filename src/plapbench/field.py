@@ -21,7 +21,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -107,47 +107,41 @@ def _as_values(grid: Grid, values: np.ndarray, trailing: tuple[int, ...]) -> np.
 
 
 @dataclass(frozen=True, eq=False)
-class ScalarField:
+class _GridField:
+    """Arithmetic shared by the field types: sums and differences of two fields
+    of one type on one grid, and scalar multiples."""
+
     grid: Grid
     values: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _as_values(self.grid, self.values, ()))
-
-    def __add__(self, other: "ScalarField") -> "ScalarField":
+    def _other_values(self, other: "_GridField") -> np.ndarray:
+        if type(other) is not type(self):
+            raise ValueError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
         _require_same_grid(self, other)
-        return ScalarField(self.grid, self.values + other.values)
+        return other.values
 
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        _require_same_grid(self, other)
-        return ScalarField(self.grid, self.values - other.values)
+    def __add__(self, other):
+        return type(self)(self.grid, self.values + self._other_values(other))
 
-    def __mul__(self, c: float) -> "ScalarField":
-        return ScalarField(self.grid, self.values * float(c))
+    def __sub__(self, other):
+        return type(self)(self.grid, self.values - self._other_values(other))
+
+    def __mul__(self, c: float):
+        return type(self)(self.grid, self.values * float(c))
 
     __rmul__ = __mul__
 
 
 @dataclass(frozen=True, eq=False)
-class VectorField:
-    grid: Grid
-    values: np.ndarray  # shape = grid.shape + (N,)
-
+class ScalarField(_GridField):
     def __post_init__(self) -> None:
+        object.__setattr__(self, "values", _as_values(self.grid, self.values, ()))
+
+
+@dataclass(frozen=True, eq=False)
+class VectorField(_GridField):
+    def __post_init__(self) -> None:  # values: shape grid.shape + (N,)
         object.__setattr__(self, "values", _as_values(self.grid, self.values, (self.grid.N,)))
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        _require_same_grid(self, other)
-        return VectorField(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        _require_same_grid(self, other)
-        return VectorField(self.grid, self.values - other.values)
-
-    def __mul__(self, c: float) -> "VectorField":
-        return VectorField(self.grid, self.values * float(c))
-
-    __rmul__ = __mul__
 
 
 Field = ScalarField | VectorField
@@ -393,7 +387,12 @@ def export_csv(field: Field, path: str | Path) -> None:
     values = map(repr, field.values.ravel().tolist())
     cells = itertools.product(ax, repeat=grid.N)
     rows = (coords + comps for coords, comps in zip(cells, zip(*[values] * per_cell)))
+    _write_csv(path, names, rows)
+
+
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A header row, then the rows, in the csv module's default dialect."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(names)
+        writer.writerow(header)
         writer.writerows(rows)

@@ -21,12 +21,13 @@ and 0^b = 0 for b > 0.
 Each Picard step freezes the reactions at the current iterate, solves the
 two decoupled Dirichlet problems on the box (Jacobi-style: both use the
 same frozen state, so the step is order-independent), steps by tau
-(undamped by default), and truncates negative parts to zero.  tau is halved
-when a step inflates the Sobolev increment, down to 1/64.  The solves of a
-level share one solver context and form no weak residual.  The per-level
-states are warm starts for the next level, and the report collects the discrete
-shadows of the uniform bounds: sup norms, interior infima on a ball,
-gradient norms, and Cauchy increments between consecutive levels.
+(1 at the start: undamped), and truncates negative parts to zero.  tau is
+halved when a step inflates the Sobolev increment, down to 1/64, and doubled
+back towards 1 on the next step.  The solves of a level share one solver
+context and form no weak residual.  The per-level states are warm starts for
+the next level, and the report collects the discrete shadows of the uniform
+bounds: sup norms, interior infima on a ball, gradient norms, and Cauchy
+increments between consecutive levels.
 
 eps enters only the reaction; the solver's own gradient regularization is
 an independent knob (see plap_solver).
@@ -190,16 +191,20 @@ def eval_g(
     return ScalarField(spec.grid, c.mhat2 * spec.weight_a2.values * (sing + conv))
 
 
+def _reactions(
+    spec: ReactionSpec, u: ScalarField, v: ScalarField, eps: float
+) -> tuple[ScalarField, ScalarField]:
+    """The reactions f and g frozen at the pair (u, v) of level eps."""
+    gu = gradient(u)
+    gv = gradient(v)
+    u_sh = ScalarField(spec.grid, u.values + eps)
+    v_sh = ScalarField(spec.grid, v.values + eps)
+    return eval_f(spec, u_sh, v, gu, gv, eps), eval_g(spec, u, v_sh, gu, gv, eps)
+
+
 def frozen_reactions(spec: ReactionSpec, state: SystemState) -> tuple[ScalarField, ScalarField]:
     """Reaction fields frozen at a state (for fixed-point residual checks)."""
-    grid = spec.grid
-    gu = gradient(state.u)
-    gv = gradient(state.v)
-    u_sh = ScalarField(grid, state.u.values + state.eps)
-    v_sh = ScalarField(grid, state.v.values + state.eps)
-    rhs_f = eval_f(spec, u_sh, state.v, gu, gv, state.eps)
-    rhs_g = eval_g(spec, state.u, v_sh, gu, gv, state.eps)
-    return rhs_f, rhs_g
+    return _reactions(spec, state.u, state.v, state.eps)
 
 
 def _hypotheses_ok(config: ExponentConfig) -> bool:
@@ -237,7 +242,6 @@ def picard_solve_level(
     spec: ReactionSpec,
     n: int,
     warm_start: SystemState | None = None,
-    damping: float = 1.0,
     tol: float = 1e-5,
     max_picard: int = 60,
     solver_tol: float = 1e-9,
@@ -248,17 +252,15 @@ def picard_solve_level(
     Each outer step freezes the reactions at the current pair, solves the two
     Dirichlet problems (warm-started, each until its residual certificate
     ||A(w) w - f||_{L2} <= solver_tol (1 + ||f||_{L2}) holds), forms the
-    update with step tau <= damping (1: undamped), truncates negatives, and
+    update with step tau (1 to start with: undamped), truncates negatives, and
     measures the increments in W^{1,p} x W^{1,q}.  A step that inflates the
     combined increment beyond the previous one halves tau (reusing the solved
-    pair) down to 1/64; the next step doubles it back towards ``damping``.
+    pair) down to 1/64; the next step doubles it back towards 1.
     Convergence requires both increments below tol with both inner solves
     converged; otherwise the state is returned flagged.
     """
     if n < 1:
         raise ValueError("level index n must be >= 1")
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     grid = spec.grid
@@ -274,7 +276,7 @@ def picard_solve_level(
     else:
         u, v = _positivity_seed(spec, eps, solver_tol, solver_max_iter, ctx)
 
-    tau = damping
+    tau = 1.0
     prev_inc = np.inf
     inc_p = inc_q = np.inf
     inner_ok = False
@@ -282,12 +284,7 @@ def picard_solve_level(
     iters = 0
     for k in range(1, max_picard + 1):
         iters = k
-        gu = gradient(u)
-        gv = gradient(v)
-        u_sh = ScalarField(grid, u.values + eps)
-        v_sh = ScalarField(grid, v.values + eps)
-        rhs_f = eval_f(spec, u_sh, v, gu, gv, eps)
-        rhs_g = eval_g(spec, u, v_sh, gu, gv, eps)
+        rhs_f, rhs_g = _reactions(spec, u, v, eps)
         prob_u = DirichletProblem(grid, c.p, rhs_f, tol=solver_tol, max_iter=solver_max_iter)
         prob_v = DirichletProblem(grid, c.q, rhs_g, tol=solver_tol, max_iter=solver_max_iter)
         u_t = ctx.minimize(prob_u, initial=u)
@@ -304,7 +301,7 @@ def picard_solve_level(
             tau = max(0.5 * tau, _TAU_MIN)
         u, v = u_new, v_new
         prev_inc = max(inc_p + inc_q, 1e-300)
-        tau = min(2.0 * tau, damping)
+        tau = min(2.0 * tau, 1.0)
         if inc_p < tol and inc_q < tol and inner_ok:
             converged = True
             break

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plapbench import cli
 from plapbench.cli import _SCHEMAS, _OutputDir, _check, canonical_json, main
 from plapbench.field import load_field
 
@@ -204,9 +205,9 @@ def test_scheme_verify_and_determinism(tmp_path):
 
 
 def test_scheme_rejects_bad_picard_config(tmp_path):
-    # unknown keys and values that are not numbers are config errors: exit 2
-    # before any level runs, and no manifest
-    bad = ({"bogus": 1}, {"tol": [1e-4]}, {"max_picard": "many"}, [1e-4])
+    # unknown keys (the retired damping among them) and values that are not
+    # numbers are config errors: exit 2 before any level runs, and no manifest
+    bad = ({"bogus": 1}, {"damping": 0.5}, {"tol": [1e-4]}, {"max_picard": "many"}, [1e-4])
     for k, picard in enumerate(bad):
         code, out_dir = run(tmp_path, "scheme", {**SCHEME_CFG, "picard": picard}, name=f"p{k}.json", out=f"p{k}")
         assert code == 2, picard
@@ -279,6 +280,24 @@ def test_verify_rejects_non_scheme_dir(tmp_path):
 def test_report_missing_manifest(tmp_path):
     (tmp_path / "nothing").mkdir()
     assert main(["report", "--out", str(tmp_path / "nothing")]) == 1
+
+
+def test_failed_rerun_leaves_no_manifest(tmp_path, monkeypatch):
+    # a rerun into a finished run directory that fails part-way removes the
+    # old manifest, so report does not certify the mixed directory
+    code, out_dir = run(tmp_path, "solve", {"grid": GRID_16, "p": 2.0, "field": CONSTANT_FIELD})
+    assert code == 0
+    assert main(["report", "--out", str(out_dir)]) == 0
+
+    def partial_export(field, path):
+        Path(path).write_text("x1,x2,v\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "export_csv", partial_export)
+    code, _ = run(tmp_path, "potential", {"grid": GRID_16, "field": CONSTANT_FIELD, "R": 1.0}, name="pot.json")
+    assert code == 2
+    assert not (out_dir / "manifest.json").exists()
+    assert main(["report", "--out", str(out_dir)]) != 0
 
 
 def test_report_malformed_manifest_exit_2(tmp_path):

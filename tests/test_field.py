@@ -95,6 +95,22 @@ def test_field_arithmetic_stays_on_grid():
     other = ScalarField(Grid(2, 1.0, 5), np.ones((5, 5)))
     with pytest.raises(ValueError):
         a + other
+    with pytest.raises(ValueError):
+        a - other
+    # vector fields keep their type through the same arithmetic
+    va = VectorField(g, np.ones(g.shape + (2,)))
+    vb = VectorField(g, 2.0 * np.ones(g.shape + (2,)))
+    for res, value in ((va + vb, 3.0), (vb - va, 1.0), (va * 3.0, 3.0), (3.0 * va, 3.0)):
+        assert type(res) is VectorField and res.grid == g
+        assert np.all(res.values == value)
+    with pytest.raises(ValueError):
+        va + VectorField(other.grid, np.ones((5, 5, 2)))
+    # a scalar and a vector field do not combine, not even where the shapes broadcast
+    with pytest.raises(ValueError):
+        a + va
+    tiny = Grid(2, 1.0, 2)
+    with pytest.raises(ValueError):
+        VectorField(tiny, np.ones((2, 2, 2))) + ScalarField(tiny, np.ones((2, 2)))
 
 
 def test_gradient_exact_on_linear_fields():

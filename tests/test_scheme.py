@@ -150,7 +150,7 @@ def test_picard_constant_reaction_single_productive_step():
     g = Grid(2, 2.0, 32)
     spec = bench_spec(g, alpha1=0.0, beta1=0.0, gamma1=0.0, delta1=0.0,
                       alpha2=0.0, beta2=0.0, gamma2=0.0, delta2=0.0)
-    state = picard_solve_level(spec, 1, damping=1.0, tol=1e-8)
+    state = picard_solve_level(spec, 1, tol=1e-8)
     assert state.converged
     assert state.picard_iters == 2
     # oracle: direct solve of the decoupled constant problem
@@ -162,26 +162,13 @@ def test_picard_constant_reaction_single_productive_step():
 
 
 def test_picard_fixed_point_parameter_independent():
-    # the converged pair is a property of the level, not of the damping or
-    # the stopping tolerance used to reach it
+    # the converged pair is a property of the level, not of the stopping
+    # tolerance used to reach it
     g = Grid(2, 2.0, 32)
     spec = bench_spec(g)
-    a = picard_solve_level(spec, 2, damping=0.5, tol=1e-5)
-    b = picard_solve_level(spec, 2, damping=0.25, tol=1e-6)
+    a = picard_solve_level(spec, 2, tol=1e-5)
+    b = picard_solve_level(spec, 2, tol=1e-6)
     assert a.converged and b.converged
-    assert w1p_norm(a.u - b.u, 2.5) < 1e-4
-    assert w1p_norm(a.v - b.v, 2.0) < 1e-4
-
-
-def test_picard_default_undamped_matches_damped():
-    # the default step (undamped, halving guard kept) reaches the pair that
-    # damping 0.5 reaches
-    g = Grid(2, 2.0, 32)
-    spec = bench_spec(g)
-    a = picard_solve_level(spec, 2)
-    b = picard_solve_level(spec, 2, damping=0.5)
-    assert a.converged and b.converged
-    assert a.picard_iters < b.picard_iters
     assert w1p_norm(a.u - b.u, 2.5) < 1e-4
     assert w1p_norm(a.v - b.v, 2.0) < 1e-4
 
