@@ -14,9 +14,9 @@ an output directory (--out), and finishes by writing ``manifest.json``
 listing the seed, the config hash, and the SHA-256 of every artifact.
 Outputs are canonical (sorted keys, fixed separators, no timestamps), so a
 rerun with identical config and seed produces byte-identical files;
-``report`` verifies exactly that.  Exit codes: 0 pass, 1 analytic
-failure (non-convergence, failed verdict, manifest mismatch), 2 usage or
-configuration error.
+``report`` verifies exactly that, and that the directory holds no other
+file.  Exit codes: 0 pass, 1 analytic failure (non-convergence, failed
+verdict, manifest mismatch), 2 usage or configuration error.
 
 The seed only influences commands whose config asks for drawn fields
 (``random_bumps``); everything else is deterministic outright.
@@ -331,6 +331,9 @@ def cmd_report(out_dir: Path) -> int:
             bad.append(f"{name}: missing")
         elif _sha256(path) != digest:
             bad.append(f"{name}: hash mismatch")
+    # a file the manifest does not list belongs to another run, which this one does not certify
+    listed = {*manifest["files"], "manifest.json"}
+    bad += [f"{p.name}: not in manifest" for p in sorted(out_dir.iterdir()) if p.is_file() and p.name not in listed]
     summary = {
         "command": manifest["command"],
         "files_listed": len(manifest["files"]),

@@ -373,7 +373,12 @@ def load_field(path: str | Path) -> Field:
 
 
 def export_csv(field: Field, path: str | Path) -> None:
-    """One cell per row: coordinates, then value (scalar) or components (vector)."""
+    """One cell per row: coordinates, then value (scalar) or components (vector).
+
+    The bytes are ``_write_csv``'s: no coordinate or ``repr`` value needs
+    quoting, and every row ends in ``\\r\\n``.  Each slab of the first axis is
+    written as one string, joined from a part list whose inner coordinates
+    and separators are laid out once."""
     grid = field.grid
     ax = [repr(x) for x in grid.axis_centers().tolist()]
     names = [f"x{k + 1}" for k in range(grid.N)]
@@ -383,11 +388,22 @@ def export_csv(field: Field, path: str | Path) -> None:
     else:
         names += [f"v{k + 1}" for k in range(grid.N)]
         per_cell = grid.N
-    # C order: the last axis runs fastest, in the coordinates and the values
-    values = map(repr, field.values.ravel().tolist())
-    cells = itertools.product(ax, repeat=grid.N)
-    rows = (coords + comps for coords, comps in zip(cells, zip(*[values] * per_cell)))
-    _write_csv(path, names, rows)
+    # a row's parts: the first coordinate, ",x2,...,xN,", then each component and
+    # its separator ("," or the line end); C order, the last axis runs fastest
+    stride = 2 + 2 * per_cell
+    inner = ["".join("," + x for x in c) + "," for c in itertools.product(ax, repeat=grid.N - 1)]
+    parts = [""] * (stride * len(inner))
+    parts[1::stride] = inner
+    for c in range(per_cell):
+        parts[3 + 2 * c::stride] = ["," if c < per_cell - 1 else "\r\n"] * len(inner)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(names) + "\r\n")
+        for first, slab in zip(ax, field.values):
+            parts[0::stride] = [first] * len(inner)
+            values = list(map(repr, slab.ravel().tolist()))
+            for c in range(per_cell):
+                parts[2 + 2 * c::stride] = values[c::per_cell]
+            fh.write("".join(parts))
 
 
 def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -27,17 +27,36 @@ transforms pruned to the lattice lines that hold data or are read (see
 the transforms are kept from the second request of the same grid, lattice
 and radii on, so a sweep of fields on one grid pays for them about twice
 and a single call keeps nothing.
+
+The transforms run in place where their data already fills the lattice
+(numpy >= 2's FFT ``out=``), and each buffer of ``_ball_masses_fft`` is
+reused from one radius to the next.  A transform whose output holds at
+least ``_SPLIT_BYTES`` (256 KiB) has its lines cut in two halves along
+another axis when the process may run on two CPUs or more: one lazily
+started worker thread transforms the second half while the calling thread
+transforms the first, and the caller waits for the worker before it returns
+or raises.  The 1-D transforms of one array are independent, and each line
+is transformed from the same data whichever thread takes it, so the bits do
+not depend on the number of threads.  Smaller arrays (the 64^2 sweep
+lattice of 80 x 41 cells, every ``potential_sup`` of a region box) stay on
+one thread, where handing the interpreter lock back and forth costs more
+than the second CPU saves.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
 from .field import Grid, Region, ScalarField, _axslice, _bbox_slices, linf_norm, lp_norm
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 
 @dataclass(frozen=True)
@@ -135,15 +154,66 @@ _last_key: tuple | None = None
 _kept: tuple[tuple, list[np.ndarray]] | None = None
 
 
+# An FFT whose output holds at least this many bytes is split over two threads.
+_SPLIT_BYTES = 256 * 1024
+_worker: tuple[int, ThreadPoolExecutor] | None = None  # (pid of the process that started it, the worker)
+_worker_lock = threading.Lock()
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one (Linux)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fft_worker() -> ThreadPoolExecutor:
+    """The one worker thread of the split transforms, started on first use, and
+    again in a forked child, which inherits the executor but not its thread."""
+    from concurrent.futures import ThreadPoolExecutor  # here, so a command that never splits does not import it
+
+    global _worker
+    with _worker_lock:
+        if _worker is None or _worker[0] != os.getpid():
+            _worker = (os.getpid(), ThreadPoolExecutor(max_workers=1, thread_name_prefix="plapbench-fft"))
+        return _worker[1]
+
+
+def _fft_lines(fft, a: np.ndarray, out: np.ndarray, axis: int, **kw) -> np.ndarray:
+    """``fft(a, axis=axis, out=out, **kw)`` (out may be a itself).  A large out on
+    two or more CPUs has its lines cut in two halves along another axis of
+    length > 1, the second half transformed on the worker thread; every line
+    sees the same data either way, so the bits do not depend on the split."""
+    k = None
+    if out.nbytes >= _SPLIT_BYTES and _usable_cpus() > 1:  # the size first: it is checked on every call
+        k = next((j for j in range(out.ndim) if j != axis and out.shape[j] > 1), None)
+    if k is None:
+        return fft(a, axis=axis, out=out, **kw)
+    lo, hi = (_axslice(out.ndim, k, s) for s in (slice(0, out.shape[k] // 2), slice(out.shape[k] // 2, None)))
+    job = _fft_worker().submit(fft, a[hi], axis=axis, out=out[hi], **kw)
+    try:
+        fft(a[lo], axis=axis, out=out[lo], **kw)
+    finally:
+        job.exception()  # waits for the worker, also when this thread raised
+    job.result()
+    return out
+
+
 def _lattice_rfftn(a: np.ndarray, L: int, slots: np.ndarray | None = None) -> np.ndarray:
     """``np.fft.rfftn`` of a on the (L,)*N lattice, entry i of each axis in slot ``slots[i]`` (i if None),
-    one axis at a time in rfftn's order, placed or zero-padded just before its transform."""
+    one axis at a time in rfftn's order, placed (then transformed in place) or zero-padded just before its
+    transform."""
     for axis in reversed(range(a.ndim)):
+        last = axis == a.ndim - 1
         if slots is not None:
             placed = np.zeros(a.shape[:axis] + (L,) + a.shape[axis + 1:], dtype=a.dtype)
             placed[_axslice(a.ndim, axis, slots)] = a
             a = placed
-        a = np.fft.rfft(a, n=L, axis=axis) if axis == a.ndim - 1 else np.fft.fft(a, n=L, axis=axis)
+        if slots is not None and not last:
+            out = a
+        else:
+            out = np.empty(a.shape[:axis] + (L // 2 + 1 if last else L,) + a.shape[axis + 1:], dtype=np.complex128)
+        a = _fft_lines(np.fft.rfft if last else np.fft.fft, a, out, axis, n=L)
     return a
 
 
@@ -198,12 +268,16 @@ def _ball_masses_fft(f2: np.ndarray, grid: Grid, radii: np.ndarray, box: tuple[s
     rows = tuple(slice(b.start - s.start, b.stop - s.start) for b, s in zip(box, src))
     F = _lattice_rfftn(f2[src], L)
     hvol = grid.cell_volume
+    product = np.empty_like(F)
+    real = np.empty(tuple(b.stop - b.start for b in box[:-1]) + (L,))
     for spec in _kernel_spectra(grid, L, m, radii):
-        # irfftn in its own order (axes 0 .. N-2, then the last), dropping the unread rows after each axis
-        G = F * spec
+        # irfftn in its own order (axes 0 .. N-2 in place, then the last into ``real``),
+        # dropping the unread rows after each axis
+        G = np.multiply(F, spec, out=product)
         for axis in range(nd - 1):
-            G = np.fft.ifft(G, axis=axis)[_axslice(nd, axis, rows[axis])]
-        yield np.maximum(np.fft.irfft(G, n=L, axis=nd - 1)[_axslice(nd, nd - 1, rows[-1])], 0.0) * hvol
+            G = _fft_lines(np.fft.ifft, G, G, axis)[_axslice(nd, axis, rows[axis])]
+        _fft_lines(np.fft.irfft, G, real, nd - 1, n=L)
+        yield np.maximum(real[_axslice(nd, nd - 1, rows[-1])], 0.0) * hvol
 
 
 def _profile_values(f: ScalarField, R: float, quad: PotentialQuadrature, box: tuple[slice, ...]) -> np.ndarray:

@@ -300,6 +300,19 @@ def test_failed_rerun_leaves_no_manifest(tmp_path, monkeypatch):
     assert main(["report", "--out", str(out_dir)]) != 0
 
 
+def test_report_refuses_files_of_another_run(tmp_path, capsys):
+    # a potential run into a solve directory leaves the solve's files beside
+    # its own manifest: report names each of them and does not certify the directory
+    code, out_dir = run(tmp_path, "solve", {"grid": GRID_16, "p": 2.0, "field": CONSTANT_FIELD})
+    assert code == 0
+    code, _ = run(tmp_path, "potential", {"grid": GRID_16, "field": CONSTANT_FIELD, "R": 1.0}, name="pot.json")
+    assert code == 0
+    capsys.readouterr()
+    assert main(["report", "--out", str(out_dir)]) == 1
+    assert json.loads(capsys.readouterr().out)["problems"] == ["solution.fld: not in manifest",
+                                                               "solve_report.json: not in manifest"]
+
+
 def test_report_malformed_manifest_exit_2(tmp_path):
     # a manifest that is not the object _OutputDir writes is a config error
     files_list = {"command": "check", "seed": 0, "config_sha256": "0" * 64, "files": []}

@@ -330,11 +330,22 @@ def test_export_csv_bytes_match_row_writer(tmp_path):
     values = rng.standard_normal((7, 7))
     values[0, 0] = -0.0
     values[1, 0] = 1e-300
+    values[2, 0] = 5e-324  # the smallest subnormal
+    vec3 = rng.standard_normal((4, 4, 4, 3))
+    vec3[0, 0, 0] = (-0.0, 2.5e-310, -1e-320)
     cases = [
         ScalarField(Grid(2, 1.5, 7), values),
         ScalarField(Grid(3, 2.0, 5), rng.standard_normal((5, 5, 5)) * 1e5),
         VectorField(Grid(2, 1.0, 6), rng.standard_normal((6, 6, 2))),
+        VectorField(Grid(3, 1.0, 4), vec3),
     ]
+    # fields refuse non-finite values, so these two get them past the check:
+    # the writer must still match the csv module on every float repr
+    for f, cells in ((cases[0], [(2, 1), (2, 2), (2, 3)]), (cases[3], [(3, 3, 3), (3, 3, 2), (0, 1, 0)])):
+        raw = f.values.copy()
+        for cell, value in zip(cells, (math.inf, -math.inf, math.nan)):
+            raw[cell] = value
+        object.__setattr__(f, "values", raw)
     for k, f in enumerate(cases):
         export_csv(f, tmp_path / f"new{k}.csv")
         _export_csv_reference(f, tmp_path / f"ref{k}.csv")

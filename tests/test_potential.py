@@ -2,6 +2,8 @@
 homogeneity, and the constant-free Hölder bound."""
 
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -165,11 +167,52 @@ def _full_lattice_profile(f, R, q):
     return np.abs(f.values) * (math.sqrt(unit_ball_volume(N)) * rho0) + acc * width, m
 
 
-def test_pruned_transforms_equal_full_lattice():
+def _split_every_transform(monkeypatch):
+    """Send every transform with a second axis of length > 1 down the
+    two-thread path, whatever the CPU count; returns the list that grows by
+    one per split transform."""
+    splits = []
+    worker = potential._fft_worker
+    monkeypatch.setattr(potential, "_SPLIT_BYTES", 0)
+    monkeypatch.setattr(potential, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(potential, "_fft_worker", lambda: splits.append(1) or worker())
+    return splits
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_split_transforms_run_in_a_forked_child(monkeypatch):
+    # a child forked after the worker started inherits the executor but not
+    # its thread: its split transforms must still finish, with the same bits
+    _split_every_transform(monkeypatch)
+    a = np.random.default_rng(5).standard_normal((6, 40)) + 0j
+    ref = np.fft.fft(a, axis=1)
+    assert potential._fft_lines(np.fft.fft, a.copy(), np.empty_like(a), 1).tobytes() == ref.tobytes()
+
+    def child():
+        out = potential._fft_lines(np.fft.fft, a.copy(), np.empty_like(a), 1)
+        os._exit(0 if out.tobytes() == ref.tobytes() else 3)
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(timeout=60)
+    hung = proc.is_alive()
+    if hung:
+        proc.kill()
+        proc.join()
+    assert not hung and proc.exitcode == 0, proc.exitcode
+
+
+def _region(g, mask):
+    return Region(g, mask, int(mask.sum()) * g.cell_volume, int(mask.sum()))
+
+
+def test_pruned_transforms_equal_full_lattice(monkeypatch):
     # the pruned transforms give every 1-D transform the full lattice's data,
-    # so the profile equals the full-lattice one bit for bit; odd n, the
-    # kernel reaching one cell (R < 2h) and reaching n - 1 cells (R beyond
-    # the box diagonal), in 2-D and 3-D
+    # so the profile equals the full-lattice one bit for bit; odd n (so the
+    # two-thread path cuts odd halves), the kernel reaching one cell (R < 2h)
+    # and reaching n - 1 cells (R beyond the box diagonal), in 2-D and 3-D.
+    # Both paths, one thread and two, give the same profile and sup bytes,
+    # also for a region one cell thick (an axis of length 1 that is not split)
     cases = ((2, 33, 1.9 * 2.0 / 33, 1), (2, 33, 0.45, None), (2, 33, 3.0, 32),
              (3, 13, 1.9 * 2.0 / 13, 1), (3, 13, 0.7, None), (3, 13, 3.0, 12))
     for N, n, R, reach in cases:
@@ -178,11 +221,40 @@ def test_pruned_transforms_equal_full_lattice():
         q = PotentialQuadrature(num_nodes=12)
         ref, m = _full_lattice_profile(f, R, q)
         assert reach is None or m == reach, (N, n, R, m)
-        assert potential_profile(f, R, q).values.tobytes() == ref.tobytes(), (N, n, R)
+        slab = np.zeros(g.shape, dtype=bool)
+        slab[n // 3] = True
+        regions = [ball_mask(g, (0.3,) * N, 0.5), _region(g, slab)]
+        results = []
+        for split in (False, True):
+            with monkeypatch.context() as mp:
+                mp.setattr(potential, "_kept", None)
+                splits = _split_every_transform(mp) if split else []
+                profile = potential_profile(f, R, q).values.tobytes()
+                sups = [potential_sup(f, region, R, q) for region in regions]
+            assert profile == ref.tobytes(), (N, n, R, split)
+            assert not split or splits, "the two-thread path did not run"
+            results.append((profile, np.array(sups).tobytes()))
+        assert results[0] == results[1], (N, n, R)
 
 
-def _region(g, mask):
-    return Region(g, mask, int(mask.sum()) * g.cell_volume, int(mask.sum()))
+def test_split_transform_keeps_axes_of_length_one_whole(monkeypatch):
+    # an array whose other axes all have length 1 has no lines to share out:
+    # it stays on one thread; one with a second long axis is split along it
+    splits = _split_every_transform(monkeypatch)
+    rng = np.random.default_rng(4)
+    for shape, axis, split in (((1, 45), 1, False), ((1, 1, 30), 2, False), ((30,), 0, False),
+                               ((7, 1, 9), 0, True), ((1, 9, 16), 2, True)):
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ref = np.fft.ifft(a, axis=axis)
+        before = len(splits)
+        out = potential._fft_lines(np.fft.ifft, a, a, axis)
+        assert out is a and a.tobytes() == ref.tobytes(), shape
+        assert (len(splits) > before) == split, shape
+    monkeypatch.setattr(potential, "_usable_cpus", lambda: 1)  # a process held to one CPU splits nothing
+    a = rng.standard_normal((7, 9)) + 0j
+    ref = np.fft.ifft(a, axis=0)
+    assert potential._fft_lines(np.fft.ifft, a, a, 0).tobytes() == ref.tobytes()
+    assert len(splits) == 2
 
 
 @settings(max_examples=60, deadline=None)
