@@ -72,6 +72,11 @@ class EstimateReport:
         if self.verdict != (self.lhs <= self.rhs):
             raise ValueError("verdict inconsistent with stored sides")
 
+    @classmethod
+    def of(cls, lhs: float, rhs: float, **context: Any) -> "EstimateReport":
+        """The instance lhs <= rhs, with the empirical constant lhs/rhs (0 when rhs = 0)."""
+        return cls(lhs, rhs, lhs / rhs if rhs > 0.0 else 0.0, lhs <= rhs, context)
+
 
 def monotonicity_gap(a, b, p: float):
     """Gap (phi_p(a) - phi_p(b)) . (a - b) and its reference quantity.
@@ -195,23 +200,10 @@ def gradient_estimate_ratio(
     g = gradient(u)
     lhs = linf_norm(g, inner) ** (p - 1.0)
     rhs = lp_norm(g, p) ** (p - 1.0) + lp_norm(f, r)
-    ratio = lhs / rhs if rhs > 0.0 else 0.0
     avg = lp_norm(g, p, outer) ** p / outer.volume
     prop_rhs = avg ** ((p - 1.0) / p) + potential_sup(f, outer, 2.0 * R, quad)
     prop_ratio = lhs / prop_rhs if prop_rhs > 0.0 else 0.0
-    return EstimateReport(
-        lhs=lhs,
-        rhs=rhs,
-        constant_estimate=ratio,
-        verdict=lhs <= rhs,
-        context={
-            "p": p,
-            "r": r,
-            "R": R,
-            "prop_rhs": prop_rhs,
-            "prop_ratio": prop_ratio,
-        },
-    )
+    return EstimateReport.of(lhs, rhs, p=p, r=r, R=R, prop_rhs=prop_rhs, prop_ratio=prop_ratio)
 
 
 def _ball_sum(values: np.ndarray, region: Region, h_vol: float) -> float:
@@ -286,26 +278,8 @@ def comptest_chain(
     c_cut = (1.0 + eps_geom) / (s - t)
     rhs = 4.0 * c_cut * lp_norm(du, p, br) * lp_norm(grad_u, p, br) ** (p - 1.0)
     rhs += 2.0 * lp_norm(f_n, rprime, br) * lp_norm(du, r, br)
-    ratio = lhs / rhs if rhs > 0.0 else 0.0
-    return EstimateReport(
-        lhs=lhs,
-        rhs=rhs,
-        constant_estimate=ratio,
-        verdict=lhs <= rhs,
-        context={
-            "p": p,
-            "r": r,
-            "h_cells": list(int(c) for c in h_cells),
-            "h_mag": hmag,
-            "t": t,
-            "s": s,
-            "R": R,
-            "eps_geom": eps_geom,
-            "eq_weighted": eq_weighted,
-            "eq_cross": eq_cross,
-            "eq_reaction": eq_reaction,
-        },
-    )
+    return EstimateReport.of(lhs, rhs, p=p, r=r, h_cells=[int(c) for c in h_cells], h_mag=hmag, t=t, s=s, R=R,
+                             eps_geom=eps_geom, eq_weighted=eq_weighted, eq_cross=eq_cross, eq_reaction=eq_reaction)
 
 
 @dataclass(frozen=True)

@@ -70,16 +70,17 @@ class Grid:
         ax = self.axis_centers()
         return [ax.reshape([-1 if j == k else 1 for j in range(self.N)]) for k in range(self.N)]
 
-    def squared_distance(self, center: Sequence[float]) -> np.ndarray:
-        """|x - center|^2 at every cell center (broadcast, one full array)."""
+    def squared_distance(self, center: Sequence[float], box: Sequence[np.ndarray] | None = None) -> np.ndarray:
+        """|x - center|^2 at every cell center, or on the box ``box`` of cell indices (one array per axis)."""
         if len(center) != self.N:
             raise ValueError("center dimension mismatch")
         ax = self.axis_centers()
-        acc = np.zeros(self.shape)
-        for k in range(self.N):
+        axes = [ax] * self.N if box is None else [ax[b] for b in box]
+        acc = np.zeros(tuple(map(len, axes)))
+        for k, a in enumerate(axes):
             sh = [1] * self.N
-            sh[k] = self.cells_per_axis
-            acc = acc + ((ax - center[k]) ** 2).reshape(sh)
+            sh[k] = len(a)
+            acc = acc + ((a - center[k]) ** 2).reshape(sh)
         return acc
 
     def nearest_index(self, x: Sequence[float]) -> tuple[int, ...]:
@@ -201,14 +202,10 @@ def _gradient_values(vals: np.ndarray, h: float) -> np.ndarray:
     """Forward differences per axis, backward in the last layer, on any box shape."""
     nd = vals.ndim
     out = np.empty(vals.shape + (nd,))
-    for k, n in enumerate(vals.shape):
-        dk = out[..., k]
-        lead = _axslice(nd, k, slice(0, n - 1))
-        lag = _axslice(nd, k, slice(1, n))
-        dk[lead] = (vals[lag] - vals[lead]) / h
-        last = _axslice(nd, k, slice(n - 1, n))
-        prev = _axslice(nd, k, slice(n - 2, n - 1))
-        dk[last] = (vals[last] - vals[prev]) / h
+    for k in range(nd):
+        d = np.diff(vals, axis=k) / h
+        out[..., k][_axslice(nd, k, slice(None, -1))] = d
+        out[..., k][_axslice(nd, k, slice(-1, None))] = d[_axslice(nd, k, slice(-1, None))]
     return out
 
 
@@ -342,11 +339,11 @@ def _cutoff_values(
 
 
 def save_field(field: Field, path: str | Path) -> None:
-    """Write the binary field format: fixed header, then row-major LE doubles."""
+    """Write the binary field format: fixed header, then row-major LE doubles, from the values' own buffer."""
     ncomp = 1 if isinstance(field, ScalarField) else field.grid.N
-    header = _HEADER.pack(_MAGIC, field.grid.N, field.grid.cells_per_axis, field.grid.extent, ncomp)
-    payload = np.ascontiguousarray(field.values, dtype="<f8").tobytes()
-    Path(path).write_bytes(header + payload)
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(_MAGIC, field.grid.N, field.grid.cells_per_axis, field.grid.extent, ncomp))
+        fh.write(np.ascontiguousarray(field.values, dtype="<f8").data)
 
 
 def load_field(path: str | Path) -> Field:

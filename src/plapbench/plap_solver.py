@@ -43,13 +43,15 @@ over-corrected coarse step (Notay, ETNA 37, 2010; Braess, Computing 55,
 
 ``_SolveContext`` keeps what depends only on the grid and the free-cell mask
 (crop, free cells, discretization, unit-weight V-cycle).  ``solve`` builds one
-per call, freed before its weak residual; the Picard scheme keeps one per level.
+per call, freed before its weak residual, which pairs the last outer step's
+residual with the test functions; the Picard scheme keeps one per level.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -405,6 +407,7 @@ def _line_step(
 
 class _Minimum(NamedTuple):
     values: np.ndarray  # on the full grid
+    residual: np.ndarray  # A(u) u - f at the returned iterate, on the free bounding box
     iterations: int
     cg_iterations: int
     converged: bool
@@ -425,14 +428,21 @@ class _SolveContext:
         self.crop = _bbox_slices(mask)
         self.free = np.ascontiguousarray(mask[self.crop])
         self.disc = _Discretization(self.free, grid.spacing)
-        self._unit: tuple[list[np.ndarray], _VCycle] | None = None
 
-    def unit(self) -> tuple[list[np.ndarray], _VCycle]:
-        """Face weights of the unit-weight (p = 2) operator and its V-cycle."""
-        if self._unit is None:
-            T = self.disc.faces(self.free * 1.0, self.free * 1.0)
-            self._unit = (T, _VCycle(self.disc, T))
-        return self._unit
+    @cached_property
+    def unit_faces(self) -> list[np.ndarray]:
+        """Face weights of the unit-weight (p = 2) operator."""
+        return self.disc.faces(self.free * 1.0, self.free * 1.0)
+
+    @cached_property
+    def unit_cycle(self) -> _VCycle:
+        """The V-cycle of the unit-weight operator."""
+        return _VCycle(self.disc, self.unit_faces)
+
+    def lagged(self, vals: np.ndarray, fv: np.ndarray, p: float, eps: float) -> tuple[list[np.ndarray], np.ndarray]:
+        """Face weights frozen at vals and the residual A(vals) vals - f = grad E / h^N, all on the crop."""
+        T = self.unit_faces if p == 2.0 else self.disc.faces(*self.disc.weights(vals, p, eps))
+        return T, self.disc.apply(vals, T) - fv
 
     def minimize(self, prob: DirichletProblem, initial: ScalarField | None = None) -> _Minimum:
         """The outer iteration of ``solve`` for a problem on this grid and mask."""
@@ -453,11 +463,7 @@ class _SolveContext:
         # the certificate in Euclidean norm: ||r||_{L2} = sqrt(hvol) ||r||_2
         target = prob.tol * (1.0 + math.sqrt(_dot(fv, fv) * hvol)) / math.sqrt(hvol)
 
-        def lagged(vals: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-            """Face weights frozen at vals and the residual A(vals) vals - f = grad E / h^N."""
-            T = self.unit()[0] if p == 2.0 else disc.faces(*disc.weights(vals, p, eps))
-            return T, disc.apply(vals, T) - fv
-
+        lagged = partial(self.lagged, fv=fv, p=p, eps=eps)
         T, r = lagged(u)
         # from a zero start at p > 2 the degenerate weights eps^{p-2} blow up
         # the first linear solution; seed with the unit-weight operator (the
@@ -468,7 +474,7 @@ class _SolveContext:
         rnorm = math.sqrt(_dot(r, r))
         while rnorm > target and iterations < prob.max_iter:
             iterations += 1
-            T, precond = self.unit() if unit else (T, _VCycle(disc, T))
+            T, precond = (self.unit_faces, self.unit_cycle) if unit else (T, _VCycle(disc, T))
             # at p = 2 the system is linear, so one CG run to half the target
             # meets the certificate; otherwise the forcing factor
             reduction = min(_ETA, 0.5 * target / rnorm) if p == 2.0 else _ETA
@@ -483,7 +489,7 @@ class _SolveContext:
             raise SolverDivergenceError("non-finite iterate")
         full = np.zeros(self.grid.shape)
         full[crop] = u * free
-        return _Minimum(full, iterations, cg_total, rnorm <= target, history)
+        return _Minimum(full, r, iterations, cg_total, rnorm <= target, history)
 
 
 def solve(prob: DirichletProblem, initial: ScalarField | None = None) -> tuple[ScalarField, SolveReport]:
@@ -496,11 +502,11 @@ def solve(prob: DirichletProblem, initial: ScalarField | None = None) -> tuple[S
 
     Raises SolverDivergenceError on non-finite values; never clips.
     """
-    res = _SolveContext(prob.grid, _free_mask(prob)).minimize(prob, initial)
-    out = ScalarField(prob.grid, res.values)
+    mask = _free_mask(prob)
+    res = _SolveContext(prob.grid, mask).minimize(prob, initial)
     report = SolveReport(res.iterations, res.energy_history[-1], res.energy_history,
-                         weak_residual(out, prob), res.converged, res.cg_iterations)
-    return out, report
+                         _weak_residual(prob.grid, mask, res.residual, prob.p), res.converged, res.cg_iterations)
+    return ScalarField(prob.grid, res.values), report
 
 
 def _test_functions(grid: Grid, free: np.ndarray, crop: tuple[slice, ...]) -> Iterator[np.ndarray]:
@@ -544,24 +550,29 @@ def weak_residual(u: ScalarField, prob: DirichletProblem) -> float:
     |<stress(u), D phi> - <f, phi>| / (1 + ||D phi||_{p'}).
 
     The pairing <stress(u), D phi> is <A_{w(u)} u, phi> with the solver's own
-    operator, so A(u) - f is formed once and a converged solve's residual
-    measures algebraic (not discretization) error.  Everything is evaluated
-    on the free bounding box plus one cell below and two above, where the
-    one-sided differences of ``gradient`` see the same values as on the box.
+    operator, so A(u) - f is formed once, as the solver forms it, and a
+    converged solve's residual measures algebraic (not discretization) error.
     """
     _require_same_grid(u, prob)
-    grid = prob.grid
-    n = grid.cells_per_axis
-    free_box = _free_mask(prob)
-    crop = tuple(slice(max(s.start - 1, 0), min(s.stop + 2, n)) for s in _bbox_slices(free_box))
-    free = free_box[crop]
-    disc = _Discretization(free, grid.spacing)
-    uv = u.values[crop] * free
-    residual = disc.apply(uv, disc.faces(*disc.weights(uv, prob.p, prob.resolved_eps))) - prob.f.values[crop]
-    pprime = prob.p / (prob.p - 1.0)
+    ctx = _SolveContext(prob.grid, _free_mask(prob))
+    fv = np.where(ctx.free, prob.f.values[ctx.crop], 0.0)
+    _, r = ctx.lagged(u.values[ctx.crop] * ctx.free, fv, prob.p, prob.resolved_eps)
+    return _weak_residual(prob.grid, ctx.mask, r, prob.p)
+
+
+def _weak_residual(grid: Grid, mask: np.ndarray, r: np.ndarray, p: float) -> float:
+    """``weak_residual`` from the residual r = A(u) u - f on the free bounding box of ``mask``.
+
+    r goes into zeros on that box plus one cell below and two above, where
+    the one-sided differences of ``gradient`` see the same values as on the box.
+    """
+    box = _bbox_slices(mask)
+    crop = tuple(slice(max(s.start - 1, 0), min(s.stop + 2, grid.cells_per_axis)) for s in box)
+    residual = np.pad(r, [(b.start - c.start, c.stop - b.stop) for b, c in zip(box, crop)])
+    pprime = p / (p - 1.0)
     hvol = grid.cell_volume
     worst = 0.0
-    for phi in _test_functions(grid, free_box, crop):  # each zero off the free cells
+    for phi in _test_functions(grid, mask, crop):  # each zero off the free cells
         num = hvol * _dot(residual, phi)
         g = _gradient_values(phi, grid.spacing)
         mag = np.sqrt(np.einsum("...k,...k->...", g, g))

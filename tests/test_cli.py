@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _peak import traced_peak
 from plapbench import cli
 from plapbench.cli import _SCHEMAS, _OutputDir, _check, canonical_json, main
-from plapbench.field import load_field
+from plapbench.field import Grid, ScalarField, ball_mask, load_field
+from plapbench.plap_solver import exact_radial
 
 GOOD_EXPONENTS = {
     "N": 3, "p": 2.5, "q": 2.0,
@@ -116,6 +118,86 @@ def test_solve_radial_oracle(tmp_path):
     u = load_field(out_dir / "solution.fld")
     assert u.grid.cells_per_axis == 64
     assert u.values.max() > 0.0
+
+
+def test_radial_oracle_centers_on_the_domain(tmp_path):
+    # the same ball, data and grid, shifted by 8 whole cells along x1: the
+    # solution moves with it and the oracle, measured from domain.center,
+    # reports the centred run's error to the bit
+    cfg = {
+        "grid": {"N": 2, "extent": 2.0, "cells_per_axis": 64},
+        "p": 2.0,
+        "field": {"kind": "ball_indicator", "radius": 1.0},
+        "domain": {"ball_radius": 1.0},
+        "tol": 1e-12,
+        "radial_oracle": {"R": 1.0},
+    }
+    shifted = copy.deepcopy(cfg)
+    shifted["field"]["center"] = shifted["domain"]["center"] = [0.5, 0.0]
+    assert run(tmp_path, "solve", cfg, name="a.json", out="a") == (0, tmp_path / "a")
+    assert run(tmp_path, "solve", shifted, name="b.json", out="b") == (0, tmp_path / "b")
+    u_a, u_b = (load_field(tmp_path / d / "solution.fld").values for d in "ab")
+    assert np.array_equal(u_b, np.roll(u_a, 8, axis=0))
+    err_a, err_b = (json.loads((tmp_path / d / "solve_report.json").read_text())["radial_linf_error"] for d in "ab")
+    assert err_b == err_a < 0.02
+
+
+@pytest.mark.parametrize("n, center, R", [
+    (15, (0.0, 0.0, 0.0), 1.0),
+    (16, (0.3, -0.45, 0.1), 0.9),
+    (12, (1.2, 0.0, -1.0), 1.5),  # the inner ball leaves the box
+    (10, (0.0, 0.0, 0.0), 3.0),  # ... on every side
+])
+def test_cropped_radial_oracle_equals_full_grid_formula(n, center, R):
+    grid = Grid(3, 2.0, n)
+    u = ScalarField(grid, np.random.default_rng(n).standard_normal(grid.shape))
+    for p in (1.5, 2.0, 3.0):
+        ex = exact_radial(p, 3, R, np.minimum(np.sqrt(grid.squared_distance(center)), R))
+        inner = ball_mask(grid, center, 0.8 * R).mask
+        full = float(np.max(np.abs(u.values - ex)[inner])) / float(np.max(np.abs(ex[inner])))
+        assert cli._radial_linf_error(u, p, R, center) == full
+
+
+def test_radial_oracle_without_inner_cells_exits_2(tmp_path):
+    cfg = {"grid": {"N": 3, "extent": 2.0, "cells_per_axis": 8}, "p": 2.0,
+           "field": {"kind": "constant", "value": 1.0}, "radial_oracle": {"R": 0.1}}
+    assert run(tmp_path, "solve", cfg)[0] == 2
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_solve_memory_stays_within_budget(tmp_path, p):
+    # traced peak of a whole CLI solve on the 3-D unit ball at 64^3, in full
+    # float64 grid arrays: the solution and the data, the solver's arrays on
+    # the ball's bounding box (1/8 of the grid), and nothing of grid size
+    # after the solve (the oracle reads only its inner ball's box)
+    n = 64
+    cfg = {
+        "grid": {"N": 3, "extent": 2.0, "cells_per_axis": n},
+        "p": p,
+        "field": {"kind": "ball_indicator", "radius": 1.0},
+        "domain": {"ball_radius": 1.0},
+        "tol": 1e-10,
+        "radial_oracle": {"R": 1.0},
+    }
+    (code, _), peak = traced_peak(lambda: run(tmp_path, "solve", cfg))
+    assert code == 0
+    assert peak <= 5.75 * 8 * n**3
+
+
+def test_failed_save_leaves_no_partial_artifact(tmp_path, monkeypatch):
+    def torn_save(field, path):
+        Path(path).write_bytes(b"PLAPFLD1 and then the disk filled up")
+        raise OSError(28, "No space left on device")
+
+    cfg = {"grid": {"N": 2, "extent": 2.0, "cells_per_axis": 16}, "p": 2.0,
+           "field": {"kind": "constant", "value": 1.0}}
+    code, out_dir = run(tmp_path, "solve", cfg, out="ok")
+    assert code == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json", "solution.fld", "solve_report.json"]
+    monkeypatch.setattr(cli, "save_field", torn_save)
+    code, out_dir = run(tmp_path, "solve", cfg, out="torn")
+    assert code == 2
+    assert list(out_dir.iterdir()) == []
 
 
 def test_solve_nonconvergence_exit_1(tmp_path):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from _peak import traced_peak
 from plapbench.field import (
     _HEADER,
     _MAGIC,
@@ -293,6 +294,17 @@ def test_load_field_rejects_bad_headers(tmp_path, header, payload, match):
     path.write_bytes(_HEADER.pack(_MAGIC, *header) + np.asarray(payload, dtype="<f8").tobytes())
     with pytest.raises(ValueError, match=match):
         load_field(path)
+
+
+def test_save_field_streams_the_payload(tmp_path):
+    # the file is the header, then the values' C-order little-endian bytes,
+    # written from the values' own buffer: no copy of the payload is made
+    g = Grid(3, 2.0, 48)
+    f = ScalarField(g, np.random.default_rng(5).standard_normal(g.shape))
+    _, peak = traced_peak(lambda: save_field(f, tmp_path / "f.fld"))
+    assert peak < 0.1 * f.values.nbytes
+    header = _HEADER.pack(_MAGIC, 3, 48, 2.0, 1)
+    assert (tmp_path / "f.fld").read_bytes() == header + f.values.astype("<f8").tobytes()
 
 
 def test_export_csv_roundtrips_values(tmp_path):

@@ -324,6 +324,23 @@ def test_weak_residual_small_when_converged():
     assert rep.weak_residual < 1e-10
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("N, n_c", [(2, 32), (3, 14)])
+def test_solve_weak_residual_is_the_public_one(N, n_c, p):
+    # solve pairs the residual of its last outer step with the test functions,
+    # weak_residual forms that residual afresh from u; the bits must agree, also
+    # where f is nonzero on constrained cells, which both must ignore
+    grid = Grid(N, 2.0, n_c)
+    ball = ball_mask(grid, (0.2,) + (-0.1,) * (N - 1), 1.1)
+    rng = np.random.default_rng(11)
+    f = ScalarField(grid, np.where(ball.mask, 1.0, 0.0) + rng.uniform(-1.0, 1.0, grid.shape))
+    prob = DirichletProblem(grid, p, f, tol=1e-10, domain=ball)
+    u, rep = solve(prob)
+    assert rep.converged
+    assert rep.weak_residual == weak_residual(u, prob)
+    assert 0.0 < rep.weak_residual < 1e-8
+
+
 def test_stationarity_driven_solve():
     prob, _ = radial_problem(3.0, 2, 32, tol=1e-9)
     u, rep = solve(prob)
