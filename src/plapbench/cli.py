@@ -240,10 +240,15 @@ def cmd_potential(cfg: dict, out: _OutputDir) -> int:
     R = cfg["R"]
     quad = PotentialQuadrature(cfg["num_nodes"], cfg["rho_min"])
     x = _point(cfg["x"], grid)
-    # every bound is formed before the profile, so a bad Hölder exponent writes nothing
-    bounds = {str(r): potential_holder_bound(f, r, grid.N) for r in cfg["holder_r"]}
-    value = potential_P(f, x, R, quad)
-    profile = potential_profile(f, R, quad)
+    # everything is computed before the first write, so a bad Hölder exponent (exit 2) and a
+    # field whose powers of |f| overflow float64 (exit 1) leave nothing behind
+    try:
+        with np.errstate(over="raise"):
+            bounds = {str(r): potential_holder_bound(f, r, grid.N) for r in cfg["holder_r"]}
+            value = potential_P(f, x, R, quad)
+            profile = potential_profile(f, R, quad)
+    except FloatingPointError as exc:
+        raise AnalyticFailure(f"the field's powers leave float64's range: {exc}") from exc
     out.write("potential_profile.csv", partial(export_csv, profile))
     report: dict[str, Any] = {
         "R": R,

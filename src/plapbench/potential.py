@@ -29,22 +29,24 @@ and radii on, so a sweep of fields on one grid pays for them about twice
 and a single call keeps nothing.
 
 The transforms run in place where their data already fills the lattice
-(numpy >= 2's FFT ``out=``), and each buffer of ``_ball_masses_fft`` is
-reused from one radius to the next.  A transform whose output holds at
-least ``_SPLIT_BYTES`` (256 KiB) has its lines cut in two halves along
-another axis when the process may run on two CPUs or more: one lazily
-started worker thread transforms the second half while the calling thread
-transforms the first, and the caller waits for the worker before it returns
-or raises.  The 1-D transforms of one array are independent, and each line
-is transformed from the same data whichever thread takes it, so the bits do
-not depend on the number of threads.  Smaller arrays (the 64^2 sweep
-lattice of 80 x 41 cells, every ``potential_sup`` of a region box) stay on
-one thread, where handing the interpreter lock back and forth costs more
-than the second CPU saves.
+(numpy >= 2's FFT ``out=``).  A slot is one set of buffers (the product, the
+irfft output and the kernel spectra) that ``_ball_masses_fft`` fills for a
+run of radii and reuses for the next run.  A radius whose lattice spectrum
+holds at least ``_SPLIT_BYTES`` (256 KiB: the 64^3 and 256^2 profiles) runs
+in a slot of its own, and when the process may run on two CPUs or more two
+slots run at once: one lazily started worker thread takes radius j + 1 while
+the calling thread takes radius j, and the caller waits for the worker before
+it yields or raises.  Smaller spectra (the 80 x 41 lattice of
+``potential_sup`` over B_1 on the 64^2 grid, 52 KiB a radius) share one slot
+on the calling thread, as many radii per transform call as fit in the same
+budget (4 there).  Every 1-D transform sees the same data in every schedule
+and the masses are summed in radius order, so the bits do not depend on the
+number of threads.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import threading
@@ -149,12 +151,15 @@ def _smooth_size(k: int) -> int:
 
 # Kernel spectra are kept for one key only, and only from the key's second
 # request on: a one-off call (a CLI run) holds none of them, a sweep over
-# fields on one grid reuses them.
+# fields on one grid reuses them.  They are kept as one array along a leading
+# radius axis, so a run of radii is a slice of it.
 _last_key: tuple | None = None
-_kept: tuple[tuple, list[np.ndarray]] | None = None
+_kept: tuple[tuple, np.ndarray] | None = None
 
 
-# An FFT whose output holds at least this many bytes is split over two threads.
+# A radius whose lattice spectrum holds at least this many bytes gets a slot of
+# its own (two slots at once on two CPUs or more); smaller spectra share one
+# slot, as many radii per transform call as fit in this many bytes.
 _SPLIT_BYTES = 256 * 1024
 _worker: tuple[int, ThreadPoolExecutor] | None = None  # (pid of the process that started it, the worker)
 _worker_lock = threading.Lock()
@@ -168,9 +173,9 @@ def _usable_cpus() -> int:
 
 
 def _fft_worker() -> ThreadPoolExecutor:
-    """The one worker thread of the split transforms, started on first use, and
+    """The one worker thread of the second slot, started on first use, and
     again in a forked child, which inherits the executor but not its thread."""
-    from concurrent.futures import ThreadPoolExecutor  # here, so a command that never splits does not import it
+    from concurrent.futures import ThreadPoolExecutor  # here, so a command that never uses it does not import it
 
     global _worker
     with _worker_lock:
@@ -179,76 +184,40 @@ def _fft_worker() -> ThreadPoolExecutor:
         return _worker[1]
 
 
-def _fft_lines(fft, a: np.ndarray, out: np.ndarray, axis: int, **kw) -> np.ndarray:
-    """``fft(a, axis=axis, out=out, **kw)`` (out may be a itself).  A large out on
-    two or more CPUs has its lines cut in two halves along another axis of
-    length > 1, the second half transformed on the worker thread; every line
-    sees the same data either way, so the bits do not depend on the split."""
-    k = None
-    if out.nbytes >= _SPLIT_BYTES and _usable_cpus() > 1:  # the size first: it is checked on every call
-        k = next((j for j in range(out.ndim) if j != axis and out.shape[j] > 1), None)
-    if k is None:
-        return fft(a, axis=axis, out=out, **kw)
-    lo, hi = (_axslice(out.ndim, k, s) for s in (slice(0, out.shape[k] // 2), slice(out.shape[k] // 2, None)))
-    job = _fft_worker().submit(fft, a[hi], axis=axis, out=out[hi], **kw)
-    try:
-        fft(a[lo], axis=axis, out=out[lo], **kw)
-    finally:
-        job.exception()  # waits for the worker, also when this thread raised
-    job.result()
-    return out
-
-
-def _lattice_rfftn(a: np.ndarray, L: int, slots: np.ndarray | None = None) -> np.ndarray:
-    """``np.fft.rfftn`` of a on the (L,)*N lattice, entry i of each axis in slot ``slots[i]`` (i if None),
-    one axis at a time in rfftn's order, placed (then transformed in place) or zero-padded just before its
-    transform."""
+def _lattice_rfftn(a: np.ndarray, L: int) -> np.ndarray:
+    """``np.fft.rfftn`` of a zero-padded to the (L,)*N lattice, one axis at a time in rfftn's order, each
+    axis padded by its own transform."""
     for axis in reversed(range(a.ndim)):
         last = axis == a.ndim - 1
-        if slots is not None:
-            placed = np.zeros(a.shape[:axis] + (L,) + a.shape[axis + 1:], dtype=a.dtype)
-            placed[_axslice(a.ndim, axis, slots)] = a
-            a = placed
-        if slots is not None and not last:
-            out = a
-        else:
-            out = np.empty(a.shape[:axis] + (L // 2 + 1 if last else L,) + a.shape[axis + 1:], dtype=np.complex128)
-        a = _fft_lines(np.fft.rfft if last else np.fft.fft, a, out, axis, n=L)
+        out = np.empty(a.shape[:axis] + (L // 2 + 1 if last else L,) + a.shape[axis + 1:], dtype=np.complex128)
+        a = (np.fft.rfft if last else np.fft.fft)(a, axis=axis, out=out, n=L)
     return a
 
 
-def _kernel_spectra(grid: Grid, L: int, m: int, radii: np.ndarray) -> Iterator[np.ndarray]:
-    """Real spectra of the ball indicator kernels on the (L,)*N lattice, one
-    per radius in turn; the offset o (|o| <= m per axis) sits in slot o mod L."""
-    global _last_key, _kept
-    key = (grid, L, radii.tobytes())
-    if _kept is not None and _kept[0] == key:
-        yield from _kept[1]
-        return
-    keep = key == _last_key
-    _last_key = key
-    if keep:
-        _kept = None  # hold one set at a time
-    off = np.arange(-m, m + 1)
-    # |o h|^2 on the (2m + 1)^N block of offsets, summed over the axes in order
-    sq = (off * grid.spacing) ** 2
-    dist2 = sum(sq.reshape([-1 if j == k else 1 for j in range(grid.N)]) for k in range(grid.N))
-    spectra = []
-    for rho in radii:
-        kernel = (dist2 < rho * rho).astype(np.float64)
-        # the kernel is even, so its spectrum is real up to rounding
-        spec = np.ascontiguousarray(_lattice_rfftn(kernel, L, off % L).real)
-        if keep:
-            spectra.append(spec)
-        yield spec
-    if keep:
-        _kept = (key, spectra)
+def _kernel_rfftn(kernel: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.fft.rfftn`` of a (2m + 1)^N kernel of offsets -m .. m per axis on the (L,)*N lattice of out,
+    offset o in slot o mod L, into out.
+
+    One axis at a time in rfftn's order, each line as the full lattice has it: the last axis on the
+    kernel placed into zeros, every later axis in place in out, first on just the axis-0 rows that
+    hold offsets (0 .. m and L - m .. L - 1), axis 0 last on all of out."""
+    L, m, nd = out.shape[0], kernel.shape[0] // 2, kernel.ndim
+    slots = np.arange(-m, m + 1) % L
+    placed = np.zeros(kernel.shape[:-1] + (L,))
+    placed[..., slots] = kernel
+    out.fill(0)
+    out[np.ix_(*[slots] * (nd - 1))] = np.fft.rfft(placed, axis=-1)
+    del placed  # freed before the next stage's buffer is made
+    for axis in reversed(range(1, nd - 1)):
+        for rows in (slice(0, m + 1), slice(L - m, L)):
+            np.fft.fft(out[rows], axis=axis, out=out[rows])
+    return np.fft.fft(out, axis=0, out=out)
 
 
-def _ball_masses_fft(f2: np.ndarray, grid: Grid, radii: np.ndarray, box: tuple[slice, ...]) -> Iterator[np.ndarray]:
-    """Mass arrays sum_{|c_j - c_i| < rho} f2(j) h^N for every center i of
-    ``box``, one array of the box's shape per radius in turn, via circular
-    convolution on a zero-padded lattice.
+def _ball_masses_fft(f: np.ndarray, grid: Grid, radii: np.ndarray, box: tuple[slice, ...]) -> Iterator[np.ndarray]:
+    """The quadrature terms mass_j^{1/2} rho_j^{-N/2} at every center i of ``box``, one array of the box's
+    shape per radius in turn, with mass_j(i) = sum_{|c_k - c_i| < rho_j} f(k)^2 h^N from a circular
+    convolution on a zero-padded lattice.  Each array lives in a buffer that a later radius reuses.
 
     The largest radius reaches m cells along an axis (the largest offset o
     with (o h)^2 < rho_max^2, the kernel's own test), so the sources are the
@@ -258,7 +227,12 @@ def _ball_masses_fft(f2: np.ndarray, grid: Grid, radii: np.ndarray, box: tuple[s
     gives each kernel offset a slot of its own; L is rounded up to 2^a 3^b 5^c.
     The transforms skip all-zero input lines and unread output rows; every
     other line sees full-lattice rfftn/irfftn's data, so the bits match theirs.
+
+    Each slot (see the module docstring) holds its run of radii along a
+    leading axis.  This thread waits for the worker's slot before it yields
+    or raises, and the terms come out in radius order.
     """
+    global _last_key, _kept
     n, nd = grid.cells_per_axis, grid.N
     rho_max = radii.max()
     m = int(np.flatnonzero((np.arange(n, dtype=np.float64) * grid.spacing) ** 2 < rho_max * rho_max)[-1])
@@ -266,30 +240,83 @@ def _ball_masses_fft(f2: np.ndarray, grid: Grid, radii: np.ndarray, box: tuple[s
     D = max(max(b.stop - 1 - s.start, s.stop - 1 - b.start) for b, s in zip(box, src))
     L = _smooth_size(max(D, m) + m + 1)
     rows = tuple(slice(b.start - s.start, b.stop - s.start) for b, s in zip(box, src))
-    F = _lattice_rfftn(f2[src], L)
+    F = _lattice_rfftn(np.square(f[src]), L)
+    key = (grid, L, radii.tobytes())
+    build = _kept is None or _kept[0] != key
+    if build:
+        keep = key == _last_key
+        _last_key = key
+        if keep:
+            _kept = None  # hold one set at a time
+        kept = np.empty(radii.shape + F.shape) if keep else None
+    else:
+        keep, kept = False, _kept[1]
+    off = np.arange(-m, m + 1)
+    # |o h|^2 on the (2m + 1)^N block of offsets, summed over the axes in order
+    sq = (off * grid.spacing) ** 2
+    dist2 = sum(sq.reshape([-1 if j == k else 1 for j in range(nd)]) for k in range(nd))
     hvol = grid.cell_volume
-    product = np.empty_like(F)
-    real = np.empty(tuple(b.stop - b.start for b in box[:-1]) + (L,))
-    for spec in _kernel_spectra(grid, L, m, radii):
+    scale = np.array([float(r) ** (-0.5 * nd) for r in radii]).reshape((-1,) + (1,) * nd)
+
+    def fill(slot: tuple[np.ndarray, ...], j: int) -> np.ndarray:
+        """The terms of radii j, j + 1, ..., as many as the slot holds, in the slot's irfft buffer."""
+        product, real, own = slot
+        b = min(len(product), len(radii) - j)
+        product, real = product[:b], real[:b]
+        spec = kept[j:j + b] if kept is not None else own[:b]
+        if build:
+            for i, rho in enumerate(radii[j:j + b]):
+                # the kernel is even, so its spectrum is real up to rounding
+                np.copyto(spec[i], _kernel_rfftn((dist2 < rho * rho).astype(np.float64), product[i]).real)
         # irfftn in its own order (axes 0 .. N-2 in place, then the last into ``real``),
         # dropping the unread rows after each axis
         G = np.multiply(F, spec, out=product)
-        for axis in range(nd - 1):
-            G = _fft_lines(np.fft.ifft, G, G, axis)[_axslice(nd, axis, rows[axis])]
-        _fft_lines(np.fft.irfft, G, real, nd - 1, n=L)
-        yield np.maximum(real[_axslice(nd, nd - 1, rows[-1])], 0.0) * hvol
+        for axis in range(1, nd):
+            G = np.fft.ifft(G, axis=axis, out=G)[_axslice(nd + 1, axis, rows[axis - 1])]
+        np.fft.irfft(G, axis=nd, n=L, out=real)
+        t = real[_axslice(nd + 1, nd, rows[-1])]
+        np.maximum(t, 0.0, out=t)
+        t *= hvol
+        np.sqrt(t, out=t)
+        t *= scale[j:j + b]
+        return t
+
+    two = F.nbytes >= _SPLIT_BYTES and _usable_cpus() > 1  # the size first: it is checked on every call
+    per_slot = 1 if two else max(1, min(len(radii), _SPLIT_BYTES // F.nbytes))
+    real_shape = tuple(b.stop - b.start for b in box[:-1]) + (L,)
+    slots = [(np.empty((per_slot,) + F.shape, dtype=np.complex128), np.empty((per_slot,) + real_shape),
+              None if kept is not None else np.empty((per_slot,) + F.shape)) for _ in range(1 + two)]
+    context = contextvars.copy_context()  # numpy's error state (np.errstate) holds on the worker too
+    for j in range(0, len(radii), per_slot * len(slots)):
+        job = _fft_worker().submit(context.run, fill, slots[1], j + 1) if two and j + 1 < len(radii) else None
+        try:
+            terms = [fill(slots[0], j)]
+        finally:
+            if job is not None:
+                job.exception()  # waits for the worker, also when this thread raised
+        if job is not None:
+            terms.append(job.result())
+        for t in terms:
+            yield from t
+    if keep:
+        _kept = (key, kept)
 
 
 def _profile_values(f: ScalarField, R: float, quad: PotentialQuadrature, box: tuple[slice, ...]) -> np.ndarray:
-    """P_f(x, R) at the cell centers of ``box`` (one bounded slice per axis), as an array of its shape."""
+    """P_f(x, R) at the cell centers of ``box`` (one bounded slice per axis), as an array of its shape.
+    Raises FloatingPointError when f^2 summed over a ball leaves float64's range."""
     grid, N = f.grid, f.grid.N
     rho0, rho, width = _quad_nodes(quad, grid, R)
-    vals = np.abs(f.values[box]) * (math.sqrt(unit_ball_volume(N)) * rho0)
-    if rho0 < R:
-        acc = np.zeros(vals.shape)
-        for j, mass in enumerate(_ball_masses_fft(f.values**2, grid, rho, box)):
-            acc += np.sqrt(mass) * float(rho[j]) ** (-0.5 * N)
-        vals = vals + acc * width
+    patch = math.sqrt(unit_ball_volume(N)) * rho0
+    if not rho0 < R:
+        return np.abs(f.values[box]) * patch
+    vals = np.zeros(tuple(b.stop - b.start for b in box))
+    for term in _ball_masses_fft(f.values, grid, rho, box):
+        vals += term
+    vals *= width
+    vals += np.abs(f.values[box]) * patch
+    if not np.isfinite(vals.max()):
+        raise FloatingPointError("f^2 summed over a ball overflows float64")
     return vals
 
 

@@ -243,6 +243,21 @@ def test_potential_report(tmp_path):
     assert header.startswith("#") or "," in header
 
 
+@pytest.mark.parametrize("value, holder_r", [(1e160, []), (1e154, []), (1e60, [6.0])])
+def test_potential_overflow_is_an_analytic_failure(tmp_path, value, holder_r):
+    # f^2 of 1e160, f^2 of 1e154 summed over a ball and |f|^6 of 1e60 leave
+    # float64's range: exit 1 before anything is written
+    cfg = {
+        "grid": {"N": 2, "extent": 2.0, "cells_per_axis": 16},
+        "field": {"kind": "constant", "value": value},
+        "R": 1.0,
+        "holder_r": holder_r,
+    }
+    code, out_dir = run(tmp_path, "potential", cfg)
+    assert code == 1
+    assert not out_dir.exists()
+
+
 def test_scheme_verify_and_determinism(tmp_path):
     code, scheme_out = run(tmp_path, "scheme", SCHEME_CFG, out="scheme1")
     assert code == 0

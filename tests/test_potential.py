@@ -4,12 +4,15 @@ homogeneity, and the constant-free Hölder bound."""
 import math
 import multiprocessing
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
+from _peak import traced_peak
 from plapbench import potential
 from plapbench.field import Grid, Region, ScalarField, ball_mask, full_region
 from plapbench.potential import (
@@ -109,30 +112,37 @@ def test_profile_matches_pointwise_potential():
 def test_profile_bit_identical_across_repeated_calls(monkeypatch):
     # the kernel spectra are rebuilt on the first call of a grid and radii,
     # kept on the second and reused after that; every path must give the
-    # same bytes, and kept spectra must never serve another grid or radii
-    # (the 3-D grid has the 2-D grid's radii and lattice size)
-    monkeypatch.setattr(potential, "_kept", None)
-    monkeypatch.setattr(potential, "_last_key", None)
+    # same bytes, under every schedule of the pass, and kept spectra must
+    # never serve another grid or radii (the 3-D grid has the 2-D grid's
+    # radii and lattice size)
     g, g3 = Grid(2, 1.0, 24), Grid(3, 1.0, 24)
     rng = np.random.default_rng(8)
     f = bump_field(g, draw_bump_params(rng, 2))
     f3 = bump_field(g3, draw_bump_params(rng, 3))
     q, q24 = PotentialQuadrature(num_nodes=20), PotentialQuadrature(num_nodes=24)
-    other_nodes = potential_profile(f, 0.9, q24).values.tobytes()
-    other_grid = potential_profile(f3, 0.9, q).values.tobytes()
 
     def kept_grid():
         return potential._kept[0][0] if potential._kept is not None else None
 
-    first = potential_profile(f, 0.9, q).values.tobytes()
-    assert kept_grid() != g  # a single call keeps nothing
-    assert potential_profile(f, 0.9, q).values.tobytes() == first
-    assert kept_grid() == g
-    assert potential_profile(f, 0.9, q).values.tobytes() == first
-    assert potential_profile(f3, 0.9, q).values.tobytes() == other_grid
-    assert potential_profile(f, 0.9, q).values.tobytes() == first
-    assert potential_profile(f, 0.9, q24).values.tobytes() == other_nodes
-    assert potential_profile(f, 0.9, q).values.tobytes() == first
+    results = []
+    for name in SCHEDULES:
+        with monkeypatch.context() as mp:
+            mp.setattr(potential, "_kept", None)
+            mp.setattr(potential, "_last_key", None)
+            _schedule(mp, name)
+            other_nodes = potential_profile(f, 0.9, q24).values.tobytes()
+            other_grid = potential_profile(f3, 0.9, q).values.tobytes()
+            first = potential_profile(f, 0.9, q).values.tobytes()
+            assert kept_grid() != g  # a single call keeps nothing
+            assert potential_profile(f, 0.9, q).values.tobytes() == first
+            assert kept_grid() == g
+            assert potential_profile(f, 0.9, q).values.tobytes() == first
+            assert potential_profile(f3, 0.9, q).values.tobytes() == other_grid
+            assert potential_profile(f, 0.9, q).values.tobytes() == first
+            assert potential_profile(f, 0.9, q24).values.tobytes() == other_nodes
+            assert potential_profile(f, 0.9, q).values.tobytes() == first
+        results.append((first, other_grid, other_nodes))
+    assert results[1:] == results[:-1], "the schedules disagree"
 
 
 def _full_lattice_profile(f, R, q):
@@ -167,30 +177,46 @@ def _full_lattice_profile(f, R, q):
     return np.abs(f.values) * (math.sqrt(unit_ball_volume(N)) * rho0) + acc * width, m
 
 
-def _split_every_transform(monkeypatch):
-    """Send every transform with a second axis of length > 1 down the
-    two-thread path, whatever the CPU count; returns the list that grows by
-    one per split transform."""
-    splits = []
-    worker = potential._fft_worker
-    monkeypatch.setattr(potential, "_SPLIT_BYTES", 0)
-    monkeypatch.setattr(potential, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(potential, "_fft_worker", lambda: splits.append(1) or worker())
-    return splits
+SCHEDULES = ("one", "several", "two")
+
+
+def _schedule(mp, name, spectrum_bytes=None):
+    """Put the ball-mass pass on one schedule, whatever the CPU count: "one"
+    radius per transform call, "several" radii per call (five when each
+    radius's lattice spectrum holds ``spectrum_bytes``, else all of them), both
+    on this thread, or "two" slots at once, one radius each, on this thread and
+    the worker.  Returns the list that grows by (made on the worker, radii in
+    the call) per irfft call of the pass."""
+    budget = 1 << 40 if spectrum_bytes is None else 5 * spectrum_bytes
+    mp.setattr(potential, "_SPLIT_BYTES", budget if name == "several" else 0)
+    mp.setattr(potential, "_usable_cpus", lambda: 2 if name == "two" else 1)
+    calls = []
+    irfft = np.fft.irfft
+
+    def spy(a, *args, **kw):
+        calls.append((threading.current_thread() is not threading.main_thread(), a.shape[0]))
+        return irfft(a, *args, **kw)
+
+    mp.setattr(np.fft, "irfft", spy)
+    return calls
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
-def test_split_transforms_run_in_a_forked_child(monkeypatch):
+def test_two_slots_run_in_a_forked_child(monkeypatch):
     # a child forked after the worker started inherits the executor but not
-    # its thread: its split transforms must still finish, with the same bits
-    _split_every_transform(monkeypatch)
-    a = np.random.default_rng(5).standard_normal((6, 40)) + 0j
-    ref = np.fft.fft(a, axis=1)
-    assert potential._fft_lines(np.fft.fft, a.copy(), np.empty_like(a), 1).tobytes() == ref.tobytes()
+    # its thread: its two-slot profiles must still finish, with the same bits
+    monkeypatch.setattr(potential, "_kept", None)
+    monkeypatch.setattr(potential, "_last_key", None)
+    calls = _schedule(monkeypatch, "two")
+    g = Grid(3, 1.0, 10)
+    f = bump_field(g, draw_bump_params(np.random.default_rng(5), 3))
+    q = PotentialQuadrature(num_nodes=9)
+    ref = potential_profile(f, 0.8, q).values.tobytes()
+    assert any(worker for worker, _ in calls), "the worker did not run"
 
     def child():
-        out = potential._fft_lines(np.fft.fft, a.copy(), np.empty_like(a), 1)
-        os._exit(0 if out.tobytes() == ref.tobytes() else 3)
+        out = potential_profile(f, 0.8, q).values.tobytes()
+        os._exit(0 if out == ref else 3)
 
     proc = multiprocessing.get_context("fork").Process(target=child)
     proc.start()
@@ -202,17 +228,69 @@ def test_split_transforms_run_in_a_forked_child(monkeypatch):
     assert not hung and proc.exitcode == 0, proc.exitcode
 
 
+def test_two_slots_wait_for_the_worker(monkeypatch):
+    # the worker's radius takes 0.2 s longer than the caller's.  An error on
+    # either thread reaches the caller only once the worker is done, and a
+    # generator closed after its first mass has waited for the worker too; the
+    # worker then still takes jobs, under the caller's numpy error state, and
+    # the pass still gives the same bytes
+    monkeypatch.setattr(potential, "_kept", None)
+    monkeypatch.setattr(potential, "_last_key", None)
+    _schedule(monkeypatch, "two")
+    g = Grid(2, 1.0, 16)
+    f = bump_field(g, draw_bump_params(np.random.default_rng(2), 2))
+    radii, box = np.linspace(0.2, 0.6, 6), (slice(0, 16),) * 2
+    ref = [m.copy() for m in potential._ball_masses_fft(f.values, g, radii, box)]
+    kernel_rfftn = potential._kernel_rfftn
+    done, fail, states = [], [], set()
+
+    def slow_kernel(kernel, out):
+        on_worker = threading.current_thread() is not threading.main_thread()
+        if on_worker:
+            states.add(np.geterr()["over"])
+        try:
+            if on_worker:
+                time.sleep(0.2)
+            if fail == ["worker" if on_worker else "caller"]:
+                raise RuntimeError("radius failed")
+            return kernel_rfftn(kernel, out)
+        finally:
+            done.append(on_worker)
+
+    monkeypatch.setattr(potential, "_kernel_rfftn", slow_kernel)
+    for side in ("worker", "caller"):
+        done.clear()
+        fail[:] = [side]
+        with pytest.raises(RuntimeError, match="radius failed"):
+            list(potential._ball_masses_fft(f.values, g, radii, box))
+        assert True in done, side  # the worker had finished its radius
+    done.clear()
+    fail.clear()
+    masses = potential._ball_masses_fft(f.values, g, radii, box)
+    assert next(masses).tobytes() == ref[0].tobytes()
+    assert done == [False, True] or done == [True, False]
+    masses.close()
+    assert potential._fft_worker().submit(int, "7").result(timeout=10) == 7
+    states.clear()
+    with np.errstate(over="raise"):
+        masses = [m.tobytes() for m in potential._ball_masses_fft(f.values, g, radii, box)]
+    assert masses == [m.tobytes() for m in ref]
+    assert states == {"raise"}
+
+
 def _region(g, mask):
     return Region(g, mask, int(mask.sum()) * g.cell_volume, int(mask.sum()))
 
 
 def test_pruned_transforms_equal_full_lattice(monkeypatch):
     # the pruned transforms give every 1-D transform the full lattice's data,
-    # so the profile equals the full-lattice one bit for bit; odd n (so the
-    # two-thread path cuts odd halves), the kernel reaching one cell (R < 2h)
-    # and reaching n - 1 cells (R beyond the box diagonal), in 2-D and 3-D.
-    # Both paths, one thread and two, give the same profile and sup bytes,
-    # also for a region one cell thick (an axis of length 1 that is not split)
+    # so the profile equals the full-lattice one bit for bit: odd n, the
+    # kernel reaching one cell (R < 2h) and reaching n - 1 cells (R beyond
+    # the box diagonal), in 2-D and 3-D.  Every schedule (one radius per
+    # call, five per call with a shorter last call, two slots at once) gives
+    # those bytes on a fresh call, the call that keeps the spectra and one
+    # served from them, and the same sup bytes, also for a region one cell
+    # thick
     cases = ((2, 33, 1.9 * 2.0 / 33, 1), (2, 33, 0.45, None), (2, 33, 3.0, 32),
              (3, 13, 1.9 * 2.0 / 13, 1), (3, 13, 0.7, None), (3, 13, 3.0, 12))
     for N, n, R, reach in cases:
@@ -221,40 +299,28 @@ def test_pruned_transforms_equal_full_lattice(monkeypatch):
         q = PotentialQuadrature(num_nodes=12)
         ref, m = _full_lattice_profile(f, R, q)
         assert reach is None or m == reach, (N, n, R, m)
+        L = potential._smooth_size(n + m)
         slab = np.zeros(g.shape, dtype=bool)
         slab[n // 3] = True
         regions = [ball_mask(g, (0.3,) * N, 0.5), _region(g, slab)]
         results = []
-        for split in (False, True):
+        for name in SCHEDULES:
             with monkeypatch.context() as mp:
                 mp.setattr(potential, "_kept", None)
-                splits = _split_every_transform(mp) if split else []
-                profile = potential_profile(f, R, q).values.tobytes()
+                mp.setattr(potential, "_last_key", None)
+                calls = _schedule(mp, name, spectrum_bytes=16 * L ** (N - 1) * (L // 2 + 1))
+                profiles = [potential_profile(f, R, q).values.tobytes() for _ in range(3)]
+                assert potential._kept is not None  # the third profile was served from kept spectra
                 sups = [potential_sup(f, region, R, q) for region in regions]
-            assert profile == ref.tobytes(), (N, n, R, split)
-            assert not split or splits, "the two-thread path did not run"
-            results.append((profile, np.array(sups).tobytes()))
-        assert results[0] == results[1], (N, n, R)
-
-
-def test_split_transform_keeps_axes_of_length_one_whole(monkeypatch):
-    # an array whose other axes all have length 1 has no lines to share out:
-    # it stays on one thread; one with a second long axis is split along it
-    splits = _split_every_transform(monkeypatch)
-    rng = np.random.default_rng(4)
-    for shape, axis, split in (((1, 45), 1, False), ((1, 1, 30), 2, False), ((30,), 0, False),
-                               ((7, 1, 9), 0, True), ((1, 9, 16), 2, True)):
-        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        ref = np.fft.ifft(a, axis=axis)
-        before = len(splits)
-        out = potential._fft_lines(np.fft.ifft, a, a, axis)
-        assert out is a and a.tobytes() == ref.tobytes(), shape
-        assert (len(splits) > before) == split, shape
-    monkeypatch.setattr(potential, "_usable_cpus", lambda: 1)  # a process held to one CPU splits nothing
-    a = rng.standard_normal((7, 9)) + 0j
-    ref = np.fft.ifft(a, axis=0)
-    assert potential._fft_lines(np.fft.ifft, a, a, 0).tobytes() == ref.tobytes()
-    assert len(splits) == 2
+            assert profiles == [ref.tobytes()] * 3, (N, n, R, name)
+            ran = {
+                "one": all(b == 1 and not worker for worker, b in calls),
+                "several": (False, 5) in calls and (False, 2) in calls,
+                "two": any(worker for worker, _ in calls) and all(b == 1 for _, b in calls),
+            }
+            assert ran[name], (name, calls)
+            results.append(np.array(sups).tobytes())
+        assert results[1:] == results[:-1], (N, n, R)
 
 
 @settings(max_examples=60, deadline=None)
@@ -318,6 +384,33 @@ def test_sup_and_profile_lattices_keep_apart(monkeypatch):
     assert kept_lattice() == 96
     assert potential_sup(f, region, 2.0, q) == first
     assert potential_profile(f, 2.0, q).values.tobytes() == fresh  # served from the kept 96^2 spectra
+
+
+def test_two_slot_profile_memory_stays_within_seven_spectra(monkeypatch):
+    # R = 1 on the 48^3 grid of half-width 2 needs a 60^3 lattice.  With two
+    # slots at once the pass holds the transform of f^2, two slots of
+    # buffers and the running sum: its traced peak stays within 7 lattice
+    # spectra (L * L * (L/2 + 1) complex each), so a slot that brings back a
+    # per-radius temporary fails
+    monkeypatch.setattr(potential, "_kept", None)
+    monkeypatch.setattr(potential, "_last_key", None)
+    _schedule(monkeypatch, "two")
+    q = PotentialQuadrature()
+    potential_profile(ScalarField(Grid(3, 2.0, 8), np.ones((8,) * 3)), 1.0, q)  # starts the worker untraced
+    g = Grid(3, 2.0, 48)
+    f = ScalarField(g, np.ones(g.shape))
+    _, peak = traced_peak(lambda: potential_profile(f, 1.0, q))
+    L = 60
+    assert peak <= 7 * L * L * (L // 2 + 1) * 16, peak / (L * L * (L // 2 + 1) * 16)
+
+
+def test_profile_overflow_raises():
+    # f^2 = 1e308 is finite, its sums over the balls are not: the profile
+    # raises rather than hand back a field it cannot hold
+    g = Grid(2, 1.0, 16)
+    f = ScalarField(g, np.full(g.shape, 1e154))
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+        potential_profile(f, 0.5, PotentialQuadrature(num_nodes=8))
 
 
 def test_potential_P_is_sum_of_ball_masses():
