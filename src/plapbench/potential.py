@@ -31,17 +31,22 @@ and a single call keeps nothing.
 The transforms run in place where their data already fills the lattice
 (numpy >= 2's FFT ``out=``).  A slot is one set of buffers (the product, the
 irfft output and the kernel spectra) that ``_ball_masses_fft`` fills for a
-run of radii and reuses for the next run.  A radius whose lattice spectrum
-holds at least ``_SPLIT_BYTES`` (256 KiB: the 64^3 and 256^2 profiles) runs
-in a slot of its own, and when the process may run on two CPUs or more two
-slots run at once: one lazily started worker thread takes radius j + 1 while
-the calling thread takes radius j, and the caller waits for the worker before
-it yields or raises.  Smaller spectra (the 80 x 41 lattice of
-``potential_sup`` over B_1 on the 64^2 grid, 52 KiB a radius) share one slot
-on the calling thread, as many radii per transform call as fit in the same
-budget (4 there).  Every 1-D transform sees the same data in every schedule
-and the masses are summed in radius order, so the bits do not depend on the
-number of threads.
+batch of radii, one transform call, and reuses for the next batch.  A batch
+holds as many radii as their lattice spectra fit in ``_SPLIT_BYTES`` (256 KiB:
+4 on the 80 x 41 lattice of ``potential_sup`` over B_1 on the 64^2 grid), and
+one radius where a single spectrum reaches it (the 64^3 and 256^2 profiles).
+When the process may run on two CPUs or more and the radii take two batches
+or more, two slots run two runs of radii at once, round by round: the calling
+thread takes radii j .. j + K - 1 and one lazily started worker thread takes
+j + K .. j + 2K - 1, a batch at a time.  K is one radius on the large
+lattices.  On the small ones it is as many batches as the worker's finished
+terms, kept in a store until the caller yields them, fit in the same budget,
+and at most half of the batches: 32 radii for that sup, so its 64 nodes take
+one round.  The caller yields its own terms as it makes them and waits for the
+worker before it yields the worker's terms or raises, also when the generator
+is closed early.  Every 1-D transform sees the same data in every schedule and
+the terms come out in radius order, so the bits do not depend on the number
+of threads.
 """
 
 from __future__ import annotations
@@ -123,7 +128,8 @@ def potential_P(f: ScalarField, x: Sequence[float], R: float, quad: PotentialQua
 
     The segment [0, rho0] (rho0 = min(rho_min, R)) contributes the analytic
     value |f(x)| sqrt(omega_N) rho0; the rest is a midpoint sum of
-    mass(rho)^{1/2} rho^{-N/2}.
+    mass(rho)^{1/2} rho^{-N/2}.  Raises FloatingPointError when f^2 summed
+    over a ball leaves float64's range.
     """
     grid, N = f.grid, f.grid.N
     rho0, rho, width = _quad_nodes(quad, grid, R)
@@ -134,6 +140,8 @@ def potential_P(f: ScalarField, x: Sequence[float], R: float, quad: PotentialQua
         dist2 = grid.squared_distance(x)
         g = np.array([math.sqrt(_ball_mass(f, idx, f2, dist2, float(r))) * float(r) ** (-0.5 * N) for r in rho])
         total += float(np.sum(g)) * width
+    if not math.isfinite(total):
+        raise FloatingPointError("f^2 summed over a ball overflows float64")
     return total
 
 
@@ -158,8 +166,9 @@ _kept: tuple[tuple, np.ndarray] | None = None
 
 
 # A radius whose lattice spectrum holds at least this many bytes gets a slot of
-# its own (two slots at once on two CPUs or more); smaller spectra share one
-# slot, as many radii per transform call as fit in this many bytes.
+# its own; smaller spectra share one slot, as many radii per transform call as
+# fit in this many bytes, and on two CPUs or more the worker's store of
+# finished terms holds at most this many bytes.
 _SPLIT_BYTES = 256 * 1024
 _worker: tuple[int, ThreadPoolExecutor] | None = None  # (pid of the process that started it, the worker)
 _worker_lock = threading.Lock()
@@ -228,9 +237,9 @@ def _ball_masses_fft(f: np.ndarray, grid: Grid, radii: np.ndarray, box: tuple[sl
     The transforms skip all-zero input lines and unread output rows; every
     other line sees full-lattice rfftn/irfftn's data, so the bits match theirs.
 
-    Each slot (see the module docstring) holds its run of radii along a
-    leading axis.  This thread waits for the worker's slot before it yields
-    or raises, and the terms come out in radius order.
+    Each slot (see the module docstring) holds its batch of radii along a
+    leading axis.  This thread waits for the worker before it yields the
+    worker's terms or raises, and the terms come out in radius order.
     """
     global _last_key, _kept
     n, nd = grid.cells_per_axis, grid.N
@@ -281,23 +290,41 @@ def _ball_masses_fft(f: np.ndarray, grid: Grid, radii: np.ndarray, box: tuple[sl
         t *= scale[j:j + b]
         return t
 
-    two = F.nbytes >= _SPLIT_BYTES and _usable_cpus() > 1  # the size first: it is checked on every call
-    per_slot = 1 if two else max(1, min(len(radii), _SPLIT_BYTES // F.nbytes))
-    real_shape = tuple(b.stop - b.start for b in box[:-1]) + (L,)
-    slots = [(np.empty((per_slot,) + F.shape, dtype=np.complex128), np.empty((per_slot,) + real_shape),
+    large = F.nbytes >= _SPLIT_BYTES
+    per_slot = 1 if large else min(len(radii), _SPLIT_BYTES // F.nbytes)
+    two = len(radii) > per_slot and _usable_cpus() > 1
+    box_shape = tuple(b.stop - b.start for b in box)
+    run = per_slot  # radii per thread per round
+    if two and not large:
+        # as many batches as the worker's finished terms fit in the budget, and at most half of them
+        batches = -(-len(radii) // per_slot)
+        run *= min(-(-batches // 2), _SPLIT_BYTES // (per_slot * 8 * math.prod(box_shape)))
+    slots = [(np.empty((per_slot,) + F.shape, dtype=np.complex128), np.empty((per_slot,) + box_shape[:-1] + (L,)),
               None if kept is not None else np.empty((per_slot,) + F.shape)) for _ in range(1 + two)]
+    store = np.empty((run,) + box_shape) if run > per_slot else None  # made here, not in the worker's arena
+
+    def worker_run(j: int) -> np.ndarray:
+        """The terms of radii j .. j + run - 1 (fewer at the end) in the second slot, or, when they take
+        more than one transform call, copied call by call into the store."""
+        if store is None:
+            return fill(slots[1], j)
+        stop = min(j + run, len(radii))
+        for i in range(j, stop, per_slot):
+            t = fill(slots[1], i)
+            store[i - j:i - j + len(t)] = t
+        return store[:stop - j]
+
     context = contextvars.copy_context()  # numpy's error state (np.errstate) holds on the worker too
-    for j in range(0, len(radii), per_slot * len(slots)):
-        job = _fft_worker().submit(context.run, fill, slots[1], j + 1) if two and j + 1 < len(radii) else None
+    for j in range(0, len(radii), run * len(slots)):
+        job = _fft_worker().submit(context.run, worker_run, j + run) if two and j + run < len(radii) else None
         try:
-            terms = [fill(slots[0], j)]
+            for i in range(j, min(j + run, len(radii)), per_slot):
+                yield from fill(slots[0], i)
         finally:
             if job is not None:
-                job.exception()  # waits for the worker, also when this thread raised
+                job.exception()  # waits for the worker, also when this thread raised or the generator is closed
         if job is not None:
-            terms.append(job.result())
-        for t in terms:
-            yield from t
+            yield from job.result()
     if keep:
         _kept = (key, kept)
 
@@ -355,10 +382,12 @@ def holder_rho_integral(N: int, r: float) -> float:
 
 def potential_holder_bound(f: ScalarField, r: float, N: int) -> float:
     """||f||_{L^r(box)} * int_0^2 rho^{-N/r} drho, the Hölder-step upper bound
-    for sup_x P_f(x, 2) (up to the absorbed Hölder constant)."""
+    for sup_x P_f(x, 2) (up to the absorbed Hölder constant).  Raises
+    FloatingPointError when the norm leaves float64's range."""
     if N != f.grid.N:
         raise ValueError("N does not match the field's grid dimension")
     coef = holder_rho_integral(N, r)
-    if math.isinf(r):
-        return linf_norm(f) * coef
-    return lp_norm(f, r) * coef
+    bound = (linf_norm(f) if math.isinf(r) else lp_norm(f, r)) * coef
+    if not math.isfinite(bound):
+        raise FloatingPointError("the L^r norm of f overflows float64")
+    return bound

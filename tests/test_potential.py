@@ -177,19 +177,24 @@ def _full_lattice_profile(f, R, q):
     return np.abs(f.values) * (math.sqrt(unit_ball_volume(N)) * rho0) + acc * width, m
 
 
-SCHEDULES = ("one", "several", "two")
+SCHEDULES = ("one", "several", "two", "runs")
 
 
 def _schedule(mp, name, spectrum_bytes=None):
     """Put the ball-mass pass on one schedule, whatever the CPU count: "one"
     radius per transform call, "several" radii per call (five when each
     radius's lattice spectrum holds ``spectrum_bytes``, else all of them), both
-    on this thread, or "two" slots at once, one radius each, on this thread and
-    the worker.  Returns the list that grows by (made on the worker, radii in
-    the call) per irfft call of the pass."""
-    budget = 1 << 40 if spectrum_bytes is None else 5 * spectrum_bytes
-    mp.setattr(potential, "_SPLIT_BYTES", budget if name == "several" else 0)
-    mp.setattr(potential, "_usable_cpus", lambda: 2 if name == "two" else 1)
+    on this thread, "two" slots at once, one radius each, on this thread and
+    the worker, or two "runs" of radii at once, two radii per call when each
+    spectrum holds ``spectrum_bytes`` (else as many as fit in 64 KiB), so each
+    thread takes one call or more a round.  Returns the list that grows by
+    (made on the worker, radii in the call) per irfft call of the pass."""
+    budget = {
+        "several": 1 << 40 if spectrum_bytes is None else 5 * spectrum_bytes,
+        "runs": 1 << 16 if spectrum_bytes is None else 2 * spectrum_bytes,
+    }.get(name, 0)
+    mp.setattr(potential, "_SPLIT_BYTES", budget)
+    mp.setattr(potential, "_usable_cpus", lambda: 2 if name in ("two", "runs") else 1)
     calls = []
     irfft = np.fft.irfft
 
@@ -204,43 +209,45 @@ def _schedule(mp, name, spectrum_bytes=None):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
 def test_two_slots_run_in_a_forked_child(monkeypatch):
     # a child forked after the worker started inherits the executor but not
-    # its thread: its two-slot profiles must still finish, with the same bits
-    monkeypatch.setattr(potential, "_kept", None)
-    monkeypatch.setattr(potential, "_last_key", None)
-    calls = _schedule(monkeypatch, "two")
+    # its thread: its two-slot profiles must still finish, with the same bits,
+    # with one radius a slot and in two runs (the worker takes 3 of the 9
+    # radii, 2 per call)
     g = Grid(3, 1.0, 10)
     f = bump_field(g, draw_bump_params(np.random.default_rng(5), 3))
     q = PotentialQuadrature(num_nodes=9)
-    ref = potential_profile(f, 0.8, q).values.tobytes()
-    assert any(worker for worker, _ in calls), "the worker did not run"
+    for name in ("two", "runs"):
+        with monkeypatch.context() as mp:
+            mp.setattr(potential, "_kept", None)
+            mp.setattr(potential, "_last_key", None)
+            calls = _schedule(mp, name)
+            ref = potential_profile(f, 0.8, q).values.tobytes()
+            assert any(worker and (b > 1) == (name == "runs") for worker, b in calls), (name, calls)
 
-    def child():
-        out = potential_profile(f, 0.8, q).values.tobytes()
-        os._exit(0 if out == ref else 3)
+            def child():
+                out = potential_profile(f, 0.8, q).values.tobytes()
+                os._exit(0 if out == ref else 3)
 
-    proc = multiprocessing.get_context("fork").Process(target=child)
-    proc.start()
-    proc.join(timeout=60)
-    hung = proc.is_alive()
-    if hung:
-        proc.kill()
-        proc.join()
-    assert not hung and proc.exitcode == 0, proc.exitcode
+            proc = multiprocessing.get_context("fork").Process(target=child)
+            proc.start()
+            proc.join(timeout=60)
+            hung = proc.is_alive()
+            if hung:
+                proc.kill()
+                proc.join()
+            assert not hung and proc.exitcode == 0, (name, proc.exitcode)
 
 
 def test_two_slots_wait_for_the_worker(monkeypatch):
-    # the worker's radius takes 0.2 s longer than the caller's.  An error on
-    # either thread reaches the caller only once the worker is done, and a
-    # generator closed after its first mass has waited for the worker too; the
-    # worker then still takes jobs, under the caller's numpy error state, and
-    # the pass still gives the same bytes
-    monkeypatch.setattr(potential, "_kept", None)
-    monkeypatch.setattr(potential, "_last_key", None)
-    _schedule(monkeypatch, "two")
+    # each of the worker's radii takes 0.2 s longer than the caller's: one
+    # radius of six in the "two" schedule, radii 4 and 5 in "runs" (the
+    # caller takes 0 .. 3, two per call).  An error on either thread reaches
+    # the caller only once the worker is done, and a generator closed after its
+    # first term has waited for the worker's whole run.  The worker then still
+    # takes jobs, under the caller's numpy error state, and the pass still
+    # gives the same bytes
     g = Grid(2, 1.0, 16)
     f = bump_field(g, draw_bump_params(np.random.default_rng(2), 2))
     radii, box = np.linspace(0.2, 0.6, 6), (slice(0, 16),) * 2
-    ref = [m.copy() for m in potential._ball_masses_fft(f.values, g, radii, box)]
     kernel_rfftn = potential._kernel_rfftn
     done, fail, states = [], [], set()
 
@@ -257,25 +264,31 @@ def test_two_slots_wait_for_the_worker(monkeypatch):
         finally:
             done.append(on_worker)
 
-    monkeypatch.setattr(potential, "_kernel_rfftn", slow_kernel)
-    for side in ("worker", "caller"):
-        done.clear()
-        fail[:] = [side]
-        with pytest.raises(RuntimeError, match="radius failed"):
-            list(potential._ball_masses_fft(f.values, g, radii, box))
-        assert True in done, side  # the worker had finished its radius
-    done.clear()
-    fail.clear()
-    masses = potential._ball_masses_fft(f.values, g, radii, box)
-    assert next(masses).tobytes() == ref[0].tobytes()
-    assert done == [False, True] or done == [True, False]
-    masses.close()
-    assert potential._fft_worker().submit(int, "7").result(timeout=10) == 7
-    states.clear()
-    with np.errstate(over="raise"):
-        masses = [m.tobytes() for m in potential._ball_masses_fft(f.values, g, radii, box)]
-    assert masses == [m.tobytes() for m in ref]
-    assert states == {"raise"}
+    for name, per_call, worker_radii in (("two", 1, 1), ("runs", 2, 2)):
+        with monkeypatch.context() as mp:
+            mp.setattr(potential, "_kept", None)
+            mp.setattr(potential, "_last_key", None)
+            _schedule(mp, name, spectrum_bytes=16 * 24 * 13)  # the 24 x 13 spectrum of the 24^2 lattice
+            ref = [m.copy() for m in potential._ball_masses_fft(f.values, g, radii, box)]
+            mp.setattr(potential, "_kernel_rfftn", slow_kernel)
+            for side in ("worker", "caller"):
+                done.clear()
+                fail[:] = [side]
+                with pytest.raises(RuntimeError, match="radius failed"):
+                    list(potential._ball_masses_fft(f.values, g, radii, box))
+                assert True in done, (name, side)  # the worker had finished its run
+            done.clear()
+            fail.clear()
+            masses = potential._ball_masses_fft(f.values, g, radii, box)
+            assert next(masses).tobytes() == ref[0].tobytes()
+            masses.close()
+            assert done.count(True) == worker_radii and done.count(False) == per_call, (name, done)
+            assert potential._fft_worker().submit(int, "7").result(timeout=10) == 7
+            states.clear()
+            with np.errstate(over="raise"):
+                masses = [m.tobytes() for m in potential._ball_masses_fft(f.values, g, radii, box)]
+            assert masses == [m.tobytes() for m in ref], name
+            assert states == {"raise"}, name
 
 
 def _region(g, mask):
@@ -317,6 +330,7 @@ def test_pruned_transforms_equal_full_lattice(monkeypatch):
                 "one": all(b == 1 and not worker for worker, b in calls),
                 "several": (False, 5) in calls and (False, 2) in calls,
                 "two": any(worker for worker, _ in calls) and all(b == 1 for _, b in calls),
+                "runs": {worker for worker, b in calls if b > 1} == {False, True},
             }
             assert ran[name], (name, calls)
             results.append(np.array(sups).tobytes())
@@ -404,13 +418,58 @@ def test_two_slot_profile_memory_stays_within_seven_spectra(monkeypatch):
     assert peak <= 7 * L * L * (L // 2 + 1) * 16, peak / (L * L * (L // 2 + 1) * 16)
 
 
+def test_phase_a_sup_rounds_and_memory(monkeypatch):
+    # the sup over B_1 with R = 2 on the 64^2 grid reads a 32^2 box through
+    # the 80 x 41 lattice spectrum, 4 radii per transform call.  On two CPUs
+    # the worker takes, each round, the 32 radii whose terms fill its 256 KiB
+    # store: one round for 64 nodes and 8 for 512, with the one-CPU value.  A
+    # served call's traced peak holds two slots (11.1 spectra), the store (5),
+    # the transform of f^2 and each thread's transient copies in its multiply
+    # and in-place ifft (4 each, overlapping or not): within 28 spectra at both
+    # node counts (the one-thread pass holds ~11.5), so a third slot or a store
+    # that grows with the node count fails
+    monkeypatch.setattr(potential, "_kept", None)
+    monkeypatch.setattr(potential, "_last_key", None)
+    submits = []
+    fft_worker = potential._fft_worker
+
+    def counted_worker():
+        submits.append(1)
+        return fft_worker()
+
+    monkeypatch.setattr(potential, "_fft_worker", counted_worker)
+    g = Grid(2, 2.0, 64)
+    f = bump_field(g, draw_bump_params(np.random.default_rng(3), 2))
+    region = ball_mask(g, (0.0, 0.0), 1.0)
+    spectrum = 80 * 41 * 16
+    for nodes, rounds in ((64, 1), (512, 8)):
+        q = PotentialQuadrature(num_nodes=nodes)
+        monkeypatch.setattr(potential, "_usable_cpus", lambda: 1)
+        one_cpu = potential_sup(f, region, 2.0, q)
+        monkeypatch.setattr(potential, "_usable_cpus", lambda: 2)
+        submits.clear()
+        assert potential_sup(f, region, 2.0, q) == one_cpu  # keeps the spectra, starts the worker untraced
+        assert len(submits) == rounds, (nodes, len(submits))
+        sup, peak = traced_peak(lambda: potential_sup(f, region, 2.0, q))
+        assert sup == one_cpu
+        assert peak <= 28 * spectrum, (nodes, peak / spectrum)
+
+
 def test_profile_overflow_raises():
     # f^2 = 1e308 is finite, its sums over the balls are not: the profile
-    # raises rather than hand back a field it cannot hold
+    # raises rather than hand back a field it cannot hold.  So do potential_P,
+    # whose f^2 overflows at 1e160, and the Hölder bound, whose |f|^6 does at
+    # 1e60 (its r = inf bound stays finite)
     g = Grid(2, 1.0, 16)
-    f = ScalarField(g, np.full(g.shape, 1e154))
-    with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
-        potential_profile(f, 0.5, PotentialQuadrature(num_nodes=8))
+    q = PotentialQuadrature(num_nodes=8)
+    with np.errstate(all="ignore"):
+        with pytest.raises(FloatingPointError):
+            potential_profile(ScalarField(g, np.full(g.shape, 1e154)), 0.5, q)
+        with pytest.raises(FloatingPointError):
+            potential_P(ScalarField(g, np.full(g.shape, 1e160)), (0.0, 0.0), 0.5, q)
+        with pytest.raises(FloatingPointError):
+            potential_holder_bound(ScalarField(g, np.full(g.shape, 1e60)), 6.0, 2)
+    assert potential_holder_bound(ScalarField(g, np.full(g.shape, 1e60)), math.inf, 2) == 2e60
 
 
 def test_potential_P_is_sum_of_ball_masses():
