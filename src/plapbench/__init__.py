@@ -7,158 +7,8 @@ configurations satisfy the structural hypotheses, solve regularized
 p-Laplacian problems on lattice boxes, evaluate the nonlinear potential
 that controls gradient sup bounds, run the shifted approximating scheme
 level by level, and test the compactness and monotonicity inequalities the
-theory rests on, with explicit constants and no fitted factors.
+theory rests on, with explicit constants and no fitted factors.  Names
+are imported from the modules; the package root holds only ``__version__``.
 """
-
-from .estimates import (
-    DecayRow,
-    DecayTable,
-    EstimateReport,
-    bm_convergence_check,
-    comptest_chain,
-    empirical_monotonicity_constant,
-    gradient_estimate_ratio,
-    monotonicity_gap,
-    rfk_decay,
-)
-from .field import (
-    Grid,
-    Region,
-    ScalarField,
-    VectorField,
-    ball_mask,
-    cutoff_eta,
-    delta_h,
-    export_csv,
-    full_region,
-    gradient,
-    lattice_vector,
-    linf_norm,
-    load_field,
-    lp_norm,
-    save_field,
-    shift,
-    stress_field,
-    w1p_norm,
-)
-from .hypotheses import (
-    INF,
-    AdmissibilityReport,
-    DerivedExponents,
-    ExponentConfig,
-    HypothesisCheck,
-    Interval,
-    admissibility_report,
-    check_H1a,
-    check_H2,
-    config_from_dict,
-    config_from_json,
-    derive,
-    sobolev_conjugate,
-)
-from .plap_solver import (
-    DirichletProblem,
-    SolveReport,
-    SolverDivergenceError,
-    default_test_family,
-    energy,
-    exact_radial,
-    solve,
-    weak_residual,
-)
-from .potential import (
-    PotentialQuadrature,
-    ball_l2_mass,
-    holder_rho_integral,
-    potential_P,
-    potential_holder_bound,
-    potential_profile,
-    potential_sup,
-    unit_ball_volume,
-)
-from .scheme import (
-    ReactionSpec,
-    SchemeReport,
-    SystemState,
-    eval_f,
-    eval_g,
-    frozen_reactions,
-    make_weight,
-    picard_solve_level,
-    run_scheme,
-)
-from .synth import BumpParams, bump_field, draw_bump_params
-
-__all__ = [
-    "INF",
-    "AdmissibilityReport",
-    "BumpParams",
-    "DecayRow",
-    "DecayTable",
-    "DerivedExponents",
-    "DirichletProblem",
-    "EstimateReport",
-    "ExponentConfig",
-    "Grid",
-    "HypothesisCheck",
-    "Interval",
-    "PotentialQuadrature",
-    "ReactionSpec",
-    "Region",
-    "ScalarField",
-    "SchemeReport",
-    "SolveReport",
-    "SolverDivergenceError",
-    "SystemState",
-    "VectorField",
-    "admissibility_report",
-    "ball_l2_mass",
-    "ball_mask",
-    "bm_convergence_check",
-    "bump_field",
-    "check_H1a",
-    "check_H2",
-    "comptest_chain",
-    "config_from_dict",
-    "config_from_json",
-    "cutoff_eta",
-    "default_test_family",
-    "delta_h",
-    "derive",
-    "draw_bump_params",
-    "empirical_monotonicity_constant",
-    "energy",
-    "eval_f",
-    "eval_g",
-    "exact_radial",
-    "export_csv",
-    "frozen_reactions",
-    "full_region",
-    "gradient",
-    "gradient_estimate_ratio",
-    "holder_rho_integral",
-    "lattice_vector",
-    "linf_norm",
-    "load_field",
-    "lp_norm",
-    "make_weight",
-    "monotonicity_gap",
-    "picard_solve_level",
-    "potential_P",
-    "potential_holder_bound",
-    "potential_profile",
-    "potential_sup",
-    "rfk_decay",
-    "run_scheme",
-    "save_field",
-    "shift",
-    "sobolev_conjugate",
-    "solve",
-    "stress_field",
-    "unit_ball_volume",
-    "w1p_norm",
-    "weak_residual",
-    "__version__",
-]
 
 __version__ = "0.1.0"

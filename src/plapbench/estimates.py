@@ -385,25 +385,3 @@ def rfk_decay(
     rows.sort(key=lambda row: -row.h_mag)
     return DecayTable(p=p, t=t, rows=tuple(rows))
 
-
-def bm_convergence_check(
-    sequence: Sequence[ScalarField],
-    limit: ScalarField,
-    q_exp: float,
-    p: float,
-    t: float,
-) -> list[float]:
-    """||grad u_n - grad u||_{L^{q_exp}(B_t)} per n, for q_exp in (1, p)."""
-    if not 1.0 < q_exp < p:
-        raise ValueError("q_exp must lie in (1, p)")
-    grid = limit.grid
-    bt = ball_mask(grid, (0.0,) * grid.N, t)
-    if bt.count == 0:
-        raise ValueError("B_t contains no cell centers")
-    g_lim = gradient(limit)
-    out = []
-    for u in sequence:
-        if u.grid != grid:
-            raise ValueError("sequence fields live on different grids")
-        out.append(lp_norm(gradient(u) - g_lim, q_exp, bt))
-    return out

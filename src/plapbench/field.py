@@ -184,11 +184,6 @@ def _bbox_slices(mask: np.ndarray) -> tuple[slice, ...]:
     return tuple(slice(int(i[0]), int(i[-1]) + 1) for i in idx)
 
 
-def full_region(grid: Grid) -> Region:
-    mask = np.ones(grid.shape, dtype=bool)
-    return Region(grid, mask, grid.cell_volume * mask.size, mask.size)
-
-
 def ball_mask(grid: Grid, center: Sequence[float], radius: float) -> Region:
     """Cells whose centers lie strictly inside the ball B_radius(center)."""
     if not radius > 0.0:
@@ -226,13 +221,6 @@ def _stress_values(a: np.ndarray, p: float) -> np.ndarray:
     nz = mag2 > 0.0
     factor[nz] = mag2[nz] ** (0.5 * (p - 2.0))
     return a * factor[..., None]
-
-
-def stress_field(u: ScalarField, p: float) -> VectorField:
-    """|grad u|^{p-2} grad u, with the value 0 wherever grad u = 0."""
-    if not p > 1.0:
-        raise ValueError("p must exceed 1")
-    return VectorField(u.grid, _stress_values(gradient(u).values, p))
 
 
 def _magnitude(field: Field, region: Region | None = None) -> np.ndarray:

@@ -25,10 +25,8 @@ through the window arithmetic without special cases.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
 from typing import Any
 
 from .jsonio import _check, _float_or_inf, _required
@@ -55,9 +53,6 @@ class Interval:
     @property
     def is_empty(self) -> bool:
         return not self.lo < self.hi
-
-    def contains(self, x: float) -> bool:
-        return self.lo < x < self.hi
 
     def midpoint(self) -> float:
         if self.is_empty:
@@ -145,10 +140,6 @@ _EXPONENTS = _required(
 def config_from_dict(d: Any) -> ExponentConfig:
     """Build a config from a JSON object whose keys exactly match the fields; a mismatch is a ConfigError."""
     return ExponentConfig(**_check(d, _EXPONENTS, "exponents"))
-
-
-def config_from_json(path: str | Path) -> ExponentConfig:
-    return config_from_dict(json.loads(Path(path).read_text()))
 
 
 @dataclass(frozen=True)

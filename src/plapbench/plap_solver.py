@@ -87,6 +87,8 @@ class DirichletProblem:
             raise ValueError("p must exceed 1")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
         _require_same_grid(self, self.f)
         if self.domain is not None:
             _require_same_grid(self, self.domain)
@@ -510,7 +512,12 @@ def solve(prob: DirichletProblem, initial: ScalarField | None = None) -> tuple[S
 
 
 def _test_functions(grid: Grid, free: np.ndarray, crop: tuple[slice, ...]) -> Iterator[np.ndarray]:
-    """The default test functions on the cells ``crop`` of the box, one at a time."""
+    """The test functions of ``weak_residual`` on the cells ``crop`` of the box, one at a time.
+
+    Tensor hat bumps plus radial cutoffs, zero off ``free``, with supports
+    scaled to the free region so the family is valid for ball domains as
+    well as for the whole box.
+    """
     centers = grid.open_centers()
     cnt = float(np.count_nonzero(free))
     centroid = [float(np.sum(np.broadcast_to(c, free.shape)[free])) / cnt for c in centers]
@@ -534,19 +541,8 @@ def _test_functions(grid: Grid, free: np.ndarray, crop: tuple[slice, ...]) -> It
         yield _cutoff_values(grid, coords, t_frac * half, s_frac * half, centroid) * inside
 
 
-def default_test_family(grid: Grid, domain: Region | None = None) -> list[ScalarField]:
-    """Interior-supported test functions: tensor hat bumps plus radial cutoffs.
-
-    Supports are scaled to the free region so the family is valid for ball
-    domains as well as for the whole box.
-    """
-    free = domain.mask if domain is not None else np.ones(grid.shape, dtype=bool)
-    whole = (slice(None),) * grid.N
-    return [ScalarField(grid, vals) for vals in _test_functions(grid, free, whole)]
-
-
 def weak_residual(u: ScalarField, prob: DirichletProblem) -> float:
-    """max over the default test functions (``default_test_family``) of
+    """max over the test functions (``_test_functions``) of
     |<stress(u), D phi> - <f, phi>| / (1 + ||D phi||_{p'}).
 
     The pairing <stress(u), D phi> is <A_{w(u)} u, phi> with the solver's own

@@ -91,23 +91,16 @@ def unit_ball_volume(N: int) -> float:
     return math.pi ** (N / 2.0) / math.gamma(N / 2.0 + 1.0)
 
 
-def ball_l2_mass(f: ScalarField, x: Sequence[float], rho: float) -> float:
+def _ball_mass(f: ScalarField, idx: tuple[int, ...], f2: np.ndarray, dist2: np.ndarray, rho: float) -> float:
     """Squared L^2 mass of f over B_rho(x), f extended by zero outside the box.
 
-    Below the quadrature patch scale callers use the analytic form; this
-    function applies it below one grid spacing: |f(x)|^2 omega_N rho^N with
-    the nearest-cell value, removing the stair-step of sub-cell balls.
+    f2 = f^2 and dist2 = |c - x|^2 are built by the caller, so a sweep over
+    radii builds them once; idx is the cell nearest to x.  Below one grid
+    spacing the analytic form |f(x)|^2 omega_N rho^N with the nearest-cell
+    value replaces the stair-step of sub-cell balls.  This direct sum gives
+    ``potential_P`` (the CLI's ``value_at_x``) its masses; ``potential_profile``
+    says how it compares with the FFT pass.
     """
-    if not rho > 0.0:
-        raise ValueError("rho must be positive")
-    grid = f.grid
-    idx = grid.nearest_index(x)  # also validates that x lies in the box
-    return _ball_mass(f, idx, f.values**2, grid.squared_distance(x), rho)
-
-
-def _ball_mass(f: ScalarField, idx: tuple[int, ...], f2: np.ndarray, dist2: np.ndarray, rho: float) -> float:
-    """``ball_l2_mass`` from f^2 and |c - x|^2 built by the caller, so a
-    sweep over radii builds them once; idx is the cell nearest to x."""
     grid = f.grid
     if rho < grid.spacing:
         return float(f.values[idx]) ** 2 * unit_ball_volume(grid.N) * rho**grid.N

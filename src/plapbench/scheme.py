@@ -263,6 +263,8 @@ def picard_solve_level(
         raise ValueError("level index n must be >= 1")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
+    if max_picard < 1:
+        raise ValueError("max_picard must be >= 1")
     grid = spec.grid
     c = spec.exponents
     eps = 1.0 / n

@@ -3,7 +3,7 @@
 Fields are described by plain bump parameters (center, width, amplitude)
 drawn once from a seeded generator and evaluated on any grid, so the same
 analytic field can be compared across resolutions.  Widths are kept at or
-below 0.3 by default: the closed-form Hölder bound for the potential drops
+below 0.3: the closed-form Hölder bound for the potential drops
 the unit-ball-volume factor (absorbed into the generic constant of the
 estimate), so wide fat bumps can genuinely exceed the constant-free bound
 while narrow ones cannot.
@@ -16,6 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import Grid, ScalarField
+
+_WIDTHS = (0.05, 0.3)
+_AMPLITUDES = (0.2, 3.0)
 
 
 @dataclass(frozen=True)
@@ -36,8 +39,6 @@ def draw_bump_params(
     N: int,
     max_bumps: int = 3,
     center_halfwidth: float = 0.5,
-    width_range: tuple[float, float] = (0.05, 0.3),
-    amp_range: tuple[float, float] = (0.2, 3.0),
 ) -> list[BumpParams]:
     """Draw 1..max_bumps bump descriptions inside [-center_halfwidth, +]^N."""
     if N < 1:
@@ -48,8 +49,8 @@ def draw_bump_params(
     out = []
     for _ in range(count):
         center = tuple(float(c) for c in rng.uniform(-center_halfwidth, center_halfwidth, N))
-        width = float(rng.uniform(*width_range))
-        amp = float(rng.uniform(*amp_range))
+        width = float(rng.uniform(*_WIDTHS))
+        amp = float(rng.uniform(*_AMPLITUDES))
         out.append(BumpParams(center, width, amp))
     return out
 

@@ -451,6 +451,10 @@ def test_verify_refuses_unconverged_levels(tmp_path):
         # an integer beyond the float range, and NaN
         ("check", {"exponents": {**GOOD_EXPONENTS, "m1": 10**400}}),
         ("check", {"exponents": {**GOOD_EXPONENTS, "p": math.nan}}),
+        # iteration caps below 1
+        ("solve", {"grid": GRID_16, "p": 2.0, "field": CONSTANT_FIELD, "max_iter": 0}),
+        ("scheme", {**TINY_SCHEME_CFG, "picard": {"max_picard": 0}}),
+        ("scheme", {**TINY_SCHEME_CFG, "picard": {"solver_max_iter": -1}}),
     ],
 )
 def test_nested_config_errors_exit_2(tmp_path, command, cfg):

@@ -12,7 +12,6 @@ from plapbench.estimates import (
     DecayRow,
     DecayTable,
     EstimateReport,
-    bm_convergence_check,
     comptest_chain,
     empirical_monotonicity_constant,
     gradient_estimate_ratio,
@@ -220,15 +219,3 @@ def test_decay_table_validation():
         DecayRow((1, 0), 0.1, (0.5, 0.7), 0.5)
         DecayTable(2.0, 0.4, (DecayRow((1, 0), 0.1, (0.5, 0.7), 0.5),))
 
-
-def test_bm_convergence_check():
-    grid = Grid(2, 2.0, 32)
-    limit, _ = radial_solution(2.0, 32, 1.0)
-    bump = ScalarField(grid, np.exp(-grid.squared_distance((0.0, 0.0)) / 0.1))
-    seq = [ScalarField(grid, limit.values + bump.values / n) for n in (1, 2, 4)]
-    norms = bm_convergence_check(seq, limit, 1.5, 2.0, 0.5)
-    assert len(norms) == 3
-    assert norms[0] > norms[1] > norms[2]
-    assert math.isclose(norms[0] / norms[1], 2.0, rel_tol=1e-10)
-    with pytest.raises(ValueError):
-        bm_convergence_check(seq, limit, 2.5, 2.0, 0.5)  # q_exp must sit in (1, p)

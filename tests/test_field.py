@@ -10,6 +10,7 @@ from _peak import traced_peak
 from plapbench.field import (
     _HEADER,
     _MAGIC,
+    _stress_values,
     Grid,
     Region,
     ScalarField,
@@ -18,7 +19,6 @@ from plapbench.field import (
     cutoff_eta,
     delta_h,
     export_csv,
-    full_region,
     gradient,
     lattice_vector,
     linf_norm,
@@ -26,7 +26,6 @@ from plapbench.field import (
     lp_norm,
     save_field,
     shift,
-    stress_field,
     w1p_norm,
 )
 
@@ -147,7 +146,8 @@ def test_lp_norm_region_restriction():
     vals[ball.mask] = 2.0
     f = ScalarField(g, vals)
     assert math.isclose(lp_norm(f, 2.0, ball), 2.0 * math.sqrt(ball.volume), rel_tol=1e-13)
-    assert lp_norm(f, 2.0) == lp_norm(f, 2.0, full_region(g))
+    whole = np.ones(g.shape, dtype=bool)
+    assert lp_norm(f, 2.0) == lp_norm(f, 2.0, Region(g, whole, whole.size * g.cell_volume, whole.size))
     empty = Region(g, np.zeros(g.shape, dtype=bool), 0.0, 0)
     with pytest.raises(ValueError):
         lp_norm(f, 2.0, empty)
@@ -213,21 +213,21 @@ def test_delta_h_adjoint_identity():
     assert math.isclose(lhs, rhs, rel_tol=1e-12)
 
 
-def test_stress_field_magnitude_power():
+def test_stress_values_magnitude_power():
     g = Grid(2, 1.0, 16)
     u = linear_field(g, (0.6, -0.8))  # |grad u| = 1 everywhere, handy
     for p in (1.5, 2.0, 3.0):
-        V = stress_field(u, p)
-        mag = np.sqrt(np.einsum("...k,...k->...", V.values, V.values))
+        V = _stress_values(gradient(u).values, p)
+        mag = np.sqrt(np.einsum("...k,...k->...", V, V))
         assert np.allclose(mag, 1.0, atol=1e-12)
     u2 = linear_field(g, (3.0, 4.0))  # |grad u| = 5
-    V = stress_field(u2, 3.0)
-    mag = np.sqrt(np.einsum("...k,...k->...", V.values, V.values))
+    V = _stress_values(gradient(u2).values, 3.0)
+    mag = np.sqrt(np.einsum("...k,...k->...", V, V))
     assert np.allclose(mag, 5.0**2, atol=1e-9)
     flat = ScalarField(g, np.ones(g.shape))
-    V = stress_field(flat, 1.5)  # p < 2 at zero gradient: no division blowup
-    assert np.all(np.isfinite(V.values))
-    assert np.all(V.values == 0.0)
+    V = _stress_values(gradient(flat).values, 1.5)  # p < 2 at zero gradient: no division blowup
+    assert np.all(np.isfinite(V))
+    assert np.all(V == 0.0)
 
 
 def test_cutoff_eta_profile_and_slope():

@@ -14,10 +14,9 @@ from scipy.integrate import quad
 
 from _peak import traced_peak
 from plapbench import potential
-from plapbench.field import Grid, Region, ScalarField, ball_mask, full_region
+from plapbench.field import Grid, Region, ScalarField, ball_mask
 from plapbench.potential import (
     PotentialQuadrature,
-    ball_l2_mass,
     holder_rho_integral,
     potential_P,
     potential_holder_bound,
@@ -41,20 +40,27 @@ def test_quadrature_validation():
     assert PotentialQuadrature(rho_min_policy=0.25).rho_min(g) == 0.25
 
 
-def test_ball_l2_mass_constant_field():
+def ball_mass(f, x, rho):
+    """Squared L^2 mass of f over B_rho(x), by ``potential_P``'s direct sum."""
+    g = f.grid
+    return potential._ball_mass(f, g.nearest_index(x), f.values**2, g.squared_distance(x), rho)
+
+
+def test_ball_mass_constant_field():
     g = Grid(2, 1.0, 64)
     f = ScalarField(g, np.full(g.shape, 3.0))
     # fully interior ball: mass = value^2 * measured cell volume of the mask
     rho = 0.5
     ball = ball_mask(g, (0.0, 0.0), rho)
-    assert math.isclose(ball_l2_mass(f, (0.0, 0.0), rho), 9.0 * ball.volume, rel_tol=1e-12)
+    assert math.isclose(ball_mass(f, (0.0, 0.0), rho), 9.0 * ball.volume, rel_tol=1e-12)
     # sub-grid radius switches to the analytic patch 9 * omega_N * rho^N
     tiny = 0.4 * g.spacing
-    assert math.isclose(ball_l2_mass(f, (0.0, 0.0), tiny), 9.0 * math.pi * tiny**2, rel_tol=1e-12)
+    assert math.isclose(ball_mass(f, (0.0, 0.0), tiny), 9.0 * math.pi * tiny**2, rel_tol=1e-12)
+    q = PotentialQuadrature()
     with pytest.raises(ValueError):
-        ball_l2_mass(f, (0.0, 0.0), -1.0)
+        potential_P(f, (0.0, 0.0), -1.0, q)
     with pytest.raises(ValueError):
-        ball_l2_mass(f, (5.0, 0.0), 0.5)
+        potential_P(f, (5.0, 0.0), 0.5, q)
 
 
 def test_potential_constant_field_closed_form():
@@ -473,7 +479,7 @@ def test_profile_overflow_raises():
 
 
 def test_potential_P_is_sum_of_ball_masses():
-    # potential_P must equal, bit for bit, the midpoint sum over ball_l2_mass
+    # potential_P must equal, bit for bit, the midpoint sum over the ball masses
     rng = np.random.default_rng(21)
     for N, n in ((2, 32), (3, 12)):
         g = Grid(N, 1.0, n)
@@ -484,7 +490,7 @@ def test_potential_P_is_sum_of_ball_masses():
             total = abs(float(f.values[g.nearest_index(x)])) * math.sqrt(unit_ball_volume(N)) * rho0
             width = (R - rho0) / q.num_nodes
             rho = rho0 + (np.arange(q.num_nodes) + 0.5) * width
-            terms = [math.sqrt(ball_l2_mass(f, x, float(r))) * float(r) ** (-0.5 * N) for r in rho]
+            terms = [math.sqrt(ball_mass(f, x, float(r))) * float(r) ** (-0.5 * N) for r in rho]
             total += float(np.sum(np.array(terms))) * width
             assert potential_P(f, x, R, q) == total, (N, x, R)
 
