@@ -23,11 +23,14 @@ two decoupled Dirichlet problems on the box (Jacobi-style: both use the
 same frozen state, so the step is order-independent), steps by tau
 (1 at the start: undamped), and truncates negative parts to zero.  tau is
 halved when a step inflates the Sobolev increment, down to 1/64, and doubled
-back towards 1 on the next step.  The solves of a level share one solver
-context and form no weak residual.  The per-level states are warm starts for
-the next level, and the report collects the discrete shadows of the uniform
-bounds: sup norms, interior infima on a ball, gradient norms, and Cauchy
-increments between consecutive levels.
+back towards 1 on the next step.  One tolerance policy ties the inner solves
+to the Picard state: a step solves only as tightly as its increment needs,
+1e-2 times the previous increment but no looser than 1e-4, and solver_tol
+is the floor; a level converges only on a step solved at that floor.  The
+solves of a level share one solver context and form no weak residual.  The
+per-level states are warm starts for the next level, and the report collects
+the discrete shadows of the uniform bounds: sup norms, interior infima on a
+ball, gradient norms, and Cauchy increments between consecutive levels.
 
 eps enters only the reaction; the solver's own gradient regularization is
 an independent knob (see plap_solver).
@@ -36,7 +39,7 @@ an independent knob (see plap_solver).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -52,9 +55,14 @@ from .field import (
     w1p_norm,
 )
 from .hypotheses import ExponentConfig, check_H1a, check_H2
-from .plap_solver import DirichletProblem, _SolveContext
+from .plap_solver import DirichletProblem, _Minimum, _SolveContext
 
 _TAU_MIN = 1.0 / 64.0
+# the Picard forcing: a step's inner solves run to _FORCING times the previous
+# step's combined increment, never looser than _LOOSE_TOL nor tighter than
+# solver_tol (cf. Eisenstat & Walker, SIAM J. Sci. Comput. 17 (1996))
+_FORCING = 1e-2
+_LOOSE_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -107,6 +115,10 @@ class SystemState:
     increment_q: float
     converged: bool
     hypotheses_ok: bool
+    # work of the level's inner solves, the positivity seed included
+    solves: int = 0
+    outer_steps: int = 0
+    cg_iterations: int = 0
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -125,6 +137,9 @@ class SystemState:
             "increment_q": self.increment_q,
             "converged": self.converged,
             "hypotheses_ok": self.hypotheses_ok,
+            "solves": self.solves,
+            "outer_steps": self.outer_steps,
+            "cg_iterations": self.cg_iterations,
             "sup_u": linf_norm(self.u),
             "sup_v": linf_norm(self.v),
         }
@@ -216,7 +231,7 @@ def _positivity_seed(
     eps: float,
     solver_tol: float,
     solver_max_iter: int,
-    ctx: _SolveContext,
+    minimize: Callable[[DirichletProblem], _Minimum],
 ) -> tuple[ScalarField, ScalarField]:
     """Strictly positive starting pair for a cold Picard start.
 
@@ -233,7 +248,7 @@ def _positivity_seed(
     rg = ScalarField(grid, c.mhat2 * spec.weight_a2.values * eps ** (c.alpha2 + c.beta2))
     out = []
     for pw, rhs in ((c.p, rf), (c.q, rg)):
-        w = ctx.minimize(DirichletProblem(grid, pw, rhs, tol=solver_tol, max_iter=solver_max_iter))
+        w = minimize(DirichletProblem(grid, pw, rhs, tol=solver_tol, max_iter=solver_max_iter))
         out.append(ScalarField(grid, np.maximum(w.values, 0.0)))
     return out[0], out[1]
 
@@ -251,13 +266,20 @@ def picard_solve_level(
 
     Each outer step freezes the reactions at the current pair, solves the two
     Dirichlet problems (warm-started, each until its residual certificate
-    ||A(w) w - f||_{L2} <= solver_tol (1 + ||f||_{L2}) holds), forms the
+    ||A(w) w - f||_{L2} <= step_tol (1 + ||f||_{L2}) holds), forms the
     update with step tau (1 to start with: undamped), truncates negatives, and
     measures the increments in W^{1,p} x W^{1,q}.  A step that inflates the
     combined increment beyond the previous one halves tau (reusing the solved
     pair) down to 1/64; the next step doubles it back towards 1.
-    Convergence requires both increments below tol with both inner solves
-    converged; otherwise the state is returned flagged.
+
+    step_tol is max(solver_tol, min(_LOOSE_TOL, _FORCING * previous combined
+    increment)), and the positivity seed solves at max(solver_tol, _LOOSE_TOL):
+    early steps, which the next step moves by far more than solver_tol, are
+    solved loose.  Convergence requires both increments below tol with both
+    inner solves converged on a step solved at solver_tol.  A looser step that
+    meets the test tightens the policy: every later step solves at solver_tol,
+    and the damping forgets the loose increment.  A level that never converges
+    is returned flagged.  The state carries the level's solver work counts.
     """
     if n < 1:
         raise ValueError("level index n must be >= 1")
@@ -270,27 +292,36 @@ def picard_solve_level(
     eps = 1.0 / n
     hyp_ok = _hypotheses_ok(c)
     ctx = _SolveContext(grid, np.ones(grid.shape, dtype=bool))
+    work = [0, 0, 0]  # solves, outer steps, CG iterations
+
+    def minimize(prob: DirichletProblem, initial: ScalarField | None = None) -> _Minimum:
+        res = ctx.minimize(prob, initial)
+        work[0] += 1
+        work[1] += res.iterations
+        work[2] += res.cg_iterations
+        return res
 
     if warm_start is not None:
         if warm_start.u.grid != grid:
             raise ValueError("warm start lives on a different grid")
         u, v = warm_start.u, warm_start.v
     else:
-        u, v = _positivity_seed(spec, eps, solver_tol, solver_max_iter, ctx)
+        u, v = _positivity_seed(spec, eps, max(solver_tol, _LOOSE_TOL), solver_max_iter, minimize)
 
     tau = 1.0
     prev_inc = np.inf
     inc_p = inc_q = np.inf
-    inner_ok = False
+    tight = False
     converged = False
     iters = 0
     for k in range(1, max_picard + 1):
         iters = k
+        step_tol = solver_tol if tight else max(solver_tol, min(_LOOSE_TOL, _FORCING * prev_inc))
         rhs_f, rhs_g = _reactions(spec, u, v, eps)
-        prob_u = DirichletProblem(grid, c.p, rhs_f, tol=solver_tol, max_iter=solver_max_iter)
-        prob_v = DirichletProblem(grid, c.q, rhs_g, tol=solver_tol, max_iter=solver_max_iter)
-        u_t = ctx.minimize(prob_u, initial=u)
-        v_t = ctx.minimize(prob_v, initial=v)
+        prob_u = DirichletProblem(grid, c.p, rhs_f, tol=step_tol, max_iter=solver_max_iter)
+        prob_v = DirichletProblem(grid, c.q, rhs_g, tol=step_tol, max_iter=solver_max_iter)
+        u_t = minimize(prob_u, initial=u)
+        v_t = minimize(prob_v, initial=v)
         inner_ok = u_t.converged and v_t.converged
 
         while True:
@@ -305,8 +336,11 @@ def picard_solve_level(
         prev_inc = max(inc_p + inc_q, 1e-300)
         tau = min(2.0 * tau, 1.0)
         if inc_p < tol and inc_q < tol and inner_ok:
-            converged = True
-            break
+            if step_tol <= solver_tol:
+                converged = True
+                break
+            # a loose increment is no yardstick for the first tight one
+            tight, prev_inc = True, np.inf
     return SystemState(
         n=n,
         eps=eps,
@@ -317,6 +351,9 @@ def picard_solve_level(
         increment_q=inc_q,
         converged=converged,
         hypotheses_ok=hyp_ok,
+        solves=work[0],
+        outer_steps=work[1],
+        cg_iterations=work[2],
     )
 
 

@@ -10,7 +10,7 @@ import pytest
 from plapbench.field import Grid, ScalarField, ball_mask, gradient, linf_norm, w1p_norm
 from plapbench.hypotheses import config_from_dict
 from plapbench.jsonio import canonical_json
-from plapbench.plap_solver import DirichletProblem, solve
+from plapbench.plap_solver import DirichletProblem, _SolveContext, solve
 from plapbench.scheme import (
     ReactionSpec,
     SystemState,
@@ -145,14 +145,18 @@ def test_system_state_validation():
 
 
 def test_picard_constant_reaction_single_productive_step():
-    # state-independent reactions: the first full step lands on the answer
-    # and the second confirms it with a zero increment
+    # state-independent reactions: the first step, solved loose, lands on the
+    # answer to within its tolerance; the second, as loose, has nothing left
+    # to do and so a zero increment, which tightens the policy; the third,
+    # at solver_tol, corrects the pair, and the fourth confirms it.  If the
+    # zero loose increment stayed the damping reference, the third step
+    # would halve tau and the level would crawl to max_picard unconverged
     g = Grid(2, 2.0, 32)
     spec = bench_spec(g, alpha1=0.0, beta1=0.0, gamma1=0.0, delta1=0.0,
                       alpha2=0.0, beta2=0.0, gamma2=0.0, delta2=0.0)
     state = picard_solve_level(spec, 1, tol=1e-8)
     assert state.converged
-    assert state.picard_iters == 2
+    assert state.picard_iters == 4
     # oracle: direct solve of the decoupled constant problem
     rhs = ScalarField(g, 3.0 * spec.weight_a1.values)
     prob = DirichletProblem(g, 2.5, rhs, tol=1e-9)
@@ -180,6 +184,44 @@ def test_run_scheme_default_picard_steps():
     states, report = run_scheme(bench_spec(g), [1, 2, 4, 8], rho=0.5)
     assert all(report.converged_n)
     assert sum(s.picard_iters for s in states) <= 40, [s.picard_iters for s in states]
+
+
+def test_scheme_report_converges_under_refinement():
+    # the report's gradient norms and Cauchy increments converge at second
+    # order in h: the gap between successive grids falls by a factor of
+    # about 4 (at least 3.8 measured) from 32^2-64^2 to 64^2-128^2.
+    # sigma_rho is left out: an infimum over the cell centres of a
+    # stair-stepped ball, its gaps (4.4e-3, then 5.0e-3) do not fall
+    reports = [run_scheme(bench_spec(Grid(2, 2.0, cells)), [1, 2, 4, 8], rho=0.5)[1]
+               for cells in (32, 64, 128)]
+    for name in ("gradient_p_norms", "gradient_q_norms", "cauchy_p", "cauchy_q"):
+        coarse, mid, fine = (np.array(getattr(r, name)) for r in reports)
+        ratios = np.abs(mid - coarse) / np.abs(fine - mid)
+        assert np.all(ratios >= 3.0), (name, ratios)
+
+
+def test_scheme_work_counts_match_the_solves(monkeypatch):
+    # each level's solves, outer steps and CG iterations are those of its
+    # solver calls, the positivity seed's included.  The bounds hold only
+    # while the early Picard steps solve loose: solving every step at
+    # solver_tol takes 686 CG iterations and 224 outer steps on this config
+    seen = []
+    minimize = _SolveContext.minimize
+
+    def counted(self, prob, initial=None):
+        res = minimize(self, prob, initial)
+        seen.append((res.iterations, res.cg_iterations))
+        return res
+
+    monkeypatch.setattr(_SolveContext, "minimize", counted)
+    states, report = run_scheme(bench_spec(Grid(2, 2.0, 64)), [1, 2, 4, 8], rho=0.5)
+    assert all(report.converged_n)
+    assert sum(s.solves for s in states) == len(seen)
+    assert sum(s.outer_steps for s in states) == sum(its for its, _ in seen) <= 150
+    assert sum(s.cg_iterations for s in states) == sum(cg for _, cg in seen) <= 450
+    summ = states[0].summary()
+    assert (summ["solves"], summ["outer_steps"], summ["cg_iterations"]) == (
+        states[0].solves, states[0].outer_steps, states[0].cg_iterations)
 
 
 def test_picard_flags_h2_violation():
