@@ -48,7 +48,7 @@ from .field import (
 )
 from .hypotheses import admissibility_report, config_from_dict, derive
 from .jsonio import _REQUIRED, ConfigError, _check, _float_or_inf, _Kinds, _required, canonical_json
-from .plap_solver import DirichletProblem, SolverDivergenceError, exact_radial, solve
+from .plap_solver import AnalyticFailure, DirichletProblem, SolverDivergenceError, exact_radial, solve
 from .potential import (
     PotentialQuadrature,
     potential_P,
@@ -109,10 +109,6 @@ class _OutputDir:
             "files": dict(sorted(self.files.items())),
         }
         (self.root / "manifest.json").write_text(canonical_json(manifest))
-
-
-class AnalyticFailure(RuntimeError):
-    """Raised when a command's inputs fail an analytic precondition (exit 1)."""
 
 
 _GRID = _required(N=int, extent=float, cells_per_axis=int)

@@ -26,16 +26,23 @@ mix, and phi_eps is nonlinear).  On radial problems the resulting axis-flip
 asymmetry of the minimizer is a discretization effect that shrinks under
 refinement and vanishes identically at p = 2.
 
-Outer iteration: lagged diffusivity (Kacanov).  Freeze the weights
-(|Du|^2+eps^2)^{(p-2)/2} into one weight T_k per face, solve the SPD
-flux-form system -sum_k diff(T_k G_k) = f by conjugate gradients from u until
-the CG residual falls by the forcing factor _ETA, and step along d = sol - u
-by the slopes <grad E(u + s d), d>, exact since grad E(v) = h^N (A(v) v - f).
-The one stopping rule is the residual certificate
-||A(u) u - f||_{L2} <= tol (1 + ||f||_{L2}).  At p = 2 the weights are 1 and
-the system is linear, so the CG runs once, to half the certificate.  The CG
-is preconditioned by a symmetric aggregation V-cycle built once per outer
-step from the face weights (at p = 2 once per solver context):
+Outer iteration: Newton steps on the lagged-diffusivity (Kacanov) V-cycle.
+Freeze the weights (|Du|^2+eps^2)^{(p-2)/2} at u into one weight T_k per face:
+the flux form A_T = -sum_k diff(T_k G_k) is the Kacanov operator.  For
+p != 2 each outer step solves H d = -r with the energy's exact Hessian at u,
+H = A_T plus a rank-one term per cell and side (``_Discretization.hessian``,
+matrix free), by conjugate gradients preconditioned by the V-cycle of A_T,
+which is spectrally equivalent to H within [min(1, p-1), max(1, p-1)]
+(Huang, Li & Liu, J. Sci. Comput. 32, 2007).  The CG stops once its
+residual falls by the forcing factor eta (Eisenstat-Walker, see _ETA).  A
+Newton CG that breaks down is replaced by the Kacanov step, A_T d = -r; from a
+zero start at p > 2 the first step is a Kacanov step on unit weights.  The
+iterate moves along d by the slopes <grad E(u + s d), d>, exact since
+grad E(v) = h^N (A(v) v - f).  The one stopping rule is the residual
+certificate ||A(u) u - f||_{L2} <= tol (1 + ||f||_{L2}).  At p = 2 the weights
+are 1, H = A_T and the system is linear, so the CG runs once, to half the
+certificate.  The V-cycle is a symmetric aggregation cycle built once per
+outer step from the face weights (at p = 2 once per solver context):
 2^N box aggregates, Galerkin coarse operators that are again flux forms (plus
 a sink per cell, no stored matrix), damped Jacobi smoothing and an
 over-corrected coarse step (Notay, ETNA 37, 2010; Braess, Computing 55,
@@ -70,6 +77,10 @@ from .field import (
 
 class SolverDivergenceError(RuntimeError):
     """Raised when the iteration produces non-finite values."""
+
+
+class AnalyticFailure(RuntimeError):
+    """Raised when inputs or iterates fail an analytic precondition or invariant (CLI exit 1)."""
 
 
 @dataclass(frozen=True)
@@ -144,10 +155,12 @@ class _FluxForm:
         self._before = [tuple(slice(None, -1) if i == k else slice(1, -1) for i in range(nd)) for k in range(nd)]
         self._after = [tuple(slice(1, None) if i == k else slice(1, -1) for i in range(nd)) for k in range(nd)]
 
-    def _face_diffs(self, u: np.ndarray) -> list[np.ndarray]:
+    def _face_diffs(self, u: np.ndarray) -> Iterator[np.ndarray]:
+        """G_k for k = 0, ..., N - 1, one at a time; a second call before the first is used up clobbers it."""
         padded = self._padded
         padded[self._interior] = u
-        return [padded[after] - padded[before] for before, after in zip(self._before, self._after)]
+        for before, after in zip(self._before, self._after):
+            yield padded[after] - padded[before]
 
     def apply(self, u: np.ndarray, T: list[np.ndarray], S: np.ndarray | None = None) -> np.ndarray:
         """Gradient of the frozen quadratic, -sum_k diff(T_k G_k) + S u (no h^N)."""
@@ -167,6 +180,14 @@ class _FluxForm:
         return np.maximum(diag, 1e-300)
 
 
+class _Curvature(NamedTuple):
+    """The rank-one part of the energy's Hessian: the sign of p - 2 and the vectors q of each side."""
+
+    sign: float
+    qf: list[np.ndarray]  # per axis, on the cells
+    qb: list[np.ndarray]
+
+
 class _Discretization(_FluxForm):
     """Face differences G_k = diff(u, axis=k, prepend=0, append=0), n + 1 per axis.
 
@@ -176,22 +197,28 @@ class _Discretization(_FluxForm):
     weights give one weight per face, T_k = w_f c_f^2/2 from the cell before it
     plus w_b c_b^2/2 from the cell after it; the frozen quadratic is
     (1/2) sum_k sum_faces T_k G_k^2 and its gradient -sum_k diff(T_k G_k).
+    Only the face-end booleans are kept; c_f and c_b are formed when read.
     """
 
     def __init__(self, free: np.ndarray, h: float):
         super().__init__(free)
+        self.h = h
         # boolean diff is xor: True on the faces where the free region ends
-        ends = [np.diff(free, axis=k, prepend=False, append=False) for k in range(self.ndim)]
-        self.cf = [free * (1.0 + e[hi]) / h for e, hi in zip(ends, self.hi)]
-        self.cb = [free * (1.0 + e[lo]) / h for e, lo in zip(ends, self.lo)]
+        self.ends = [np.diff(free, axis=k, prepend=False, append=False) for k in range(self.ndim)]
+
+    def cf(self, k: int) -> np.ndarray:
+        return self.free * (1.0 + self.ends[k][self.hi[k]]) / self.h
+
+    def cb(self, k: int) -> np.ndarray:
+        return self.free * (1.0 + self.ends[k][self.lo[k]]) / self.h
 
     def one_sided_sq(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Squared magnitudes of the forward and backward difference gradients."""
         m2f = np.zeros_like(u)
         m2b = np.zeros_like(u)
         for k, G in enumerate(self._face_diffs(u)):
-            df = self.cf[k] * G[self.hi[k]]
-            db = self.cb[k] * G[self.lo[k]]
+            df = self.cf(k) * G[self.hi[k]]
+            db = self.cb(k) * G[self.lo[k]]
             m2f += df * df
             m2b += db * db
         return m2f, m2b
@@ -207,25 +234,77 @@ class _Discretization(_FluxForm):
             raise SolverDivergenceError("non-finite energy")
         return val
 
-    def weights(self, u: np.ndarray, p: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
-        m2f, m2b = self.one_sided_sq(u)
+    def weights(self, u: np.ndarray, p: float, eps: float) -> tuple[np.ndarray, np.ndarray, _Curvature]:
+        """The lagged weights w = (|g|^2+eps^2)^{(p-2)/2} of each side's gradient g at u (0 off
+        the free cells) and the rank-one part of the energy's Hessian there.
+
+        Per side the density phi_eps(|g|^2)/2 has the Hessian (w/2) (I + (p-2) g g^T/(|g|^2+eps^2))
+        in g, so the energy's Hessian is A_T plus, per side, the form
+        sign (sum_k q_k G_k(v))^2 with q_k = sqrt(|p-2|/2) (|g|^2+eps^2)^{(p-4)/4} c_k g_k
+        (``hessian``).  The products c_k g_k are kept and scaled into q in place.
+        """
+        m2f = np.zeros_like(u)
+        m2b = np.zeros_like(u)
+        qf, qb = [], []
+        for k, G in enumerate(self._face_diffs(u)):
+            for m2, q, c, side in ((m2f, qf, self.cf(k), self.hi[k]), (m2b, qb, self.cb(k), self.lo[k])):
+                g = c * G[side]
+                m2 += g * g
+                g *= c
+                q.append(g)
         e2 = eps * eps
         ex = 0.5 * (p - 2.0)
         wf = (m2f + e2) ** ex
         wb = (m2b + e2) ** ex
         wf[~self.free] = 0.0
         wb[~self.free] = 0.0
-        return wf, wb
+        for scale, q in ((m2f, qf), (m2b, qb)):
+            scale += e2
+            # in place; at eps = 0 a cell without gradient keeps q = 0, not 0 * inf
+            np.power(scale, 0.25 * (p - 4.0), out=scale, where=scale > 0.0)
+            scale *= math.sqrt(0.5 * abs(p - 2.0))
+            for qk in q:
+                qk *= scale
+        return wf, wb, _Curvature(math.copysign(1.0, p - 2.0), qf, qb)
 
     def faces(self, wf: np.ndarray, wb: np.ndarray) -> list[np.ndarray]:
         """Per-face weights T_k of the frozen quadratic, one array of n + 1 faces per axis."""
         T = []
         for k in range(self.ndim):
             t = np.zeros(tuple(n + (i == k) for i, n in enumerate(wf.shape)))
-            t[self.hi[k]] += 0.5 * wf * self.cf[k] ** 2
-            t[self.lo[k]] += 0.5 * wb * self.cb[k] ** 2
+            t[self.hi[k]] += 0.5 * wf * self.cf(k) ** 2
+            t[self.lo[k]] += 0.5 * wb * self.cb(k) ** 2
             T.append(t)
         return T
+
+    def hessian(self, v: np.ndarray, T: list[np.ndarray], Q: _Curvature) -> np.ndarray:
+        """The energy's Hessian (no h^N) at the point of T and Q, applied to v.
+
+        ``apply(v, T)`` plus the face fluxes of the rank-one part: with
+        s = sign sum_k q_k G_k(v) per side, the forward side puts s q_k on a
+        cell's upper face and the backward side on its lower one.
+        """
+        out = np.zeros(v.shape)
+        sf = np.zeros(v.shape)
+        sb = np.zeros(v.shape)
+        for k, (t, TG) in enumerate(zip(T, self._face_diffs(v))):
+            hi, lo = self.hi[k], self.lo[k]
+            sf += Q.qf[k] * TG[hi]
+            sb += Q.qb[k] * TG[lo]
+            TG *= t
+            out -= TG[hi]
+            out += TG[lo]
+        sf *= Q.sign
+        sb *= Q.sign
+        for k, t in enumerate(T):
+            hi, lo = self.hi[k], self.lo[k]
+            flux = np.zeros(t.shape)
+            np.multiply(sf, Q.qf[k], out=flux[hi])
+            flux[lo] += sb * Q.qb[k]
+            out -= flux[hi]
+            out += flux[lo]
+        out[self.fixed] = 0.0
+        return out
 
 
 # V(2,2) cycle: damped Jacobi weight and sweeps per side; the coarse step is
@@ -237,11 +316,16 @@ _SWEEPS = 2
 _ALPHA = 1.8
 _COARSEST_CELLS = 16
 _COARSEST_SWEEPS = 8
-# forcing term: each outer step's CG solve stops once its residual is this
-# fraction of the nonlinear residual at u, so the linear solves are only as
-# tight as the outer residual needs (Eisenstat & Walker, SIAM J. Sci.
-# Comput. 17, 1996)
+# forcing term: each outer step's CG solve stops once its residual is a
+# fraction eta of the nonlinear residual at u, so the linear solves are only
+# as tight as the outer residual needs.  At p = 2 eta is _ETA, or what half the
+# certificate needs; for p != 2 it is Eisenstat and Walker's choice 2,
+# 0.9 (||r_k||/||r_{k-1}||)^2 capped at _ETA, no tighter than half the
+# certificate needs and no tighter than _ETA_MIN (SIAM J. Sci. Comput. 17,
+# 1996): loose while the Newton steps converge slowly, tight once they
+# converge quadratically
 _ETA = 0.1
+_ETA_MIN = 1e-3
 
 
 def _pair_sums(x: np.ndarray, axes: Iterable[int]) -> np.ndarray:
@@ -380,9 +464,9 @@ def _line_step(
     u: np.ndarray,
     sol: np.ndarray,
     r: np.ndarray,
-    lagged: Callable[[np.ndarray], tuple[list[np.ndarray], np.ndarray]],
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    """The next iterate along d = sol - u, with its face weights and residual from ``lagged``.
+    lagged: Callable[[np.ndarray], tuple[list[np.ndarray], _Curvature | None, np.ndarray]],
+) -> tuple[np.ndarray, list[np.ndarray], _Curvature | None, np.ndarray]:
+    """The next iterate along d = sol - u, with its face weights, curvature and residual from ``lagged``.
 
     The step s comes from the slopes <grad E(u + s d), d> = h^N <r(u + s d), d>,
     negative at s = 0 (r is the residual at u and d a CG iterate from u).
@@ -394,17 +478,18 @@ def _line_step(
     d = sol - u
     slope0 = _dot(r, d)
     s, v = 1.0, sol
-    T, r = lagged(v)
+    T, Q, r = lagged(v)
     slope = _dot(r, d)
     while slope > 0.0:
         zero = s * slope0 / (slope0 - slope)
         s = max(zero, s / 8.0)
         v = u + s * d
-        T, r = lagged(v)
+        T = Q = r = None  # free the rejected point's operators before the next are formed (peak memory)
+        T, Q, r = lagged(v)
         if s == zero:
             break
         slope = _dot(r, d)
-    return v, T, r
+    return v, T, Q, r
 
 
 class _Minimum(NamedTuple):
@@ -441,10 +526,17 @@ class _SolveContext:
         """The V-cycle of the unit-weight operator."""
         return _VCycle(self.disc, self.unit_faces)
 
-    def lagged(self, vals: np.ndarray, fv: np.ndarray, p: float, eps: float) -> tuple[list[np.ndarray], np.ndarray]:
-        """Face weights frozen at vals and the residual A(vals) vals - f = grad E / h^N, all on the crop."""
-        T = self.unit_faces if p == 2.0 else self.disc.faces(*self.disc.weights(vals, p, eps))
-        return T, self.disc.apply(vals, T) - fv
+    def lagged(
+        self, vals: np.ndarray, fv: np.ndarray, p: float, eps: float
+    ) -> tuple[list[np.ndarray], _Curvature | None, np.ndarray]:
+        """Face weights frozen at vals, the Hessian's curvature there (None at p = 2) and the
+        residual A(vals) vals - f = grad E / h^N, all on the crop."""
+        if p == 2.0:
+            T, Q = self.unit_faces, None
+        else:
+            wf, wb, Q = self.disc.weights(vals, p, eps)
+            T = self.disc.faces(wf, wb)
+        return T, Q, self.disc.apply(vals, T) - fv
 
     def minimize(self, prob: DirichletProblem, initial: ScalarField | None = None) -> _Minimum:
         """The outer iteration of ``solve`` for a problem on this grid and mask."""
@@ -466,24 +558,38 @@ class _SolveContext:
         target = prob.tol * (1.0 + math.sqrt(_dot(fv, fv) * hvol)) / math.sqrt(hvol)
 
         lagged = partial(self.lagged, fv=fv, p=p, eps=eps)
-        T, r = lagged(u)
+        T, Q, r = lagged(u)
         # from a zero start at p > 2 the degenerate weights eps^{p-2} blow up
         # the first linear solution; seed with the unit-weight operator (the
         # residual at u = 0 is -f whatever the weights)
         unit = p == 2.0 or (p > 2.0 and not u.any())
         history = [disc.energy(u, fv, p, eps, hvol)]
         iterations = cg_total = 0
-        rnorm = math.sqrt(_dot(r, r))
+        rnorm = prev_rnorm = math.sqrt(_dot(r, r))
         while rnorm > target and iterations < prob.max_iter:
             iterations += 1
-            T, precond = (self.unit_faces, self.unit_cycle) if unit else (T, _VCycle(disc, T))
-            # at p = 2 the system is linear, so one CG run to half the target
-            # meets the certificate; otherwise the forcing factor
-            reduction = min(_ETA, 0.5 * target / rnorm) if p == 2.0 else _ETA
-            sol, cg_its = _pcg(lambda x: disc.apply(x, T), -r, u, precond, reduction, cg_cap)
-            del precond  # a V-cycle built for this step is not needed past its CG run
+            if unit:
+                T, Q, precond = self.unit_faces, None, self.unit_cycle
+            else:
+                precond = _VCycle(disc, T)
+            if p == 2.0:
+                # the system is linear, so one CG run to half the target meets the certificate
+                reduction = min(_ETA, 0.5 * target / rnorm)
+            else:
+                reduction = max(min(_ETA, 0.9 * (rnorm / prev_rnorm) ** 2), 0.5 * target / rnorm, _ETA_MIN)
+            sol = None
+            if Q is not None:
+                try:
+                    sol, cg_its = _pcg(partial(disc.hessian, T=T, Q=Q), -r, u, precond, reduction, cg_cap)
+                except SolverDivergenceError:
+                    pass  # the Kacanov step below
+            if sol is None:
+                sol, cg_its = _pcg(lambda x: disc.apply(x, T), -r, u, precond, reduction, cg_cap)
+            # this step's operators are not needed past its CG run
+            del precond, T, Q
             cg_total += cg_its
-            u, T, r = _line_step(u, sol, r, lagged)
+            prev_rnorm = rnorm
+            u, T, Q, r = _line_step(u, sol, r, lagged)
             unit = p == 2.0
             history.append(disc.energy(u, fv, p, eps, hvol))
             rnorm = math.sqrt(_dot(r, r))
@@ -552,7 +658,7 @@ def weak_residual(u: ScalarField, prob: DirichletProblem) -> float:
     _require_same_grid(u, prob)
     ctx = _SolveContext(prob.grid, _free_mask(prob))
     fv = np.where(ctx.free, prob.f.values[ctx.crop], 0.0)
-    _, r = ctx.lagged(u.values[ctx.crop] * ctx.free, fv, prob.p, prob.resolved_eps)
+    r = ctx.lagged(u.values[ctx.crop] * ctx.free, fv, prob.p, prob.resolved_eps)[-1]
     return _weak_residual(prob.grid, ctx.mask, r, prob.p)
 
 

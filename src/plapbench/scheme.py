@@ -55,7 +55,7 @@ from .field import (
     w1p_norm,
 )
 from .hypotheses import ExponentConfig, check_H1a, check_H2
-from .plap_solver import DirichletProblem, _Minimum, _SolveContext
+from .plap_solver import AnalyticFailure, DirichletProblem, _Minimum, _SolveContext
 
 _TAU_MIN = 1.0 / 64.0
 # the Picard forcing: a step's inner solves run to _FORCING times the previous
@@ -178,7 +178,7 @@ def eval_f(
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     if float(np.min(u_shifted.values)) < 0.5 * eps:
-        raise ValueError("shifted iterate fell below eps/2: positivity invariant broken upstream")
+        raise AnalyticFailure("shifted iterate fell below eps/2: positivity invariant broken upstream")
     c = spec.exponents
     sing = np.power(u_shifted.values, c.alpha1) * np.power(np.maximum(v.values, 0.0), c.beta1)
     conv = spec.coeff_grad1_own * np.power(_magnitude(grad_u), c.gamma1)
@@ -198,7 +198,7 @@ def eval_g(
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     if float(np.min(v_shifted.values)) < 0.5 * eps:
-        raise ValueError("shifted iterate fell below eps/2: positivity invariant broken upstream")
+        raise AnalyticFailure("shifted iterate fell below eps/2: positivity invariant broken upstream")
     c = spec.exponents
     sing = np.power(np.maximum(u.values, 0.0), c.alpha2) * np.power(v_shifted.values, c.beta2)
     conv = spec.coeff_grad2_other * np.power(_magnitude(grad_u), c.gamma2)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _peak import traced_peak
-from plapbench import cli
+from plapbench import cli, scheme
 from plapbench.cli import _SCHEMAS, _OutputDir, _check, canonical_json, main
 from plapbench.field import Grid, ScalarField, ball_mask, load_field
 from plapbench.plap_solver import exact_radial
@@ -309,6 +309,20 @@ def test_scheme_rejects_bad_picard_config(tmp_path):
         code, out_dir = run(tmp_path, "scheme", {**SCHEME_CFG, "picard": picard}, name=f"p{k}.json", out=f"p{k}")
         assert code == 2, picard
         assert not (out_dir / "manifest.json").exists()
+
+
+def test_scheme_positivity_breach_exits_1(tmp_path, monkeypatch):
+    # a seed that breaks the positivity invariant makes the first reaction
+    # evaluation fail: an analytic failure (exit 1), not a usage error, and
+    # no manifest
+    def negative_seed(spec, eps, *args):
+        below = ScalarField(spec.grid, np.full(spec.grid.shape, -eps))
+        return below, below
+
+    monkeypatch.setattr(scheme, "_positivity_seed", negative_seed)
+    code, out_dir = run(tmp_path, "scheme", SCHEME_CFG)
+    assert code == 1
+    assert not (out_dir / "manifest.json").exists()
 
 
 GRID_16 = {"N": 2, "extent": 2.0, "cells_per_axis": 16}

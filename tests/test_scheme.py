@@ -10,7 +10,7 @@ import pytest
 from plapbench.field import Grid, ScalarField, ball_mask, gradient, linf_norm, w1p_norm
 from plapbench.hypotheses import config_from_dict
 from plapbench.jsonio import canonical_json
-from plapbench.plap_solver import DirichletProblem, _SolveContext, solve
+from plapbench.plap_solver import AnalyticFailure, DirichletProblem, _SolveContext, solve
 from plapbench.scheme import (
     ReactionSpec,
     SystemState,
@@ -108,8 +108,11 @@ def test_eval_f_guards_positivity():
     spec = bench_spec(g)
     zero = ScalarField(g, np.zeros(g.shape))
     gz = gradient(zero)
-    with pytest.raises(ValueError):
+    # a broken invariant is an analytic failure, a nonpositive eps a usage error
+    with pytest.raises(AnalyticFailure):
         eval_f(spec, zero, zero, gz, gz, 0.5)  # unshifted iterate rejected
+    with pytest.raises(AnalyticFailure):
+        eval_g(spec, zero, zero, gz, gz, 0.5)
     with pytest.raises(ValueError):
         eval_f(spec, ScalarField(g, np.ones(g.shape)), zero, gz, gz, 0.0)
 

@@ -1,9 +1,10 @@
 """Dirichlet p-Laplacian solver: radial oracle, direct linear-algebra
 cross-check at p = 2, the frozen operator's symmetry and its tie to the
-energy's differences, the multigrid preconditioner's symmetry, definiteness,
-Galerkin coarse operator and size-independent work, the single CG run of a
-p = 2 solve and the solver context it keeps, energy descent, and local
-minimality for p != 2."""
+energy's differences, the Hessian's tie to the residual and its symmetry,
+the multigrid preconditioner's symmetry, definiteness, Galerkin coarse
+operator and size-independent work, the Newton steps' outer-step counts and
+their fallback, the single CG run of a p = 2 solve and the solver context
+it keeps, energy descent, and local minimality for p != 2."""
 
 import json
 import math
@@ -14,10 +15,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings, strategies as st
 
+from plapbench import plap_solver
 from plapbench.field import Grid, ScalarField, ball_mask
 from plapbench.jsonio import canonical_json
 from plapbench.plap_solver import (
     DirichletProblem,
+    SolverDivergenceError,
     _Discretization,
     _SolveContext,
     _test_functions,
@@ -112,7 +115,7 @@ def test_sparse_direct_crosscheck_p2():
     from plapbench.plap_solver import _free_mask
 
     disc = _Discretization(_free_mask(prob), prob.grid.spacing)
-    wf, wb = disc.weights(np.zeros(prob.grid.shape), prob.p, prob.resolved_eps)
+    wf, wb, _ = disc.weights(np.zeros(prob.grid.shape), prob.p, prob.resolved_eps)
     cols = []
     for j in range(n_free):
         e = np.zeros(prob.grid.shape)
@@ -158,6 +161,38 @@ def test_flux_operator_symmetric_and_tied_to_energy(N, n, center, radius, seed):
     assert float(np.sum(u * disc.apply(u, T))) == pytest.approx(frozen, rel=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    N=st.sampled_from((2, 3)),
+    n=st.integers(6, 12),
+    center=st.tuples(*[st.floats(-0.3, 0.3)] * 3),
+    p=st.floats(1.2, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hessian_is_the_residuals_derivative_and_symmetric(N, n, center, p, seed):
+    # on an off-centre ball, H v at u is the derivative of lagged's residual
+    # A(u) u - f = grad E / h^N along v (a central difference), and
+    # <H v, w> = <v, H w>; away from p = 2 the Kacanov operator is not it
+    grid = Grid(N, 1.0, n)
+    free = ball_mask(grid, center[:N], 0.8).mask
+    assume(free.any() and p != 2.0)  # at p = 2 lagged forms no curvature: H is the linear operator
+    ctx = _SolveContext(grid, free)
+    eps = 1e-3 if p < 2.0 else 1e-6
+    rng = np.random.default_rng(seed)
+    u, v, w = (rng.standard_normal(ctx.free.shape) * ctx.free for _ in range(3))
+    fv = np.zeros(ctx.free.shape)
+    T, Q, _ = ctx.lagged(u, fv, p, eps)
+    Hv = ctx.disc.hessian(v, T, Q)
+    delta = 1e-6
+    fd = (ctx.lagged(u + delta * v, fv, p, eps)[-1] - ctx.lagged(u - delta * v, fv, p, eps)[-1]) / (2.0 * delta)
+    gap = np.linalg.norm(fd - Hv)
+    assert gap <= 1e-6 * np.linalg.norm(Hv)
+    if abs(p - 2.0) > 0.1:
+        assert np.linalg.norm(fd - ctx.disc.apply(v, T)) > 1e3 * gap
+    Hw = ctx.disc.hessian(w, T, Q)
+    assert abs(float(np.sum(Hv * w)) - float(np.sum(v * Hw))) <= 1e-12 * np.linalg.norm(Hv) * np.linalg.norm(w)
+
+
 def _probe(op, free):
     """Matrix of a linear map on fields, restricted to the free cells."""
     cells = np.argwhere(free)
@@ -187,7 +222,7 @@ def test_vcycle_symmetric_positive_and_galerkin(shape, density, p, seed):
     assume(free.any())
     disc = _Discretization(free, 0.1)
     u = rng.standard_normal(shape) * (rng.random(shape) < 0.5) * free
-    T = disc.faces(*disc.weights(u, p, 1e-3 if p < 2.0 else 1e-6))
+    T = disc.faces(*disc.weights(u, p, 1e-3 if p < 2.0 else 1e-6)[:2])
     A = _probe(lambda x: disc.apply(x, T), free)
     vcycle = _VCycle(disc, T)
     B = _probe(vcycle, free)
@@ -215,10 +250,70 @@ def test_cg_work_flat_in_n():
         assert rep.cg_iterations / rep.iterations <= 20.0, (n, rep.cg_iterations, rep.iterations)
 
 
+def test_newton_halves_the_outer_steps():
+    # the 64^2 unit ball at f = 1 and tol 1e-9: the lagged-diffusivity loop
+    # took 90/31/18/43 outer steps and 359/123/39/102 CG iterations at
+    # p = 1.2/1.5/3/6; Newton steps take at most half the steps, and no more
+    # CG iterations
+    grid = Grid(2, 1.0, 64)
+    ball = ball_mask(grid, (0.0, 0.0), 1.0)
+    f = ScalarField(grid, np.ones(grid.shape))
+    for p, outer, cg in ((1.2, 45, 359), (1.5, 15, 123), (3.0, 9, 39), (6.0, 21, 102)):
+        _, rep = solve(DirichletProblem(grid, p, f, tol=1e-9, domain=ball))
+        assert rep.converged, p
+        assert rep.iterations <= outer, (p, rep.iterations)
+        assert rep.cg_iterations <= cg, (p, rep.cg_iterations)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_hessian_breakdown_falls_back_to_kacanov(monkeypatch, p):
+    # a Newton step whose CG breaks down takes the lagged-diffusivity step
+    # instead; forced on every step, the solve still converges to the answer
+    prob, _ = radial_problem(p, 2, 32, tol=1e-9)
+    u_newton, _ = solve(prob)
+    calls = {"hessian": 0, "kacanov": 0}
+    pcg = plap_solver._pcg
+
+    def breaking_pcg(apply_A, *args):
+        # the Newton step's operator is partial(disc.hessian, T=..., Q=...)
+        if getattr(getattr(apply_A, "func", None), "__func__", None) is plap_solver._Discretization.hessian:
+            calls["hessian"] += 1
+            raise SolverDivergenceError("forced breakdown")
+        calls["kacanov"] += 1
+        return pcg(apply_A, *args)
+
+    monkeypatch.setattr(plap_solver, "_pcg", breaking_pcg)
+    u, rep = solve(prob)
+    assert rep.converged
+    # every step tried Newton first, but the unit-weight seed step at p > 2
+    assert calls["kacanov"] == rep.iterations
+    assert calls["hessian"] == rep.iterations - (p > 2.0)
+    assert float(np.max(np.abs(u.values - u_newton.values))) < 1e-6
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    N=st.sampled_from((2, 3)),
+    center=st.tuples(*[st.floats(-0.3, 0.3)] * 3),
+    p=st.floats(1.2, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_newton_energy_never_rises(N, center, p, seed):
+    # the line step keeps each Newton step downhill: on an off-centre ball
+    # with bump data the energy falls at every step, up to roundoff
+    grid = Grid(N, 1.0, 20 if N == 2 else 10)
+    ball = ball_mask(grid, center[:N], 0.8)
+    f = bump_field(grid, draw_bump_params(np.random.default_rng(seed), N))
+    _, rep = solve(DirichletProblem(grid, p, f, tol=1e-9, domain=ball))
+    assert rep.converged
+    hist = rep.energy_history
+    assert all(b <= a + 1e-14 * abs(a) for a, b in zip(hist, hist[1:]))
+
+
 def _certified(u, prob, free):
     # the residual certificate recomputed on the full grid with the free mask
     disc = _Discretization(free, prob.grid.spacing)
-    T = disc.faces(*disc.weights(u.values, prob.p, prob.resolved_eps))
+    T = disc.faces(*disc.weights(u.values, prob.p, prob.resolved_eps)[:2])
     r = (disc.apply(u.values, T) - prob.f.values) * free
     f = prob.f.values * free
     hvol = prob.grid.cell_volume
