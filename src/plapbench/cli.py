@@ -98,7 +98,10 @@ class _OutputDir:
         self.files[name] = _sha256(self.root / name)
 
     def write_json(self, name: str, obj: Any) -> None:
-        text = canonical_json(obj)  # before write() makes the directory, so a NaN leaves none
+        try:
+            text = canonical_json(obj)  # before write() makes the directory, so a NaN leaves none
+        except ValueError as exc:  # a NaN: a computed value failed, not the config
+            raise AnalyticFailure(f"{name}: {exc}") from exc
         self.write(name, lambda path: path.write_text(text))
 
     def finish(self) -> None:

@@ -48,10 +48,17 @@ a sink per cell, no stored matrix), damped Jacobi smoothing and an
 over-corrected coarse step (Notay, ETNA 37, 2010; Braess, Computing 55,
 1995), so the iterations per outer step do not grow with the grid size.
 
+Every kernel runs on a flat copy P of u with a zero border, (n + 2)^N cells
+in C order: the jumps across the faces of axis k are P[s_k:] - P[:-s_k], s_k
+the axis's stride, the face between bordered cells j and j + s_k is stored
+at index j, and each face difference, face flux and divergence is one pass
+over contiguous memory (``_FluxForm``).
+
 ``_SolveContext`` keeps what depends only on the grid and the free-cell mask
-(crop, free cells, discretization, unit-weight V-cycle).  ``solve`` builds one
-per call, freed before its weak residual, which pairs the last outer step's
-residual with the test functions; the Picard scheme keeps one per level.
+(crop, free cells, discretization, unit-weight V-cycle at p = 2).  ``solve``
+builds one per call, freed before its weak residual, which pairs the last
+outer step's residual with the test functions; the Picard scheme keeps one
+per level.
 """
 
 from __future__ import annotations
@@ -140,140 +147,217 @@ class _FluxForm:
     n + 1 faces per axis, T_k holds one weight per face and S (None: no sink)
     one weight per cell.  Rows of constrained cells are zero and their diagonal
     entries 1, so every level of the multigrid hierarchy is one of these.
+
+    Bordered layout: u goes into the interior of a zero border, the box of
+    (n + 2)^N cells flattened in C order, in which axis k has the stride s_k.
+    The face between bordered cells j and j + s_k is stored at index j, so
+    with P the bordered u, G_k = P[s_k:] - P[:-s_k], and the divergence of
+    a face array F is out[s_k:-s_k] -= F[s_k:], then out[s_k:-s_k] += F[:-s_k]:
+    every pass runs over contiguous memory.  T_k and S are flat arrays of the
+    bordered size, zero off the box's faces and cells; ``face_view`` and
+    ``cells`` are their face- and cell-shaped views.  An entry at the border
+    reaches only outputs at the border, which are dropped.
     """
 
     def __init__(self, free: np.ndarray):
         self.free = free
         self.fixed = ~free
         nd = self.ndim = free.ndim
-        self.lo = [_axslice(nd, k, slice(None, -1)) for k in range(nd)]
-        self.hi = [_axslice(nd, k, slice(1, None)) for k in range(nd)]
-        # u goes into the interior of a zero border, and G_k is a difference of
-        # two shifted views of it (the border supplies the prepended/appended 0)
-        self._padded = np.zeros(tuple(n + 2 for n in free.shape))
+        self.bordered = tuple(n + 2 for n in free.shape)
+        self.size = math.prod(self.bordered)
+        self.strides = [math.prod(self.bordered[k + 1:]) for k in range(nd)]
         self._interior = (slice(1, -1),) * nd
-        self._before = [tuple(slice(None, -1) if i == k else slice(1, -1) for i in range(nd)) for k in range(nd)]
-        self._after = [tuple(slice(1, None) if i == k else slice(1, -1) for i in range(nd)) for k in range(nd)]
+        self._faces = [tuple(slice(None, -1) if i == k else slice(1, -1) for i in range(nd)) for k in range(nd)]
+        # u goes into this buffer's interior; its border stays zero
+        self._padded = np.zeros(self.size)
+        self._padded_cells = self.cells(self._padded)
+        self._shifted = [(self._padded[s:], self._padded[:-s]) for s in self.strides]
 
-    def _face_diffs(self, u: np.ndarray) -> Iterator[np.ndarray]:
-        """G_k for k = 0, ..., N - 1, one at a time; a second call before the first is used up clobbers it."""
-        padded = self._padded
-        padded[self._interior] = u
-        for before, after in zip(self._before, self._after):
-            yield padded[after] - padded[before]
+    def cells(self, x: np.ndarray) -> np.ndarray:
+        """The cell-shaped view of a bordered array."""
+        return x.reshape(self.bordered)[self._interior]
+
+    def face_view(self, t: np.ndarray, k: int) -> np.ndarray:
+        """The face-shaped view (n + 1 faces along axis k) of a bordered face array of axis k."""
+        return t.reshape(self.bordered)[self._faces[k]]
+
+    def bordered_copy(self, x: np.ndarray) -> np.ndarray:
+        """A cell-shaped array in the bordered layout, zero on the border."""
+        out = np.zeros(self.size)
+        self.cells(out)[...] = x
+        return out
+
+    def _pad(self, u: np.ndarray) -> np.ndarray:
+        """u in the bordered layout; the next call overwrites it."""
+        self._padded_cells[...] = u
+        return self._padded
+
+    def _finish(self, out: np.ndarray) -> np.ndarray:
+        """The cells of a bordered result, with the rows of constrained cells zeroed."""
+        res = np.zeros(self.free.shape)
+        np.copyto(res, self.cells(out), where=self.free)
+        return res
 
     def apply(self, u: np.ndarray, T: list[np.ndarray], S: np.ndarray | None = None) -> np.ndarray:
         """Gradient of the frozen quadratic, -sum_k diff(T_k G_k) + S u (no h^N)."""
-        out = np.zeros(u.shape) if S is None else S * u
-        for k, (t, TG) in enumerate(zip(T, self._face_diffs(u))):
-            TG *= t
-            out -= TG[self.hi[k]]
-            out += TG[self.lo[k]]
-        out[self.fixed] = 0.0
-        return out
+        P = self._pad(u)
+        out = np.zeros(self.size) if S is None else S * P
+        buf = np.empty(self.size)
+        for s, t, (after, before) in zip(self.strides, T, self._shifted):
+            TG = np.subtract(after, before, out=buf[:-s])
+            TG *= t[:-s]
+            out[s:-s] -= TG[s:]
+            out[s:-s] += TG[:-s]
+        del buf, TG  # before the cells are copied out (peak memory)
+        return self._finish(out)
 
     def diagonal(self, T: list[np.ndarray], S: np.ndarray | None = None) -> np.ndarray:
-        diag = np.zeros(self.free.shape) if S is None else S.copy()
+        nd = self.ndim
+        diag = np.zeros(self.free.shape) if S is None else self.cells(S).copy()
         for k, t in enumerate(T):
-            diag += t[self.lo[k]] + t[self.hi[k]]
+            t = self.face_view(t, k)
+            diag += t[_axslice(nd, k, slice(None, -1))] + t[_axslice(nd, k, slice(1, None))]
         diag[self.fixed] = 1.0
         return np.maximum(diag, 1e-300)
 
 
 class _Curvature(NamedTuple):
-    """The rank-one part of the energy's Hessian: the sign of p - 2 and the vectors q of each side."""
+    """The rank-one part of the energy's Hessian: the sign of p - 2 and the vectors q of each side.
+
+    qf[k] and qb[k] are aligned with the faces of axis k: qf[k][j] belongs to
+    the bordered cell j and qb[k][j] to the cell j + s_k, the cells whose
+    forward and backward differences cross face j.
+    """
 
     sign: float
-    qf: list[np.ndarray]  # per axis, on the cells
+    qf: list[np.ndarray]
     qb: list[np.ndarray]
 
 
 class _Discretization(_FluxForm):
     """Face differences G_k = diff(u, axis=k, prepend=0, append=0), n + 1 per axis.
 
-    A cell's forward difference is c_f G_k[1:] and its backward one c_b G_k[:-1],
-    with c = 1/h, or 2/h across a face that ends the free region (the Dirichlet
-    value sits on that face, h/2 away), and c = 0 on constrained cells.  Frozen
-    weights give one weight per face, T_k = w_f c_f^2/2 from the cell before it
-    plus w_b c_b^2/2 from the cell after it; the frozen quadratic is
+    A cell's forward difference is c_f times the jump across its upper face and
+    its backward one c_b times the jump across its lower face, with c = 1/h, or
+    2/h across a face that ends the free region (the Dirichlet value sits on
+    that face, h/2 away), and c = 0 on constrained cells.  Frozen weights give
+    one weight per face, T_k = w_f c_f^2/2 from the cell before it plus
+    w_b c_b^2/2 from the cell after it; the frozen quadratic is
     (1/2) sum_k sum_faces T_k G_k^2 and its gradient -sum_k diff(T_k G_k).
-    Only the face-end booleans are kept; c_f and c_b are formed when read.
+    Only the face-end booleans are kept; c_f and c_b are formed when read, in
+    the bordered layout, aligned with the faces like ``_Curvature``'s q.
     """
 
     def __init__(self, free: np.ndarray, h: float):
         super().__init__(free)
         self.h = h
-        # boolean diff is xor: True on the faces where the free region ends
-        self.ends = [np.diff(free, axis=k, prepend=False, append=False) for k in range(self.ndim)]
+        inside = np.zeros(self.size, dtype=bool)
+        self.cells(inside)[...] = free
+        self._inside = inside
+        # True on the faces where the free region ends
+        self.ends = [inside[s:] != inside[:-s] for s in self.strides]
 
     def cf(self, k: int) -> np.ndarray:
-        return self.free * (1.0 + self.ends[k][self.hi[k]]) / self.h
+        return self._coefficient(k, self._inside[: -self.strides[k]])
 
     def cb(self, k: int) -> np.ndarray:
-        return self.free * (1.0 + self.ends[k][self.lo[k]]) / self.h
+        return self._coefficient(k, self._inside[self.strides[k]:])
+
+    def _coefficient(self, k: int, inside: np.ndarray) -> np.ndarray:
+        # inside (1 + ends) / h, formed in one array
+        c = 1.0 + self.ends[k]
+        c *= inside
+        c /= self.h
+        return c
+
+    def _face_diffs(self, u: np.ndarray) -> Iterator[np.ndarray]:
+        """G_k for k = 0, ..., N - 1, one at a time, in the bordered layout."""
+        self._pad(u)
+        for after, before in self._shifted:
+            yield after - before
 
     def one_sided_sq(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Squared magnitudes of the forward and backward difference gradients."""
-        m2f = np.zeros_like(u)
-        m2b = np.zeros_like(u)
-        for k, G in enumerate(self._face_diffs(u)):
-            df = self.cf(k) * G[self.hi[k]]
-            db = self.cb(k) * G[self.lo[k]]
-            m2f += df * df
-            m2b += db * db
-        return m2f, m2b
+        """Squared magnitudes of the forward and backward difference gradients, as cell-shaped views."""
+        m2f = np.zeros(self.size)
+        m2b = np.zeros(self.size)
+        for k, (s, G) in enumerate(zip(self.strides, self._face_diffs(u))):
+            for m2, coefficient in ((m2f[:-s], self.cf), (m2b[s:], self.cb)):
+                d = coefficient(k)
+                d *= G
+                m2 += d * d
+        return self.cells(m2f), self.cells(m2b)
 
-    def energy(self, u: np.ndarray, fvals: np.ndarray, p: float, eps: float, h_vol: float) -> float:
-        m2f, m2b = self.one_sided_sq(u)
+    def density(self, m2f: np.ndarray, m2b: np.ndarray, p: float, eps: float) -> float:
+        """The energy density summed over the cells, from the one-sided squared magnitudes."""
         e2 = eps * eps
         ep = eps**p
         dens = 0.5 * (((m2f + e2) ** (0.5 * p) - ep) + ((m2b + e2) ** (0.5 * p) - ep)) / p
-        dens[~self.free] = 0.0
-        val = h_vol * (float(np.sum(dens)) - float(np.sum(fvals * u)))
+        dens[self.fixed] = 0.0
+        return float(np.sum(dens))
+
+    def energy(
+        self, u: np.ndarray, fvals: np.ndarray, p: float, eps: float, h_vol: float, density: float | None = None
+    ) -> float:
+        """E(u); ``density`` is the density sum at u when ``weights`` has formed it there."""
+        if density is None:
+            density = self.density(*self.one_sided_sq(u), p, eps)
+        val = h_vol * (density - float(np.sum(fvals * u)))
         if not np.isfinite(val):
             raise SolverDivergenceError("non-finite energy")
         return val
 
-    def weights(self, u: np.ndarray, p: float, eps: float) -> tuple[np.ndarray, np.ndarray, _Curvature]:
+    def weights(self, u: np.ndarray, p: float, eps: float) -> tuple[np.ndarray, np.ndarray, _Curvature, float]:
         """The lagged weights w = (|g|^2+eps^2)^{(p-2)/2} of each side's gradient g at u (0 off
-        the free cells) and the rank-one part of the energy's Hessian there.
+        the free cells), the rank-one part of the energy's Hessian there and the energy density sum.
 
         Per side the density phi_eps(|g|^2)/2 has the Hessian (w/2) (I + (p-2) g g^T/(|g|^2+eps^2))
         in g, so the energy's Hessian is A_T plus, per side, the form
         sign (sum_k q_k G_k(v))^2 with q_k = sqrt(|p-2|/2) (|g|^2+eps^2)^{(p-4)/4} c_k g_k
-        (``hessian``).  The products c_k g_k are kept and scaled into q in place.
+        (``hessian``).  The products c_k g_k are kept and scaled into q in place,
+        after the density is formed from the squared magnitudes.
         """
-        m2f = np.zeros_like(u)
-        m2b = np.zeros_like(u)
+        m2f = np.zeros(self.size)
+        m2b = np.zeros(self.size)
         qf, qb = [], []
-        for k, G in enumerate(self._face_diffs(u)):
-            for m2, q, c, side in ((m2f, qf, self.cf(k), self.hi[k]), (m2b, qb, self.cb(k), self.lo[k])):
-                g = c * G[side]
+        for k, (s, G) in enumerate(zip(self.strides, self._face_diffs(u))):
+            for m2, q, coefficient in ((m2f[:-s], qf, self.cf), (m2b[s:], qb, self.cb)):
+                c = coefficient(k)
+                g = c * G
                 m2 += g * g
                 g *= c
                 q.append(g)
         e2 = eps * eps
         ex = 0.5 * (p - 2.0)
-        wf = (m2f + e2) ** ex
-        wb = (m2b + e2) ** ex
-        wf[~self.free] = 0.0
-        wb[~self.free] = 0.0
-        for scale, q in ((m2f, qf), (m2b, qb)):
+        sqf, sqb = self.cells(m2f), self.cells(m2b)
+        wf = (sqf + e2) ** ex
+        wb = (sqb + e2) ** ex
+        wf[self.fixed] = 0.0
+        wb[self.fixed] = 0.0
+        density = self.density(sqf, sqb, p, eps)
+        for scale in (m2f, m2b):
             scale += e2
             # in place; at eps = 0 a cell without gradient keeps q = 0, not 0 * inf
             np.power(scale, 0.25 * (p - 4.0), out=scale, where=scale > 0.0)
             scale *= math.sqrt(0.5 * abs(p - 2.0))
-            for qk in q:
-                qk *= scale
-        return wf, wb, _Curvature(math.copysign(1.0, p - 2.0), qf, qb)
+        for s, qfk, qbk in zip(self.strides, qf, qb):
+            qfk *= m2f[:-s]
+            qbk *= m2b[s:]
+        return wf, wb, _Curvature(math.copysign(1.0, p - 2.0), qf, qb), density
 
     def faces(self, wf: np.ndarray, wb: np.ndarray) -> list[np.ndarray]:
-        """Per-face weights T_k of the frozen quadratic, one array of n + 1 faces per axis."""
+        """Per-face weights T_k of the frozen quadratic, in the bordered layout, from per-cell weights."""
+        half_wf, half_wb = self.bordered_copy(wf), self.bordered_copy(wb)
+        half_wf *= 0.5
+        half_wb *= 0.5
         T = []
-        for k in range(self.ndim):
-            t = np.zeros(tuple(n + (i == k) for i, n in enumerate(wf.shape)))
-            t[self.hi[k]] += 0.5 * wf * self.cf(k) ** 2
-            t[self.lo[k]] += 0.5 * wb * self.cb(k) ** 2
+        for k, s in enumerate(self.strides):
+            t = np.zeros(self.size)
+            # w c^2/2 from the cell on each side of the face
+            for half_w, coefficient in ((half_wf[:-s], self.cf), (half_wb[s:], self.cb)):
+                c = coefficient(k)
+                c *= c
+                c *= half_w
+                t[:-s] += c
             T.append(t)
         return T
 
@@ -284,27 +368,26 @@ class _Discretization(_FluxForm):
         s = sign sum_k q_k G_k(v) per side, the forward side puts s q_k on a
         cell's upper face and the backward side on its lower one.
         """
-        out = np.zeros(v.shape)
-        sf = np.zeros(v.shape)
-        sb = np.zeros(v.shape)
-        for k, (t, TG) in enumerate(zip(T, self._face_diffs(v))):
-            hi, lo = self.hi[k], self.lo[k]
-            sf += Q.qf[k] * TG[hi]
-            sb += Q.qb[k] * TG[lo]
-            TG *= t
-            out -= TG[hi]
-            out += TG[lo]
+        out = np.zeros(self.size)
+        sf = np.zeros(self.size)
+        sb = np.zeros(self.size)
+        for s, t, qf, qb, TG in zip(self.strides, T, Q.qf, Q.qb, self._face_diffs(v)):
+            sf[:-s] += qf * TG
+            sb[s:] += qb * TG
+            TG *= t[:-s]
+            out[s:-s] -= TG[s:]
+            out[s:-s] += TG[:-s]
         sf *= Q.sign
         sb *= Q.sign
-        for k, t in enumerate(T):
-            hi, lo = self.hi[k], self.lo[k]
-            flux = np.zeros(t.shape)
-            np.multiply(sf, Q.qf[k], out=flux[hi])
-            flux[lo] += sb * Q.qb[k]
-            out -= flux[hi]
-            out += flux[lo]
-        out[self.fixed] = 0.0
-        return out
+        # a face on the box's edge also takes the border cell's product, a
+        # zero of either sign; out starts at +0 and so never holds -0, which
+        # keeps that sign out of the result
+        for s, qf, qb in zip(self.strides, Q.qf, Q.qb):
+            flux = sf[:-s] * qf
+            flux += sb[s:] * qb
+            out[s:-s] -= flux[s:]
+            out[s:-s] += flux[:-s]
+        return self._finish(out)
 
 
 # V(2,2) cycle: damped Jacobi weight and sweeps per side; the coarse step is
@@ -338,21 +421,25 @@ def _pair_sums(x: np.ndarray, axes: Iterable[int]) -> np.ndarray:
 
 
 def _coarsen(
-    free: np.ndarray, T: list[np.ndarray], S: np.ndarray | None
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    form: _FluxForm, T: list[np.ndarray], S: np.ndarray | None
+) -> tuple[_FluxForm, list[np.ndarray], np.ndarray]:
     """Galerkin P^T A P for piecewise-constant P from 2^N box aggregates onto the free cells.
 
     A face between free cells of neighbouring aggregates adds its weight to
     the coarse face between them; a face from a free cell to a constrained
     cell or the box edge adds it to the sink of the free cell's aggregate;
     a face inside an aggregate between two free cells drops out.  An odd axis
-    is padded with one constrained layer.
+    is padded with one constrained layer.  Returns the coarse form with its
+    face weights and sink in its bordered layout.
     """
+    free = form.free
     nd = free.ndim
-    coarse = [(n + 1) // 2 for n in free.shape]
-    sink = np.zeros(free.shape) if S is None else S.copy()
+    every = range(nd)
+    coarse = _FluxForm(_pair_sums(free, every))
+    sink = np.zeros(free.shape) if S is None else form.cells(S).copy()
     Tc = []
     for k, t in enumerate(T):
+        t = form.face_view(t, k)
         lo, hi = _axslice(nd, k, slice(None, -1)), _axslice(nd, k, slice(1, None))
         # boolean diff is xor: True on the faces with exactly one free side
         ts = t * np.diff(free, axis=k, prepend=False, append=False)
@@ -360,19 +447,26 @@ def _coarsen(
         # tb[j] is fine face j + 1 if both its sides are free; the even fine
         # faces 2, 4, ... (tb[1::2]) separate aggregates
         tb = t[_axslice(nd, k, slice(1, -1))] * (free[lo] & free[hi])
-        between = _pair_sums(tb[_axslice(nd, k, slice(1, None, 2))], set(range(nd)) - {k})
-        tc = np.zeros([m + (i == k) for i, m in enumerate(coarse)])
-        tc[_axslice(nd, k, slice(1, -1))] = between
+        between = _pair_sums(tb[_axslice(nd, k, slice(1, None, 2))], set(every) - {k})
+        tc = np.zeros(coarse.size)
+        coarse.face_view(tc, k)[_axslice(nd, k, slice(1, -1))] = between
         Tc.append(tc)
-    every = range(nd)
-    return _pair_sums(free, every), Tc, _pair_sums(sink, every)
+    return coarse, Tc, coarse.bordered_copy(_pair_sums(sink, every))
 
 
 def _prolong(v: np.ndarray, free: np.ndarray) -> np.ndarray:
     """Copy each aggregate's value onto its free cells of the finer level."""
-    for k in range(v.ndim):
-        v = np.repeat(v, 2, axis=k)
-    return v[tuple(slice(0, n) for n in free.shape)] * free
+    # repeat along the last axis, then one broadcast for the others, in which
+    # axis k of v becomes the pair (m_k, 2) of fine axes
+    rows = np.repeat(v, 2, axis=-1)
+    lead = v.shape[:-1]
+    fine = np.empty([2 * m for m in v.shape])
+    fine.reshape([d for m in lead for d in (m, 2)] + [rows.shape[-1]])[...] = rows.reshape(
+        [d for m in lead for d in (m, 1)] + [rows.shape[-1]]
+    )
+    fine = fine[tuple(slice(0, n) for n in free.shape)]
+    fine *= free
+    return fine
 
 
 class _VCycle:
@@ -391,25 +485,40 @@ class _VCycle:
             self.levels.append((form, T, S, _OMEGA / form.diagonal(T, S)))
             if np.count_nonzero(form.free) <= _COARSEST_CELLS:
                 break
-            free, T, S = _coarsen(form.free, T, S)
-            form = _FluxForm(free)
+            form, T, S = _coarsen(form, T, S)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         return self._cycle(0, r)
 
     def _cycle(self, i: int, r: np.ndarray) -> np.ndarray:
-        form, T, S, wd = self.levels[i]
+        level = form, T, S, wd = self.levels[i]
         coarsest = i + 1 == len(self.levels)
         z = wd * r
         for _ in range((_COARSEST_SWEEPS if coarsest else _SWEEPS) - 1):
-            z += wd * (r - form.apply(z, T, S))
+            _smooth(level, r, z)
         if coarsest:
             return z
-        rc = _pair_sums(r - form.apply(z, T, S), range(r.ndim))
-        z += _ALPHA * _prolong(self._cycle(i + 1, rc), form.free)
+        z += _ALPHA * _prolong(self._cycle(i + 1, _coarse_residual(level, r, z)), form.free)
         for _ in range(_SWEEPS):
-            z += wd * (r - form.apply(z, T, S))
+            _smooth(level, r, z)
         return z
+
+
+def _coarse_residual(level: tuple, r: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The aggregates' sums of the residual r - A z on a V-cycle level."""
+    form, T, S, _ = level
+    rc = form.apply(z, T, S)
+    np.subtract(r, rc, out=rc)
+    return _pair_sums(rc, range(r.ndim))
+
+
+def _smooth(level: tuple, r: np.ndarray, z: np.ndarray) -> None:
+    """One damped Jacobi sweep z += wd (r - A z) on a V-cycle level, in place."""
+    form, T, S, wd = level
+    Az = form.apply(z, T, S)
+    np.subtract(r, Az, out=Az)
+    Az *= wd
+    z += Az
 
 
 def _pcg(
@@ -420,9 +529,12 @@ def _pcg(
     reduction: float,
     max_iter: int,
 ) -> tuple[np.ndarray, int]:
-    """Preconditioned CG from x0, whose residual b - A x0 is r0, until the residual falls by the factor ``reduction``."""
+    """Preconditioned CG from x0, whose residual b - A x0 is r0, until the residual falls by the factor ``reduction``.
+
+    r0 becomes the running residual, so the caller's array is overwritten.
+    """
     x = x0.copy()
-    r = r0.copy()
+    r = r0
     stop = reduction * np.sqrt(_dot(r, r))
     pvec = precond(r)
     rz = _dot(r, pvec)
@@ -434,13 +546,16 @@ def _pcg(
         if denom <= 0.0 or not np.isfinite(denom):
             raise SolverDivergenceError("conjugate-gradient breakdown (operator not SPD?)")
         alpha = rz / denom
-        x += alpha * pvec
-        r -= alpha * Ap
+        Ap *= alpha
+        r -= Ap
+        x += np.multiply(pvec, alpha, out=Ap)
+        del Ap  # not needed while the preconditioner runs (peak memory)
         if np.sqrt(_dot(r, r)) <= stop:
             return x, it
         z = precond(r)
         rz_new = _dot(r, z)
-        pvec = z + (rz_new / rz) * pvec
+        pvec *= rz_new / rz
+        pvec += z
         rz = rz_new
     return x, max_iter
 
@@ -460,13 +575,19 @@ def energy(u: ScalarField, prob: DirichletProblem) -> float:
     return disc.energy(vals, prob.f.values, prob.p, prob.resolved_eps, prob.grid.cell_volume)
 
 
+class _Lagged(NamedTuple):
+    """What ``_SolveContext.lagged`` forms at a point, on the crop."""
+
+    T: list[np.ndarray]  # the face weights frozen there
+    Q: _Curvature | None  # the rank-one part of the energy's Hessian there (None at p = 2)
+    density: float | None  # the energy density sum there, from the weights' magnitudes (None at p = 2)
+    r: np.ndarray  # the residual A(u) u - f = grad E / h^N
+
+
 def _line_step(
-    u: np.ndarray,
-    sol: np.ndarray,
-    r: np.ndarray,
-    lagged: Callable[[np.ndarray], tuple[list[np.ndarray], _Curvature | None, np.ndarray]],
-) -> tuple[np.ndarray, list[np.ndarray], _Curvature | None, np.ndarray]:
-    """The next iterate along d = sol - u, with its face weights, curvature and residual from ``lagged``.
+    u: np.ndarray, sol: np.ndarray, r: np.ndarray, lagged: Callable[[np.ndarray], _Lagged]
+) -> tuple[np.ndarray, _Lagged]:
+    """The next iterate along d = sol - u, with what ``lagged`` forms there.
 
     The step s comes from the slopes <grad E(u + s d), d> = h^N <r(u + s d), d>,
     negative at s = 0 (r is the residual at u and d a CG iterate from u).
@@ -478,18 +599,18 @@ def _line_step(
     d = sol - u
     slope0 = _dot(r, d)
     s, v = 1.0, sol
-    T, Q, r = lagged(v)
-    slope = _dot(r, d)
+    at = lagged(v)
+    slope = _dot(at.r, d)
     while slope > 0.0:
         zero = s * slope0 / (slope0 - slope)
         s = max(zero, s / 8.0)
         v = u + s * d
-        T = Q = r = None  # free the rejected point's operators before the next are formed (peak memory)
-        T, Q, r = lagged(v)
+        at = None  # free the rejected point's operators before the next are formed (peak memory)
+        at = lagged(v)
         if s == zero:
             break
-        slope = _dot(r, d)
-    return v, T, Q, r
+        slope = _dot(at.r, d)
+    return v, at
 
 
 class _Minimum(NamedTuple):
@@ -507,6 +628,7 @@ class _SolveContext:
     The crop to the free bounding box, the free cells and the discretization;
     at p = 2 the weights (m^2 + eps^2)^0 are 1 on every free cell, so the
     unit-weight face weights and their V-cycle are built on first use and kept.
+    The seed step of a cold p > 2 solve builds its own, which go with it.
     """
 
     def __init__(self, grid: Grid, mask: np.ndarray):
@@ -516,27 +638,29 @@ class _SolveContext:
         self.free = np.ascontiguousarray(mask[self.crop])
         self.disc = _Discretization(self.free, grid.spacing)
 
+    def _unit_weight_faces(self) -> list[np.ndarray]:
+        ones = self.free * 1.0
+        return self.disc.faces(ones, ones)
+
     @cached_property
     def unit_faces(self) -> list[np.ndarray]:
         """Face weights of the unit-weight (p = 2) operator."""
-        return self.disc.faces(self.free * 1.0, self.free * 1.0)
+        return self._unit_weight_faces()
 
     @cached_property
     def unit_cycle(self) -> _VCycle:
         """The V-cycle of the unit-weight operator."""
         return _VCycle(self.disc, self.unit_faces)
 
-    def lagged(
-        self, vals: np.ndarray, fv: np.ndarray, p: float, eps: float
-    ) -> tuple[list[np.ndarray], _Curvature | None, np.ndarray]:
-        """Face weights frozen at vals, the Hessian's curvature there (None at p = 2) and the
-        residual A(vals) vals - f = grad E / h^N, all on the crop."""
+    def lagged(self, vals: np.ndarray, fv: np.ndarray, p: float, eps: float) -> _Lagged:
+        """Face weights frozen at vals, the Hessian's curvature and the energy density there
+        (None at p = 2) and the residual A(vals) vals - f = grad E / h^N, all on the crop."""
         if p == 2.0:
-            T, Q = self.unit_faces, None
+            T, Q, density = self.unit_faces, None, None
         else:
-            wf, wb, Q = self.disc.weights(vals, p, eps)
+            wf, wb, Q, density = self.disc.weights(vals, p, eps)
             T = self.disc.faces(wf, wb)
-        return T, Q, self.disc.apply(vals, T) - fv
+        return _Lagged(T, Q, density, self.disc.apply(vals, T) - fv)
 
     def minimize(self, prob: DirichletProblem, initial: ScalarField | None = None) -> _Minimum:
         """The outer iteration of ``solve`` for a problem on this grid and mask."""
@@ -558,20 +682,19 @@ class _SolveContext:
         target = prob.tol * (1.0 + math.sqrt(_dot(fv, fv) * hvol)) / math.sqrt(hvol)
 
         lagged = partial(self.lagged, fv=fv, p=p, eps=eps)
-        T, Q, r = lagged(u)
+        T, Q, density, r = lagged(u)
         # from a zero start at p > 2 the degenerate weights eps^{p-2} blow up
         # the first linear solution; seed with the unit-weight operator (the
         # residual at u = 0 is -f whatever the weights)
-        unit = p == 2.0 or (p > 2.0 and not u.any())
-        history = [disc.energy(u, fv, p, eps, hvol)]
+        seed = p > 2.0 and not u.any()
+        history = [disc.energy(u, fv, p, eps, hvol, density)]
         iterations = cg_total = 0
         rnorm = prev_rnorm = math.sqrt(_dot(r, r))
         while rnorm > target and iterations < prob.max_iter:
             iterations += 1
-            if unit:
-                T, Q, precond = self.unit_faces, None, self.unit_cycle
-            else:
-                precond = _VCycle(disc, T)
+            if seed:  # its unit-weight operators are not kept
+                T, Q = self._unit_weight_faces(), None
+            precond = self.unit_cycle if p == 2.0 else _VCycle(disc, T)
             if p == 2.0:
                 # the system is linear, so one CG run to half the target meets the certificate
                 reduction = min(_ETA, 0.5 * target / rnorm)
@@ -589,9 +712,9 @@ class _SolveContext:
             del precond, T, Q
             cg_total += cg_its
             prev_rnorm = rnorm
-            u, T, Q, r = _line_step(u, sol, r, lagged)
-            unit = p == 2.0
-            history.append(disc.energy(u, fv, p, eps, hvol))
+            u, (T, Q, density, r) = _line_step(u, sol, r, lagged)
+            seed = False
+            history.append(disc.energy(u, fv, p, eps, hvol, density))
             rnorm = math.sqrt(_dot(r, r))
         if not np.all(np.isfinite(u)):
             raise SolverDivergenceError("non-finite iterate")

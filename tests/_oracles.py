@@ -5,10 +5,20 @@ mathematical statement in exact rational arithmetic (fractions.Fraction),
 sharing no code with the package's checker.  Infinite values (Sobolev
 conjugate at p >= N, absent weight-integrability ceilings) are carried as
 None so that every comparison stays exact.
+
+The strided solver kernels (``StridedDiscretization``, ``strided_prolong``,
+``StridedVCycle``) are the p-Laplacian solver's operators written on
+face-shaped arrays, one strided slice per face array, as the solver had them
+before it moved to the flat bordered layout.  They do the same floating-point
+operations in the same order per element, so the solver's kernels must match
+them byte for byte.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 INF_KEYS = ("zeta1", "zeta2")
 
@@ -135,3 +145,215 @@ def lattice_configs():
                         }
                     )
     return configs
+
+
+def _axslice(nd, k, s):
+    return tuple(s if i == k else slice(None) for i in range(nd))
+
+
+class StridedDiscretization:
+    """Face differences G_k = diff(u, axis=k, prepend=0, append=0), n + 1 per axis, as strided
+    views of a zero-bordered copy of u; face weights T_k are arrays of n + 1 faces along axis k."""
+
+    def __init__(self, free, h):
+        self.free = free
+        self.fixed = ~free
+        nd = self.ndim = free.ndim
+        self.h = h
+        self.lo = [_axslice(nd, k, slice(None, -1)) for k in range(nd)]
+        self.hi = [_axslice(nd, k, slice(1, None)) for k in range(nd)]
+        self._padded = np.zeros(tuple(n + 2 for n in free.shape))
+        self._interior = (slice(1, -1),) * nd
+        self._before = [tuple(slice(None, -1) if i == k else slice(1, -1) for i in range(nd)) for k in range(nd)]
+        self._after = [tuple(slice(1, None) if i == k else slice(1, -1) for i in range(nd)) for k in range(nd)]
+        self.ends = [np.diff(free, axis=k, prepend=False, append=False) for k in range(nd)]
+
+    def _face_diffs(self, u):
+        padded = self._padded
+        padded[self._interior] = u
+        for before, after in zip(self._before, self._after):
+            yield padded[after] - padded[before]
+
+    def apply(self, u, T, S=None):
+        out = np.zeros(u.shape) if S is None else S * u
+        for k, (t, TG) in enumerate(zip(T, self._face_diffs(u))):
+            TG *= t
+            out -= TG[self.hi[k]]
+            out += TG[self.lo[k]]
+        out[self.fixed] = 0.0
+        return out
+
+    def diagonal(self, T, S=None):
+        diag = np.zeros(self.free.shape) if S is None else S.copy()
+        for k, t in enumerate(T):
+            diag += t[self.lo[k]] + t[self.hi[k]]
+        diag[self.fixed] = 1.0
+        return np.maximum(diag, 1e-300)
+
+    def cf(self, k):
+        return self.free * (1.0 + self.ends[k][self.hi[k]]) / self.h
+
+    def cb(self, k):
+        return self.free * (1.0 + self.ends[k][self.lo[k]]) / self.h
+
+    def one_sided_sq(self, u):
+        m2f = np.zeros_like(u)
+        m2b = np.zeros_like(u)
+        for k, G in enumerate(self._face_diffs(u)):
+            df = self.cf(k) * G[self.hi[k]]
+            db = self.cb(k) * G[self.lo[k]]
+            m2f += df * df
+            m2b += db * db
+        return m2f, m2b
+
+    def energy_density(self, u, p, eps):
+        m2f, m2b = self.one_sided_sq(u)
+        e2 = eps * eps
+        ep = eps**p
+        dens = 0.5 * (((m2f + e2) ** (0.5 * p) - ep) + ((m2b + e2) ** (0.5 * p) - ep)) / p
+        dens[~self.free] = 0.0
+        return float(np.sum(dens))
+
+    def weights(self, u, p, eps):
+        """wf, wb and the curvature (sign, qf, qb), qf and qb per axis on the cells."""
+        m2f = np.zeros_like(u)
+        m2b = np.zeros_like(u)
+        qf, qb = [], []
+        for k, G in enumerate(self._face_diffs(u)):
+            for m2, q, c, side in ((m2f, qf, self.cf(k), self.hi[k]), (m2b, qb, self.cb(k), self.lo[k])):
+                g = c * G[side]
+                m2 += g * g
+                g *= c
+                q.append(g)
+        e2 = eps * eps
+        ex = 0.5 * (p - 2.0)
+        wf = (m2f + e2) ** ex
+        wb = (m2b + e2) ** ex
+        wf[~self.free] = 0.0
+        wb[~self.free] = 0.0
+        for scale, q in ((m2f, qf), (m2b, qb)):
+            scale += e2
+            np.power(scale, 0.25 * (p - 4.0), out=scale, where=scale > 0.0)
+            scale *= math.sqrt(0.5 * abs(p - 2.0))
+            for qk in q:
+                qk *= scale
+        return wf, wb, (math.copysign(1.0, p - 2.0), qf, qb)
+
+    def faces(self, wf, wb):
+        T = []
+        for k in range(self.ndim):
+            t = np.zeros(tuple(n + (i == k) for i, n in enumerate(wf.shape)))
+            t[self.hi[k]] += 0.5 * wf * self.cf(k) ** 2
+            t[self.lo[k]] += 0.5 * wb * self.cb(k) ** 2
+            T.append(t)
+        return T
+
+    def hessian(self, v, T, Q):
+        sign, qf, qb = Q
+        out = np.zeros(v.shape)
+        sf = np.zeros(v.shape)
+        sb = np.zeros(v.shape)
+        for k, (t, TG) in enumerate(zip(T, self._face_diffs(v))):
+            hi, lo = self.hi[k], self.lo[k]
+            sf += qf[k] * TG[hi]
+            sb += qb[k] * TG[lo]
+            TG *= t
+            out -= TG[hi]
+            out += TG[lo]
+        sf *= sign
+        sb *= sign
+        for k, t in enumerate(T):
+            hi, lo = self.hi[k], self.lo[k]
+            flux = np.zeros(t.shape)
+            np.multiply(sf, qf[k], out=flux[hi])
+            flux[lo] += sb * qb[k]
+            out -= flux[hi]
+            out += flux[lo]
+        out[self.fixed] = 0.0
+        return out
+
+
+def _pair_sums(x, axes):
+    for k in axes:
+        odd = x[_axslice(x.ndim, k, slice(1, None, 2))]
+        x = x[_axslice(x.ndim, k, slice(None, None, 2))].copy()
+        x[_axslice(x.ndim, k, slice(None, odd.shape[k]))] += odd
+    return x
+
+
+def strided_coarsen(free, T, S):
+    """Galerkin coarse level (free cells, face weights, sink) of the aggregation V-cycle."""
+    nd = free.ndim
+    coarse = [(n + 1) // 2 for n in free.shape]
+    sink = np.zeros(free.shape) if S is None else S.copy()
+    Tc = []
+    for k, t in enumerate(T):
+        lo, hi = _axslice(nd, k, slice(None, -1)), _axslice(nd, k, slice(1, None))
+        ts = t * np.diff(free, axis=k, prepend=False, append=False)
+        sink += free * (ts[lo] + ts[hi])
+        tb = t[_axslice(nd, k, slice(1, -1))] * (free[lo] & free[hi])
+        between = _pair_sums(tb[_axslice(nd, k, slice(1, None, 2))], set(range(nd)) - {k})
+        tc = np.zeros([m + (i == k) for i, m in enumerate(coarse)])
+        tc[_axslice(nd, k, slice(1, -1))] = between
+        Tc.append(tc)
+    every = range(nd)
+    return _pair_sums(free, every), Tc, _pair_sums(sink, every)
+
+
+def strided_prolong(v, free):
+    for k in range(v.ndim):
+        v = np.repeat(v, 2, axis=k)
+    return v[tuple(slice(0, n) for n in free.shape)] * free
+
+
+class StridedVCycle:
+    """The symmetric aggregation V(2,2) cycle on ``StridedDiscretization`` levels."""
+
+    def __init__(self, disc, T, omega, sweeps, alpha, coarsest_cells, coarsest_sweeps):
+        self.sweeps, self.alpha, self.coarsest_sweeps = sweeps, alpha, coarsest_sweeps
+        form, S = disc, None
+        self.levels = []
+        while True:
+            self.levels.append((form, T, S, omega / form.diagonal(T, S)))
+            if np.count_nonzero(form.free) <= coarsest_cells:
+                break
+            free, T, S = strided_coarsen(form.free, T, S)
+            form = StridedDiscretization(free, 1.0)
+
+    def __call__(self, r):
+        return self._cycle(0, r)
+
+    def _cycle(self, i, r):
+        form, T, S, wd = self.levels[i]
+        coarsest = i + 1 == len(self.levels)
+        z = wd * r
+        for _ in range((self.coarsest_sweeps if coarsest else self.sweeps) - 1):
+            z += wd * (r - form.apply(z, T, S))
+        if coarsest:
+            return z
+        rc = _pair_sums(r - form.apply(z, T, S), range(r.ndim))
+        z += self.alpha * strided_prolong(self._cycle(i + 1, rc), form.free)
+        for _ in range(self.sweeps):
+            z += wd * (r - form.apply(z, T, S))
+        return z
+
+
+def strided_pcg(apply_A, r0, x0, precond, reduction, max_iter):
+    """Preconditioned CG from x0 (residual r0) until the residual falls by ``reduction``."""
+    x = x0.copy()
+    r = r0.copy()
+    stop = reduction * np.sqrt(float(np.sum(r * r)))
+    pvec = precond(r)
+    rz = float(np.sum(r * pvec))
+    for it in range(1, max_iter + 1):
+        Ap = apply_A(pvec)
+        alpha = rz / float(np.sum(pvec * Ap))
+        x += alpha * pvec
+        r -= alpha * Ap
+        if np.sqrt(float(np.sum(r * r))) <= stop:
+            return x, it
+        z = precond(r)
+        rz_new = float(np.sum(r * z))
+        pvec = z + (rz_new / rz) * pvec
+        rz = rz_new
+    return x, max_iter

@@ -16,7 +16,7 @@ from _peak import traced_peak
 from plapbench import cli, scheme
 from plapbench.cli import _SCHEMAS, _OutputDir, _check, canonical_json, main
 from plapbench.field import Grid, ScalarField, ball_mask, load_field
-from plapbench.plap_solver import exact_radial
+from plapbench.plap_solver import AnalyticFailure, exact_radial
 
 GOOD_EXPONENTS = {
     "N": 3, "p": 2.5, "q": 2.0,
@@ -58,9 +58,21 @@ def test_canonical_json_layout():
 
 def test_unserializable_report_leaves_no_directory(tmp_path):
     out = _OutputDir(tmp_path / "out", "check", 0, "{}")
-    with pytest.raises(ValueError):
+    with pytest.raises(AnalyticFailure):
         out.write_json("x.json", {"a": math.nan})
     assert not out.root.exists()
+
+
+def test_nan_report_value_is_an_analytic_failure(tmp_path, monkeypatch):
+    # a NaN reaching a report is a failed computation: exit 1, and no manifest
+    # certifies the solution written before it
+    monkeypatch.setattr(cli, "_radial_linf_error", lambda *args: math.nan)
+    cfg = {"grid": {"N": 2, "extent": 2.0, "cells_per_axis": 16}, "p": 2.0,
+           "field": {"kind": "constant", "value": 1.0}, "radial_oracle": {"R": 1.0}}
+    code, out_dir = run(tmp_path, "solve", cfg)
+    assert code == 1
+    assert not (out_dir / "manifest.json").exists()
+    assert main(["report", "--out", str(out_dir)]) != 0
 
 
 def test_check_pass_and_manifest(tmp_path):

@@ -4,8 +4,10 @@ energy's differences, the Hessian's tie to the residual and its symmetry,
 the multigrid preconditioner's symmetry, definiteness, Galerkin coarse
 operator and size-independent work, the Newton steps' outer-step counts and
 their fallback, the single CG run of a p = 2 solve and the solver context
-it keeps, energy descent, and local minimality for p != 2."""
+it keeps, energy descent, local minimality for p != 2, and the kernels'
+byte identity with their strided reference."""
 
+import dataclasses
 import json
 import math
 
@@ -13,8 +15,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from _oracles import StridedDiscretization, StridedVCycle, strided_pcg, strided_prolong
 from plapbench import plap_solver
 from plapbench.field import Grid, ScalarField, ball_mask
 from plapbench.jsonio import canonical_json
@@ -22,6 +25,8 @@ from plapbench.plap_solver import (
     DirichletProblem,
     SolverDivergenceError,
     _Discretization,
+    _pcg,
+    _prolong,
     _SolveContext,
     _test_functions,
     _VCycle,
@@ -115,7 +120,7 @@ def test_sparse_direct_crosscheck_p2():
     from plapbench.plap_solver import _free_mask
 
     disc = _Discretization(_free_mask(prob), prob.grid.spacing)
-    wf, wb, _ = disc.weights(np.zeros(prob.grid.shape), prob.p, prob.resolved_eps)
+    wf, wb = disc.weights(np.zeros(prob.grid.shape), prob.p, prob.resolved_eps)[:2]
     cols = []
     for j in range(n_free):
         e = np.zeros(prob.grid.shape)
@@ -169,9 +174,12 @@ def test_flux_operator_symmetric_and_tied_to_energy(N, n, center, radius, seed):
     p=st.floats(1.2, 6.0),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(N=3, n=8, center=(0.0, 0.0, 0.125), p=1.5, seed=8)
 def test_hessian_is_the_residuals_derivative_and_symmetric(N, n, center, p, seed):
     # on an off-centre ball, H v at u is the derivative of lagged's residual
-    # A(u) u - f = grad E / h^N along v (a central difference), and
+    # A(u) u - f = grad E / h^N along v (a fourth-order central difference:
+    # the second-order one's truncation error alone reached 1.1e-6 |H v| at
+    # N = 3, n = 8, center (0, 0, 0.125), p = 1.5, seed 8), and
     # <H v, w> = <v, H w>; away from p = 2 the Kacanov operator is not it
     grid = Grid(N, 1.0, n)
     free = ball_mask(grid, center[:N], 0.8).mask
@@ -181,16 +189,84 @@ def test_hessian_is_the_residuals_derivative_and_symmetric(N, n, center, p, seed
     rng = np.random.default_rng(seed)
     u, v, w = (rng.standard_normal(ctx.free.shape) * ctx.free for _ in range(3))
     fv = np.zeros(ctx.free.shape)
-    T, Q, _ = ctx.lagged(u, fv, p, eps)
+    T, Q = ctx.lagged(u, fv, p, eps)[:2]
     Hv = ctx.disc.hessian(v, T, Q)
     delta = 1e-6
-    fd = (ctx.lagged(u + delta * v, fv, p, eps)[-1] - ctx.lagged(u - delta * v, fv, p, eps)[-1]) / (2.0 * delta)
-    gap = np.linalg.norm(fd - Hv)
-    assert gap <= 1e-6 * np.linalg.norm(Hv)
+
+    def jump(step):
+        return ctx.lagged(u + step * v, fv, p, eps)[-1] - ctx.lagged(u - step * v, fv, p, eps)[-1]
+
+    fd = (8.0 * jump(delta) - jump(2.0 * delta)) / (12.0 * delta)
+    bound = 1e-6 * np.linalg.norm(Hv)
+    assert np.linalg.norm(fd - Hv) <= bound
     if abs(p - 2.0) > 0.1:
-        assert np.linalg.norm(fd - ctx.disc.apply(v, T)) > 1e3 * gap
+        assert np.linalg.norm(fd - ctx.disc.apply(v, T)) > 1e3 * bound
     Hw = ctx.disc.hessian(w, T, Q)
     assert abs(float(np.sum(Hv * w)) - float(np.sum(v * Hw))) <= 1e-12 * np.linalg.norm(Hv) * np.linalg.norm(w)
+
+
+def _same_bytes(a, b):
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    N=st.sampled_from((2, 3)),
+    data=st.data(),
+    ball=st.booleans(),
+    sink=st.booleans(),
+    p=st.floats(1.2, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernels_match_the_strided_oracle_byte_for_byte(N, data, ball, sink, p, seed):
+    # the bordered-layout kernels against the strided ones of tests/_oracles.py,
+    # on odd and even boxes with ball or random masks, with and without a sink:
+    # equal bytes, so signed zeros count too
+    shape = tuple(data.draw(st.integers(2, 13 if N == 2 else 7)) for _ in range(N))
+    rng = np.random.default_rng(seed)
+    if ball:
+        axes = np.meshgrid(*[(np.arange(n) + 0.5) / n * 2.0 - 1.0 - rng.uniform(-0.3, 0.3) for n in shape],
+                           indexing="ij")
+        free = sum(x * x for x in axes) < rng.uniform(0.3, 1.5) ** 2
+    else:
+        free = rng.random(shape) < rng.uniform(0.3, 1.0)
+    assume(free.any())
+    h = rng.uniform(0.05, 0.5)
+    eps = 1e-3 if p < 2.0 else 1e-6
+    disc, ref = _Discretization(free, h), StridedDiscretization(free, h)
+    # some gradients exactly zero, and a probe vector that is not zero off the free cells
+    u = rng.standard_normal(shape) * (rng.random(shape) < 0.7) * free
+    v = rng.standard_normal(shape)
+
+    assert all(_same_bytes(a, b) for a, b in zip(disc.one_sided_sq(u), ref.one_sided_sq(u)))
+    wf, wb, Q, density = disc.weights(u, p, eps)
+    rwf, rwb, rQ = ref.weights(u, p, eps)
+    assert _same_bytes(wf, rwf) and _same_bytes(wb, rwb)
+    assert _same_bytes(density, ref.energy_density(u, p, eps))
+    assert Q.sign == rQ[0]
+    for k, s in enumerate(disc.strides):
+        qf, qb = np.zeros(disc.size), np.zeros(disc.size)
+        qf[:-s], qb[s:] = Q.qf[k], Q.qb[k]
+        assert _same_bytes(disc.cells(qf), rQ[1][k]) and _same_bytes(disc.cells(qb), rQ[2][k])
+    T, rT = disc.faces(wf, wb), ref.faces(rwf, rwb)
+    assert all(_same_bytes(disc.face_view(t, k), rt) for k, (t, rt) in enumerate(zip(T, rT)))
+
+    S = rng.uniform(0.0, 2.0, shape) * free if sink else None
+    Sb = disc.bordered_copy(S) if sink else None
+    assert _same_bytes(disc.apply(v, T, Sb), ref.apply(v, rT, S))
+    assert _same_bytes(disc.diagonal(T, Sb), ref.diagonal(rT, S))
+    assert _same_bytes(disc.hessian(v, T, Q), ref.hessian(v, rT, rQ))
+
+    coarse = rng.standard_normal([(n + 1) // 2 for n in shape])
+    assert _same_bytes(_prolong(coarse, free), strided_prolong(coarse, free))
+    cycle = _VCycle(disc, T)
+    ref_cycle = StridedVCycle(ref, rT, plap_solver._OMEGA, plap_solver._SWEEPS, plap_solver._ALPHA,
+                              plap_solver._COARSEST_CELLS, plap_solver._COARSEST_SWEEPS)
+    r = rng.standard_normal(shape) * free
+    assert _same_bytes(cycle(r), ref_cycle(r))
+    x, its = _pcg(lambda w: disc.apply(w, T), r.copy(), np.zeros(shape), cycle, 1e-6, 50)
+    rx, rits = strided_pcg(lambda w: ref.apply(w, rT), r, np.zeros(shape), ref_cycle, 1e-6, 50)
+    assert its == rits and _same_bytes(x, rx)
 
 
 def _probe(op, free):
@@ -381,6 +457,52 @@ def test_kept_context_solves_bit_identical():
             assert (kept.iterations, kept.cg_iterations, kept.converged) == (
                 rep.iterations, rep.cg_iterations, rep.converged)
         warm = ScalarField(grid, kept.values)
+
+
+def test_energy_history_is_each_iterates_energy():
+    # for p != 2 each energy in the history is formed from the squared magnitudes
+    # that the weights at the accepted iterate take; it equals the energy
+    # recomputed from that iterate, byte for byte.  A solve cut at k steps
+    # stops at the full solve's k-th iterate
+    grid = Grid(2, 2.0, 24)
+    ball = ball_mask(grid, (0.1, -0.2), 0.9)
+    f = bump_field(grid, draw_bump_params(np.random.default_rng(11), 2))
+    prob = DirichletProblem(grid, 3.0, f, tol=1e-10, domain=ball)
+    ctx = _SolveContext(grid, ball.mask.copy())
+    fv = np.where(ctx.free, f.values[ctx.crop], 0.0)
+    args = (fv, prob.p, prob.resolved_eps, grid.cell_volume)
+    whole = ctx.minimize(prob)
+    assert whole.converged and whole.iterations >= 3
+    assert _same_bytes(whole.energy_history[0], ctx.disc.energy(np.zeros(ctx.free.shape), *args))
+    for k in range(1, whole.iterations + 1):
+        cut = ctx.minimize(dataclasses.replace(prob, max_iter=k))
+        assert cut.energy_history == whole.energy_history[: k + 1]
+        assert _same_bytes(cut.energy_history[-1], ctx.disc.energy(cut.values[ctx.crop], *args))
+
+
+def test_unit_weight_operators_kept_for_p2_solves_only(monkeypatch):
+    # a kept context builds the unit-weight V-cycle once for all its p = 2
+    # solves; the seed step of a cold p > 2 solve builds its own and keeps none
+    built = []
+
+    class CountingVCycle(plap_solver._VCycle):
+        def __init__(self, disc, T):
+            built.append(len(T))
+            super().__init__(disc, T)
+
+    monkeypatch.setattr(plap_solver, "_VCycle", CountingVCycle)
+    grid = Grid(2, 2.0, 24)
+    ball = ball_mask(grid, (0.0, 0.0), 0.9)
+    rng = np.random.default_rng(5)
+    ctx = _SolveContext(grid, ball.mask.copy())
+    for _ in range(3):
+        f = bump_field(grid, draw_bump_params(rng, 2))
+        assert ctx.minimize(DirichletProblem(grid, 2.0, f, tol=1e-9, domain=ball)).converged
+    assert len(built) == 1
+    cold = _SolveContext(grid, ball.mask.copy())
+    res = cold.minimize(DirichletProblem(grid, 3.0, f, tol=1e-9, domain=ball))
+    assert res.converged and len(built) == 1 + res.iterations
+    assert "unit_faces" not in vars(cold) and "unit_cycle" not in vars(cold)
 
 
 def test_context_refuses_another_grid_or_mask():
