@@ -188,7 +188,16 @@ def ball_mask(grid: Grid, center: Sequence[float], radius: float) -> Region:
     """Cells whose centers lie strictly inside the ball B_radius(center)."""
     if not radius > 0.0:
         raise ValueError("radius must be positive")
-    mask = grid.squared_distance(center) < radius * radius
+    if len(center) != grid.N:
+        raise ValueError("center dimension mismatch")
+    r2 = radius * radius
+    # only the box of cells whose every axis term of |x - center|^2 is below
+    # r^2 can be inside: no term exceeds the sum
+    box = [np.flatnonzero((grid.axis_centers() - c) ** 2 < r2) for c in center]
+    mask = np.zeros(grid.shape, dtype=bool)
+    if all(len(b) for b in box):
+        box = [slice(b[0], b[-1] + 1) for b in box]
+        mask[tuple(box)] = grid.squared_distance(center, box) < r2
     cnt = int(mask.sum())
     return Region(grid, mask, cnt * grid.cell_volume, cnt)
 
@@ -300,17 +309,6 @@ def cutoff_eta(
     """
     if center is None:
         center = (0.0,) * grid.N
-    vals = _cutoff_values(grid, grid.open_centers(), t, s, center)
-    eta = ScalarField(grid, vals)
-    gmax = linf_norm(gradient(eta))
-    eps_geom = max(0.0, gmax * (s - t) - 1.0)
-    return eta, eps_geom
-
-
-def _cutoff_values(
-    grid: Grid, coords: Sequence[np.ndarray], t: float, s: float, center: Sequence[float]
-) -> np.ndarray:
-    """The values of ``cutoff_eta`` at the broadcast axis coordinates ``coords``."""
     if len(center) != grid.N:
         raise ValueError("center dimension mismatch")
     if not (0.0 < t < s):
@@ -318,6 +316,15 @@ def _cutoff_values(
     for ck in center:
         if abs(ck) + s > grid.extent * (1.0 + 1e-12):
             raise ValueError("B_s must lie inside the box")
+    vals = _cutoff_values(grid.open_centers(), t, s, center)
+    eta = ScalarField(grid, vals)
+    gmax = linf_norm(gradient(eta))
+    eps_geom = max(0.0, gmax * (s - t) - 1.0)
+    return eta, eps_geom
+
+
+def _cutoff_values(coords: Sequence[np.ndarray], t: float, s: float, center: Sequence[float]) -> np.ndarray:
+    """The values of ``cutoff_eta`` at the broadcast axis coordinates ``coords``, B_s inside the box or not."""
     r = np.sqrt(sum((x - ck) ** 2 for x, ck in zip(coords, center)))
     return np.clip((s - r) / (s - t), 0.0, 1.0)
 

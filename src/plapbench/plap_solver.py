@@ -54,6 +54,17 @@ the axis's stride, the face between bordered cells j and j + s_k is stored
 at index j, and each face difference, face flux and divergence is one pass
 over contiguous memory (``_FluxForm``).
 
+Precision: the V-cycle runs every level in float32 (``_CYCLE_DTYPE``) and
+keeps its vectors in the bordered layout; the CG, the operator and Hessian
+applies, the residuals, the certificate and every artifact stay float64.  The
+cycle only has to be SPD and close to the inverse, and its kernels stream
+memory, so half the bytes make it faster (Kronbichler & Ljungkvist, ACM TOPC
+6, 2019).  It stores its weights, and takes each residual, scaled by powers of
+two, so float32 sees numbers near 1 whatever the data's scale (f = 1e100 at
+p = 2, 1e80 at p = 3), and it undoes the scaling exactly; its diagonal is
+clamped at float32's smallest normal number.  A certificate whose ||f||^2 or
+||r||^2 leaves float64's range raises ``SolverDivergenceError``.
+
 ``_SolveContext`` keeps what depends only on the grid and the free-cell mask
 (crop, free cells, discretization, unit-weight V-cycle at p = 2).  ``solve``
 builds one per call, freed before its weak residual, which pairs the last
@@ -168,10 +179,12 @@ class _FluxForm:
         self.strides = [math.prod(self.bordered[k + 1:]) for k in range(nd)]
         self._interior = (slice(1, -1),) * nd
         self._faces = [tuple(slice(None, -1) if i == k else slice(1, -1) for i in range(nd)) for k in range(nd)]
-        # u goes into this buffer's interior; its border stays zero
-        self._padded = np.zeros(self.size)
-        self._padded_cells = self.cells(self._padded)
-        self._shifted = [(self._padded[s:], self._padded[:-s]) for s in self.strides]
+
+    @cached_property
+    def _padded(self) -> np.ndarray:
+        # u goes into this buffer's interior; its border stays zero.  Only
+        # ``apply`` and the face differences pad, so coarse levels never build it
+        return np.zeros(self.size)
 
     def cells(self, x: np.ndarray) -> np.ndarray:
         """The cell-shaped view of a bordered array."""
@@ -182,43 +195,49 @@ class _FluxForm:
         return t.reshape(self.bordered)[self._faces[k]]
 
     def bordered_copy(self, x: np.ndarray) -> np.ndarray:
-        """A cell-shaped array in the bordered layout, zero on the border."""
-        out = np.zeros(self.size)
+        """A cell-shaped array in the bordered layout, zero on the border, in x's dtype."""
+        out = np.zeros(self.size, x.dtype)
         self.cells(out)[...] = x
         return out
 
     def _pad(self, u: np.ndarray) -> np.ndarray:
         """u in the bordered layout; the next call overwrites it."""
-        self._padded_cells[...] = u
+        self.cells(self._padded)[...] = u
         return self._padded
 
     def _finish(self, out: np.ndarray) -> np.ndarray:
         """The cells of a bordered result, with the rows of constrained cells zeroed."""
-        res = np.zeros(self.free.shape)
+        res = np.zeros(self.free.shape, out.dtype)
         np.copyto(res, self.cells(out), where=self.free)
         return res
 
     def apply(self, u: np.ndarray, T: list[np.ndarray], S: np.ndarray | None = None) -> np.ndarray:
         """Gradient of the frozen quadratic, -sum_k diff(T_k G_k) + S u (no h^N)."""
-        P = self._pad(u)
-        out = np.zeros(self.size) if S is None else S * P
-        buf = np.empty(self.size)
-        for s, t, (after, before) in zip(self.strides, T, self._shifted):
-            TG = np.subtract(after, before, out=buf[:-s])
+        return self._finish(self.apply_bordered(self._pad(u), T, S))
+
+    def apply_bordered(self, P: np.ndarray, T: list[np.ndarray], S: np.ndarray | None = None) -> np.ndarray:
+        """``apply`` on a bordered P (zero on the border and the constrained cells), in P's dtype.
+
+        The result is bordered, and its entries off the free cells are not zeroed.
+        """
+        out = np.zeros(self.size, P.dtype) if S is None else S * P
+        buf = np.empty(self.size, P.dtype)
+        for s, t in zip(self.strides, T):
+            TG = np.subtract(P[s:], P[:-s], out=buf[:-s])
             TG *= t[:-s]
             out[s:-s] -= TG[s:]
             out[s:-s] += TG[:-s]
-        del buf, TG  # before the cells are copied out (peak memory)
-        return self._finish(out)
+        return out
 
     def diagonal(self, T: list[np.ndarray], S: np.ndarray | None = None) -> np.ndarray:
+        """The operator's diagonal on the cells, in T's dtype, at least that dtype's smallest normal number."""
         nd = self.ndim
-        diag = np.zeros(self.free.shape) if S is None else self.cells(S).copy()
+        diag = np.zeros(self.free.shape, T[0].dtype) if S is None else self.cells(S).copy()
         for k, t in enumerate(T):
             t = self.face_view(t, k)
             diag += t[_axslice(nd, k, slice(None, -1))] + t[_axslice(nd, k, slice(1, None))]
         diag[self.fixed] = 1.0
-        return np.maximum(diag, 1e-300)
+        return np.maximum(diag, np.finfo(diag.dtype).tiny)
 
 
 class _Curvature(NamedTuple):
@@ -272,9 +291,9 @@ class _Discretization(_FluxForm):
 
     def _face_diffs(self, u: np.ndarray) -> Iterator[np.ndarray]:
         """G_k for k = 0, ..., N - 1, one at a time, in the bordered layout."""
-        self._pad(u)
-        for after, before in self._shifted:
-            yield after - before
+        P = self._pad(u)
+        for s in self.strides:
+            yield P[s:] - P[:-s]
 
     def one_sided_sq(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Squared magnitudes of the forward and backward difference gradients, as cell-shaped views."""
@@ -399,6 +418,9 @@ _SWEEPS = 2
 _ALPHA = 1.8
 _COARSEST_CELLS = 16
 _COARSEST_SWEEPS = 8
+# the V-cycle's arithmetic: a preconditioner need only be SPD and close to the
+# inverse, and the cycle's kernels stream memory, so half the bytes pay
+_CYCLE_DTYPE = np.float32
 # forcing term: each outer step's CG solve stops once its residual is a
 # fraction eta of the nonlinear residual at u, so the linear solves are only
 # as tight as the outer residual needs.  At p = 2 eta is _ETA, or what half the
@@ -430,13 +452,13 @@ def _coarsen(
     cell or the box edge adds it to the sink of the free cell's aggregate;
     a face inside an aggregate between two free cells drops out.  An odd axis
     is padded with one constrained layer.  Returns the coarse form with its
-    face weights and sink in its bordered layout.
+    face weights and sink in its bordered layout, in T's dtype.
     """
     free = form.free
     nd = free.ndim
     every = range(nd)
     coarse = _FluxForm(_pair_sums(free, every))
-    sink = np.zeros(free.shape) if S is None else form.cells(S).copy()
+    sink = np.zeros(free.shape, T[0].dtype) if S is None else form.cells(S).copy()
     Tc = []
     for k, t in enumerate(T):
         t = form.face_view(t, k)
@@ -448,7 +470,7 @@ def _coarsen(
         # faces 2, 4, ... (tb[1::2]) separate aggregates
         tb = t[_axslice(nd, k, slice(1, -1))] * (free[lo] & free[hi])
         between = _pair_sums(tb[_axslice(nd, k, slice(1, None, 2))], set(every) - {k})
-        tc = np.zeros(coarse.size)
+        tc = np.zeros(coarse.size, t.dtype)
         coarse.face_view(tc, k)[_axslice(nd, k, slice(1, -1))] = between
         Tc.append(tc)
     return coarse, Tc, coarse.bordered_copy(_pair_sums(sink, every))
@@ -460,7 +482,7 @@ def _prolong(v: np.ndarray, free: np.ndarray) -> np.ndarray:
     # axis k of v becomes the pair (m_k, 2) of fine axes
     rows = np.repeat(v, 2, axis=-1)
     lead = v.shape[:-1]
-    fine = np.empty([2 * m for m in v.shape])
+    fine = np.empty([2 * m for m in v.shape], v.dtype)
     fine.reshape([d for m in lead for d in (m, 2)] + [rows.shape[-1]])[...] = rows.reshape(
         [d for m in lead for d in (m, 1)] + [rows.shape[-1]]
     )
@@ -469,26 +491,49 @@ def _prolong(v: np.ndarray, free: np.ndarray) -> np.ndarray:
     return fine
 
 
+def _binary_exponent(x: float) -> int:
+    """e with |x| 2^-e in [1/2, 1); 0 for x = 0 and for a non-finite x."""
+    return int(np.frexp(x)[1])
+
+
 class _VCycle:
-    """Symmetric aggregation V-cycle for the flux form with face weights T.
+    """Symmetric aggregation V-cycle for the flux form with face weights T, run in _CYCLE_DTYPE.
 
     Each coarser level is the Galerkin operator of ``_coarsen``, itself a
     ``_FluxForm`` with a sink, so no matrix is stored.  The cycle is a fixed
     linear map, symmetric positive definite whenever the operator is, and
     serves as the conjugate-gradient preconditioner.
+
+    Every level keeps its weights, sink and Jacobi weights wd in the bordered
+    layout, wd zero off the free cells, and the cycle's vectors live there
+    too.  The weights are stored times 2^-e, e the binary exponent of the
+    largest, and each residual enters times 2^-e_r likewise, so the cycle
+    sees numbers near 1 whatever the data's scale; its result is multiplied
+    by 2^(e_r - e), which undoes both scalings exactly.
     """
 
     def __init__(self, disc: _FluxForm, T: list[np.ndarray]):
+        self.exponent = _binary_exponent(max(float(np.max(t)) for t in T))
+        scale = 2.0**-self.exponent
+        T = [np.multiply(t, scale, out=np.empty(disc.size, _CYCLE_DTYPE), casting="same_kind") for t in T]
         form, S = disc, None
         self.levels = []
         while True:
-            self.levels.append((form, T, S, _OMEGA / form.diagonal(T, S)))
+            wd = np.zeros(form.size, _CYCLE_DTYPE)
+            np.divide(_OMEGA, form.diagonal(T, S), out=form.cells(wd), where=form.free)
+            self.levels.append((form, T, S, wd))
             if np.count_nonzero(form.free) <= _COARSEST_CELLS:
                 break
             form, T, S = _coarsen(form, T, S)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        return self._cycle(0, r)
+        form, _, _, wd = self.levels[0]
+        exponent = _binary_exponent(max(float(np.max(r)), -float(np.min(r))))
+        rb = np.zeros(form.size, wd.dtype)
+        np.multiply(r, 2.0**-exponent, out=form.cells(rb), casting="same_kind")
+        z = np.zeros(r.shape)
+        np.copyto(z, form.cells(self._cycle(0, rb)), where=form.free)
+        return np.ldexp(z, exponent - self.exponent, out=z)
 
     def _cycle(self, i: int, r: np.ndarray) -> np.ndarray:
         level = form, T, S, wd = self.levels[i]
@@ -498,24 +543,27 @@ class _VCycle:
             _smooth(level, r, z)
         if coarsest:
             return z
-        z += _ALPHA * _prolong(self._cycle(i + 1, _coarse_residual(level, r, z)), form.free)
+        coarse = self.levels[i + 1][0]
+        correction = _prolong(coarse.cells(self._cycle(i + 1, _coarse_residual(level, coarse, r, z))), form.free)
+        correction *= _ALPHA
+        form.cells(z)[...] += correction
         for _ in range(_SWEEPS):
             _smooth(level, r, z)
         return z
 
 
-def _coarse_residual(level: tuple, r: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The aggregates' sums of the residual r - A z on a V-cycle level."""
+def _coarse_residual(level: tuple, coarse: _FluxForm, r: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The aggregates' sums of the residual r - A z on a V-cycle level, bordered on the coarse level."""
     form, T, S, _ = level
-    rc = form.apply(z, T, S)
+    rc = form.apply_bordered(z, T, S)
     np.subtract(r, rc, out=rc)
-    return _pair_sums(rc, range(r.ndim))
+    return coarse.bordered_copy(_pair_sums(form._finish(rc), range(form.ndim)))
 
 
 def _smooth(level: tuple, r: np.ndarray, z: np.ndarray) -> None:
-    """One damped Jacobi sweep z += wd (r - A z) on a V-cycle level, in place."""
+    """One damped Jacobi sweep z += wd (r - A z) on a V-cycle level, in place; wd = 0 keeps z = 0 off the free cells."""
     form, T, S, wd = level
-    Az = form.apply(z, T, S)
+    Az = form.apply_bordered(z, T, S)
     np.subtract(r, Az, out=Az)
     Az *= wd
     z += Az
@@ -678,8 +726,6 @@ class _SolveContext:
             u = np.zeros(free.shape)
 
         cg_cap = max(2000, 40 * max(free.shape))
-        # the certificate in Euclidean norm: ||r||_{L2} = sqrt(hvol) ||r||_2
-        target = prob.tol * (1.0 + math.sqrt(_dot(fv, fv) * hvol)) / math.sqrt(hvol)
 
         lagged = partial(self.lagged, fv=fv, p=p, eps=eps)
         T, Q, density, r = lagged(u)
@@ -689,7 +735,13 @@ class _SolveContext:
         seed = p > 2.0 and not u.any()
         history = [disc.energy(u, fv, p, eps, hvol, density)]
         iterations = cg_total = 0
-        rnorm = prev_rnorm = math.sqrt(_dot(r, r))
+        with np.errstate(over="ignore"):  # an overflow fails the check below
+            # the certificate in Euclidean norm: ||r||_{L2} = sqrt(hvol) ||r||_2
+            target = prob.tol * (1.0 + math.sqrt(_dot(fv, fv) * hvol)) / math.sqrt(hvol)
+            rnorm = prev_rnorm = math.sqrt(_dot(r, r))
+        if not (math.isfinite(target) and math.isfinite(rnorm)):
+            # ||f||^2 or ||r||^2 overflows: inf > inf is false, so the loop would certify u
+            raise SolverDivergenceError("the residual certificate leaves float64's range")
         while rnorm > target and iterations < prob.max_iter:
             iterations += 1
             if seed:  # its unit-weight operators are not kept
@@ -740,34 +792,44 @@ def solve(prob: DirichletProblem, initial: ScalarField | None = None) -> tuple[S
     return ScalarField(prob.grid, res.values), report
 
 
-def _test_functions(grid: Grid, free: np.ndarray, crop: tuple[slice, ...]) -> Iterator[np.ndarray]:
-    """The test functions of ``weak_residual`` on the cells ``crop`` of the box, one at a time.
+def _test_functions(grid: Grid, free: np.ndarray) -> Iterator[tuple[tuple[slice, ...], np.ndarray]]:
+    """The test functions of ``weak_residual``, one at a time, each with the box of cells it is given on.
 
     Tensor hat bumps plus radial cutoffs, zero off ``free``, with supports
     scaled to the free region so the family is valid for ball domains as
-    well as for the whole box.
+    well as for the whole box.  Each is given on its window: the cells of the
+    free bounding box within its reach of its centre along every axis (its
+    support and any cell within rounding of it), plus one cell below and two
+    above, where the one-sided differences of ``gradient`` see the same values
+    as on the whole grid.  A function without a free cell in reach is skipped.
     """
     centers = grid.open_centers()
     cnt = float(np.count_nonzero(free))
     centroid = [float(np.sum(np.broadcast_to(c, free.shape)[free])) / cnt for c in centers]
-    half = min((b.stop - b.start) * grid.spacing / 2.0 for b in _bbox_slices(free))
-    coords = [c[_axslice(grid.N, k, crop[k])] for k, c in enumerate(centers)]
-    inside = free[crop]
-
-    def hat(center: Sequence[float], width: float) -> np.ndarray:
-        vals = 1.0
-        for x, ck in zip(coords, center):
-            vals = vals * np.maximum(0.0, 1.0 - np.abs(x - ck) / width)
-        return vals * inside
-
-    yield hat(centroid, 0.3 * half)
+    box = _bbox_slices(free)
+    half = min((b.stop - b.start) * grid.spacing / 2.0 for b in box)
+    ax = grid.axis_centers()
+    # (centre, reach, inner radius): a hat of half-width reach, or a cutoff 1 on the inner ball, 0 beyond reach
+    family = [(centroid, 0.3 * half, None)]
     for k in range(grid.N):
         for sgn in (+1.0, -1.0):
             c = list(centroid)
             c[k] += sgn * 0.35 * half
-            yield hat(c, 0.25 * half)
-    for t_frac, s_frac in ((0.45, 0.8), (0.25, 0.5)):
-        yield _cutoff_values(grid, coords, t_frac * half, s_frac * half, centroid) * inside
+            family.append((c, 0.25 * half, None))
+    family += [(centroid, s_frac * half, t_frac * half) for t_frac, s_frac in ((0.45, 0.8), (0.25, 0.5))]
+    for center, reach, inner in family:
+        near = [np.flatnonzero(np.abs(ax[b] - ck) < reach * (1.0 + 1e-9)) + b.start for b, ck in zip(box, center)]
+        if any(idx.size == 0 for idx in near):
+            continue
+        win = tuple(slice(max(int(i[0]) - 1, 0), min(int(i[-1]) + 3, grid.cells_per_axis)) for i in near)
+        coords = [c[_axslice(grid.N, k, win[k])] for k, c in enumerate(centers)]
+        if inner is None:
+            vals = 1.0
+            for x, ck in zip(coords, center):
+                vals = vals * np.maximum(0.0, 1.0 - np.abs(x - ck) / reach)
+        else:
+            vals = _cutoff_values(coords, inner, reach, center)
+        yield win, vals * free[win]
 
 
 def weak_residual(u: ScalarField, prob: DirichletProblem) -> float:
@@ -786,19 +848,19 @@ def weak_residual(u: ScalarField, prob: DirichletProblem) -> float:
 
 
 def _weak_residual(grid: Grid, mask: np.ndarray, r: np.ndarray, p: float) -> float:
-    """``weak_residual`` from the residual r = A(u) u - f on the free bounding box of ``mask``.
-
-    r goes into zeros on that box plus one cell below and two above, where
-    the one-sided differences of ``gradient`` see the same values as on the box.
-    """
+    """``weak_residual`` from the residual r = A(u) u - f on the free bounding box of ``mask``."""
     box = _bbox_slices(mask)
-    crop = tuple(slice(max(s.start - 1, 0), min(s.stop + 2, grid.cells_per_axis)) for s in box)
-    residual = np.pad(r, [(b.start - c.start, c.stop - b.stop) for b, c in zip(box, crop)])
     pprime = p / (p - 1.0)
     hvol = grid.cell_volume
     worst = 0.0
-    for phi in _test_functions(grid, mask, crop):  # each zero off the free cells
-        num = hvol * _dot(residual, phi)
+
+    def within(cells: list[slice], origin: tuple[slice, ...]) -> tuple[slice, ...]:
+        return tuple(slice(c.start - o.start, c.stop - o.start) for c, o in zip(cells, origin))
+
+    for win, phi in _test_functions(grid, mask):  # each zero off the free cells
+        # the pairing runs over the window's cells on the box, where r lives
+        both = [slice(max(w.start, b.start), min(w.stop, b.stop)) for w, b in zip(win, box)]
+        num = hvol * _dot(r[within(both, box)], phi[within(both, win)])
         g = _gradient_values(phi, grid.spacing)
         mag = np.sqrt(np.einsum("...k,...k->...", g, g))
         den = 1.0 + (float(np.sum(mag**pprime)) * hvol) ** (1.0 / pprime)

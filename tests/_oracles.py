@@ -11,7 +11,9 @@ The strided solver kernels (``StridedDiscretization``, ``strided_prolong``,
 face-shaped arrays, one strided slice per face array, as the solver had them
 before it moved to the flat bordered layout.  They do the same floating-point
 operations in the same order per element, so the solver's kernels must match
-them byte for byte.
+them byte for byte.  The V-cycle runs in the dtype it is given, unscaled: the
+solver's cycle scales its weights and residuals by powers of two, which
+commutes with rounding as long as no number leaves the dtype's normal range.
 """
 
 import math
@@ -155,14 +157,15 @@ class StridedDiscretization:
     """Face differences G_k = diff(u, axis=k, prepend=0, append=0), n + 1 per axis, as strided
     views of a zero-bordered copy of u; face weights T_k are arrays of n + 1 faces along axis k."""
 
-    def __init__(self, free, h):
+    def __init__(self, free, h, dtype=np.float64):
         self.free = free
+        self.dtype = dtype
         self.fixed = ~free
         nd = self.ndim = free.ndim
         self.h = h
         self.lo = [_axslice(nd, k, slice(None, -1)) for k in range(nd)]
         self.hi = [_axslice(nd, k, slice(1, None)) for k in range(nd)]
-        self._padded = np.zeros(tuple(n + 2 for n in free.shape))
+        self._padded = np.zeros(tuple(n + 2 for n in free.shape), dtype)
         self._interior = (slice(1, -1),) * nd
         self._before = [tuple(slice(None, -1) if i == k else slice(1, -1) for i in range(nd)) for k in range(nd)]
         self._after = [tuple(slice(1, None) if i == k else slice(1, -1) for i in range(nd)) for k in range(nd)]
@@ -175,7 +178,7 @@ class StridedDiscretization:
             yield padded[after] - padded[before]
 
     def apply(self, u, T, S=None):
-        out = np.zeros(u.shape) if S is None else S * u
+        out = np.zeros(u.shape, self.dtype) if S is None else S * u
         for k, (t, TG) in enumerate(zip(T, self._face_diffs(u))):
             TG *= t
             out -= TG[self.hi[k]]
@@ -184,11 +187,11 @@ class StridedDiscretization:
         return out
 
     def diagonal(self, T, S=None):
-        diag = np.zeros(self.free.shape) if S is None else S.copy()
+        diag = np.zeros(self.free.shape, self.dtype) if S is None else S.copy()
         for k, t in enumerate(T):
             diag += t[self.lo[k]] + t[self.hi[k]]
         diag[self.fixed] = 1.0
-        return np.maximum(diag, 1e-300)
+        return np.maximum(diag, np.finfo(self.dtype).tiny)
 
     def cf(self, k):
         return self.free * (1.0 + self.ends[k][self.hi[k]]) / self.h
@@ -285,7 +288,7 @@ def strided_coarsen(free, T, S):
     """Galerkin coarse level (free cells, face weights, sink) of the aggregation V-cycle."""
     nd = free.ndim
     coarse = [(n + 1) // 2 for n in free.shape]
-    sink = np.zeros(free.shape) if S is None else S.copy()
+    sink = np.zeros(free.shape, T[0].dtype) if S is None else S.copy()
     Tc = []
     for k, t in enumerate(T):
         lo, hi = _axslice(nd, k, slice(None, -1)), _axslice(nd, k, slice(1, None))
@@ -293,7 +296,7 @@ def strided_coarsen(free, T, S):
         sink += free * (ts[lo] + ts[hi])
         tb = t[_axslice(nd, k, slice(1, -1))] * (free[lo] & free[hi])
         between = _pair_sums(tb[_axslice(nd, k, slice(1, None, 2))], set(range(nd)) - {k})
-        tc = np.zeros([m + (i == k) for i, m in enumerate(coarse)])
+        tc = np.zeros([m + (i == k) for i, m in enumerate(coarse)], t.dtype)
         tc[_axslice(nd, k, slice(1, -1))] = between
         Tc.append(tc)
     every = range(nd)
@@ -307,21 +310,24 @@ def strided_prolong(v, free):
 
 
 class StridedVCycle:
-    """The symmetric aggregation V(2,2) cycle on ``StridedDiscretization`` levels."""
+    """The symmetric aggregation V(2,2) cycle on ``StridedDiscretization`` levels, every level in ``dtype``;
+    it takes and returns float64 residuals and corrections."""
 
-    def __init__(self, disc, T, omega, sweeps, alpha, coarsest_cells, coarsest_sweeps):
+    def __init__(self, disc, T, omega, sweeps, alpha, coarsest_cells, coarsest_sweeps, dtype=np.float64):
         self.sweeps, self.alpha, self.coarsest_sweeps = sweeps, alpha, coarsest_sweeps
-        form, S = disc, None
+        self.dtype = dtype
+        form, S = StridedDiscretization(disc.free, 1.0, dtype), None
+        T = [t.astype(dtype) for t in T]
         self.levels = []
         while True:
             self.levels.append((form, T, S, omega / form.diagonal(T, S)))
             if np.count_nonzero(form.free) <= coarsest_cells:
                 break
             free, T, S = strided_coarsen(form.free, T, S)
-            form = StridedDiscretization(free, 1.0)
+            form = StridedDiscretization(free, 1.0, dtype)
 
     def __call__(self, r):
-        return self._cycle(0, r)
+        return self._cycle(0, r.astype(self.dtype)).astype(np.float64)
 
     def _cycle(self, i, r):
         form, T, S, wd = self.levels[i]
@@ -357,3 +363,42 @@ def strided_pcg(apply_A, r0, x0, precond, reduction, max_iter):
         pvec = z + (rz_new / rz) * pvec
         rz = rz_new
     return x, max_iter
+
+
+def full_grid_weak_residual(grid, mask, r, p):
+    """The solver's weak residual with every test function on the whole grid; r = A(u) u - f on the grid.
+
+    The family of ``plap_solver._test_functions`` (hats at the free cells'
+    centroid and 0.35 half-widths off it along each axis, two radial cutoffs),
+    each normalized by 1 + ||D phi||_{p'} with forward differences, backward
+    in the last layer.
+    """
+    nd, h = grid.N, grid.spacing
+    x = np.meshgrid(*[grid.axis_centers()] * nd, indexing="ij")
+    centroid = [float(np.mean(xk[mask])) for xk in x]
+    rows = [np.flatnonzero(np.any(mask, axis=tuple(i for i in range(nd) if i != k))) for k in range(nd)]
+    half = min((idx[-1] + 1 - idx[0]) * h / 2.0 for idx in rows)
+    family = [(centroid, 0.3 * half, None)]
+    for k in range(nd):
+        for sgn in (1.0, -1.0):
+            c = list(centroid)
+            c[k] += sgn * 0.35 * half
+            family.append((c, 0.25 * half, None))
+    family += [(centroid, 0.8 * half, 0.45 * half), (centroid, 0.5 * half, 0.25 * half)]
+    pprime = p / (p - 1.0)
+    worst = 0.0
+    for c, reach, inner in family:
+        if inner is None:
+            phi = np.prod([np.maximum(0.0, 1.0 - np.abs(xk - ck) / reach) for xk, ck in zip(x, c)], axis=0)
+        else:
+            dist = np.sqrt(sum((xk - ck) ** 2 for xk, ck in zip(x, c)))
+            phi = np.clip((reach - dist) / (reach - inner), 0.0, 1.0)
+        phi = phi * mask
+        grad2 = np.zeros(phi.shape)
+        for k in range(nd):
+            d = np.diff(phi, axis=k, append=np.take(phi, [-1], axis=k)) / h
+            d[_axslice(nd, k, slice(-1, None))] = np.take(d, [-2], axis=k)
+            grad2 += d * d
+        norm = (float(np.sum(np.sqrt(grad2) ** pprime)) * grid.cell_volume) ** (1.0 / pprime)
+        worst = max(worst, abs(grid.cell_volume * float(np.sum(r * phi))) / (1.0 + norm))
+    return worst

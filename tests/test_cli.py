@@ -224,6 +224,21 @@ def test_solve_nonconvergence_exit_1(tmp_path):
     assert code == 1
 
 
+def test_overflowing_certificate_exits_1(tmp_path):
+    # at f = 1e200 the squared norm of f overflows, so the certificate's target
+    # and the residual norm are both inf; the solve fails (exit 1, no manifest)
+    # instead of certifying u = 0.  f = 1e100 stays in range and converges
+    cfg = {"grid": {"N": 2, "extent": 1.0, "cells_per_axis": 64}, "p": 2.0,
+           "field": {"kind": "constant", "value": 1e200}, "domain": {"ball_radius": 1.0}, "tol": 1e-9}
+    code, out_dir = run(tmp_path, "solve", cfg, out="huge")
+    assert code == 1
+    assert not (out_dir / "manifest.json").exists()
+    cfg["field"]["value"] = 1e100
+    code, out_dir = run(tmp_path, "solve", cfg, out="large")
+    assert code == 0
+    assert json.loads((out_dir / "solve_report.json").read_text())["converged"]
+
+
 def test_solve_random_bumps_seed_flow(tmp_path):
     cfg = {
         "grid": {"N": 2, "extent": 2.0, "cells_per_axis": 16},

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _peak import traced_peak
 from plapbench.field import (
@@ -163,6 +165,23 @@ def test_ball_mask_volume_converges():
             errs.append(abs(b.volume - target) / target)
         assert errs[1] < errs[0]
         assert errs[1] < 0.05
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.sampled_from((2, 3)),
+    n=st.integers(2, 40),
+    center=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+    radius=st.floats(1e-3, 5.0),
+)
+def test_ball_mask_is_the_full_grid_formula(N, n, center, radius):
+    # the mask is formed on the ball's bounding box only; it equals the
+    # comparison on the whole grid, also for balls cut by or outside the box
+    g = Grid(N, 1.5, n)
+    b = ball_mask(g, center[:N], radius)
+    full = g.squared_distance(center[:N]) < radius * radius
+    assert np.array_equal(b.mask, full)
+    assert b.count == int(full.sum())
 
 
 def test_w1p_norm_combines_value_and_gradient():

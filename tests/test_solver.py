@@ -17,7 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, settings, strategies as st
 
-from _oracles import StridedDiscretization, StridedVCycle, strided_pcg, strided_prolong
+from _oracles import StridedDiscretization, StridedVCycle, full_grid_weak_residual, strided_pcg, strided_prolong
 from plapbench import plap_solver
 from plapbench.field import Grid, ScalarField, ball_mask
 from plapbench.jsonio import canonical_json
@@ -25,6 +25,7 @@ from plapbench.plap_solver import (
     DirichletProblem,
     SolverDivergenceError,
     _Discretization,
+    _dot,
     _pcg,
     _prolong,
     _SolveContext,
@@ -259,11 +260,12 @@ def test_kernels_match_the_strided_oracle_byte_for_byte(N, data, ball, sink, p, 
 
     coarse = rng.standard_normal([(n + 1) // 2 for n in shape])
     assert _same_bytes(_prolong(coarse, free), strided_prolong(coarse, free))
+    # the cycle runs in float32 on both sides; the solver's returns +0 off the free cells
     cycle = _VCycle(disc, T)
     ref_cycle = StridedVCycle(ref, rT, plap_solver._OMEGA, plap_solver._SWEEPS, plap_solver._ALPHA,
-                              plap_solver._COARSEST_CELLS, plap_solver._COARSEST_SWEEPS)
+                              plap_solver._COARSEST_CELLS, plap_solver._COARSEST_SWEEPS, np.float32)
     r = rng.standard_normal(shape) * free
-    assert _same_bytes(cycle(r), ref_cycle(r))
+    assert _same_bytes(cycle(r), np.where(free, ref_cycle(r), 0.0))
     x, its = _pcg(lambda w: disc.apply(w, T), r.copy(), np.zeros(shape), cycle, 1e-6, 50)
     rx, rits = strided_pcg(lambda w: ref.apply(w, rT), r, np.zeros(shape), ref_cycle, 1e-6, 50)
     assert its == rits and _same_bytes(x, rx)
@@ -280,6 +282,13 @@ def _probe(op, free):
     return M
 
 
+def _vcycle_in(dtype, disc, T):
+    """The solver's V-cycle with every level in ``dtype``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plap_solver, "_CYCLE_DTYPE", dtype)
+        return _VCycle(disc, T)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     shape=st.one_of(
@@ -292,7 +301,10 @@ def _probe(op, free):
 )
 def test_vcycle_symmetric_positive_and_galerkin(shape, density, p, seed):
     # random masks (odd sizes, isolated cells) and lagged weights on a field
-    # that vanishes on part of the box, so some gradients are exactly zero
+    # that vanishes on part of the box, so some gradients are exactly zero.
+    # Symmetry and the Galerkin levels are checked on the float64 build of the
+    # cycle; the float32 cycle the solver runs stays within a few float32
+    # roundings of it (1.25 eps_32 of max |B| at worst in 800 random cases)
     rng = np.random.default_rng(seed)
     free = rng.random(shape) < density
     assume(free.any())
@@ -300,19 +312,39 @@ def test_vcycle_symmetric_positive_and_galerkin(shape, density, p, seed):
     u = rng.standard_normal(shape) * (rng.random(shape) < 0.5) * free
     T = disc.faces(*disc.weights(u, p, 1e-3 if p < 2.0 else 1e-6)[:2])
     A = _probe(lambda x: disc.apply(x, T), free)
-    vcycle = _VCycle(disc, T)
+    vcycle = _vcycle_in(np.float64, disc, T)
     B = _probe(vcycle, free)
     assert np.max(np.abs(B - B.T)) <= 1e-13 * np.max(np.abs(B))
     assert np.min(np.linalg.eigvals(B @ A).real) > 0.0
+    B32 = _probe(_VCycle(disc, T), free)
+    assert np.max(np.abs(B32 - B)) <= 16 * np.finfo(np.float32).eps * np.max(np.abs(B))
+    assert np.min(np.linalg.eigvals(B32 @ A).real) > 0.0
     if len(vcycle.levels) > 1:
-        # level 1 is P^T A P for P = 1 on the free cells of each 2^N box
+        # level 1 is P^T A P for P = 1 on the free cells of each 2^N box,
+        # stored times 2^-exponent like every level
         coarse, Tc, Sc, _ = vcycle.levels[1]
         fine_agg = [tuple(c) for c in np.argwhere(free) // 2]
         coarse_cells = [tuple(c) for c in np.argwhere(coarse.free)]
         assert set(coarse_cells) == set(fine_agg)
         P = np.array([[float(a == c) for c in coarse_cells] for a in fine_agg])
         Ac = _probe(lambda x: coarse.apply(x, Tc, Sc), coarse.free)
-        assert np.max(np.abs(Ac - P.T @ A @ P)) <= 1e-13 * np.max(np.abs(A))
+        assert np.max(np.abs(np.ldexp(Ac, vcycle.exponent) - P.T @ A @ P)) <= 1e-13 * np.max(np.abs(A))
+
+
+def test_vcycle_finite_where_the_weights_vanish():
+    # at eps = 0 and p > 2 the weights vanish where u is flat, and so do the
+    # rows of A and the diagonal there: the cycle clamps its diagonal at
+    # float32's smallest normal number, so a residual in the range of A (zero
+    # on those rows) meets a finite Jacobi weight, not 0 * inf
+    free = np.ones((16, 16), dtype=bool)
+    disc = _Discretization(free, 0.1)
+    u = np.zeros(free.shape)
+    u[:, 10:] = np.random.default_rng(2).standard_normal((16, 6))
+    T = disc.faces(*disc.weights(u, 3.0, 0.0)[:2])
+    assert (disc.diagonal(T) == np.finfo(np.float64).tiny).any()
+    r = disc.apply(np.random.default_rng(3).standard_normal(free.shape), T)
+    z = _VCycle(disc, T)(r)
+    assert np.all(np.isfinite(z)) and _dot(r, z) > 0.0
 
 
 def test_cg_work_flat_in_n():
@@ -339,6 +371,18 @@ def test_newton_halves_the_outer_steps():
         assert rep.converged, p
         assert rep.iterations <= outer, (p, rep.iterations)
         assert rep.cg_iterations <= cg, (p, rep.cg_iterations)
+
+
+@pytest.mark.parametrize("p, value, outer, cg", [(2.0, 1e39, 1, 13), (2.0, 1e100, 1, 13), (3.0, 1e80, 7, 25)])
+def test_large_data_solves_keep_their_work(p, value, outer, cg):
+    # data far outside float32's range: the V-cycle scales its weights and
+    # residuals by powers of two, so it sees numbers near 1 and the solve takes
+    # the float64 cycle's outer steps and CG iterations (64^2 unit ball, tol 1e-9)
+    grid = Grid(2, 1.0, 64)
+    f = ScalarField(grid, np.full(grid.shape, value))
+    _, rep = solve(DirichletProblem(grid, p, f, tol=1e-9, domain=ball_mask(grid, (0.0, 0.0), 1.0)))
+    assert rep.converged
+    assert (rep.iterations, rep.cg_iterations) == (outer, cg)
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -528,9 +572,11 @@ def test_local_minimality_nonlinear():
     u, rep = solve(prob)
     assert rep.converged
     E0 = energy(u, prob)
-    for phi in _test_functions(prob.grid, prob.domain.mask, (slice(None),) * prob.grid.N):
+    for win, phi in _test_functions(prob.grid, prob.domain.mask):
         for eps in (1e-3, -1e-3):
-            trial = ScalarField(prob.grid, u.values + eps * phi)
+            trial = u.values.copy()
+            trial[win] += eps * phi
+            trial = ScalarField(prob.grid, trial)
             assert energy(trial, prob) >= E0 - 1e-12
 
 
@@ -539,6 +585,30 @@ def test_weak_residual_small_when_converged():
     u, rep = solve(prob)
     assert rep.weak_residual == weak_residual(u, prob)
     assert rep.weak_residual < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    N=st.sampled_from((2, 3)),
+    n=st.integers(4, 24),
+    center=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    radius=st.one_of(st.none(), st.floats(0.3, 2.5)),
+    p=st.floats(1.2, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+# a ball filling a coarse box: the larger cutoff reaches past the box's edge
+@example(N=3, n=5, center=(0.0, 0.0, 1.0), radius=2.0, p=2.0, seed=0)
+def test_weak_residual_on_windows_equals_the_whole_grid(N, n, center, radius, p, seed):
+    # each test function is evaluated on a window around its support; the
+    # weak residual equals the one with every function on the whole grid, up
+    # to the summation order (balls cut by the box edge, and the whole box)
+    grid = Grid(N, 2.0, n)
+    mask = np.ones(grid.shape, dtype=bool) if radius is None else ball_mask(grid, center[:N], radius).mask
+    assume(mask.any())
+    box = plap_solver._bbox_slices(mask)
+    r = np.random.default_rng(seed).standard_normal(grid.shape) * mask
+    got = plap_solver._weak_residual(grid, mask, r[box], p)
+    assert got == pytest.approx(full_grid_weak_residual(grid, mask, r, p), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
