@@ -212,6 +212,8 @@ def cmd_solve(cfg: dict, out: _OutputDir) -> int:
         max_iter=cfg["max_iter"],
         domain=None if dom is None else ball_mask(grid, center, dom["ball_radius"]),
     )
+    if cfg["radial_oracle"] is not None:
+        _oracle_cells(grid, cfg["radial_oracle"]["R"], center)  # a bad R fails before anything is written
     u, rep = solve(prob)
     out.write("solution.fld", partial(save_field, u))
     report = asdict(rep)
@@ -221,16 +223,23 @@ def cmd_solve(cfg: dict, out: _OutputDir) -> int:
     return 0 if rep.converged else 1
 
 
-def _radial_linf_error(u: ScalarField, p: float, R: float, center: tuple[float, ...]) -> float:
-    """max |u - exact_radial| / max |exact_radial| over the cells within 0.8 R of ``center``.
+def _oracle_cells(grid: Grid, R: float, center: tuple[float, ...]) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """The radial oracle's cells: the box of cells whose every axis term of |x - center|^2 is below
+    (0.8 R)^2 (no term exceeds the sum), |x - center|^2 on it and the mask of the cells within 0.8 R.
 
-    Only the box of cells whose every axis term of |x - center|^2 is below
-    (0.8 R)^2 is read: no term exceeds the sum."""
+    Raises ConfigError if R <= 0 or no cell centre lies within 0.8 R."""
     rad2 = (0.8 * R) * (0.8 * R)
-    box = [np.flatnonzero((u.grid.axis_centers() - c) ** 2 < rad2) for c in center]
-    d2 = u.grid.squared_distance(center, box)
+    box = [np.flatnonzero((grid.axis_centers() - c) ** 2 < rad2) for c in center]
+    d2 = grid.squared_distance(center, box)
+    if not (R > 0.0 and (d2 < rad2).any()):
+        raise ConfigError(f"radial_oracle.R must be positive with a cell centre within 0.8 R, got {R!r}")
+    return box, d2, d2 < rad2
+
+
+def _radial_linf_error(u: ScalarField, p: float, R: float, center: tuple[float, ...]) -> float:
+    """max |u - exact_radial| / max |exact_radial| over the cells within 0.8 R of ``center``, read on their box."""
+    box, d2, inner = _oracle_cells(u.grid, R, center)
     ex = exact_radial(p, u.grid.N, R, np.minimum(np.sqrt(d2), R))
-    inner = d2 < rad2
     return float(np.max(np.abs(u.values[np.ix_(*box)] - ex)[inner])) / float(np.max(np.abs(ex[inner])))
 
 

@@ -48,28 +48,31 @@ a sink per cell, no stored matrix), damped Jacobi smoothing and an
 over-corrected coarse step (Notay, ETNA 37, 2010; Braess, Computing 55,
 1995), so the iterations per outer step do not grow with the grid size.
 
-Every kernel runs on a flat copy P of u with a zero border, (n + 2)^N cells
-in C order: the jumps across the faces of axis k are P[s_k:] - P[:-s_k], s_k
-the axis's stride, the face between bordered cells j and j + s_k is stored
-at index j, and each face difference, face flux and divergence is one pass
-over contiguous memory (``_FluxForm``).
+Every solver vector is bordered (``_FluxForm``): u, f, the residuals, the
+CG's vectors, the operator and Hessian results and the V-cycle's input and
+output are flat arrays of (n + 2)^N cells in C order, the box inside a zero
+border, so each face difference, flux and divergence is one contiguous pass.
+Reductions run over the cell views (``_FluxForm.dot``): the product of two
+is a contiguous n^N array, which numpy's pairwise sum adds in a fixed tree;
+a sum over the flat array would move every result in its last bits.
 
-Precision: the V-cycle runs every level in float32 (``_CYCLE_DTYPE``) and
-keeps its vectors in the bordered layout; the CG, the operator and Hessian
-applies, the residuals, the certificate and every artifact stay float64.  The
-cycle only has to be SPD and close to the inverse, and its kernels stream
-memory, so half the bytes make it faster (Kronbichler & Ljungkvist, ACM TOPC
-6, 2019).  It stores its weights, and takes each residual, scaled by powers of
-two, so float32 sees numbers near 1 whatever the data's scale (f = 1e100 at
-p = 2, 1e80 at p = 3), and it undoes the scaling exactly; its diagonal is
-clamped at float32's smallest normal number.  A certificate whose ||f||^2 or
-||r||^2 leaves float64's range raises ``SolverDivergenceError``.
+Precision: the V-cycle runs every level in float32 (``_CYCLE_DTYPE``); the
+CG, the operator and Hessian applies, the residuals, the certificate and
+every artifact stay float64.  The cycle only has to be SPD and close to the
+inverse, and its kernels stream memory, so half the bytes make it faster
+(Kronbichler & Ljungkvist, ACM TOPC 6, 2019).  It stores its weights, and
+takes each residual, scaled by powers of two in float64, so float32 sees
+numbers near 1 whatever the data's scale (f = 1e100 at p = 2, 1e80 at
+p = 3), and it undoes the scaling exactly; its diagonal is clamped at
+float32's smallest normal number.  A certificate whose ||f||^2 or ||r||^2
+leaves float64's range raises ``SolverDivergenceError``.
 
 ``_SolveContext`` keeps what depends only on the grid and the free-cell mask
-(crop, free cells, discretization, unit-weight V-cycle at p = 2).  ``solve``
-builds one per call, freed before its weak residual, which pairs the last
-outer step's residual with the test functions; the Picard scheme keeps one
-per level.
+(crop, free cells, discretization, unit-weight V-cycle at p = 2); only it
+reads f and the warm start and writes the solution and the final residual
+cell-shaped.  ``solve`` builds one per call, freed before its weak residual,
+which pairs the last outer step's residual with the test functions; the
+Picard scheme keeps one per level.
 """
 
 from __future__ import annotations
@@ -159,32 +162,28 @@ class _FluxForm:
     one weight per cell.  Rows of constrained cells are zero and their diagonal
     entries 1, so every level of the multigrid hierarchy is one of these.
 
-    Bordered layout: u goes into the interior of a zero border, the box of
-    (n + 2)^N cells flattened in C order, in which axis k has the stride s_k.
-    The face between bordered cells j and j + s_k is stored at index j, so
-    with P the bordered u, G_k = P[s_k:] - P[:-s_k], and the divergence of
-    a face array F is out[s_k:-s_k] -= F[s_k:], then out[s_k:-s_k] += F[:-s_k]:
-    every pass runs over contiguous memory.  T_k and S are flat arrays of the
-    bordered size, zero off the box's faces and cells; ``face_view`` and
-    ``cells`` are their face- and cell-shaped views.  An entry at the border
-    reaches only outputs at the border, which are dropped.
+    Bordered layout, the one every solver vector lives in: u goes into the
+    interior of a zero border, the box of (n + 2)^N cells flattened in C
+    order, in which axis k has the stride s_k.  The face between bordered
+    cells j and j + s_k is stored at index j, so with P the bordered u,
+    G_k = P[s_k:] - P[:-s_k], and the divergence of a face array F is
+    out[s_k:-s_k] -= F[s_k:], then out[s_k:-s_k] += F[:-s_k]: every pass runs
+    over contiguous memory.  T_k and S are flat arrays of the bordered size,
+    zero off the box's faces and cells; ``face_view`` and ``cells`` are their
+    face- and cell-shaped views.  ``dot`` sums over the cell views, so its
+    sums add in the cell-shaped order.
     """
 
     def __init__(self, free: np.ndarray):
         self.free = free
-        self.fixed = ~free
         nd = self.ndim = free.ndim
         self.bordered = tuple(n + 2 for n in free.shape)
         self.size = math.prod(self.bordered)
         self.strides = [math.prod(self.bordered[k + 1:]) for k in range(nd)]
         self._interior = (slice(1, -1),) * nd
         self._faces = [tuple(slice(None, -1) if i == k else slice(1, -1) for i in range(nd)) for k in range(nd)]
-
-    @cached_property
-    def _padded(self) -> np.ndarray:
-        # u goes into this buffer's interior; its border stays zero.  Only
-        # ``apply`` and the face differences pad, so coarse levels never build it
-        return np.zeros(self.size)
+        self.inside = self.bordered_copy(free)
+        self.outside = ~self.inside
 
     def cells(self, x: np.ndarray) -> np.ndarray:
         """The cell-shaped view of a bordered array."""
@@ -200,25 +199,20 @@ class _FluxForm:
         self.cells(out)[...] = x
         return out
 
-    def _pad(self, u: np.ndarray) -> np.ndarray:
-        """u in the bordered layout; the next call overwrites it."""
-        self.cells(self._padded)[...] = u
-        return self._padded
+    def dot(self, a: np.ndarray, b: np.ndarray) -> float:
+        """<a, b> over the cells of two bordered arrays."""
+        return _dot(self.cells(a), self.cells(b))
 
-    def _finish(self, out: np.ndarray) -> np.ndarray:
-        """The cells of a bordered result, with the rows of constrained cells zeroed."""
-        res = np.zeros(self.free.shape, out.dtype)
-        np.copyto(res, self.cells(out), where=self.free)
-        return res
+    def free_rows(self, out: np.ndarray) -> np.ndarray:
+        """out, bordered, with +0 on the border and in the rows of constrained cells, in place."""
+        np.copyto(out, 0.0, where=self.outside)
+        return out
 
-    def apply(self, u: np.ndarray, T: list[np.ndarray], S: np.ndarray | None = None) -> np.ndarray:
-        """Gradient of the frozen quadratic, -sum_k diff(T_k G_k) + S u (no h^N)."""
-        return self._finish(self.apply_bordered(self._pad(u), T, S))
+    def apply(self, P: np.ndarray, T: list[np.ndarray], S: np.ndarray | None = None) -> np.ndarray:
+        """Gradient of the frozen quadratic, -sum_k diff(T_k G_k) + S P (no h^N), in P's dtype.
 
-    def apply_bordered(self, P: np.ndarray, T: list[np.ndarray], S: np.ndarray | None = None) -> np.ndarray:
-        """``apply`` on a bordered P (zero on the border and the constrained cells), in P's dtype.
-
-        The result is bordered, and its entries off the free cells are not zeroed.
+        P and the result are bordered; P is zero on the border, and the
+        result's entries off the free cells are not zeroed (``free_rows``).
         """
         out = np.zeros(self.size, P.dtype) if S is None else S * P
         buf = np.empty(self.size, P.dtype)
@@ -230,13 +224,11 @@ class _FluxForm:
         return out
 
     def diagonal(self, T: list[np.ndarray], S: np.ndarray | None = None) -> np.ndarray:
-        """The operator's diagonal on the cells, in T's dtype, at least that dtype's smallest normal number."""
-        nd = self.ndim
-        diag = np.zeros(self.free.shape, T[0].dtype) if S is None else self.cells(S).copy()
-        for k, t in enumerate(T):
-            t = self.face_view(t, k)
-            diag += t[_axslice(nd, k, slice(None, -1))] + t[_axslice(nd, k, slice(1, None))]
-        diag[self.fixed] = 1.0
+        """The operator's diagonal, bordered, in T's dtype, at least that dtype's smallest normal number."""
+        diag = np.zeros(self.size, T[0].dtype) if S is None else S.copy()
+        for s, t in zip(self.strides, T):
+            diag[s:] += t[:-s] + t[s:]  # the cell's lower and upper face
+        diag[self.outside] = 1.0
         return np.maximum(diag, np.finfo(diag.dtype).tiny)
 
 
@@ -270,17 +262,14 @@ class _Discretization(_FluxForm):
     def __init__(self, free: np.ndarray, h: float):
         super().__init__(free)
         self.h = h
-        inside = np.zeros(self.size, dtype=bool)
-        self.cells(inside)[...] = free
-        self._inside = inside
         # True on the faces where the free region ends
-        self.ends = [inside[s:] != inside[:-s] for s in self.strides]
+        self.ends = [self.inside[s:] != self.inside[:-s] for s in self.strides]
 
     def cf(self, k: int) -> np.ndarray:
-        return self._coefficient(k, self._inside[: -self.strides[k]])
+        return self._coefficient(k, self.inside[: -self.strides[k]])
 
     def cb(self, k: int) -> np.ndarray:
-        return self._coefficient(k, self._inside[self.strides[k]:])
+        return self._coefficient(k, self.inside[self.strides[k]:])
 
     def _coefficient(self, k: int, inside: np.ndarray) -> np.ndarray:
         # inside (1 + ends) / h, formed in one array
@@ -289,9 +278,8 @@ class _Discretization(_FluxForm):
         c /= self.h
         return c
 
-    def _face_diffs(self, u: np.ndarray) -> Iterator[np.ndarray]:
-        """G_k for k = 0, ..., N - 1, one at a time, in the bordered layout."""
-        P = self._pad(u)
+    def _face_diffs(self, P: np.ndarray) -> Iterator[np.ndarray]:
+        """G_k of a bordered P for k = 0, ..., N - 1, one at a time."""
         for s in self.strides:
             yield P[s:] - P[:-s]
 
@@ -311,23 +299,23 @@ class _Discretization(_FluxForm):
         e2 = eps * eps
         ep = eps**p
         dens = 0.5 * (((m2f + e2) ** (0.5 * p) - ep) + ((m2b + e2) ** (0.5 * p) - ep)) / p
-        dens[self.fixed] = 0.0
+        dens[self.cells(self.outside)] = 0.0
         return float(np.sum(dens))
 
     def energy(
         self, u: np.ndarray, fvals: np.ndarray, p: float, eps: float, h_vol: float, density: float | None = None
     ) -> float:
-        """E(u); ``density`` is the density sum at u when ``weights`` has formed it there."""
+        """E(u) for bordered u and f values; ``density`` is the density sum at u when ``weights`` has formed it."""
         if density is None:
             density = self.density(*self.one_sided_sq(u), p, eps)
-        val = h_vol * (density - float(np.sum(fvals * u)))
+        val = h_vol * (density - self.dot(fvals, u))
         if not np.isfinite(val):
             raise SolverDivergenceError("non-finite energy")
         return val
 
     def weights(self, u: np.ndarray, p: float, eps: float) -> tuple[np.ndarray, np.ndarray, _Curvature, float]:
-        """The lagged weights w = (|g|^2+eps^2)^{(p-2)/2} of each side's gradient g at u (0 off
-        the free cells), the rank-one part of the energy's Hessian there and the energy density sum.
+        """The lagged weights w = (|g|^2+eps^2)^{(p-2)/2} of each side's gradient g at u (bordered,
+        +0 off the free cells), the rank-one part of the energy's Hessian there and the energy density sum.
 
         Per side the density phi_eps(|g|^2)/2 has the Hessian (w/2) (I + (p-2) g g^T/(|g|^2+eps^2))
         in g, so the energy's Hessian is A_T plus, per side, the form
@@ -347,12 +335,9 @@ class _Discretization(_FluxForm):
                 q.append(g)
         e2 = eps * eps
         ex = 0.5 * (p - 2.0)
-        sqf, sqb = self.cells(m2f), self.cells(m2b)
-        wf = (sqf + e2) ** ex
-        wb = (sqb + e2) ** ex
-        wf[self.fixed] = 0.0
-        wb[self.fixed] = 0.0
-        density = self.density(sqf, sqb, p, eps)
+        wf = self.free_rows((m2f + e2) ** ex)
+        wb = self.free_rows((m2b + e2) ** ex)
+        density = self.density(self.cells(m2f), self.cells(m2b), p, eps)
         for scale in (m2f, m2b):
             scale += e2
             # in place; at eps = 0 a cell without gradient keeps q = 0, not 0 * inf
@@ -364,10 +349,8 @@ class _Discretization(_FluxForm):
         return wf, wb, _Curvature(math.copysign(1.0, p - 2.0), qf, qb), density
 
     def faces(self, wf: np.ndarray, wb: np.ndarray) -> list[np.ndarray]:
-        """Per-face weights T_k of the frozen quadratic, in the bordered layout, from per-cell weights."""
-        half_wf, half_wb = self.bordered_copy(wf), self.bordered_copy(wb)
-        half_wf *= 0.5
-        half_wb *= 0.5
+        """Per-face weights T_k of the frozen quadratic from per-cell weights, all bordered."""
+        half_wf, half_wb = wf * 0.5, wb * 0.5
         T = []
         for k, s in enumerate(self.strides):
             t = np.zeros(self.size)
@@ -381,7 +364,7 @@ class _Discretization(_FluxForm):
         return T
 
     def hessian(self, v: np.ndarray, T: list[np.ndarray], Q: _Curvature) -> np.ndarray:
-        """The energy's Hessian (no h^N) at the point of T and Q, applied to v.
+        """The energy's Hessian (no h^N) at the point of T and Q, applied to a bordered v; +0 off the free cells.
 
         ``apply(v, T)`` plus the face fluxes of the rank-one part: with
         s = sign sum_k q_k G_k(v) per side, the forward side puts s q_k on a
@@ -406,7 +389,7 @@ class _Discretization(_FluxForm):
             flux += sb[s:] * qb
             out[s:-s] -= flux[s:]
             out[s:-s] += flux[:-s]
-        return self._finish(out)
+        return self.free_rows(out)
 
 
 # V(2,2) cycle: damped Jacobi weight and sweeps per side; the coarse step is
@@ -505,11 +488,11 @@ class _VCycle:
     serves as the conjugate-gradient preconditioner.
 
     Every level keeps its weights, sink and Jacobi weights wd in the bordered
-    layout, wd zero off the free cells, and the cycle's vectors live there
-    too.  The weights are stored times 2^-e, e the binary exponent of the
-    largest, and each residual enters times 2^-e_r likewise, so the cycle
-    sees numbers near 1 whatever the data's scale; its result is multiplied
-    by 2^(e_r - e), which undoes both scalings exactly.
+    layout, wd zero off the free cells, and the cycle's vectors, its input
+    and output too, live there.  The weights are stored times 2^-e, e the
+    binary exponent of the largest, and each residual enters times 2^-e_r
+    likewise, so the cycle sees numbers near 1 whatever the data's scale; its
+    result is multiplied by 2^(e_r - e), which undoes both scalings exactly.
     """
 
     def __init__(self, disc: _FluxForm, T: list[np.ndarray]):
@@ -520,20 +503,20 @@ class _VCycle:
         self.levels = []
         while True:
             wd = np.zeros(form.size, _CYCLE_DTYPE)
-            np.divide(_OMEGA, form.diagonal(T, S), out=form.cells(wd), where=form.free)
+            np.divide(_OMEGA, form.diagonal(T, S), out=wd, where=form.inside)
             self.levels.append((form, T, S, wd))
             if np.count_nonzero(form.free) <= _COARSEST_CELLS:
                 break
             form, T, S = _coarsen(form, T, S)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
+        """The cycle applied to a bordered float64 r; float64, +0 off the free cells."""
         form, _, _, wd = self.levels[0]
         exponent = _binary_exponent(max(float(np.max(r)), -float(np.min(r))))
-        rb = np.zeros(form.size, wd.dtype)
-        np.multiply(r, 2.0**-exponent, out=form.cells(rb), casting="same_kind")
-        z = np.zeros(r.shape)
-        np.copyto(z, form.cells(self._cycle(0, rb)), where=form.free)
-        return np.ldexp(z, exponent - self.exponent, out=z)
+        # scaled in float64, then rounded into float32: casting r first overflows on large data
+        rb = np.multiply(r, 2.0**-exponent, out=np.empty(form.size, wd.dtype), casting="same_kind")
+        z = self._cycle(0, rb).astype(np.float64)
+        return form.free_rows(np.ldexp(z, exponent - self.exponent, out=z))
 
     def _cycle(self, i: int, r: np.ndarray) -> np.ndarray:
         level = form, T, S, wd = self.levels[i]
@@ -555,15 +538,15 @@ class _VCycle:
 def _coarse_residual(level: tuple, coarse: _FluxForm, r: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The aggregates' sums of the residual r - A z on a V-cycle level, bordered on the coarse level."""
     form, T, S, _ = level
-    rc = form.apply_bordered(z, T, S)
+    rc = form.apply(z, T, S)
     np.subtract(r, rc, out=rc)
-    return coarse.bordered_copy(_pair_sums(form._finish(rc), range(form.ndim)))
+    return coarse.bordered_copy(_pair_sums(form.cells(form.free_rows(rc)), range(form.ndim)))
 
 
 def _smooth(level: tuple, r: np.ndarray, z: np.ndarray) -> None:
     """One damped Jacobi sweep z += wd (r - A z) on a V-cycle level, in place; wd = 0 keeps z = 0 off the free cells."""
     form, T, S, wd = level
-    Az = form.apply_bordered(z, T, S)
+    Az = form.apply(z, T, S)
     np.subtract(r, Az, out=Az)
     Az *= wd
     z += Az
@@ -576,21 +559,23 @@ def _pcg(
     precond: Callable[[np.ndarray], np.ndarray],
     reduction: float,
     max_iter: int,
+    dot: Callable[[np.ndarray, np.ndarray], float],
 ) -> tuple[np.ndarray, int]:
     """Preconditioned CG from x0, whose residual b - A x0 is r0, until the residual falls by the factor ``reduction``.
 
     r0 becomes the running residual, so the caller's array is overwritten.
+    ``dot`` is the inner product of the vectors' layout.
     """
     x = x0.copy()
     r = r0
-    stop = reduction * np.sqrt(_dot(r, r))
+    stop = reduction * np.sqrt(dot(r, r))
     pvec = precond(r)
-    rz = _dot(r, pvec)
+    rz = dot(r, pvec)
     for it in range(1, max_iter + 1):
         if not 0.0 < rz < np.inf:
             raise SolverDivergenceError("preconditioner breakdown (not positive definite?)")
         Ap = apply_A(pvec)
-        denom = _dot(pvec, Ap)
+        denom = dot(pvec, Ap)
         if denom <= 0.0 or not np.isfinite(denom):
             raise SolverDivergenceError("conjugate-gradient breakdown (operator not SPD?)")
         alpha = rz / denom
@@ -598,10 +583,10 @@ def _pcg(
         r -= Ap
         x += np.multiply(pvec, alpha, out=Ap)
         del Ap  # not needed while the preconditioner runs (peak memory)
-        if np.sqrt(_dot(r, r)) <= stop:
+        if np.sqrt(dot(r, r)) <= stop:
             return x, it
         z = precond(r)
-        rz_new = _dot(r, z)
+        rz_new = dot(r, z)
         pvec *= rz_new / rz
         pvec += z
         rz = rz_new
@@ -614,17 +599,8 @@ def _free_mask(prob: DirichletProblem) -> np.ndarray:
     return prob.domain.mask.copy()
 
 
-def energy(u: ScalarField, prob: DirichletProblem) -> float:
-    """Regularized discrete energy of u for the given problem."""
-    _require_same_grid(u, prob)
-    free = _free_mask(prob)
-    disc = _Discretization(free, prob.grid.spacing)
-    vals = u.values * free
-    return disc.energy(vals, prob.f.values, prob.p, prob.resolved_eps, prob.grid.cell_volume)
-
-
 class _Lagged(NamedTuple):
-    """What ``_SolveContext.lagged`` forms at a point, on the crop."""
+    """What ``_SolveContext.lagged`` forms at a point, bordered on the crop."""
 
     T: list[np.ndarray]  # the face weights frozen there
     Q: _Curvature | None  # the rank-one part of the energy's Hessian there (None at p = 2)
@@ -632,9 +608,8 @@ class _Lagged(NamedTuple):
     r: np.ndarray  # the residual A(u) u - f = grad E / h^N
 
 
-def _line_step(
-    u: np.ndarray, sol: np.ndarray, r: np.ndarray, lagged: Callable[[np.ndarray], _Lagged]
-) -> tuple[np.ndarray, _Lagged]:
+def _line_step(u: np.ndarray, sol: np.ndarray, r: np.ndarray, lagged: Callable[[np.ndarray], _Lagged],
+               dot: Callable[[np.ndarray, np.ndarray], float]) -> tuple[np.ndarray, _Lagged]:
     """The next iterate along d = sol - u, with what ``lagged`` forms there.
 
     The step s comes from the slopes <grad E(u + s d), d> = h^N <r(u + s d), d>,
@@ -645,10 +620,10 @@ def _line_step(
     (p > 2) and the chord falls far short of the zero: then s/8, and look again.
     """
     d = sol - u
-    slope0 = _dot(r, d)
+    slope0 = dot(r, d)
     s, v = 1.0, sol
     at = lagged(v)
-    slope = _dot(at.r, d)
+    slope = dot(at.r, d)
     while slope > 0.0:
         zero = s * slope0 / (slope0 - slope)
         s = max(zero, s / 8.0)
@@ -657,13 +632,13 @@ def _line_step(
         at = lagged(v)
         if s == zero:
             break
-        slope = _dot(at.r, d)
+        slope = dot(at.r, d)
     return v, at
 
 
 class _Minimum(NamedTuple):
     values: np.ndarray  # on the full grid
-    residual: np.ndarray  # A(u) u - f at the returned iterate, on the free bounding box
+    residual: np.ndarray  # A(u) u - f at the returned iterate, on the free bounding box (a view of the bordered one)
     iterations: int
     cg_iterations: int
     converged: bool
@@ -686,9 +661,14 @@ class _SolveContext:
         self.free = np.ascontiguousarray(mask[self.crop])
         self.disc = _Discretization(self.free, grid.spacing)
 
+    def vector(self, field: ScalarField) -> np.ndarray:
+        """The field as a solver vector: its values on the free cells of the crop, bordered, +0 elsewhere."""
+        out = np.zeros(self.disc.size)
+        np.copyto(self.disc.cells(out), field.values[self.crop], where=self.free)
+        return out
+
     def _unit_weight_faces(self) -> list[np.ndarray]:
-        ones = self.free * 1.0
-        return self.disc.faces(ones, ones)
+        return self.disc.faces(self.disc.inside, self.disc.inside)  # weight 1 on the free cells
 
     @cached_property
     def unit_faces(self) -> list[np.ndarray]:
@@ -702,30 +682,31 @@ class _SolveContext:
 
     def lagged(self, vals: np.ndarray, fv: np.ndarray, p: float, eps: float) -> _Lagged:
         """Face weights frozen at vals, the Hessian's curvature and the energy density there
-        (None at p = 2) and the residual A(vals) vals - f = grad E / h^N, all on the crop."""
+        (None at p = 2) and the residual A(vals) vals - f = grad E / h^N, all bordered on the crop."""
         if p == 2.0:
             T, Q, density = self.unit_faces, None, None
         else:
             wf, wb, Q, density = self.disc.weights(vals, p, eps)
             T = self.disc.faces(wf, wb)
-        return _Lagged(T, Q, density, self.disc.apply(vals, T) - fv)
+        r = self.disc.free_rows(self.disc.apply(vals, T))
+        return _Lagged(T, Q, density, np.subtract(r, fv, out=r))
 
     def minimize(self, prob: DirichletProblem, initial: ScalarField | None = None) -> _Minimum:
         """The outer iteration of ``solve`` for a problem on this grid and mask."""
         if prob.grid != self.grid or not np.array_equal(_free_mask(prob), self.mask):
             raise ValueError("problem lives on another grid or mask than the solver context")
-        crop, free, disc = self.crop, self.free, self.disc
-        fv = np.where(free, prob.f.values[crop], 0.0)
+        disc = self.disc
+        fv = self.vector(prob.f)
         p, eps = prob.p, prob.resolved_eps
         hvol = self.grid.cell_volume
 
         if initial is not None:
             _require_same_grid(initial, prob)
-            u = np.ascontiguousarray(initial.values[crop]) * free
+            u = self.vector(initial)
         else:
-            u = np.zeros(free.shape)
+            u = np.zeros(disc.size)
 
-        cg_cap = max(2000, 40 * max(free.shape))
+        cg_cap = max(2000, 40 * max(self.free.shape))
 
         lagged = partial(self.lagged, fv=fv, p=p, eps=eps)
         T, Q, density, r = lagged(u)
@@ -737,8 +718,8 @@ class _SolveContext:
         iterations = cg_total = 0
         with np.errstate(over="ignore"):  # an overflow fails the check below
             # the certificate in Euclidean norm: ||r||_{L2} = sqrt(hvol) ||r||_2
-            target = prob.tol * (1.0 + math.sqrt(_dot(fv, fv) * hvol)) / math.sqrt(hvol)
-            rnorm = prev_rnorm = math.sqrt(_dot(r, r))
+            target = prob.tol * (1.0 + math.sqrt(disc.dot(fv, fv) * hvol)) / math.sqrt(hvol)
+            rnorm = prev_rnorm = math.sqrt(disc.dot(r, r))
         if not (math.isfinite(target) and math.isfinite(rnorm)):
             # ||f||^2 or ||r||^2 overflows: inf > inf is false, so the loop would certify u
             raise SolverDivergenceError("the residual certificate leaves float64's range")
@@ -755,24 +736,25 @@ class _SolveContext:
             sol = None
             if Q is not None:
                 try:
-                    sol, cg_its = _pcg(partial(disc.hessian, T=T, Q=Q), -r, u, precond, reduction, cg_cap)
+                    sol, cg_its = _pcg(partial(disc.hessian, T=T, Q=Q), -r, u, precond, reduction, cg_cap, disc.dot)
                 except SolverDivergenceError:
                     pass  # the Kacanov step below
             if sol is None:
-                sol, cg_its = _pcg(lambda x: disc.apply(x, T), -r, u, precond, reduction, cg_cap)
+                sol, cg_its = _pcg(lambda x: disc.free_rows(disc.apply(x, T)), -r, u, precond, reduction, cg_cap,
+                                   disc.dot)
             # this step's operators are not needed past its CG run
             del precond, T, Q
             cg_total += cg_its
             prev_rnorm = rnorm
-            u, (T, Q, density, r) = _line_step(u, sol, r, lagged)
+            u, (T, Q, density, r) = _line_step(u, sol, r, lagged, disc.dot)
             seed = False
             history.append(disc.energy(u, fv, p, eps, hvol, density))
-            rnorm = math.sqrt(_dot(r, r))
+            rnorm = math.sqrt(disc.dot(r, r))
         if not np.all(np.isfinite(u)):
             raise SolverDivergenceError("non-finite iterate")
         full = np.zeros(self.grid.shape)
-        full[crop] = u * free
-        return _Minimum(full, r, iterations, cg_total, rnorm <= target, history)
+        np.multiply(disc.cells(u), self.free, out=full[self.crop])
+        return _Minimum(full, disc.cells(r), iterations, cg_total, rnorm <= target, history)
 
 
 def solve(prob: DirichletProblem, initial: ScalarField | None = None) -> tuple[ScalarField, SolveReport]:
@@ -842,9 +824,8 @@ def weak_residual(u: ScalarField, prob: DirichletProblem) -> float:
     """
     _require_same_grid(u, prob)
     ctx = _SolveContext(prob.grid, _free_mask(prob))
-    fv = np.where(ctx.free, prob.f.values[ctx.crop], 0.0)
-    r = ctx.lagged(u.values[ctx.crop] * ctx.free, fv, prob.p, prob.resolved_eps)[-1]
-    return _weak_residual(prob.grid, ctx.mask, r, prob.p)
+    r = ctx.lagged(ctx.vector(u), ctx.vector(prob.f), prob.p, prob.resolved_eps).r
+    return _weak_residual(prob.grid, ctx.mask, ctx.disc.cells(r), prob.p)
 
 
 def _weak_residual(grid: Grid, mask: np.ndarray, r: np.ndarray, p: float) -> float:

@@ -171,9 +171,13 @@ def test_cropped_radial_oracle_equals_full_grid_formula(n, center, R):
 
 
 def test_radial_oracle_without_inner_cells_exits_2(tmp_path):
-    cfg = {"grid": {"N": 3, "extent": 2.0, "cells_per_axis": 8}, "p": 2.0,
-           "field": {"kind": "constant", "value": 1.0}, "radial_oracle": {"R": 0.1}}
-    assert run(tmp_path, "solve", cfg)[0] == 2
+    # no cell centre within 0.8 R, or R <= 0: the config fails before the solve, so nothing is written
+    for R in (0.1, -1.0):
+        cfg = {"grid": {"N": 3, "extent": 2.0, "cells_per_axis": 8}, "p": 2.0,
+               "field": {"kind": "constant", "value": 1.0}, "radial_oracle": {"R": R}}
+        code, out = run(tmp_path, "solve", cfg)
+        assert code == 2, R
+        assert not out.exists(), R
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
@@ -181,7 +185,9 @@ def test_solve_memory_stays_within_budget(tmp_path, p):
     # traced peak of a whole CLI solve on the 3-D unit ball at 64^3, in full
     # float64 grid arrays: the solution and the data, the solver's arrays on
     # the ball's bounding box (1/8 of the grid), and nothing of grid size
-    # after the solve (the oracle reads only its inner ball's box)
+    # after the solve (the oracle reads only its inner ball's box).  The
+    # budgets sit 1 % and 3 % above the peaks of the solver with cell-shaped
+    # CG vectors (3.95 arrays at p = 2, 5.01 at p = 3)
     n = 64
     cfg = {
         "grid": {"N": 3, "extent": 2.0, "cells_per_axis": n},
@@ -193,7 +199,7 @@ def test_solve_memory_stays_within_budget(tmp_path, p):
     }
     (code, _), peak = traced_peak(lambda: run(tmp_path, "solve", cfg))
     assert code == 0
-    assert peak <= 5.75 * 8 * n**3
+    assert peak <= {2.0: 3.99, 3.0: 5.16}[p] * 8 * n**3
 
 
 def test_failed_save_leaves_no_partial_artifact(tmp_path, monkeypatch):

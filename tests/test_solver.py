@@ -25,13 +25,11 @@ from plapbench.plap_solver import (
     DirichletProblem,
     SolverDivergenceError,
     _Discretization,
-    _dot,
     _pcg,
     _prolong,
     _SolveContext,
     _test_functions,
     _VCycle,
-    energy,
     exact_radial,
     solve,
     weak_residual,
@@ -44,6 +42,11 @@ def radial_problem(p, N, n_c, tol=1e-12, extent=2.0):
     ball = ball_mask(grid, (0.0,) * N, 1.0)
     f = ScalarField(grid, np.where(ball.mask, 1.0, 0.0))
     return DirichletProblem(grid, p, f, tol=tol, domain=ball), ball
+
+
+def _fine_op(disc, x, T, S=None):
+    """The solver's fine operator on a cell-shaped x, cell-shaped (+0 off the free cells)."""
+    return disc.cells(disc.free_rows(disc.apply(disc.bordered_copy(x), T, S)))
 
 
 def radial_error(u, p, ball, inner_radius=0.8):
@@ -121,12 +124,12 @@ def test_sparse_direct_crosscheck_p2():
     from plapbench.plap_solver import _free_mask
 
     disc = _Discretization(_free_mask(prob), prob.grid.spacing)
-    wf, wb = disc.weights(np.zeros(prob.grid.shape), prob.p, prob.resolved_eps)[:2]
+    wf, wb = disc.weights(np.zeros(disc.size), prob.p, prob.resolved_eps)[:2]
     cols = []
     for j in range(n_free):
         e = np.zeros(prob.grid.shape)
         e[tuple(a[j] for a in np.nonzero(free))] = 1.0
-        cols.append(disc.apply(e, disc.faces(wf, wb))[free])
+        cols.append(_fine_op(disc, e, disc.faces(wf, wb))[free])
     A = sp.csc_matrix(np.column_stack(cols))
     b = prob.f.values[free]
     direct = spla.spsolve(A, b)
@@ -152,19 +155,19 @@ def test_flux_operator_symmetric_and_tied_to_energy(N, n, center, radius, seed):
     rng = np.random.default_rng(seed)
     wf = rng.uniform(0.1, 10.0, free.shape)
     wb = rng.uniform(0.1, 10.0, free.shape)
-    T = disc.faces(wf, wb)
+    T = disc.faces(disc.bordered_copy(wf), disc.bordered_copy(wb))
     cells = np.argwhere(free)
     A = np.empty((len(cells), len(cells)))
     for j, cell in enumerate(cells):
         e = np.zeros(free.shape)
         e[tuple(cell)] = 1.0
-        A[:, j] = disc.apply(e, T)[free]
+        A[:, j] = _fine_op(disc, e, T)[free]
     assert np.max(np.abs(A - A.T)) <= 1e-14 * np.max(np.abs(A))
-    assert np.allclose(np.diag(A), disc.diagonal(T)[free], rtol=1e-14, atol=0.0)
+    assert np.allclose(np.diag(A), disc.cells(disc.diagonal(T))[free], rtol=1e-14, atol=0.0)
     u = rng.standard_normal(free.shape) * free
-    m2f, m2b = disc.one_sided_sq(u)
+    m2f, m2b = disc.one_sided_sq(disc.bordered_copy(u))
     frozen = 0.5 * float(np.sum(wf * m2f + wb * m2b))
-    assert float(np.sum(u * disc.apply(u, T))) == pytest.approx(frozen, rel=1e-12)
+    assert float(np.sum(u * _fine_op(disc, u, T))) == pytest.approx(frozen, rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -186,23 +189,27 @@ def test_hessian_is_the_residuals_derivative_and_symmetric(N, n, center, p, seed
     free = ball_mask(grid, center[:N], 0.8).mask
     assume(free.any() and p != 2.0)  # at p = 2 lagged forms no curvature: H is the linear operator
     ctx = _SolveContext(grid, free)
+    bordered, cells = ctx.disc.bordered_copy, ctx.disc.cells
     eps = 1e-3 if p < 2.0 else 1e-6
     rng = np.random.default_rng(seed)
     u, v, w = (rng.standard_normal(ctx.free.shape) * ctx.free for _ in range(3))
-    fv = np.zeros(ctx.free.shape)
-    T, Q = ctx.lagged(u, fv, p, eps)[:2]
-    Hv = ctx.disc.hessian(v, T, Q)
+    fv = np.zeros(ctx.disc.size)
+    T, Q = ctx.lagged(bordered(u), fv, p, eps)[:2]
+    Hv = cells(ctx.disc.hessian(bordered(v), T, Q))
     delta = 1e-6
 
+    def residual(x):
+        return cells(ctx.lagged(bordered(x), fv, p, eps)[-1])
+
     def jump(step):
-        return ctx.lagged(u + step * v, fv, p, eps)[-1] - ctx.lagged(u - step * v, fv, p, eps)[-1]
+        return residual(u + step * v) - residual(u - step * v)
 
     fd = (8.0 * jump(delta) - jump(2.0 * delta)) / (12.0 * delta)
     bound = 1e-6 * np.linalg.norm(Hv)
     assert np.linalg.norm(fd - Hv) <= bound
     if abs(p - 2.0) > 0.1:
-        assert np.linalg.norm(fd - ctx.disc.apply(v, T)) > 1e3 * bound
-    Hw = ctx.disc.hessian(w, T, Q)
+        assert np.linalg.norm(fd - _fine_op(ctx.disc, v, T)) > 1e3 * bound
+    Hw = cells(ctx.disc.hessian(bordered(w), T, Q))
     assert abs(float(np.sum(Hv * w)) - float(np.sum(v * Hw))) <= 1e-12 * np.linalg.norm(Hv) * np.linalg.norm(w)
 
 
@@ -235,14 +242,16 @@ def test_kernels_match_the_strided_oracle_byte_for_byte(N, data, ball, sink, p, 
     h = rng.uniform(0.05, 0.5)
     eps = 1e-3 if p < 2.0 else 1e-6
     disc, ref = _Discretization(free, h), StridedDiscretization(free, h)
+    # the solver's vectors are bordered: the reference's go in and out through bordered_copy
+    bordered = disc.bordered_copy
     # some gradients exactly zero, and a probe vector that is not zero off the free cells
     u = rng.standard_normal(shape) * (rng.random(shape) < 0.7) * free
     v = rng.standard_normal(shape)
 
-    assert all(_same_bytes(a, b) for a, b in zip(disc.one_sided_sq(u), ref.one_sided_sq(u)))
-    wf, wb, Q, density = disc.weights(u, p, eps)
+    assert all(_same_bytes(a, b) for a, b in zip(disc.one_sided_sq(bordered(u)), ref.one_sided_sq(u)))
+    wf, wb, Q, density = disc.weights(bordered(u), p, eps)
     rwf, rwb, rQ = ref.weights(u, p, eps)
-    assert _same_bytes(wf, rwf) and _same_bytes(wb, rwb)
+    assert _same_bytes(wf, bordered(rwf)) and _same_bytes(wb, bordered(rwb))
     assert _same_bytes(density, ref.energy_density(u, p, eps))
     assert Q.sign == rQ[0]
     for k, s in enumerate(disc.strides):
@@ -253,10 +262,10 @@ def test_kernels_match_the_strided_oracle_byte_for_byte(N, data, ball, sink, p, 
     assert all(_same_bytes(disc.face_view(t, k), rt) for k, (t, rt) in enumerate(zip(T, rT)))
 
     S = rng.uniform(0.0, 2.0, shape) * free if sink else None
-    Sb = disc.bordered_copy(S) if sink else None
-    assert _same_bytes(disc.apply(v, T, Sb), ref.apply(v, rT, S))
-    assert _same_bytes(disc.diagonal(T, Sb), ref.diagonal(rT, S))
-    assert _same_bytes(disc.hessian(v, T, Q), ref.hessian(v, rT, rQ))
+    Sb = bordered(S) if sink else None
+    assert _same_bytes(disc.free_rows(disc.apply(bordered(v), T, Sb)), bordered(ref.apply(v, rT, S)))
+    assert _same_bytes(disc.cells(disc.diagonal(T, Sb)), ref.diagonal(rT, S))
+    assert _same_bytes(disc.hessian(bordered(v), T, Q), bordered(ref.hessian(v, rT, rQ)))
 
     coarse = rng.standard_normal([(n + 1) // 2 for n in shape])
     assert _same_bytes(_prolong(coarse, free), strided_prolong(coarse, free))
@@ -265,20 +274,22 @@ def test_kernels_match_the_strided_oracle_byte_for_byte(N, data, ball, sink, p, 
     ref_cycle = StridedVCycle(ref, rT, plap_solver._OMEGA, plap_solver._SWEEPS, plap_solver._ALPHA,
                               plap_solver._COARSEST_CELLS, plap_solver._COARSEST_SWEEPS, np.float32)
     r = rng.standard_normal(shape) * free
-    assert _same_bytes(cycle(r), np.where(free, ref_cycle(r), 0.0))
-    x, its = _pcg(lambda w: disc.apply(w, T), r.copy(), np.zeros(shape), cycle, 1e-6, 50)
+    assert _same_bytes(cycle(bordered(r)), bordered(np.where(free, ref_cycle(r), 0.0)))
+    x, its = _pcg(lambda w: disc.free_rows(disc.apply(w, T)), bordered(r), np.zeros(disc.size), cycle, 1e-6, 50,
+                  disc.dot)
     rx, rits = strided_pcg(lambda w: ref.apply(w, rT), r, np.zeros(shape), ref_cycle, 1e-6, 50)
-    assert its == rits and _same_bytes(x, rx)
+    assert its == rits and _same_bytes(x, bordered(rx))
 
 
-def _probe(op, free):
-    """Matrix of a linear map on fields, restricted to the free cells."""
+def _probe(op, form):
+    """Matrix of a linear map on the bordered vectors of ``form``, restricted to the free cells."""
+    free = form.free
     cells = np.argwhere(free)
     M = np.empty((len(cells), len(cells)))
     for j, cell in enumerate(cells):
         e = np.zeros(free.shape)
         e[tuple(cell)] = 1.0
-        M[:, j] = op(e)[free]
+        M[:, j] = form.cells(op(form.bordered_copy(e)))[free]
     return M
 
 
@@ -310,13 +321,13 @@ def test_vcycle_symmetric_positive_and_galerkin(shape, density, p, seed):
     assume(free.any())
     disc = _Discretization(free, 0.1)
     u = rng.standard_normal(shape) * (rng.random(shape) < 0.5) * free
-    T = disc.faces(*disc.weights(u, p, 1e-3 if p < 2.0 else 1e-6)[:2])
-    A = _probe(lambda x: disc.apply(x, T), free)
+    T = disc.faces(*disc.weights(disc.bordered_copy(u), p, 1e-3 if p < 2.0 else 1e-6)[:2])
+    A = _probe(lambda x: disc.apply(x, T), disc)
     vcycle = _vcycle_in(np.float64, disc, T)
-    B = _probe(vcycle, free)
+    B = _probe(vcycle, disc)
     assert np.max(np.abs(B - B.T)) <= 1e-13 * np.max(np.abs(B))
     assert np.min(np.linalg.eigvals(B @ A).real) > 0.0
-    B32 = _probe(_VCycle(disc, T), free)
+    B32 = _probe(_VCycle(disc, T), disc)
     assert np.max(np.abs(B32 - B)) <= 16 * np.finfo(np.float32).eps * np.max(np.abs(B))
     assert np.min(np.linalg.eigvals(B32 @ A).real) > 0.0
     if len(vcycle.levels) > 1:
@@ -327,7 +338,7 @@ def test_vcycle_symmetric_positive_and_galerkin(shape, density, p, seed):
         coarse_cells = [tuple(c) for c in np.argwhere(coarse.free)]
         assert set(coarse_cells) == set(fine_agg)
         P = np.array([[float(a == c) for c in coarse_cells] for a in fine_agg])
-        Ac = _probe(lambda x: coarse.apply(x, Tc, Sc), coarse.free)
+        Ac = _probe(lambda x: coarse.apply(x, Tc, Sc), coarse)
         assert np.max(np.abs(np.ldexp(Ac, vcycle.exponent) - P.T @ A @ P)) <= 1e-13 * np.max(np.abs(A))
 
 
@@ -340,11 +351,11 @@ def test_vcycle_finite_where_the_weights_vanish():
     disc = _Discretization(free, 0.1)
     u = np.zeros(free.shape)
     u[:, 10:] = np.random.default_rng(2).standard_normal((16, 6))
-    T = disc.faces(*disc.weights(u, 3.0, 0.0)[:2])
+    T = disc.faces(*disc.weights(disc.bordered_copy(u), 3.0, 0.0)[:2])
     assert (disc.diagonal(T) == np.finfo(np.float64).tiny).any()
-    r = disc.apply(np.random.default_rng(3).standard_normal(free.shape), T)
+    r = disc.free_rows(disc.apply(disc.bordered_copy(np.random.default_rng(3).standard_normal(free.shape)), T))
     z = _VCycle(disc, T)(r)
-    assert np.all(np.isfinite(z)) and _dot(r, z) > 0.0
+    assert np.all(np.isfinite(z)) and disc.dot(r, z) > 0.0
 
 
 def test_cg_work_flat_in_n():
@@ -433,8 +444,9 @@ def test_newton_energy_never_rises(N, center, p, seed):
 def _certified(u, prob, free):
     # the residual certificate recomputed on the full grid with the free mask
     disc = _Discretization(free, prob.grid.spacing)
-    T = disc.faces(*disc.weights(u.values, prob.p, prob.resolved_eps)[:2])
-    r = (disc.apply(u.values, T) - prob.f.values) * free
+    ub = disc.bordered_copy(u.values)
+    T = disc.faces(*disc.weights(ub, prob.p, prob.resolved_eps)[:2])
+    r = (disc.cells(disc.apply(ub, T)) - prob.f.values) * free
     f = prob.f.values * free
     hvol = prob.grid.cell_volume
     return math.sqrt(np.sum(r * r) * hvol) <= prob.tol * (1.0 + math.sqrt(np.sum(f * f) * hvol))
@@ -513,15 +525,16 @@ def test_energy_history_is_each_iterates_energy():
     f = bump_field(grid, draw_bump_params(np.random.default_rng(11), 2))
     prob = DirichletProblem(grid, 3.0, f, tol=1e-10, domain=ball)
     ctx = _SolveContext(grid, ball.mask.copy())
-    fv = np.where(ctx.free, f.values[ctx.crop], 0.0)
+    bordered = ctx.disc.bordered_copy
+    fv = bordered(np.where(ctx.free, f.values[ctx.crop], 0.0))
     args = (fv, prob.p, prob.resolved_eps, grid.cell_volume)
     whole = ctx.minimize(prob)
     assert whole.converged and whole.iterations >= 3
-    assert _same_bytes(whole.energy_history[0], ctx.disc.energy(np.zeros(ctx.free.shape), *args))
+    assert _same_bytes(whole.energy_history[0], ctx.disc.energy(bordered(np.zeros(ctx.free.shape)), *args))
     for k in range(1, whole.iterations + 1):
         cut = ctx.minimize(dataclasses.replace(prob, max_iter=k))
         assert cut.energy_history == whole.energy_history[: k + 1]
-        assert _same_bytes(cut.energy_history[-1], ctx.disc.energy(cut.values[ctx.crop], *args))
+        assert _same_bytes(cut.energy_history[-1], ctx.disc.energy(bordered(cut.values[ctx.crop]), *args))
 
 
 def test_unit_weight_operators_kept_for_p2_solves_only(monkeypatch):
@@ -571,6 +584,11 @@ def test_local_minimality_nonlinear():
     prob, _ = radial_problem(3.0, 2, 32)
     u, rep = solve(prob)
     assert rep.converged
+    ctx = _SolveContext(prob.grid, prob.domain.mask.copy())
+
+    def energy(u, prob):
+        return ctx.disc.energy(ctx.vector(u), ctx.vector(prob.f), prob.p, prob.resolved_eps, prob.grid.cell_volume)
+
     E0 = energy(u, prob)
     for win, phi in _test_functions(prob.grid, prob.domain.mask):
         for eps in (1e-3, -1e-3):
