@@ -47,14 +47,19 @@ outer step from the face weights (at p = 2 once per solver context):
 a sink per cell, no stored matrix), damped Jacobi smoothing and an
 over-corrected coarse step (Notay, ETNA 37, 2010; Braess, Computing 55,
 1995), so the iterations per outer step do not grow with the grid size.
+Coarsening stops at the first level with at most _DENSE_CELLS free cells,
+solved exactly by an inverse that LAPACK forms once per cycle.  What the
+hierarchy takes from the free mask alone (the coarse forms, their face masks
+and the dense level's indices) is cached on the forms, so the solver
+context's discretization builds it once for all its cycles.
 
 Every solver vector is bordered (``_FluxForm``): u, f, the residuals, the
 CG's vectors, the operator and Hessian results and the V-cycle's input and
 output are flat arrays of (n + 2)^N cells in C order, the box inside a zero
 border, so each face difference, flux and divergence is one contiguous pass.
-Reductions run over the cell views (``_FluxForm.dot``): the product of two
-is a contiguous n^N array, which numpy's pairwise sum adds in a fixed tree;
-a sum over the flat array would move every result in its last bits.
+Every one is +0 off the free cells, so an inner product (``_dot``) sums the
+product of the two flat arrays, which numpy's pairwise sum adds in a fixed
+tree.
 
 Precision: the V-cycle runs every level in float32 (``_CYCLE_DTYPE``); the
 CG, the operator and Hessian applies, the residuals, the certificate and
@@ -170,8 +175,8 @@ class _FluxForm:
     out[s_k:-s_k] -= F[s_k:], then out[s_k:-s_k] += F[:-s_k]: every pass runs
     over contiguous memory.  T_k and S are flat arrays of the bordered size,
     zero off the box's faces and cells; ``face_view`` and ``cells`` are their
-    face- and cell-shaped views.  ``dot`` sums over the cell views, so its
-    sums add in the cell-shaped order.
+    face- and cell-shaped views.  No inner product needs the views: a
+    solver vector is +0 off the free cells, so ``_dot`` sums it flat.
     """
 
     def __init__(self, free: np.ndarray):
@@ -198,10 +203,6 @@ class _FluxForm:
         out = np.zeros(self.size, x.dtype)
         self.cells(out)[...] = x
         return out
-
-    def dot(self, a: np.ndarray, b: np.ndarray) -> float:
-        """<a, b> over the cells of two bordered arrays."""
-        return _dot(self.cells(a), self.cells(b))
 
     def free_rows(self, out: np.ndarray) -> np.ndarray:
         """out, bordered, with +0 on the border and in the rows of constrained cells, in place."""
@@ -230,6 +231,49 @@ class _FluxForm:
             diag[s:] += t[:-s] + t[s:]  # the cell's lower and upper face
         diag[self.outside] = 1.0
         return np.maximum(diag, np.finfo(diag.dtype).tiny)
+
+    def matrix(self, T: list[np.ndarray], S: np.ndarray | None = None) -> np.ndarray:
+        """The operator on the free cells (in C order) as a dense float64 matrix; its diagonal is not clamped."""
+        cells = self.free_cells
+        faces, offsets = self._off_diagonal
+        m = cells.size
+        T = [t.astype(np.float64) for t in T]
+        M = np.zeros(m * m)
+        w = np.concatenate([t[j] for t, j in zip(T, faces)])
+        M[offsets] = -np.concatenate((w, w))
+        diag = M[:: m + 1]
+        if S is not None:
+            diag += S[cells]
+        for s, t in zip(self.strides, T):
+            diag += t[cells - s] + t[cells]  # the cell's lower and upper face, summed as in ``diagonal``
+        return M.reshape(m, m)
+
+    @cached_property
+    def free_cells(self) -> np.ndarray:
+        """The bordered indices of the free cells, in C order."""
+        return np.flatnonzero(self.inside)
+
+    @cached_property
+    def _off_diagonal(self) -> tuple[list[np.ndarray], np.ndarray]:
+        """For ``matrix``: per axis the faces between two free cells, and those faces' flat positions
+        in the matrix, above the diagonal, then below it."""
+        cells = self.free_cells
+        row = np.zeros(self.size, np.intp)
+        row[cells] = np.arange(cells.size)
+        faces = [np.flatnonzero(self.inside[:-s] & self.inside[s:]) for s in self.strides]
+        below = np.concatenate([row[j] for j in faces])
+        above = np.concatenate([row[j + s] for s, j in zip(self.strides, faces)])
+        return faces, np.concatenate((below * cells.size + above, above * cells.size + below))
+
+    @cached_property
+    def coarse(self) -> _FluxForm:
+        """The form on the 2^N box aggregates of ``_coarsen``, built once per form."""
+        return _FluxForm(_pair_sums(self.free, range(self.ndim)))
+
+    @cached_property
+    def ends(self) -> list[np.ndarray]:
+        """Per axis, True on the faces where the free region ends (exactly one side free), aligned with the faces."""
+        return [self.inside[s:] != self.inside[:-s] for s in self.strides]
 
 
 class _Curvature(NamedTuple):
@@ -262,8 +306,6 @@ class _Discretization(_FluxForm):
     def __init__(self, free: np.ndarray, h: float):
         super().__init__(free)
         self.h = h
-        # True on the faces where the free region ends
-        self.ends = [self.inside[s:] != self.inside[:-s] for s in self.strides]
 
     def cf(self, k: int) -> np.ndarray:
         return self._coefficient(k, self.inside[: -self.strides[k]])
@@ -308,7 +350,7 @@ class _Discretization(_FluxForm):
         """E(u) for bordered u and f values; ``density`` is the density sum at u when ``weights`` has formed it."""
         if density is None:
             density = self.density(*self.one_sided_sq(u), p, eps)
-        val = h_vol * (density - self.dot(fvals, u))
+        val = h_vol * (density - _dot(fvals, u))
         if not np.isfinite(val):
             raise SolverDivergenceError("non-finite energy")
         return val
@@ -394,13 +436,14 @@ class _Discretization(_FluxForm):
 
 # V(2,2) cycle: damped Jacobi weight and sweeps per side; the coarse step is
 # scaled by _ALPHA because the piecewise-constant Galerkin operator is about
-# twice too stiff for a Laplacian; the coarsest level (at most _COARSEST_CELLS
-# free cells) gets _COARSEST_SWEEPS Jacobi sweeps instead of a direct solve
+# twice too stiff for a Laplacian.  Coarsening stops at the first level with
+# at most _DENSE_CELLS free cells, which is solved exactly by its stored
+# inverse: at that size LAPACK's inverse has the same bits whatever
+# OPENBLAS_NUM_THREADS is, and one product costs less than one Jacobi sweep
 _OMEGA = 0.7
 _SWEEPS = 2
 _ALPHA = 1.8
-_COARSEST_CELLS = 16
-_COARSEST_SWEEPS = 8
+_DENSE_CELLS = 64
 # the V-cycle's arithmetic: a preconditioner need only be SPD and close to the
 # inverse, and the cycle's kernels stream memory, so half the bytes pay
 _CYCLE_DTYPE = np.float32
@@ -425,38 +468,32 @@ def _pair_sums(x: np.ndarray, axes: Iterable[int]) -> np.ndarray:
     return x
 
 
-def _coarsen(
-    form: _FluxForm, T: list[np.ndarray], S: np.ndarray | None
-) -> tuple[_FluxForm, list[np.ndarray], np.ndarray]:
+def _coarsen(form: _FluxForm, T: list[np.ndarray], S: np.ndarray | None) -> tuple[list[np.ndarray], np.ndarray]:
     """Galerkin P^T A P for piecewise-constant P from 2^N box aggregates onto the free cells.
 
     A face between free cells of neighbouring aggregates adds its weight to
     the coarse face between them; a face from a free cell to a constrained
     cell or the box edge adds it to the sink of the free cell's aggregate;
     a face inside an aggregate between two free cells drops out.  An odd axis
-    is padded with one constrained layer.  Returns the coarse form with its
-    face weights and sink in its bordered layout, in T's dtype.
+    is padded with one constrained layer.  Returns the face weights and sink
+    of ``form.coarse`` in its bordered layout, in T's dtype.
     """
-    free = form.free
-    nd = free.ndim
-    every = range(nd)
-    coarse = _FluxForm(_pair_sums(free, every))
-    sink = np.zeros(free.shape, T[0].dtype) if S is None else form.cells(S).copy()
+    nd = form.ndim
+    inside = form.inside
+    coarse = form.coarse
+    sink = np.zeros(form.size, T[0].dtype) if S is None else S.copy()
     Tc = []
-    for k, t in enumerate(T):
-        t = form.face_view(t, k)
-        lo, hi = _axslice(nd, k, slice(None, -1)), _axslice(nd, k, slice(1, None))
-        # boolean diff is xor: True on the faces with exactly one free side
-        ts = t * np.diff(free, axis=k, prepend=False, append=False)
-        sink += free * (ts[lo] + ts[hi])
-        # tb[j] is fine face j + 1 if both its sides are free; the even fine
-        # faces 2, 4, ... (tb[1::2]) separate aggregates
-        tb = t[_axslice(nd, k, slice(1, -1))] * (free[lo] & free[hi])
-        between = _pair_sums(tb[_axslice(nd, k, slice(1, None, 2))], set(every) - {k})
+    for k, (s, t, ends) in enumerate(zip(form.strides, T, form.ends)):
+        ts = t[:-s] * ends
+        sink[s:-s] += inside[s:-s] * (ts[:-s] + ts[s:])  # each cell's lower and upper face
+        tb = np.zeros(form.size, t.dtype)
+        np.multiply(t[:-s], inside[:-s] & inside[s:], out=tb[:-s])
+        # the even inner faces 2, 4, ... separate aggregates
+        between = _pair_sums(form.face_view(tb, k)[_axslice(nd, k, slice(2, -1, 2))], set(range(nd)) - {k})
         tc = np.zeros(coarse.size, t.dtype)
         coarse.face_view(tc, k)[_axslice(nd, k, slice(1, -1))] = between
         Tc.append(tc)
-    return coarse, Tc, coarse.bordered_copy(_pair_sums(sink, every))
+    return Tc, coarse.bordered_copy(_pair_sums(form.cells(sink), range(nd)))
 
 
 def _prolong(v: np.ndarray, free: np.ndarray) -> np.ndarray:
@@ -479,18 +516,51 @@ def _binary_exponent(x: float) -> int:
     return int(np.frexp(x)[1])
 
 
+def _dense_inverse(M: np.ndarray) -> np.ndarray:
+    """The inverse of a symmetric positive semidefinite M, exactly symmetric, in float64.
+
+    LAPACK inverts M with each row scaled by a power of two to a diagonal in
+    [1/2, 1), so a cell whose weights nearly vanish costs no accuracy.  When
+    the scaled matrix is singular or its condition number exceeds 2^20 (a
+    group of cells whose weights to the rest vanish), 2^-20 is added to its
+    diagonal first, which keeps the inverse positive definite, in float32
+    too.  Both factors are powers of two, so the result scales exactly with M.
+    """
+    limit = 2.0**20  # times float32's rounding, 2^-24, still far below 1
+    scale = np.ldexp(1.0, -np.frexp(np.diagonal(M))[1])  # 1 on a zero row
+    M = M * scale[:, None]
+    try:
+        X = np.linalg.inv(M)
+        # the condition number in the infinity norm; NaN counts as singular
+        singular = not np.abs(M).sum(axis=1).max() * np.abs(X).sum(axis=1).max() <= limit
+    except np.linalg.LinAlgError:
+        singular = True
+    if singular:
+        M[np.diag_indices_from(M)] += 1.0 / limit
+        X = np.linalg.inv(M)
+    X *= scale  # the columns: M^-1 = (diag(scale) M)^-1 diag(scale)
+    # LAPACK's column k is accurate relative to its largest entry, about
+    # scale_k; each pair of entries takes the one from the column of the smaller
+    # scale, a tie the one below the diagonal
+    row, col = scale[:, None], scale[None, :]
+    return np.where((col < row) | ((col == row) & np.tri(len(M), k=-1, dtype=bool)), X, X.T)
+
+
 class _VCycle:
     """Symmetric aggregation V-cycle for the flux form with face weights T, run in _CYCLE_DTYPE.
 
-    Each coarser level is the Galerkin operator of ``_coarsen``, itself a
-    ``_FluxForm`` with a sink, so no matrix is stored.  The cycle is a fixed
-    linear map, symmetric positive definite whenever the operator is, and
-    serves as the conjugate-gradient preconditioner.
+    Each coarser level is the Galerkin operator of ``_coarsen`` on the
+    form's ``coarse`` form, itself a ``_FluxForm`` with a sink, so no matrix
+    is stored until the last level, the first with at most _DENSE_CELLS free
+    cells: that one is solved by its dense inverse (``_dense_inverse``),
+    applied by a BLAS-free product.  The cycle is a fixed linear map,
+    symmetric positive definite whenever the operator is, and serves as the
+    conjugate-gradient preconditioner.
 
-    Every level keeps its weights, sink and Jacobi weights wd in the bordered
-    layout, wd zero off the free cells, and the cycle's vectors, its input
-    and output too, live there.  The weights are stored times 2^-e, e the
-    binary exponent of the largest, and each residual enters times 2^-e_r
+    Every smoothed level keeps its weights, sink and Jacobi weights wd in the
+    bordered layout, wd zero off the free cells, and the cycle's vectors, its
+    input and output too, live there.  The weights are stored times 2^-e, e
+    the binary exponent of the largest, and each residual enters times 2^-e_r
     likewise, so the cycle sees numbers near 1 whatever the data's scale; its
     result is multiplied by 2^(e_r - e), which undoes both scalings exactly.
     """
@@ -499,35 +569,36 @@ class _VCycle:
         self.exponent = _binary_exponent(max(float(np.max(t)) for t in T))
         scale = 2.0**-self.exponent
         T = [np.multiply(t, scale, out=np.empty(disc.size, _CYCLE_DTYPE), casting="same_kind") for t in T]
-        form, S = disc, None
+        self.fine = form = disc
+        S = None
         self.levels = []
-        while True:
+        while np.count_nonzero(form.free) > _DENSE_CELLS:
             wd = np.zeros(form.size, _CYCLE_DTYPE)
             np.divide(_OMEGA, form.diagonal(T, S), out=wd, where=form.inside)
             self.levels.append((form, T, S, wd))
-            if np.count_nonzero(form.free) <= _COARSEST_CELLS:
-                break
-            form, T, S = _coarsen(form, T, S)
+            T, S = _coarsen(form, T, S)
+            form = form.coarse
+        self.dense_cells = form.free_cells
+        self.inverse = _dense_inverse(form.matrix(T, S)).astype(_CYCLE_DTYPE)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """The cycle applied to a bordered float64 r; float64, +0 off the free cells."""
-        form, _, _, wd = self.levels[0]
         exponent = _binary_exponent(max(float(np.max(r)), -float(np.min(r))))
         # scaled in float64, then rounded into float32: casting r first overflows on large data
-        rb = np.multiply(r, 2.0**-exponent, out=np.empty(form.size, wd.dtype), casting="same_kind")
+        rb = np.multiply(r, 2.0**-exponent, out=np.empty(self.fine.size, _CYCLE_DTYPE), casting="same_kind")
         z = self._cycle(0, rb).astype(np.float64)
-        return form.free_rows(np.ldexp(z, exponent - self.exponent, out=z))
+        return self.fine.free_rows(np.ldexp(z, exponent - self.exponent, out=z))
 
     def _cycle(self, i: int, r: np.ndarray) -> np.ndarray:
-        level = form, T, S, wd = self.levels[i]
-        coarsest = i + 1 == len(self.levels)
-        z = wd * r
-        for _ in range((_COARSEST_SWEEPS if coarsest else _SWEEPS) - 1):
-            _smooth(level, r, z)
-        if coarsest:
+        if i == len(self.levels):
+            z = np.zeros_like(r)
+            z[self.dense_cells] = np.einsum("ij,j->i", self.inverse, r[self.dense_cells])
             return z
-        coarse = self.levels[i + 1][0]
-        correction = _prolong(coarse.cells(self._cycle(i + 1, _coarse_residual(level, coarse, r, z))), form.free)
+        level = form, T, S, wd = self.levels[i]
+        z = wd * r
+        for _ in range(_SWEEPS - 1):
+            _smooth(level, r, z)
+        correction = _prolong(form.coarse.cells(self._cycle(i + 1, _coarse_residual(level, r, z))), form.free)
         correction *= _ALPHA
         form.cells(z)[...] += correction
         for _ in range(_SWEEPS):
@@ -535,12 +606,12 @@ class _VCycle:
         return z
 
 
-def _coarse_residual(level: tuple, coarse: _FluxForm, r: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _coarse_residual(level: tuple, r: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The aggregates' sums of the residual r - A z on a V-cycle level, bordered on the coarse level."""
     form, T, S, _ = level
     rc = form.apply(z, T, S)
     np.subtract(r, rc, out=rc)
-    return coarse.bordered_copy(_pair_sums(form.cells(form.free_rows(rc)), range(form.ndim)))
+    return form.coarse.bordered_copy(_pair_sums(form.cells(form.free_rows(rc)), range(form.ndim)))
 
 
 def _smooth(level: tuple, r: np.ndarray, z: np.ndarray) -> None:
@@ -559,23 +630,21 @@ def _pcg(
     precond: Callable[[np.ndarray], np.ndarray],
     reduction: float,
     max_iter: int,
-    dot: Callable[[np.ndarray, np.ndarray], float],
 ) -> tuple[np.ndarray, int]:
     """Preconditioned CG from x0, whose residual b - A x0 is r0, until the residual falls by the factor ``reduction``.
 
     r0 becomes the running residual, so the caller's array is overwritten.
-    ``dot`` is the inner product of the vectors' layout.
     """
     x = x0.copy()
     r = r0
-    stop = reduction * np.sqrt(dot(r, r))
+    stop = reduction * np.sqrt(_dot(r, r))
     pvec = precond(r)
-    rz = dot(r, pvec)
+    rz = _dot(r, pvec)
     for it in range(1, max_iter + 1):
         if not 0.0 < rz < np.inf:
             raise SolverDivergenceError("preconditioner breakdown (not positive definite?)")
         Ap = apply_A(pvec)
-        denom = dot(pvec, Ap)
+        denom = _dot(pvec, Ap)
         if denom <= 0.0 or not np.isfinite(denom):
             raise SolverDivergenceError("conjugate-gradient breakdown (operator not SPD?)")
         alpha = rz / denom
@@ -583,10 +652,10 @@ def _pcg(
         r -= Ap
         x += np.multiply(pvec, alpha, out=Ap)
         del Ap  # not needed while the preconditioner runs (peak memory)
-        if np.sqrt(dot(r, r)) <= stop:
+        if np.sqrt(_dot(r, r)) <= stop:
             return x, it
         z = precond(r)
-        rz_new = dot(r, z)
+        rz_new = _dot(r, z)
         pvec *= rz_new / rz
         pvec += z
         rz = rz_new
@@ -608,8 +677,9 @@ class _Lagged(NamedTuple):
     r: np.ndarray  # the residual A(u) u - f = grad E / h^N
 
 
-def _line_step(u: np.ndarray, sol: np.ndarray, r: np.ndarray, lagged: Callable[[np.ndarray], _Lagged],
-               dot: Callable[[np.ndarray, np.ndarray], float]) -> tuple[np.ndarray, _Lagged]:
+def _line_step(
+    u: np.ndarray, sol: np.ndarray, r: np.ndarray, lagged: Callable[[np.ndarray], _Lagged]
+) -> tuple[np.ndarray, _Lagged]:
     """The next iterate along d = sol - u, with what ``lagged`` forms there.
 
     The step s comes from the slopes <grad E(u + s d), d> = h^N <r(u + s d), d>,
@@ -620,10 +690,10 @@ def _line_step(u: np.ndarray, sol: np.ndarray, r: np.ndarray, lagged: Callable[[
     (p > 2) and the chord falls far short of the zero: then s/8, and look again.
     """
     d = sol - u
-    slope0 = dot(r, d)
+    slope0 = _dot(r, d)
     s, v = 1.0, sol
     at = lagged(v)
-    slope = dot(at.r, d)
+    slope = _dot(at.r, d)
     while slope > 0.0:
         zero = s * slope0 / (slope0 - slope)
         s = max(zero, s / 8.0)
@@ -632,7 +702,7 @@ def _line_step(u: np.ndarray, sol: np.ndarray, r: np.ndarray, lagged: Callable[[
         at = lagged(v)
         if s == zero:
             break
-        slope = dot(at.r, d)
+        slope = _dot(at.r, d)
     return v, at
 
 
@@ -718,8 +788,8 @@ class _SolveContext:
         iterations = cg_total = 0
         with np.errstate(over="ignore"):  # an overflow fails the check below
             # the certificate in Euclidean norm: ||r||_{L2} = sqrt(hvol) ||r||_2
-            target = prob.tol * (1.0 + math.sqrt(disc.dot(fv, fv) * hvol)) / math.sqrt(hvol)
-            rnorm = prev_rnorm = math.sqrt(disc.dot(r, r))
+            target = prob.tol * (1.0 + math.sqrt(_dot(fv, fv) * hvol)) / math.sqrt(hvol)
+            rnorm = prev_rnorm = math.sqrt(_dot(r, r))
         if not (math.isfinite(target) and math.isfinite(rnorm)):
             # ||f||^2 or ||r||^2 overflows: inf > inf is false, so the loop would certify u
             raise SolverDivergenceError("the residual certificate leaves float64's range")
@@ -736,20 +806,19 @@ class _SolveContext:
             sol = None
             if Q is not None:
                 try:
-                    sol, cg_its = _pcg(partial(disc.hessian, T=T, Q=Q), -r, u, precond, reduction, cg_cap, disc.dot)
+                    sol, cg_its = _pcg(partial(disc.hessian, T=T, Q=Q), -r, u, precond, reduction, cg_cap)
                 except SolverDivergenceError:
                     pass  # the Kacanov step below
             if sol is None:
-                sol, cg_its = _pcg(lambda x: disc.free_rows(disc.apply(x, T)), -r, u, precond, reduction, cg_cap,
-                                   disc.dot)
+                sol, cg_its = _pcg(lambda x: disc.free_rows(disc.apply(x, T)), -r, u, precond, reduction, cg_cap)
             # this step's operators are not needed past its CG run
             del precond, T, Q
             cg_total += cg_its
             prev_rnorm = rnorm
-            u, (T, Q, density, r) = _line_step(u, sol, r, lagged, disc.dot)
+            u, (T, Q, density, r) = _line_step(u, sol, r, lagged)
             seed = False
             history.append(disc.energy(u, fv, p, eps, hvol, density))
-            rnorm = math.sqrt(disc.dot(r, r))
+            rnorm = math.sqrt(_dot(r, r))
         if not np.all(np.isfinite(u)):
             raise SolverDivergenceError("non-finite iterate")
         full = np.zeros(self.grid.shape)

@@ -14,6 +14,10 @@ operations in the same order per element, so the solver's kernels must match
 them byte for byte.  The V-cycle runs in the dtype it is given, unscaled: the
 solver's cycle scales its weights and residuals by powers of two, which
 commutes with rounding as long as no number leaves the dtype's normal range.
+Its last level is assembled here as a dense matrix and inverted by the
+solver's ``_dense_inverse``, which knows no layout.  ``strided_pcg`` sums its
+inner products over a zero-bordered copy of its vectors, in the solver's
+order.
 """
 
 import math
@@ -21,6 +25,8 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+
+from plapbench.plap_solver import _dense_inverse
 
 INF_KEYS = ("zeta1", "zeta2")
 
@@ -309,34 +315,54 @@ def strided_prolong(v, free):
     return v[tuple(slice(0, n) for n in free.shape)] * free
 
 
-class StridedVCycle:
-    """The symmetric aggregation V(2,2) cycle on ``StridedDiscretization`` levels, every level in ``dtype``;
-    it takes and returns float64 residuals and corrections."""
+def strided_dense_matrix(free, T, S):
+    """The flux form with face weights T and sink S on the free cells (in C order) as a dense float64 matrix."""
+    nd = free.ndim
+    rows = np.zeros(free.shape, int)
+    rows[free] = np.arange(np.count_nonzero(free))
+    T = [t.astype(np.float64) for t in T]
+    diag = np.zeros(np.count_nonzero(free)) if S is None else S[free].astype(np.float64)
+    M = np.zeros((diag.size, diag.size))
+    for k, t in enumerate(T):
+        lo, hi = _axslice(nd, k, slice(None, -1)), _axslice(nd, k, slice(1, None))
+        diag += t[lo][free] + t[hi][free]  # each cell's lower and upper face
+        both = free[lo] & free[hi]
+        a, b = rows[lo][both], rows[hi][both]
+        M[a, b] = M[b, a] = -t[_axslice(nd, k, slice(1, -1))][both]
+    M[np.diag_indices_from(M)] = diag
+    return M
 
-    def __init__(self, disc, T, omega, sweeps, alpha, coarsest_cells, coarsest_sweeps, dtype=np.float64):
-        self.sweeps, self.alpha, self.coarsest_sweeps = sweeps, alpha, coarsest_sweeps
+
+class StridedVCycle:
+    """The symmetric aggregation V(2,2) cycle on ``StridedDiscretization`` levels, every level in ``dtype``,
+    down to the first level with at most ``dense_cells`` free cells, solved by its dense inverse; it takes and
+    returns float64 residuals and corrections."""
+
+    def __init__(self, disc, T, omega, sweeps, alpha, dense_cells, dtype=np.float64):
+        self.sweeps, self.alpha = sweeps, alpha
         self.dtype = dtype
-        form, S = StridedDiscretization(disc.free, 1.0, dtype), None
+        free, S = disc.free, None
         T = [t.astype(dtype) for t in T]
         self.levels = []
-        while True:
-            self.levels.append((form, T, S, omega / form.diagonal(T, S)))
-            if np.count_nonzero(form.free) <= coarsest_cells:
-                break
-            free, T, S = strided_coarsen(form.free, T, S)
+        while np.count_nonzero(free) > dense_cells:
             form = StridedDiscretization(free, 1.0, dtype)
+            self.levels.append((form, T, S, omega / form.diagonal(T, S)))
+            free, T, S = strided_coarsen(free, T, S)
+        self.dense_free = free
+        self.inverse = _dense_inverse(strided_dense_matrix(free, T, S)).astype(dtype)
 
     def __call__(self, r):
         return self._cycle(0, r.astype(self.dtype)).astype(np.float64)
 
     def _cycle(self, i, r):
-        form, T, S, wd = self.levels[i]
-        coarsest = i + 1 == len(self.levels)
-        z = wd * r
-        for _ in range((self.coarsest_sweeps if coarsest else self.sweeps) - 1):
-            z += wd * (r - form.apply(z, T, S))
-        if coarsest:
+        if i == len(self.levels):
+            z = np.zeros(r.shape, self.dtype)
+            z[self.dense_free] = np.einsum("ij,j->i", self.inverse, r[self.dense_free])
             return z
+        form, T, S, wd = self.levels[i]
+        z = wd * r
+        for _ in range(self.sweeps - 1):
+            z += wd * (r - form.apply(z, T, S))
         rc = _pair_sums(r - form.apply(z, T, S), range(r.ndim))
         z += self.alpha * strided_prolong(self._cycle(i + 1, rc), form.free)
         for _ in range(self.sweeps):
@@ -344,22 +370,26 @@ class StridedVCycle:
         return z
 
 
+def _bordered_dot(a, b):
+    return float(np.sum(np.pad(a, 1) * np.pad(b, 1)))
+
+
 def strided_pcg(apply_A, r0, x0, precond, reduction, max_iter):
     """Preconditioned CG from x0 (residual r0) until the residual falls by ``reduction``."""
     x = x0.copy()
     r = r0.copy()
-    stop = reduction * np.sqrt(float(np.sum(r * r)))
+    stop = reduction * np.sqrt(_bordered_dot(r, r))
     pvec = precond(r)
-    rz = float(np.sum(r * pvec))
+    rz = _bordered_dot(r, pvec)
     for it in range(1, max_iter + 1):
         Ap = apply_A(pvec)
-        alpha = rz / float(np.sum(pvec * Ap))
+        alpha = rz / _bordered_dot(pvec, Ap)
         x += alpha * pvec
         r -= alpha * Ap
-        if np.sqrt(float(np.sum(r * r))) <= stop:
+        if np.sqrt(_bordered_dot(r, r)) <= stop:
             return x, it
         z = precond(r)
-        rz_new = float(np.sum(r * z))
+        rz_new = _bordered_dot(r, z)
         pvec = z + (rz_new / rz) * pvec
         rz = rz_new
     return x, max_iter

@@ -3,7 +3,10 @@
 import copy
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -332,6 +335,27 @@ def test_scheme_verify_and_determinism(tmp_path):
     target = scheme_out / "states.json"
     target.write_bytes(target.read_bytes() + b" ")
     assert main(["report", "--out", str(scheme_out)]) == 1
+
+
+def test_scheme_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the V-cycle inverts its last level (at most 64 cells) with LAPACK: the
+    # CI's 32^2 scheme, run with one OpenBLAS thread and with two, writes the
+    # same bytes
+    cfg = tmp_path / "scheme32.json"
+    cfg.write_text(json.dumps({"exponents": {**GOOD_EXPONENTS, "N": 2},
+                               "grid": {"N": 2, "extent": 2.0, "cells_per_axis": 32},
+                               "n_list": [1, 2, 4, 8], "rho": 0.5}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    trees = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = tmp_path / f"threads-{threads}"
+        subprocess.run([sys.executable, "-m", "plapbench.cli", "scheme", "--config", str(cfg), "--out", str(out)],
+                       env=env, check=True)
+        trees.append(tree_bytes(out))
+    assert trees[0]["manifest.json"] == trees[1]["manifest.json"]
+    assert trees[0] == trees[1]
 
 
 def test_scheme_rejects_bad_picard_config(tmp_path):
