@@ -154,7 +154,7 @@ _SCHEMAS = {
 # one entry of a scheme directory's states.json, as SystemState.summary writes it
 _LEVEL = _required(n=int, eps=float, picard_iters=int, increment_p=_float_or_inf, increment_q=_float_or_inf,
                    converged=bool, hypotheses_ok=bool, solves=int, outer_steps=int, cg_iterations=int,
-                   sup_u=float, sup_v=float)
+                   cycle_builds=int, linearizations=int, sup_u=float, sup_v=float)
 
 
 def _file_hashes(value: Any) -> dict[str, str]:

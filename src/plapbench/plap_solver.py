@@ -38,13 +38,17 @@ residual falls by the forcing factor eta (Eisenstat-Walker, see _ETA).  A
 Newton CG that breaks down is replaced by the Kacanov step, A_T d = -r; from a
 zero start at p > 2 the first step is a Kacanov step on unit weights.  The
 iterate moves along d by the slopes <grad E(u + s d), d>, exact since
-grad E(v) = h^N (A(v) v - f).  The one stopping rule is the residual
-certificate ||A(u) u - f||_{L2} <= tol (1 + ||f||_{L2}).  At p = 2 the weights
-are 1, H = A_T and the system is linear, so the CG runs once, to half the
-certificate.  The V-cycle is a symmetric aggregation cycle built once per
-outer step from the face weights (at p = 2 once per solver context):
-2^N box aggregates, Galerkin coarse operators that are again flux forms (plus
-a sink per cell, no stored matrix), damped Jacobi smoothing and an
+grad E(v) = h^N (A(v) v - f): the full step stands when its slope is not
+positive, or when it is small and the energy fell by Armijo's fraction
+(``_line_step``); otherwise a secant finds the slope's zero.  The one
+stopping rule is the residual certificate ||A(u) u - f||_{L2} <= tol
+(1 + ||f||_{L2}).  At p = 2 the weights are 1, H = A_T and the system is
+linear, so the CG runs once, to half the certificate.  The V-cycle is a
+symmetric aggregation cycle built once per outer step from the face weights
+(at p = 2 once per solver context; for warm solves see below): 2^N box
+aggregates, Galerkin coarse operators that are again flux forms (plus a sink
+per cell, no stored matrix), degree-2 Chebyshev smoothing in D^-1 A
+(Adams, Brezina, Hu & Tuminaro, J. Comput. Phys. 188, 2003) and an
 over-corrected coarse step (Notay, ETNA 37, 2010; Braess, Computing 55,
 1995), so the iterations per outer step do not grow with the grid size.
 Coarsening stops at the first level with at most _DENSE_CELLS free cells,
@@ -77,7 +81,10 @@ leaves float64's range raises ``SolverDivergenceError``.
 reads f and the warm start and writes the solution and the final residual
 cell-shaped.  ``solve`` builds one per call, freed before its weak residual,
 which pairs the last outer step's residual with the test functions; the
-Picard scheme keeps one per level.
+Picard scheme keeps one per level.  A warm-started p != 2 solve there picks up
+where the last one at its p ended: from the same bytes it takes up that
+solve's linearization, which changes no bit, and its first outer step takes up
+that solve's last V-cycle.
 """
 
 from __future__ import annotations
@@ -434,14 +441,24 @@ class _Discretization(_FluxForm):
         return self.free_rows(out)
 
 
-# V(2,2) cycle: damped Jacobi weight and sweeps per side; the coarse step is
-# scaled by _ALPHA because the piecewise-constant Galerkin operator is about
-# twice too stiff for a Laplacian.  Coarsening stops at the first level with
-# at most _DENSE_CELLS free cells, which is solved exactly by its stored
-# inverse: at that size LAPACK's inverse has the same bits whatever
-# OPENBLAS_NUM_THREADS is, and one product costs less than one Jacobi sweep
-_OMEGA = 0.7
-_SWEEPS = 2
+# V(2,2) cycle: each level smooths before and after its coarse correction
+# with the degree-2 Chebyshev polynomial in D^-1 A on [_CHEB_LOW, 2]
+# (Adams, Brezina, Hu & Tuminaro, J. Comput. Phys. 188, 2003).  Gershgorin
+# puts the spectrum of D^-1 A of a weighted flux form with a sink in (0, 2],
+# so no eigenvalue estimate is needed; of the lower ends 0.05-0.3 times the
+# top, 0.3 took the fewest CG iterations.  The polynomial is
+# p(l) = _CHEB_SCALE (2 - l / theta), theta the interval's centre, so a
+# smoothing step from the residual r0 is 2 t - _CHEB_K w A t with
+# t = w r0 and w = _CHEB_SCALE D^-1 (``_smooth``).  The coarse step is scaled
+# by _ALPHA because the piecewise-constant Galerkin operator is about twice too
+# stiff for a Laplacian.  Coarsening stops at the first level with at most
+# _DENSE_CELLS free cells, which is solved exactly by its stored inverse: at
+# that size LAPACK's inverse has the same bits whatever OPENBLAS_NUM_THREADS
+# is, and one product costs less than one smoothing step
+_CHEB_LOW = 0.3 * 2.0
+_CHEB_THETA = 1.0 + 0.5 * _CHEB_LOW
+_CHEB_SCALE = 2.0 * _CHEB_THETA / (2.0 * _CHEB_THETA**2 - (1.0 - 0.5 * _CHEB_LOW) ** 2)
+_CHEB_K = 1.0 / (_CHEB_SCALE * _CHEB_THETA)
 _ALPHA = 1.8
 _DENSE_CELLS = 64
 # the V-cycle's arithmetic: a preconditioner need only be SPD and close to the
@@ -457,6 +474,10 @@ _CYCLE_DTYPE = np.float32
 # converge quadratically
 _ETA = 0.1
 _ETA_MIN = 1e-3
+# the line step keeps the full step s = 1 when the slope there is at most
+# _FLAT |slope at 0| and the energy fell by Armijo's _ARMIJO h^N |slope at 0|
+_FLAT = 0.1
+_ARMIJO = 1e-4
 
 
 def _pair_sums(x: np.ndarray, axes: Iterable[int]) -> np.ndarray:
@@ -496,8 +517,8 @@ def _coarsen(form: _FluxForm, T: list[np.ndarray], S: np.ndarray | None) -> tupl
     return Tc, coarse.bordered_copy(_pair_sums(form.cells(sink), range(nd)))
 
 
-def _prolong(v: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """Copy each aggregate's value onto its free cells of the finer level."""
+def _prolong(v: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Copy each aggregate's value onto the cells of the finer level of the given shape, free or not."""
     # repeat along the last axis, then one broadcast for the others, in which
     # axis k of v becomes the pair (m_k, 2) of fine axes
     rows = np.repeat(v, 2, axis=-1)
@@ -506,9 +527,7 @@ def _prolong(v: np.ndarray, free: np.ndarray) -> np.ndarray:
     fine.reshape([d for m in lead for d in (m, 2)] + [rows.shape[-1]])[...] = rows.reshape(
         [d for m in lead for d in (m, 1)] + [rows.shape[-1]]
     )
-    fine = fine[tuple(slice(0, n) for n in free.shape)]
-    fine *= free
-    return fine
+    return fine[tuple(slice(0, n) for n in shape)]
 
 
 def _binary_exponent(x: float) -> int:
@@ -553,16 +572,21 @@ class _VCycle:
     form's ``coarse`` form, itself a ``_FluxForm`` with a sink, so no matrix
     is stored until the last level, the first with at most _DENSE_CELLS free
     cells: that one is solved by its dense inverse (``_dense_inverse``),
-    applied by a BLAS-free product.  The cycle is a fixed linear map,
-    symmetric positive definite whenever the operator is, and serves as the
-    conjugate-gradient preconditioner.
+    applied by a BLAS-free product.  Each level above it smooths before and
+    after its coarse correction with the same degree-2 Chebyshev polynomial
+    in D^-1 A (``_smooth``), 4 operator applies a level in all; the one
+    before starts from z = 0, whose residual is r, so it needs no apply to
+    form it.  The cycle is a fixed linear map, symmetric positive definite
+    whenever the operator is, and serves as the conjugate-gradient
+    preconditioner.
 
-    Every smoothed level keeps its weights, sink and Jacobi weights wd in the
-    bordered layout, wd zero off the free cells, and the cycle's vectors, its
-    input and output too, live there.  The weights are stored times 2^-e, e
-    the binary exponent of the largest, and each residual enters times 2^-e_r
-    likewise, so the cycle sees numbers near 1 whatever the data's scale; its
-    result is multiplied by 2^(e_r - e), which undoes both scalings exactly.
+    Every smoothed level keeps its weights, sink and Chebyshev weights
+    w = _CHEB_SCALE D^-1 in the bordered layout, w zero off the free cells,
+    and the cycle's vectors, its input and output too, live there.  The
+    weights are stored times 2^-e, e the binary exponent of the largest, and
+    each residual enters times 2^-e_r likewise, so the cycle sees numbers near
+    1 whatever the data's scale; its result is multiplied by 2^(e_r - e), which
+    undoes both scalings exactly.
     """
 
     def __init__(self, disc: _FluxForm, T: list[np.ndarray]):
@@ -573,9 +597,9 @@ class _VCycle:
         S = None
         self.levels = []
         while np.count_nonzero(form.free) > _DENSE_CELLS:
-            wd = np.zeros(form.size, _CYCLE_DTYPE)
-            np.divide(_OMEGA, form.diagonal(T, S), out=wd, where=form.inside)
-            self.levels.append((form, T, S, wd))
+            w = np.zeros(form.size, _CYCLE_DTYPE)
+            np.divide(_CHEB_SCALE, form.diagonal(T, S), out=w, where=form.inside)
+            self.levels.append((form, T, S, w))
             T, S = _coarsen(form, T, S)
             form = form.coarse
         self.dense_cells = form.free_cells
@@ -594,15 +618,16 @@ class _VCycle:
             z = np.zeros_like(r)
             z[self.dense_cells] = np.einsum("ij,j->i", self.inverse, r[self.dense_cells])
             return z
-        level = form, T, S, wd = self.levels[i]
-        z = wd * r
-        for _ in range(_SWEEPS - 1):
-            _smooth(level, r, z)
-        correction = _prolong(form.coarse.cells(self._cycle(i + 1, _coarse_residual(level, r, z))), form.free)
-        correction *= _ALPHA
-        form.cells(z)[...] += correction
-        for _ in range(_SWEEPS):
-            _smooth(level, r, z)
+        level = form, T, S, w = self.levels[i]
+        z = _smooth(level, w * r)  # from z = 0, whose residual is r
+        zc = self._cycle(i + 1, _coarse_residual(level, r, z))
+        zc *= _ALPHA
+        cells = form.cells(z)
+        np.add(cells, _prolong(form.coarse.cells(zc), form.free.shape), out=cells, where=form.free)
+        t = form.apply(z, T, S)
+        np.subtract(r, t, out=t)
+        t *= w
+        z += _smooth(level, t)
         return z
 
 
@@ -614,13 +639,18 @@ def _coarse_residual(level: tuple, r: np.ndarray, z: np.ndarray) -> np.ndarray:
     return form.coarse.bordered_copy(_pair_sums(form.cells(form.free_rows(rc)), range(form.ndim)))
 
 
-def _smooth(level: tuple, r: np.ndarray, z: np.ndarray) -> None:
-    """One damped Jacobi sweep z += wd (r - A z) on a V-cycle level, in place; wd = 0 keeps z = 0 off the free cells."""
-    form, T, S, wd = level
-    Az = form.apply(z, T, S)
-    np.subtract(r, Az, out=Az)
-    Az *= wd
-    z += Az
+def _smooth(level: tuple, t: np.ndarray) -> np.ndarray:
+    """The Chebyshev correction p(D^-1 A) D^-1 r0 = 2 t - _CHEB_K w A t on a V-cycle level, from t = w r0.
+
+    Zero where w is, so z stays zero off the free cells up to the sign.
+    """
+    form, T, S, w = level
+    y = form.apply(t, T, S)
+    y *= w
+    y *= -_CHEB_K
+    y += t
+    y += t
+    return y
 
 
 def _pcg(
@@ -678,22 +708,39 @@ class _Lagged(NamedTuple):
 
 
 def _line_step(
-    u: np.ndarray, sol: np.ndarray, r: np.ndarray, lagged: Callable[[np.ndarray], _Lagged]
+    u: np.ndarray,
+    sol: np.ndarray,
+    r: np.ndarray,
+    e0: float,
+    lagged: Callable[[np.ndarray], _Lagged],
+    energy: Callable[..., float],
+    h_vol: float,
 ) -> tuple[np.ndarray, _Lagged]:
     """The next iterate along d = sol - u, with what ``lagged`` forms there.
 
     The step s comes from the slopes <grad E(u + s d), d> = h^N <r(u + s d), d>,
-    negative at s = 0 (r is the residual at u and d a CG iterate from u).
-    E is convex along d, so take the full step unless the slope has turned
-    positive at s = 1; then the secant zero of the slope on [0, s], unless the
-    chord puts it below s/8, which happens when the slope grows like s^{p-1}
-    (p > 2) and the chord falls far short of the zero: then s/8, and look again.
+    negative at s = 0 (r is the residual at u, e0 the energy there, and d a CG
+    iterate from u).  E is convex along d, so take the full step unless the
+    slope has turned positive at s = 1.  Keep it too when that slope is at most
+    _FLAT |slope at 0| and E fell by Armijo's _ARMIJO h^N |slope at 0|: the
+    full step is then within a hair of the minimum along d, and the secant
+    would only re-linearize a point just short of it.  The density that
+    ``lagged`` forms gives that energy for free; at p = 2 (no density) E is
+    quadratic along d, so E(1) - E(0) = h^N (slope at 0 + slope at 1)/2 and
+    the slope test is enough.  Otherwise the secant zero of the slope on
+    [0, s], unless the chord puts it below s/8, which happens when the slope
+    grows like s^{p-1} (p > 2) and the chord falls far short of the zero: then
+    s/8, and look again.
     """
     d = sol - u
     slope0 = _dot(r, d)
     s, v = 1.0, sol
     at = lagged(v)
     slope = _dot(at.r, d)
+    if 0.0 < slope <= -_FLAT * slope0 and (
+        at.density is None or energy(v, density=at.density) <= e0 + _ARMIJO * h_vol * slope0
+    ):
+        return v, at
     while slope > 0.0:
         zero = s * slope0 / (slope0 - slope)
         s = max(zero, s / 8.0)
@@ -713,6 +760,19 @@ class _Minimum(NamedTuple):
     cg_iterations: int
     converged: bool
     energy_history: list[float]
+    cycle_builds: int  # V-cycles built, the unit-weight one included when this solve built it
+    linearizations: int  # lagged weights computed (p != 2), not those taken up from the last warm solve
+
+
+class _Kept(NamedTuple):
+    """What a warm-started p != 2 solve ended with, bordered on the crop, for the next one at its p and eps."""
+
+    u: np.ndarray  # the iterate it returned
+    # the face weights, curvature and density that ``lagged`` formed there
+    T: list[np.ndarray]
+    Q: _Curvature
+    density: float
+    cycle: _VCycle | None  # the V-cycle its last outer step used
 
 
 class _SolveContext:
@@ -722,6 +782,14 @@ class _SolveContext:
     at p = 2 the weights (m^2 + eps^2)^0 are 1 on every free cell, so the
     unit-weight face weights and their V-cycle are built on first use and kept.
     The seed step of a cold p > 2 solve builds its own, which go with it.
+
+    A warm-started p != 2 solve keeps what it ended with (``_Kept``), one per
+    p and eps, as the Picard scheme's steps alternate two exponents.  The next
+    warm solve at that p and eps starts where it ended: ``lagged`` at a
+    bytes-equal iterate takes up its face weights, curvature and density, which
+    changes no bit, and the first outer step preconditions with its V-cycle
+    instead of building one.  Cold solves keep nothing.  ``cycle_builds`` and
+    ``linearizations`` count the V-cycles built and the weights computed.
     """
 
     def __init__(self, grid: Grid, mask: np.ndarray):
@@ -730,6 +798,8 @@ class _SolveContext:
         self.crop = _bbox_slices(mask)
         self.free = np.ascontiguousarray(mask[self.crop])
         self.disc = _Discretization(self.free, grid.spacing)
+        self.kept: dict[tuple[float, float], _Kept] = {}
+        self.cycle_builds = self.linearizations = 0
 
     def vector(self, field: ScalarField) -> np.ndarray:
         """The field as a solver vector: its values on the free cells of the crop, bordered, +0 elsewhere."""
@@ -740,6 +810,10 @@ class _SolveContext:
     def _unit_weight_faces(self) -> list[np.ndarray]:
         return self.disc.faces(self.disc.inside, self.disc.inside)  # weight 1 on the free cells
 
+    def _vcycle(self, T: list[np.ndarray]) -> _VCycle:
+        self.cycle_builds += 1
+        return _VCycle(self.disc, T)
+
     @cached_property
     def unit_faces(self) -> list[np.ndarray]:
         """Face weights of the unit-weight (p = 2) operator."""
@@ -748,14 +822,18 @@ class _SolveContext:
     @cached_property
     def unit_cycle(self) -> _VCycle:
         """The V-cycle of the unit-weight operator."""
-        return _VCycle(self.disc, self.unit_faces)
+        return self._vcycle(self.unit_faces)
 
     def lagged(self, vals: np.ndarray, fv: np.ndarray, p: float, eps: float) -> _Lagged:
         """Face weights frozen at vals, the Hessian's curvature and the energy density there
         (None at p = 2) and the residual A(vals) vals - f = grad E / h^N, all bordered on the crop."""
+        kept = self.kept.get((p, eps))
         if p == 2.0:
             T, Q, density = self.unit_faces, None, None
+        elif kept is not None and np.array_equal(kept.u.view(np.uint64), vals.view(np.uint64)):
+            T, Q, density = kept.T, kept.Q, kept.density  # the same bytes, so the same weights
         else:
+            self.linearizations += 1
             wf, wb, Q, density = self.disc.weights(vals, p, eps)
             T = self.disc.faces(wf, wb)
         r = self.disc.free_rows(self.disc.apply(vals, T))
@@ -769,22 +847,28 @@ class _SolveContext:
         fv = self.vector(prob.f)
         p, eps = prob.p, prob.resolved_eps
         hvol = self.grid.cell_volume
+        work = self.cycle_builds, self.linearizations
 
         if initial is not None:
             _require_same_grid(initial, prob)
             u = self.vector(initial)
         else:
             u = np.zeros(disc.size)
+        warm = initial is not None and p != 2.0
 
         cg_cap = max(2000, 40 * max(self.free.shape))
 
         lagged = partial(self.lagged, fv=fv, p=p, eps=eps)
+        energy = partial(disc.energy, fvals=fv, p=p, eps=eps, h_vol=hvol)
         T, Q, density, r = lagged(u)
         # from a zero start at p > 2 the degenerate weights eps^{p-2} blow up
         # the first linear solution; seed with the unit-weight operator (the
         # residual at u = 0 is -f whatever the weights)
         seed = p > 2.0 and not u.any()
-        history = [disc.energy(u, fv, p, eps, hvol, density)]
+        # the first outer step of a warm solve takes up the V-cycle the last one ended with
+        kept = self.kept.get((p, eps)) if warm and not seed else None
+        cycle = None if kept is None else kept.cycle
+        history = [energy(u, density=density)]
         iterations = cg_total = 0
         with np.errstate(over="ignore"):  # an overflow fails the check below
             # the certificate in Euclidean norm: ||r||_{L2} = sqrt(hvol) ||r||_2
@@ -797,7 +881,12 @@ class _SolveContext:
             iterations += 1
             if seed:  # its unit-weight operators are not kept
                 T, Q = self._unit_weight_faces(), None
-            precond = self.unit_cycle if p == 2.0 else _VCycle(disc, T)
+            if p == 2.0:
+                precond = self.unit_cycle
+            elif iterations == 1 and cycle is not None:
+                precond = cycle
+            else:
+                precond = self._vcycle(T)
             if p == 2.0:
                 # the system is linear, so one CG run to half the target meets the certificate
                 reduction = min(_ETA, 0.5 * target / rnorm)
@@ -811,19 +900,24 @@ class _SolveContext:
                     pass  # the Kacanov step below
             if sol is None:
                 sol, cg_its = _pcg(lambda x: disc.free_rows(disc.apply(x, T)), -r, u, precond, reduction, cg_cap)
-            # this step's operators are not needed past its CG run
+            # this step's operators are not needed past its CG run, but for a
+            # warm solve's V-cycle, which it keeps
+            cycle = precond if warm else None
             del precond, T, Q
             cg_total += cg_its
             prev_rnorm = rnorm
-            u, (T, Q, density, r) = _line_step(u, sol, r, lagged)
+            u, (T, Q, density, r) = _line_step(u, sol, r, history[-1], lagged, energy, hvol)
             seed = False
-            history.append(disc.energy(u, fv, p, eps, hvol, density))
+            history.append(energy(u, density=density))
             rnorm = math.sqrt(_dot(r, r))
         if not np.all(np.isfinite(u)):
             raise SolverDivergenceError("non-finite iterate")
+        if warm:
+            self.kept[p, eps] = _Kept(u, T, Q, density, cycle)
         full = np.zeros(self.grid.shape)
         np.multiply(disc.cells(u), self.free, out=full[self.crop])
-        return _Minimum(full, disc.cells(r), iterations, cg_total, rnorm <= target, history)
+        return _Minimum(full, disc.cells(r), iterations, cg_total, rnorm <= target, history,
+                        self.cycle_builds - work[0], self.linearizations - work[1])
 
 
 def solve(prob: DirichletProblem, initial: ScalarField | None = None) -> tuple[ScalarField, SolveReport]:

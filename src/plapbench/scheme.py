@@ -119,6 +119,8 @@ class SystemState:
     solves: int = 0
     outer_steps: int = 0
     cg_iterations: int = 0
+    cycle_builds: int = 0
+    linearizations: int = 0
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -140,6 +142,8 @@ class SystemState:
             "solves": self.solves,
             "outer_steps": self.outer_steps,
             "cg_iterations": self.cg_iterations,
+            "cycle_builds": self.cycle_builds,
+            "linearizations": self.linearizations,
             "sup_u": linf_norm(self.u),
             "sup_v": linf_norm(self.v),
         }
@@ -292,13 +296,12 @@ def picard_solve_level(
     eps = 1.0 / n
     hyp_ok = _hypotheses_ok(c)
     ctx = _SolveContext(grid, np.ones(grid.shape, dtype=bool))
-    work = [0, 0, 0]  # solves, outer steps, CG iterations
+    work = [0, 0, 0, 0, 0]  # solves, outer steps, CG iterations, V-cycle builds, linearizations
 
     def minimize(prob: DirichletProblem, initial: ScalarField | None = None) -> _Minimum:
         res = ctx.minimize(prob, initial)
-        work[0] += 1
-        work[1] += res.iterations
-        work[2] += res.cg_iterations
+        for k, count in enumerate((1, res.iterations, res.cg_iterations, res.cycle_builds, res.linearizations)):
+            work[k] += count
         return res
 
     if warm_start is not None:
@@ -354,6 +357,8 @@ def picard_solve_level(
         solves=work[0],
         outer_steps=work[1],
         cg_iterations=work[2],
+        cycle_builds=work[3],
+        linearizations=work[4],
     )
 
 

@@ -309,10 +309,10 @@ def strided_coarsen(free, T, S):
     return _pair_sums(free, every), Tc, _pair_sums(sink, every)
 
 
-def strided_prolong(v, free):
+def strided_prolong(v, shape):
     for k in range(v.ndim):
         v = np.repeat(v, 2, axis=k)
-    return v[tuple(slice(0, n) for n in free.shape)] * free
+    return v[tuple(slice(0, n) for n in shape)]
 
 
 def strided_dense_matrix(free, T, S):
@@ -334,19 +334,21 @@ def strided_dense_matrix(free, T, S):
 
 
 class StridedVCycle:
-    """The symmetric aggregation V(2,2) cycle on ``StridedDiscretization`` levels, every level in ``dtype``,
-    down to the first level with at most ``dense_cells`` free cells, solved by its dense inverse; it takes and
-    returns float64 residuals and corrections."""
+    """The symmetric aggregation V-cycle on ``StridedDiscretization`` levels, every level in ``dtype``, down to
+    the first level with at most ``dense_cells`` free cells, solved by its dense inverse; it takes and returns
+    float64 residuals and corrections.  Each level smooths before and after its coarse correction with the
+    degree-2 Chebyshev polynomial p(l) = scale (2 - k scale l) in D^-1 A: from the residual r0, the correction
+    2 t - k w A t with t = w r0 and w = scale D^-1."""
 
-    def __init__(self, disc, T, omega, sweeps, alpha, dense_cells, dtype=np.float64):
-        self.sweeps, self.alpha = sweeps, alpha
+    def __init__(self, disc, T, scale, k, alpha, dense_cells, dtype=np.float64):
+        self.k, self.alpha = k, alpha
         self.dtype = dtype
         free, S = disc.free, None
         T = [t.astype(dtype) for t in T]
         self.levels = []
         while np.count_nonzero(free) > dense_cells:
             form = StridedDiscretization(free, 1.0, dtype)
-            self.levels.append((form, T, S, omega / form.diagonal(T, S)))
+            self.levels.append((form, T, S, scale / form.diagonal(T, S)))
             free, T, S = strided_coarsen(free, T, S)
         self.dense_free = free
         self.inverse = _dense_inverse(strided_dense_matrix(free, T, S)).astype(dtype)
@@ -354,20 +356,19 @@ class StridedVCycle:
     def __call__(self, r):
         return self._cycle(0, r.astype(self.dtype)).astype(np.float64)
 
+    def _smooth(self, form, T, S, w, t):
+        return form.apply(t, T, S) * w * -self.k + t + t
+
     def _cycle(self, i, r):
         if i == len(self.levels):
             z = np.zeros(r.shape, self.dtype)
             z[self.dense_free] = np.einsum("ij,j->i", self.inverse, r[self.dense_free])
             return z
-        form, T, S, wd = self.levels[i]
-        z = wd * r
-        for _ in range(self.sweeps - 1):
-            z += wd * (r - form.apply(z, T, S))
+        form, T, S, w = self.levels[i]
+        z = self._smooth(form, T, S, w, w * r)
         rc = _pair_sums(r - form.apply(z, T, S), range(r.ndim))
-        z += self.alpha * strided_prolong(self._cycle(i + 1, rc), form.free)
-        for _ in range(self.sweeps):
-            z += wd * (r - form.apply(z, T, S))
-        return z
+        z[form.free] += strided_prolong(self._cycle(i + 1, rc) * self.alpha, form.free.shape)[form.free]
+        return z + self._smooth(form, T, S, w, w * (r - form.apply(z, T, S)))
 
 
 def _bordered_dot(a, b):

@@ -204,27 +204,33 @@ def test_scheme_report_converges_under_refinement():
 
 
 def test_scheme_work_counts_match_the_solves(monkeypatch):
-    # each level's solves, outer steps and CG iterations are those of its
-    # solver calls, the positivity seed's included.  The bounds hold only
-    # while the early Picard steps solve loose: solving every step at
-    # solver_tol takes 686 CG iterations and 224 outer steps on this config
+    # each level's solves, outer steps, CG iterations, V-cycle builds and
+    # linearizations are those of its solver calls, the positivity seed's
+    # included.  The bounds hold only while the early Picard steps solve loose:
+    # solving every step at solver_tol takes 686 CG iterations and 224 outer
+    # steps on this config.  Warm p != 2 solves take up the last one's
+    # linearization and V-cycle, so at most half the outer steps build a cycle
     seen = []
     minimize = _SolveContext.minimize
 
     def counted(self, prob, initial=None):
         res = minimize(self, prob, initial)
-        seen.append((res.iterations, res.cg_iterations))
+        seen.append((res.iterations, res.cg_iterations, res.cycle_builds, res.linearizations))
         return res
 
     monkeypatch.setattr(_SolveContext, "minimize", counted)
     states, report = run_scheme(bench_spec(Grid(2, 2.0, 64)), [1, 2, 4, 8], rho=0.5)
     assert all(report.converged_n)
     assert sum(s.solves for s in states) == len(seen)
-    assert sum(s.outer_steps for s in states) == sum(its for its, _ in seen) <= 150
-    assert sum(s.cg_iterations for s in states) == sum(cg for _, cg in seen) <= 450
+    totals = [sum(column) for column in zip(*seen)]
+    assert [sum(s.outer_steps for s in states), sum(s.cg_iterations for s in states),
+            sum(s.cycle_builds for s in states), sum(s.linearizations for s in states)] == totals
+    assert totals[0] <= 150 and totals[1] <= 450
+    assert totals[2] <= totals[0] // 2
     summ = states[0].summary()
-    assert (summ["solves"], summ["outer_steps"], summ["cg_iterations"]) == (
-        states[0].solves, states[0].outer_steps, states[0].cg_iterations)
+    assert [summ[key] for key in ("solves", "outer_steps", "cg_iterations", "cycle_builds", "linearizations")] == [
+        states[0].solves, states[0].outer_steps, states[0].cg_iterations, states[0].cycle_builds,
+        states[0].linearizations]
 
 
 def test_picard_flags_h2_violation():

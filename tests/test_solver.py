@@ -4,8 +4,9 @@ energy's differences, the Hessian's tie to the residual and its symmetry,
 the multigrid preconditioner's symmetry, definiteness, Galerkin coarse
 operator and size-independent work, the Newton steps' outer-step counts and
 their fallback, the single CG run of a p = 2 solve and the solver context
-it keeps, energy descent, local minimality for p != 2, and the kernels'
-byte identity with their strided reference."""
+it keeps, what a warm solve takes up from the last one, energy descent,
+local minimality for p != 2, and the kernels' byte identity with their
+strided reference."""
 
 import dataclasses
 import json
@@ -269,10 +270,10 @@ def test_kernels_match_the_strided_oracle_byte_for_byte(N, data, ball, sink, p, 
     assert _same_bytes(disc.hessian(bordered(v), T, Q), bordered(ref.hessian(v, rT, rQ)))
 
     coarse = rng.standard_normal([(n + 1) // 2 for n in shape])
-    assert _same_bytes(_prolong(coarse, free), strided_prolong(coarse, free))
+    assert _same_bytes(_prolong(coarse, free.shape), strided_prolong(coarse, free.shape))
     # the cycle runs in float32 on both sides; the solver's returns +0 off the free cells
     cycle = _VCycle(disc, T)
-    ref_cycle = StridedVCycle(ref, rT, plap_solver._OMEGA, plap_solver._SWEEPS, plap_solver._ALPHA,
+    ref_cycle = StridedVCycle(ref, rT, plap_solver._CHEB_SCALE, plap_solver._CHEB_K, plap_solver._ALPHA,
                               plap_solver._DENSE_CELLS, np.float32)
     r = rng.standard_normal(shape) * free
     assert _same_bytes(cycle(bordered(r)), bordered(np.where(free, ref_cycle(r), 0.0)))
@@ -369,7 +370,7 @@ def test_vcycle_finite_where_the_weights_vanish():
     # at eps = 0 and p > 2 the weights vanish where u is flat, and so do the
     # rows of A and the diagonal there: the cycle clamps its diagonal at
     # float32's smallest normal number, so a residual in the range of A (zero
-    # on those rows) meets a finite Jacobi weight, not 0 * inf
+    # on those rows) meets a finite smoothing weight, not 0 * inf
     free = np.ones((16, 16), dtype=bool)
     disc = _Discretization(free, 0.1)
     u = np.zeros(free.shape)
@@ -429,7 +430,7 @@ def test_newton_halves_the_outer_steps():
         assert rep.cg_iterations <= cg, (p, rep.cg_iterations)
 
 
-@pytest.mark.parametrize("p, value, outer, cg", [(2.0, 1e39, 1, 12), (2.0, 1e100, 1, 12), (3.0, 1e80, 7, 25)])
+@pytest.mark.parametrize("p, value, outer, cg", [(2.0, 1e39, 1, 11), (2.0, 1e100, 1, 11), (3.0, 1e80, 7, 23)])
 def test_large_data_solves_keep_their_work(p, value, outer, cg):
     # data far outside float32's range: the V-cycle scales its weights and
     # residuals by powers of two, so it sees numbers near 1 and the solve takes
@@ -475,15 +476,32 @@ def test_hessian_breakdown_falls_back_to_kacanov(monkeypatch, p):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_newton_energy_never_rises(N, center, p, seed):
-    # the line step keeps each Newton step downhill: on an off-centre ball
-    # with bump data the energy falls at every step, up to roundoff
+    # the line step keeps each Newton step downhill: it keeps the full step
+    # when the slope there is not positive, or small with an Armijo decrease,
+    # and takes the secant otherwise.  On an off-centre ball with bump data
+    # the energy falls strictly at every step but the last, whose drop may
+    # sink below the rounding of the energy sum, and the converged solve
+    # meets the residual certificate
     grid = Grid(N, 1.0, 20 if N == 2 else 10)
     ball = ball_mask(grid, center[:N], 0.8)
     f = bump_field(grid, draw_bump_params(np.random.default_rng(seed), N))
-    _, rep = solve(DirichletProblem(grid, p, f, tol=1e-9, domain=ball))
-    assert rep.converged
+    prob = DirichletProblem(grid, p, f, tol=1e-9, domain=ball)
+    u, rep = solve(prob)
+    assert rep.converged and _certified(u, prob, ball.mask)
     hist = rep.energy_history
-    assert all(b <= a + 1e-14 * abs(a) for a, b in zip(hist, hist[1:]))
+    assert all(b < a for a, b in zip(hist[:-1], hist[1:-1]))
+    assert hist[-1] <= hist[-2] + 1e-14 * abs(hist[-2])
+
+
+def test_cold_ball_p3_still_takes_the_secant():
+    # on the 64^2 unit ball at p = 3 one line step falls short of its full
+    # step's slope test and re-linearizes at the secant zero: the solve forms
+    # one linearization at its start, one per outer step and one more
+    prob, ball = radial_problem(3.0, 2, 64, tol=1e-10)
+    res = _SolveContext(prob.grid, ball.mask.copy()).minimize(prob)
+    assert res.converged
+    assert res.linearizations == res.iterations + 2
+    assert res.cycle_builds == res.iterations
 
 
 def _certified(u, prob, free):
@@ -540,7 +558,10 @@ def test_p2_solve_is_one_outer_step(N, n, ball):
 
 def test_kept_context_solves_bit_identical():
     # solves through one kept context equal solves that each build their own,
-    # bit for bit, whatever ran on the context before
+    # bit for bit, whatever ran on the context before.  Every p != 2 solve here
+    # is the first warm one at its p, so none takes up a kept V-cycle (that
+    # changes the preconditioner of the next warm solve's first outer step:
+    # test_warm_start_reuses_the_linearization_exactly)
     grid = Grid(2, 2.0, 24)
     domain = ball_mask(grid, (0.1, -0.2), 0.9)
     ctx = _SolveContext(grid, domain.mask.copy())
@@ -558,6 +579,62 @@ def test_kept_context_solves_bit_identical():
             assert (kept.iterations, kept.cg_iterations, kept.converged) == (
                 rep.iterations, rep.cg_iterations, rep.converged)
         warm = ScalarField(grid, kept.values)
+
+
+def test_warm_start_reuses_the_linearization_exactly(monkeypatch):
+    # a warm p != 2 solve keeps the iterate it returned and what lagged formed
+    # there.  At that point, bytes-equal, lagged takes them up: T, Q, the
+    # density and the residual equal a fresh context's byte for byte, and no
+    # weights are computed.  One ulp in u, another p or another eps recompute.
+    # The next warm solve also takes up the kept V-cycle for its first step
+    grid = Grid(2, 2.0, 24)
+    domain = ball_mask(grid, (0.1, -0.2), 0.9)
+    rng = np.random.default_rng(13)
+    fields = [bump_field(grid, draw_bump_params(rng, 2)) for _ in range(3)]
+    p, eps = 2.5, 1e-6
+    problems = [DirichletProblem(grid, p, f, tol=1e-9, domain=domain) for f in fields]
+    ctx = _SolveContext(grid, domain.mask.copy())
+    cold = ctx.minimize(problems[0])
+    assert not ctx.kept  # cold solves keep nothing
+    warm = ctx.minimize(problems[1], ScalarField(grid, cold.values))
+    assert warm.converged and list(ctx.kept) == [(p, eps)]
+    u = ctx.vector(ScalarField(grid, warm.values))
+    assert _same_bytes(u, ctx.kept[p, eps].u)
+
+    fv = ctx.vector(fields[2])
+    fresh = _SolveContext(grid, domain.mask.copy()).lagged(u, fv, p, eps)
+    calls = []  # the point, p and eps of every weight evaluation
+    weights = _Discretization.weights
+
+    def counted(self, vals, p, eps):
+        calls.append((vals.copy(), p, eps))
+        return weights(self, vals, p, eps)
+
+    monkeypatch.setattr(_Discretization, "weights", counted)
+    at = ctx.lagged(u, fv, p, eps)
+    assert calls == []
+    assert all(_same_bytes(a, b) for a, b in zip(at.T, fresh.T))
+    assert at.Q.sign == fresh.Q.sign
+    assert all(_same_bytes(a, b) for a, b in zip(at.Q.qf + at.Q.qb, fresh.Q.qf + fresh.Q.qb))
+    assert _same_bytes(at.density, fresh.density) and _same_bytes(at.r, fresh.r)
+    moved = u.copy()
+    j = int(np.flatnonzero(u)[0])
+    moved[j] = np.nextafter(moved[j], np.inf)
+    for args in ((moved, fv, p, eps), (u, fv, 3.0, eps), (u, fv, p, 2.0 * eps)):
+        ctx.lagged(*args)
+    assert [call[1:] for call in calls] == [(p, eps), (3.0, eps), (p, 2.0 * eps)]
+
+    # the next warm solve from the kept point: the same first energy as a
+    # fresh context's, no weights computed at its start and no V-cycle built
+    # for its first outer step
+    initial = ScalarField(grid, warm.values)
+    own = _SolveContext(grid, domain.mask.copy()).minimize(problems[2], initial)
+    calls.clear()
+    again = ctx.minimize(problems[2], initial)
+    assert again.converged and own.converged
+    assert again.energy_history[0] == own.energy_history[0]
+    assert len(calls) == again.linearizations and not any(_same_bytes(vals, u) for vals, _, _ in calls)
+    assert (again.cycle_builds, own.cycle_builds) == (again.iterations - 1, own.iterations)
 
 
 def test_energy_history_is_each_iterates_energy():
