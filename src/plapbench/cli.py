@@ -29,7 +29,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable
@@ -48,7 +48,7 @@ from .field import (
 )
 from .hypotheses import admissibility_report, config_from_dict, derive
 from .jsonio import _REQUIRED, ConfigError, _check, _float_or_inf, _Kinds, _required, canonical_json
-from .plap_solver import AnalyticFailure, DirichletProblem, SolverDivergenceError, exact_radial, solve
+from .plap_solver import AnalyticFailure, DirichletProblem, SolverDivergenceError, SolverWork, exact_radial, solve
 from .potential import (
     PotentialQuadrature,
     potential_P,
@@ -151,10 +151,10 @@ _SCHEMAS = {
     },
     "verify": {**_required(scheme_out=str, t=float, s=float, R=float, h_cells=[[int]]), "r": (float, None)},
 }
-# one entry of a scheme directory's states.json, as SystemState.summary writes it
+# one entry of a scheme directory's states.json, as SystemState.summary writes it, the work record spread
+_WORK = [f.name for f in fields(SolverWork)]
 _LEVEL = _required(n=int, eps=float, picard_iters=int, increment_p=_float_or_inf, increment_q=_float_or_inf,
-                   converged=bool, hypotheses_ok=bool, solves=int, outer_steps=int, cg_iterations=int,
-                   cycle_builds=int, linearizations=int, sup_u=float, sup_v=float)
+                   converged=bool, hypotheses_ok=bool, **dict.fromkeys(_WORK, int), sup_u=float, sup_v=float)
 
 
 def _file_hashes(value: Any) -> dict[str, str]:
@@ -297,8 +297,9 @@ def _load_scheme_output(scheme_dir: Path) -> tuple[ReactionSpec, list[SystemStat
     states = []
     for summ in _check(json.loads(states_path.read_text()), [_LEVEL], str(states_path)):
         del summ["sup_u"], summ["sup_v"]
+        work = SolverWork(**{name: summ.pop(name) for name in _WORK})
         u, v = (load_field(scheme_dir / f"level_{summ['n']:04d}_{name}.fld") for name in "uv")
-        states.append(SystemState(u=u, v=v, **summ))
+        states.append(SystemState(u=u, v=v, work=work, **summ))
     return spec, states
 
 

@@ -79,12 +79,13 @@ leaves float64's range raises ``SolverDivergenceError``.
 ``_SolveContext`` keeps what depends only on the grid and the free-cell mask
 (crop, free cells, discretization, unit-weight V-cycle at p = 2); only it
 reads f and the warm start and writes the solution and the final residual
-cell-shaped.  ``solve`` builds one per call, freed before its weak residual,
-which pairs the last outer step's residual with the test functions; the
-Picard scheme keeps one per level.  A warm-started p != 2 solve there picks up
-where the last one at its p ended: from the same bytes it takes up that
-solve's linearization, which changes no bit, and its first outer step takes up
-that solve's last V-cycle.
+cell-shaped, and it counts its solves' work where it happens (``SolverWork``).
+``solve`` builds one per call and reports its count, freed before its weak
+residual, which pairs the last outer step's residual with the test functions;
+the Picard scheme keeps one per level, whose count is the level's.  A
+warm-started p != 2 solve there picks up where the last one at its p ended:
+from the same bytes it takes up that solve's linearization, which changes no
+bit, and its first outer step takes up that solve's last V-cycle.
 """
 
 from __future__ import annotations
@@ -149,6 +150,17 @@ class DirichletProblem:
         if self.eps_reg is not None:
             return self.eps_reg
         return 1e-6 if self.p >= 2.0 else 1e-3
+
+
+@dataclass
+class SolverWork:
+    """What a solver context's solves did, counted where it happens."""
+
+    solves: int = 0
+    outer_steps: int = 0
+    cg_iterations: int = 0
+    cycle_builds: int = 0  # V-cycles built, the unit-weight one included
+    linearizations: int = 0  # lagged weights computed (p != 2), not those taken up from the last warm solve
 
 
 @dataclass
@@ -756,12 +768,8 @@ def _line_step(
 class _Minimum(NamedTuple):
     values: np.ndarray  # on the full grid
     residual: np.ndarray  # A(u) u - f at the returned iterate, on the free bounding box (a view of the bordered one)
-    iterations: int
-    cg_iterations: int
     converged: bool
-    energy_history: list[float]
-    cycle_builds: int  # V-cycles built, the unit-weight one included when this solve built it
-    linearizations: int  # lagged weights computed (p != 2), not those taken up from the last warm solve
+    energy_history: list[float]  # the energy at the start and after each outer step
 
 
 class _Kept(NamedTuple):
@@ -788,8 +796,8 @@ class _SolveContext:
     warm solve at that p and eps starts where it ended: ``lagged`` at a
     bytes-equal iterate takes up its face weights, curvature and density, which
     changes no bit, and the first outer step preconditions with its V-cycle
-    instead of building one.  Cold solves keep nothing.  ``cycle_builds`` and
-    ``linearizations`` count the V-cycles built and the weights computed.
+    instead of building one.  Cold solves keep nothing.  ``work`` counts the
+    work of every solve on the context.
     """
 
     def __init__(self, grid: Grid, mask: np.ndarray):
@@ -799,7 +807,7 @@ class _SolveContext:
         self.free = np.ascontiguousarray(mask[self.crop])
         self.disc = _Discretization(self.free, grid.spacing)
         self.kept: dict[tuple[float, float], _Kept] = {}
-        self.cycle_builds = self.linearizations = 0
+        self.work = SolverWork()
 
     def vector(self, field: ScalarField) -> np.ndarray:
         """The field as a solver vector: its values on the free cells of the crop, bordered, +0 elsewhere."""
@@ -811,7 +819,7 @@ class _SolveContext:
         return self.disc.faces(self.disc.inside, self.disc.inside)  # weight 1 on the free cells
 
     def _vcycle(self, T: list[np.ndarray]) -> _VCycle:
-        self.cycle_builds += 1
+        self.work.cycle_builds += 1
         return _VCycle(self.disc, T)
 
     @cached_property
@@ -833,7 +841,7 @@ class _SolveContext:
         elif kept is not None and np.array_equal(kept.u.view(np.uint64), vals.view(np.uint64)):
             T, Q, density = kept.T, kept.Q, kept.density  # the same bytes, so the same weights
         else:
-            self.linearizations += 1
+            self.work.linearizations += 1
             wf, wb, Q, density = self.disc.weights(vals, p, eps)
             T = self.disc.faces(wf, wb)
         r = self.disc.free_rows(self.disc.apply(vals, T))
@@ -847,7 +855,7 @@ class _SolveContext:
         fv = self.vector(prob.f)
         p, eps = prob.p, prob.resolved_eps
         hvol = self.grid.cell_volume
-        work = self.cycle_builds, self.linearizations
+        self.work.solves += 1
 
         if initial is not None:
             _require_same_grid(initial, prob)
@@ -868,8 +876,7 @@ class _SolveContext:
         # the first outer step of a warm solve takes up the V-cycle the last one ended with
         kept = self.kept.get((p, eps)) if warm and not seed else None
         cycle = None if kept is None else kept.cycle
-        history = [energy(u, density=density)]
-        iterations = cg_total = 0
+        history = [energy(u, density=density)]  # and one more per outer step
         with np.errstate(over="ignore"):  # an overflow fails the check below
             # the certificate in Euclidean norm: ||r||_{L2} = sqrt(hvol) ||r||_2
             target = prob.tol * (1.0 + math.sqrt(_dot(fv, fv) * hvol)) / math.sqrt(hvol)
@@ -877,13 +884,13 @@ class _SolveContext:
         if not (math.isfinite(target) and math.isfinite(rnorm)):
             # ||f||^2 or ||r||^2 overflows: inf > inf is false, so the loop would certify u
             raise SolverDivergenceError("the residual certificate leaves float64's range")
-        while rnorm > target and iterations < prob.max_iter:
-            iterations += 1
+        while rnorm > target and len(history) <= prob.max_iter:
+            self.work.outer_steps += 1
             if seed:  # its unit-weight operators are not kept
                 T, Q = self._unit_weight_faces(), None
             if p == 2.0:
                 precond = self.unit_cycle
-            elif iterations == 1 and cycle is not None:
+            elif len(history) == 1 and cycle is not None:
                 precond = cycle
             else:
                 precond = self._vcycle(T)
@@ -904,7 +911,7 @@ class _SolveContext:
             # warm solve's V-cycle, which it keeps
             cycle = precond if warm else None
             del precond, T, Q
-            cg_total += cg_its
+            self.work.cg_iterations += cg_its
             prev_rnorm = rnorm
             u, (T, Q, density, r) = _line_step(u, sol, r, history[-1], lagged, energy, hvol)
             seed = False
@@ -916,8 +923,7 @@ class _SolveContext:
             self.kept[p, eps] = _Kept(u, T, Q, density, cycle)
         full = np.zeros(self.grid.shape)
         np.multiply(disc.cells(u), self.free, out=full[self.crop])
-        return _Minimum(full, disc.cells(r), iterations, cg_total, rnorm <= target, history,
-                        self.cycle_builds - work[0], self.linearizations - work[1])
+        return _Minimum(full, disc.cells(r), rnorm <= target, history)
 
 
 def solve(prob: DirichletProblem, initial: ScalarField | None = None) -> tuple[ScalarField, SolveReport]:
@@ -931,9 +937,11 @@ def solve(prob: DirichletProblem, initial: ScalarField | None = None) -> tuple[S
     Raises SolverDivergenceError on non-finite values; never clips.
     """
     mask = _free_mask(prob)
-    res = _SolveContext(prob.grid, mask).minimize(prob, initial)
-    report = SolveReport(res.iterations, res.energy_history[-1], res.energy_history,
-                         _weak_residual(prob.grid, mask, res.residual, prob.p), res.converged, res.cg_iterations)
+    ctx = _SolveContext(prob.grid, mask)
+    res, work = ctx.minimize(prob, initial), ctx.work
+    del ctx  # its operators and V-cycles go before the weak residual (peak memory)
+    report = SolveReport(work.outer_steps, res.energy_history[-1], res.energy_history,
+                         _weak_residual(prob.grid, mask, res.residual, prob.p), res.converged, work.cg_iterations)
     return ScalarField(prob.grid, res.values), report
 
 

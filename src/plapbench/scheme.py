@@ -27,10 +27,11 @@ back towards 1 on the next step.  One tolerance policy ties the inner solves
 to the Picard state: a step solves only as tightly as its increment needs,
 1e-2 times the previous increment but no looser than 1e-4, and solver_tol
 is the floor; a level converges only on a step solved at that floor.  The
-solves of a level share one solver context and form no weak residual.  The
-per-level states are warm starts for the next level, and the report collects
-the discrete shadows of the uniform bounds: sup norms, interior infima on a
-ball, gradient norms, and Cauchy increments between consecutive levels.
+solves of a level share one solver context, whose work count is the level's,
+and form no weak residual.  The per-level states are warm starts for the next
+level, and the report collects the discrete shadows of the uniform bounds: sup
+norms, interior infima on a ball, gradient norms, and Cauchy increments between
+consecutive levels.
 
 eps enters only the reaction; the solver's own gradient regularization is
 an independent knob (see plap_solver).
@@ -38,8 +39,8 @@ an independent knob (see plap_solver).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -55,7 +56,7 @@ from .field import (
     w1p_norm,
 )
 from .hypotheses import ExponentConfig, check_H1a, check_H2
-from .plap_solver import AnalyticFailure, DirichletProblem, _Minimum, _SolveContext
+from .plap_solver import AnalyticFailure, DirichletProblem, SolverWork, _SolveContext
 
 _TAU_MIN = 1.0 / 64.0
 # the Picard forcing: a step's inner solves run to _FORCING times the previous
@@ -96,6 +97,8 @@ class ReactionSpec:
                 raise ValueError(f"exponent {name} must be nonnegative")
         if not (c.mhat1 > 0.0 and c.mhat2 > 0.0):
             raise ValueError("mhat1 and mhat2 must be positive")
+        if c.N != self.grid.N:  # p* and the summability windows depend on N
+            raise ValueError(f"exponents are for N = {c.N}, the grid has N = {self.grid.N}")
 
     @property
     def grid(self) -> Grid:
@@ -115,12 +118,7 @@ class SystemState:
     increment_q: float
     converged: bool
     hypotheses_ok: bool
-    # work of the level's inner solves, the positivity seed included
-    solves: int = 0
-    outer_steps: int = 0
-    cg_iterations: int = 0
-    cycle_builds: int = 0
-    linearizations: int = 0
+    work: SolverWork = field(default_factory=SolverWork)  # of the level's solves, the positivity seed's included
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -139,11 +137,7 @@ class SystemState:
             "increment_q": self.increment_q,
             "converged": self.converged,
             "hypotheses_ok": self.hypotheses_ok,
-            "solves": self.solves,
-            "outer_steps": self.outer_steps,
-            "cg_iterations": self.cg_iterations,
-            "cycle_builds": self.cycle_builds,
-            "linearizations": self.linearizations,
+            **asdict(self.work),
             "sup_u": linf_norm(self.u),
             "sup_v": linf_norm(self.v),
         }
@@ -235,7 +229,7 @@ def _positivity_seed(
     eps: float,
     solver_tol: float,
     solver_max_iter: int,
-    minimize: Callable[[DirichletProblem], _Minimum],
+    ctx: _SolveContext,
 ) -> tuple[ScalarField, ScalarField]:
     """Strictly positive starting pair for a cold Picard start.
 
@@ -252,7 +246,7 @@ def _positivity_seed(
     rg = ScalarField(grid, c.mhat2 * spec.weight_a2.values * eps ** (c.alpha2 + c.beta2))
     out = []
     for pw, rhs in ((c.p, rf), (c.q, rg)):
-        w = minimize(DirichletProblem(grid, pw, rhs, tol=solver_tol, max_iter=solver_max_iter))
+        w = ctx.minimize(DirichletProblem(grid, pw, rhs, tol=solver_tol, max_iter=solver_max_iter))
         out.append(ScalarField(grid, np.maximum(w.values, 0.0)))
     return out[0], out[1]
 
@@ -283,7 +277,8 @@ def picard_solve_level(
     inner solves converged on a step solved at solver_tol.  A looser step that
     meets the test tightens the policy: every later step solves at solver_tol,
     and the damping forgets the loose increment.  A level that never converges
-    is returned flagged.  The state carries the level's solver work counts.
+    is returned flagged.  The state carries the level's solver work counts, the
+    ``SolverWork`` that its solver context kept.
     """
     if n < 1:
         raise ValueError("level index n must be >= 1")
@@ -296,20 +291,12 @@ def picard_solve_level(
     eps = 1.0 / n
     hyp_ok = _hypotheses_ok(c)
     ctx = _SolveContext(grid, np.ones(grid.shape, dtype=bool))
-    work = [0, 0, 0, 0, 0]  # solves, outer steps, CG iterations, V-cycle builds, linearizations
-
-    def minimize(prob: DirichletProblem, initial: ScalarField | None = None) -> _Minimum:
-        res = ctx.minimize(prob, initial)
-        for k, count in enumerate((1, res.iterations, res.cg_iterations, res.cycle_builds, res.linearizations)):
-            work[k] += count
-        return res
-
     if warm_start is not None:
         if warm_start.u.grid != grid:
             raise ValueError("warm start lives on a different grid")
         u, v = warm_start.u, warm_start.v
     else:
-        u, v = _positivity_seed(spec, eps, max(solver_tol, _LOOSE_TOL), solver_max_iter, minimize)
+        u, v = _positivity_seed(spec, eps, max(solver_tol, _LOOSE_TOL), solver_max_iter, ctx)
 
     tau = 1.0
     prev_inc = np.inf
@@ -323,8 +310,8 @@ def picard_solve_level(
         rhs_f, rhs_g = _reactions(spec, u, v, eps)
         prob_u = DirichletProblem(grid, c.p, rhs_f, tol=step_tol, max_iter=solver_max_iter)
         prob_v = DirichletProblem(grid, c.q, rhs_g, tol=step_tol, max_iter=solver_max_iter)
-        u_t = minimize(prob_u, initial=u)
-        v_t = minimize(prob_v, initial=v)
+        u_t = ctx.minimize(prob_u, initial=u)
+        v_t = ctx.minimize(prob_v, initial=v)
         inner_ok = u_t.converged and v_t.converged
 
         while True:
@@ -354,11 +341,7 @@ def picard_solve_level(
         increment_q=inc_q,
         converged=converged,
         hypotheses_ok=hyp_ok,
-        solves=work[0],
-        outer_steps=work[1],
-        cg_iterations=work[2],
-        cycle_builds=work[3],
-        linearizations=work[4],
+        work=ctx.work,
     )
 
 

@@ -368,6 +368,34 @@ def test_scheme_rejects_bad_picard_config(tmp_path):
         assert not (out_dir / "manifest.json").exists()
 
 
+def test_scheme_refuses_exponents_of_another_dimension(tmp_path):
+    # p* and the summability windows depend on N, so exponents for N = 2 say
+    # nothing about a 3-D grid: scheme exits 2 and writes nothing, and verify
+    # refuses a scheme directory whose config pairs another N with its grid
+    cfg = {"exponents": {**GOOD_EXPONENTS, "N": 2}, "grid": {"N": 3, "extent": 2.0, "cells_per_axis": 8},
+           "n_list": [1], "rho": 0.5}
+    code, out_dir = run(tmp_path, "scheme", cfg)
+    assert code == 2
+    assert not out_dir.exists()
+    code, scheme_out = run(tmp_path, "scheme", {**cfg, "grid": GRID_16}, name="s16.json", out="scheme16")
+    assert code == 0
+    (scheme_out / "config.json").write_text(json.dumps({**cfg, "exponents": GOOD_EXPONENTS, "grid": GRID_16}))
+    vcfg = {"scheme_out": str(scheme_out), "t": 0.4, "s": 0.6, "R": 1.25, "h_cells": [[1, 0]]}
+    code, verify_out = run(tmp_path, "verify", vcfg, name="v.json", out="verify")
+    assert code == 2
+    assert not verify_out.exists()
+
+
+def test_states_json_round_trips_through_the_level_schema(tmp_path):
+    # verify reads states.json back into SystemState through the level
+    # schema: the states it loads, work records included, write the same bytes
+    code, scheme_out = run(tmp_path, "scheme", SCHEME_CFG, out="scheme")
+    assert code == 0
+    _, states = cli._load_scheme_output(scheme_out)
+    assert all(s.work.solves > 0 and s.work.cg_iterations > 0 for s in states)
+    assert canonical_json([s.summary() for s in states]).encode() == (scheme_out / "states.json").read_bytes()
+
+
 def test_scheme_positivity_breach_exits_1(tmp_path, monkeypatch):
     # a seed that breaks the positivity invariant makes the first reaction
     # evaluation fail: an analytic failure (exit 1), not a usage error, and

@@ -3,6 +3,7 @@ stability under iteration parameters, and the per-level report."""
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ import pytest
 from plapbench.field import Grid, ScalarField, ball_mask, gradient, linf_norm, w1p_norm
 from plapbench.hypotheses import config_from_dict
 from plapbench.jsonio import canonical_json
-from plapbench.plap_solver import AnalyticFailure, DirichletProblem, _SolveContext, solve
+from plapbench import plap_solver
+from plapbench.plap_solver import AnalyticFailure, DirichletProblem, _Discretization, _SolveContext, solve
 from plapbench.scheme import (
     ReactionSpec,
     SystemState,
@@ -204,33 +206,48 @@ def test_scheme_report_converges_under_refinement():
 
 
 def test_scheme_work_counts_match_the_solves(monkeypatch):
-    # each level's solves, outer steps, CG iterations, V-cycle builds and
-    # linearizations are those of its solver calls, the positivity seed's
-    # included.  The bounds hold only while the early Picard steps solve loose:
-    # solving every step at solver_tol takes 686 CG iterations and 224 outer
-    # steps on this config.  Warm p != 2 solves take up the last one's
-    # linearization and V-cycle, so at most half the outer steps build a cycle
-    seen = []
-    minimize = _SolveContext.minimize
+    # each level's work record counts the events of its solver calls, the
+    # positivity seed's included, seen here where they happen: the solves,
+    # their outer steps (one energy each after the start), the CG iterations
+    # _pcg returns, the V-cycles built and the lagged weights computed.  The
+    # bounds hold only while the early Picard steps solve loose: solving every
+    # step at solver_tol takes 106 outer steps, 460 CG iterations and 59
+    # V-cycle builds on this config.  Warm p != 2 solves take up the last
+    # one's linearization and V-cycle, so at most half the outer steps build a cycle
+    events = dict.fromkeys(("solves", "outer_steps", "cg_iterations", "cycle_builds", "linearizations"), 0)
+    minimize, pcg, weights = _SolveContext.minimize, plap_solver._pcg, _Discretization.weights
 
-    def counted(self, prob, initial=None):
+    def counted_minimize(self, prob, initial=None):
         res = minimize(self, prob, initial)
-        seen.append((res.iterations, res.cg_iterations, res.cycle_builds, res.linearizations))
+        events["solves"] += 1
+        events["outer_steps"] += len(res.energy_history) - 1
         return res
 
-    monkeypatch.setattr(_SolveContext, "minimize", counted)
+    def counted_pcg(*args):
+        x, its = pcg(*args)
+        events["cg_iterations"] += its
+        return x, its
+
+    class CountingVCycle(plap_solver._VCycle):
+        def __init__(self, disc, T):
+            events["cycle_builds"] += 1
+            super().__init__(disc, T)
+
+    def counted_weights(self, u, p, eps):
+        events["linearizations"] += 1
+        return weights(self, u, p, eps)
+
+    monkeypatch.setattr(_SolveContext, "minimize", counted_minimize)
+    monkeypatch.setattr(plap_solver, "_pcg", counted_pcg)
+    monkeypatch.setattr(plap_solver, "_VCycle", CountingVCycle)
+    monkeypatch.setattr(_Discretization, "weights", counted_weights)
     states, report = run_scheme(bench_spec(Grid(2, 2.0, 64)), [1, 2, 4, 8], rho=0.5)
     assert all(report.converged_n)
-    assert sum(s.solves for s in states) == len(seen)
-    totals = [sum(column) for column in zip(*seen)]
-    assert [sum(s.outer_steps for s in states), sum(s.cg_iterations for s in states),
-            sum(s.cycle_builds for s in states), sum(s.linearizations for s in states)] == totals
-    assert totals[0] <= 150 and totals[1] <= 450
-    assert totals[2] <= totals[0] // 2
+    assert {name: sum(getattr(s.work, name) for s in states) for name in events} == events
+    assert events["outer_steps"] <= 150 and events["cg_iterations"] <= 450
+    assert events["cycle_builds"] <= events["outer_steps"] // 2
     summ = states[0].summary()
-    assert [summ[key] for key in ("solves", "outer_steps", "cg_iterations", "cycle_builds", "linearizations")] == [
-        states[0].solves, states[0].outer_steps, states[0].cg_iterations, states[0].cycle_builds,
-        states[0].linearizations]
+    assert {name: summ[name] for name in events} == asdict(states[0].work)
 
 
 def test_picard_flags_h2_violation():

@@ -498,10 +498,12 @@ def test_cold_ball_p3_still_takes_the_secant():
     # step's slope test and re-linearizes at the secant zero: the solve forms
     # one linearization at its start, one per outer step and one more
     prob, ball = radial_problem(3.0, 2, 64, tol=1e-10)
-    res = _SolveContext(prob.grid, ball.mask.copy()).minimize(prob)
+    ctx = _SolveContext(prob.grid, ball.mask.copy())
+    res = ctx.minimize(prob)
     assert res.converged
-    assert res.linearizations == res.iterations + 2
-    assert res.cycle_builds == res.iterations
+    outer = len(res.energy_history) - 1
+    assert ctx.work.linearizations == outer + 2
+    assert ctx.work.cycle_builds == outer
 
 
 def _certified(u, prob, free):
@@ -571,12 +573,13 @@ def test_kept_context_solves_bit_identical():
         f = bump_field(grid, draw_bump_params(rng, 2))
         prob = DirichletProblem(grid, p, f, tol=1e-9, domain=domain)
         for initial in (None, warm):
+            cg_before = ctx.work.cg_iterations
             kept = ctx.minimize(prob, initial)
             own = _SolveContext(grid, domain.mask.copy()).minimize(prob, initial)
             u, rep = solve(prob, initial)
             assert np.array_equal(kept.values, own.values) and np.array_equal(kept.values, u.values)
             assert kept.energy_history == own.energy_history == rep.energy_history
-            assert (kept.iterations, kept.cg_iterations, kept.converged) == (
+            assert (len(kept.energy_history) - 1, ctx.work.cg_iterations - cg_before, kept.converged) == (
                 rep.iterations, rep.cg_iterations, rep.converged)
         warm = ScalarField(grid, kept.values)
 
@@ -628,13 +631,17 @@ def test_warm_start_reuses_the_linearization_exactly(monkeypatch):
     # fresh context's, no weights computed at its start and no V-cycle built
     # for its first outer step
     initial = ScalarField(grid, warm.values)
-    own = _SolveContext(grid, domain.mask.copy()).minimize(problems[2], initial)
+    own_ctx = _SolveContext(grid, domain.mask.copy())
+    own = own_ctx.minimize(problems[2], initial)
     calls.clear()
+    before = dataclasses.replace(ctx.work)
     again = ctx.minimize(problems[2], initial)
     assert again.converged and own.converged
     assert again.energy_history[0] == own.energy_history[0]
-    assert len(calls) == again.linearizations and not any(_same_bytes(vals, u) for vals, _, _ in calls)
-    assert (again.cycle_builds, own.cycle_builds) == (again.iterations - 1, own.iterations)
+    assert len(calls) == ctx.work.linearizations - before.linearizations
+    assert not any(_same_bytes(vals, u) for vals, _, _ in calls)
+    assert (ctx.work.cycle_builds - before.cycle_builds, own_ctx.work.cycle_builds) == (
+        len(again.energy_history) - 2, len(own.energy_history) - 1)
 
 
 def test_energy_history_is_each_iterates_energy():
@@ -651,9 +658,10 @@ def test_energy_history_is_each_iterates_energy():
     fv = bordered(np.where(ctx.free, f.values[ctx.crop], 0.0))
     args = (fv, prob.p, prob.resolved_eps, grid.cell_volume)
     whole = ctx.minimize(prob)
-    assert whole.converged and whole.iterations >= 3
+    outer = len(whole.energy_history) - 1
+    assert whole.converged and outer >= 3
     assert _same_bytes(whole.energy_history[0], ctx.disc.energy(bordered(np.zeros(ctx.free.shape)), *args))
-    for k in range(1, whole.iterations + 1):
+    for k in range(1, outer + 1):
         cut = ctx.minimize(dataclasses.replace(prob, max_iter=k))
         assert cut.energy_history == whole.energy_history[: k + 1]
         assert _same_bytes(cut.energy_history[-1], ctx.disc.energy(bordered(cut.values[ctx.crop]), *args))
@@ -680,7 +688,8 @@ def test_unit_weight_operators_kept_for_p2_solves_only(monkeypatch):
     assert len(built) == 1
     cold = _SolveContext(grid, ball.mask.copy())
     res = cold.minimize(DirichletProblem(grid, 3.0, f, tol=1e-9, domain=ball))
-    assert res.converged and len(built) == 1 + res.iterations
+    outer = len(res.energy_history) - 1
+    assert res.converged and len(built) == 1 + outer
     assert "unit_faces" not in vars(cold) and "unit_cycle" not in vars(cold)
 
 
