@@ -41,6 +41,7 @@ from .field import (
     Grid,
     ScalarField,
     _write_csv,
+    ball_box,
     ball_mask,
     export_csv,
     load_field,
@@ -223,14 +224,13 @@ def cmd_solve(cfg: dict, out: _OutputDir) -> int:
     return 0 if rep.converged else 1
 
 
-def _oracle_cells(grid: Grid, R: float, center: tuple[float, ...]) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """The radial oracle's cells: the box of cells whose every axis term of |x - center|^2 is below
-    (0.8 R)^2 (no term exceeds the sum), |x - center|^2 on it and the mask of the cells within 0.8 R.
+def _oracle_cells(grid: Grid, R: float, center: tuple[float, ...]) -> tuple[tuple[slice, ...], np.ndarray, np.ndarray]:
+    """The radial oracle's cells: the ``ball_box`` of radius 0.8 R, |x - center|^2 on it and the mask
+    of the cells within 0.8 R.
 
     Raises ConfigError if R <= 0 or no cell centre lies within 0.8 R."""
     rad2 = (0.8 * R) * (0.8 * R)
-    box = [np.flatnonzero((grid.axis_centers() - c) ** 2 < rad2) for c in center]
-    d2 = grid.squared_distance(center, box)
+    box, d2 = ball_box(grid, center, rad2)
     if not (R > 0.0 and (d2 < rad2).any()):
         raise ConfigError(f"radial_oracle.R must be positive with a cell centre within 0.8 R, got {R!r}")
     return box, d2, d2 < rad2
@@ -240,7 +240,7 @@ def _radial_linf_error(u: ScalarField, p: float, R: float, center: tuple[float, 
     """max |u - exact_radial| / max |exact_radial| over the cells within 0.8 R of ``center``, read on their box."""
     box, d2, inner = _oracle_cells(u.grid, R, center)
     ex = exact_radial(p, u.grid.N, R, np.minimum(np.sqrt(d2), R))
-    return float(np.max(np.abs(u.values[np.ix_(*box)] - ex)[inner])) / float(np.max(np.abs(ex[inner])))
+    return float(np.max(np.abs(u.values[box] - ex)[inner])) / float(np.max(np.abs(ex[inner])))
 
 
 def cmd_potential(cfg: dict, out: _OutputDir) -> int:

@@ -70,8 +70,8 @@ class Grid:
         ax = self.axis_centers()
         return [ax.reshape([-1 if j == k else 1 for j in range(self.N)]) for k in range(self.N)]
 
-    def squared_distance(self, center: Sequence[float], box: Sequence[np.ndarray] | None = None) -> np.ndarray:
-        """|x - center|^2 at every cell center, or on the box ``box`` of cell indices (one array per axis)."""
+    def squared_distance(self, center: Sequence[float], box: Sequence[slice] | None = None) -> np.ndarray:
+        """|x - center|^2 at every cell center, or on the box ``box`` of cells (one slice per axis)."""
         if len(center) != self.N:
             raise ValueError("center dimension mismatch")
         ax = self.axis_centers()
@@ -184,6 +184,14 @@ def _bbox_slices(mask: np.ndarray) -> tuple[slice, ...]:
     return tuple(slice(int(i[0]), int(i[-1]) + 1) for i in idx)
 
 
+def ball_box(grid: Grid, center: Sequence[float], r2: float) -> tuple[tuple[slice, ...], np.ndarray]:
+    """The box of cells whose every axis term of |x - center|^2 is below r2 (no term exceeds the sum, so it
+    holds the open ball's cells), one slice per axis, empty where no cell has one; |x - center|^2 on it."""
+    box = [np.flatnonzero((grid.axis_centers() - c) ** 2 < r2) for c in center]
+    box = tuple(slice(b[0], b[-1] + 1) if len(b) else slice(0, 0) for b in box)
+    return box, grid.squared_distance(center, box)
+
+
 def ball_mask(grid: Grid, center: Sequence[float], radius: float) -> Region:
     """Cells whose centers lie strictly inside the ball B_radius(center)."""
     if not radius > 0.0:
@@ -191,13 +199,9 @@ def ball_mask(grid: Grid, center: Sequence[float], radius: float) -> Region:
     if len(center) != grid.N:
         raise ValueError("center dimension mismatch")
     r2 = radius * radius
-    # only the box of cells whose every axis term of |x - center|^2 is below
-    # r^2 can be inside: no term exceeds the sum
-    box = [np.flatnonzero((grid.axis_centers() - c) ** 2 < r2) for c in center]
+    box, d2 = ball_box(grid, center, r2)
     mask = np.zeros(grid.shape, dtype=bool)
-    if all(len(b) for b in box):
-        box = [slice(b[0], b[-1] + 1) for b in box]
-        mask[tuple(box)] = grid.squared_distance(center, box) < r2
+    mask[box] = d2 < r2
     cnt = int(mask.sum())
     return Region(grid, mask, cnt * grid.cell_volume, cnt)
 

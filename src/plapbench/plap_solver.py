@@ -11,9 +11,11 @@ The discrete gradient entering the energy is the average of the two
 one-sided (forward/backward) differences per axis; a difference that
 crosses into a constrained cell is taken to the Dirichlet value over the
 half spacing h/2, i.e. to the cell face where the boundary actually sits.
-Both differences are read off G_k, the jumps of u across the cell faces.
-For p = 2 this is exactly the standard finite-volume 5/7-point scheme with
-face-centered Dirichlet data; the plain forward-difference energy would be
+Both differences are read off G_k, the jumps of u across the cell faces,
+and every formula on them (magnitudes, weights, density, Hessian) is written
+once, in a loop over the two sides (``_Discretization``).  For p = 2 this is
+exactly the standard finite-volume 5/7-point scheme with face-centered
+Dirichlet data; the plain forward-difference energy would be
 reflection-asymmetric (Neumann on one side of every axis) and visibly skews
 radial solutions, so the symmetric form is used throughout.
 
@@ -43,11 +45,13 @@ positive, or when it is small and the energy fell by Armijo's fraction
 (``_line_step``); otherwise a secant finds the slope's zero.  The one
 stopping rule is the residual certificate ||A(u) u - f||_{L2} <= tol
 (1 + ||f||_{L2}).  At p = 2 the weights are 1, H = A_T and the system is
-linear, so the CG runs once, to half the certificate.  The V-cycle is a
-symmetric aggregation cycle built once per outer step from the face weights
-(at p = 2 once per solver context; for warm solves see below): 2^N box
-aggregates, Galerkin coarse operators that are again flux forms (plus a sink
-per cell, no stored matrix), degree-2 Chebyshev smoothing in D^-1 A
+linear, so the CG runs once, to half the certificate; phi_eps(s) = s/2, so
+the energy density is the frozen quadratic (1/2) <u, A_T u>, read off the
+apply that forms the residual.  The V-cycle is a symmetric aggregation cycle
+built once per outer step from the face weights (at p = 2 once per solver
+context; for warm solves see below): 2^N box aggregates, Galerkin coarse
+operators that are again flux forms (plus a sink per cell, no stored
+matrix), degree-2 Chebyshev smoothing in D^-1 A
 (Adams, Brezina, Hu & Tuminaro, J. Comput. Phys. 188, 2003) and an
 over-corrected coarse step (Notay, ETNA 37, 2010; Braess, Computing 55,
 1995), so the iterations per outer step do not grow with the grid size.
@@ -92,7 +96,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
+from operator import iadd
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -298,44 +303,40 @@ class _FluxForm:
 class _Curvature(NamedTuple):
     """The rank-one part of the energy's Hessian: the sign of p - 2 and the vectors q of each side.
 
-    qf[k] and qb[k] are aligned with the faces of axis k: qf[k][j] belongs to
-    the bordered cell j and qb[k][j] to the cell j + s_k, the cells whose
-    forward and backward differences cross face j.
+    q[i][k] belongs to side i (``_Discretization.sides``) and is aligned with
+    the faces of axis k: its entry j belongs to the cell whose difference on
+    that side crosses face j, the bordered cell j forward and j + s_k backward.
     """
 
     sign: float
-    qf: list[np.ndarray]
-    qb: list[np.ndarray]
+    q: list[list[np.ndarray]]
 
 
 class _Discretization(_FluxForm):
-    """Face differences G_k = diff(u, axis=k, prepend=0, append=0), n + 1 per axis.
+    """Face differences G_k = diff(u, axis=k, prepend=0, append=0), n + 1 per axis, read one side at a time.
 
-    A cell's forward difference is c_f times the jump across its upper face and
-    its backward one c_b times the jump across its lower face, with c = 1/h, or
+    A cell's forward difference is c times the jump across its upper face and
+    its backward one c times the jump across its lower face, with c = 1/h, or
     2/h across a face that ends the free region (the Dirichlet value sits on
-    that face, h/2 away), and c = 0 on constrained cells.  Frozen weights give
-    one weight per face, T_k = w_f c_f^2/2 from the cell before it plus
-    w_b c_b^2/2 from the cell after it; the frozen quadratic is
+    that face, h/2 away), and c = 0 on constrained cells (``coefficient``).
+    Each side of ``sides``, forward then backward, holds per axis k the slice
+    that aligns a bordered cell array with the faces of axis k, [:-s_k] or
+    [s_k:], and each per-side formula is one loop over the sides.  Frozen
+    weights w give one weight per face, T_k = the sum over the sides of
+    w c^2/2 from the face's cell on that side; the frozen quadratic is
     (1/2) sum_k sum_faces T_k G_k^2 and its gradient -sum_k diff(T_k G_k).
-    Only the face-end booleans are kept; c_f and c_b are formed when read, in
-    the bordered layout, aligned with the faces like ``_Curvature``'s q.
     """
 
     def __init__(self, free: np.ndarray, h: float):
         super().__init__(free)
         self.h = h
+        self.sides = [[slice(None, -s) for s in self.strides], [slice(s, None) for s in self.strides]]
 
-    def cf(self, k: int) -> np.ndarray:
-        return self._coefficient(k, self.inside[: -self.strides[k]])
-
-    def cb(self, k: int) -> np.ndarray:
-        return self._coefficient(k, self.inside[self.strides[k]:])
-
-    def _coefficient(self, k: int, inside: np.ndarray) -> np.ndarray:
+    def coefficient(self, k: int, side: list[slice]) -> np.ndarray:
+        """c of a side's differences along axis k (``side`` is one of ``sides``), aligned with the faces of axis k."""
         # inside (1 + ends) / h, formed in one array
         c = 1.0 + self.ends[k]
-        c *= inside
+        c *= self.inside[side[k]]
         c /= self.h
         return c
 
@@ -344,39 +345,16 @@ class _Discretization(_FluxForm):
         for s in self.strides:
             yield P[s:] - P[:-s]
 
-    def one_sided_sq(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Squared magnitudes of the forward and backward difference gradients, as cell-shaped views."""
-        m2f = np.zeros(self.size)
-        m2b = np.zeros(self.size)
-        for k, (s, G) in enumerate(zip(self.strides, self._face_diffs(u))):
-            for m2, coefficient in ((m2f[:-s], self.cf), (m2b[s:], self.cb)):
-                d = coefficient(k)
-                d *= G
-                m2 += d * d
-        return self.cells(m2f), self.cells(m2b)
-
-    def density(self, m2f: np.ndarray, m2b: np.ndarray, p: float, eps: float) -> float:
-        """The energy density summed over the cells, from the one-sided squared magnitudes."""
-        e2 = eps * eps
-        ep = eps**p
-        dens = 0.5 * (((m2f + e2) ** (0.5 * p) - ep) + ((m2b + e2) ** (0.5 * p) - ep)) / p
-        dens[self.cells(self.outside)] = 0.0
-        return float(np.sum(dens))
-
-    def energy(
-        self, u: np.ndarray, fvals: np.ndarray, p: float, eps: float, h_vol: float, density: float | None = None
-    ) -> float:
-        """E(u) for bordered u and f values; ``density`` is the density sum at u when ``weights`` has formed it."""
-        if density is None:
-            density = self.density(*self.one_sided_sq(u), p, eps)
+    def energy(self, u: np.ndarray, fvals: np.ndarray, h_vol: float, density: float) -> float:
+        """E(u) for bordered u and f values, from the energy density sum at u that ``lagged`` forms."""
         val = h_vol * (density - _dot(fvals, u))
         if not np.isfinite(val):
             raise SolverDivergenceError("non-finite energy")
         return val
 
-    def weights(self, u: np.ndarray, p: float, eps: float) -> tuple[np.ndarray, np.ndarray, _Curvature, float]:
-        """The lagged weights w = (|g|^2+eps^2)^{(p-2)/2} of each side's gradient g at u (bordered,
-        +0 off the free cells), the rank-one part of the energy's Hessian there and the energy density sum.
+    def linearize(self, u: np.ndarray, p: float, eps: float) -> tuple[list[np.ndarray], _Curvature, float]:
+        """Per side, the lagged weights w = (|g|^2+eps^2)^{(p-2)/2} of the side's gradient g at u (bordered,
+        +0 off the free cells); the rank-one part of the energy's Hessian there; and the energy density sum.
 
         Per side the density phi_eps(|g|^2)/2 has the Hessian (w/2) (I + (p-2) g g^T/(|g|^2+eps^2))
         in g, so the energy's Hessian is A_T plus, per side, the form
@@ -384,42 +362,41 @@ class _Discretization(_FluxForm):
         (``hessian``).  The products c_k g_k are kept and scaled into q in place,
         after the density is formed from the squared magnitudes.
         """
-        m2f = np.zeros(self.size)
-        m2b = np.zeros(self.size)
-        qf, qb = [], []
-        for k, (s, G) in enumerate(zip(self.strides, self._face_diffs(u))):
-            for m2, q, coefficient in ((m2f[:-s], qf, self.cf), (m2b[s:], qb, self.cb)):
-                c = coefficient(k)
+        m2 = [np.zeros(self.size) for _ in self.sides]
+        q = [[] for _ in self.sides]
+        for k, G in enumerate(self._face_diffs(u)):
+            for m, qs, side in zip(m2, q, self.sides):
+                c = self.coefficient(k, side)
                 g = c * G
-                m2 += g * g
+                m[side[k]] += g * g
                 g *= c
-                q.append(g)
+                qs.append(g)
         e2 = eps * eps
-        ex = 0.5 * (p - 2.0)
-        wf = self.free_rows((m2f + e2) ** ex)
-        wb = self.free_rows((m2b + e2) ** ex)
-        density = self.density(self.cells(m2f), self.cells(m2b), p, eps)
-        for scale in (m2f, m2b):
-            scale += e2
+        w = [self.free_rows((m + e2) ** (0.5 * (p - 2.0))) for m in m2]
+        # each side's phi_eps(|g|^2)/2, summed over the whole cell box with the constrained cells zeroed
+        dens = 0.5 * reduce(iadd, ((self.cells(m) + e2) ** (0.5 * p) - eps**p for m in m2)) / p
+        dens[self.cells(self.outside)] = 0.0
+        density = float(np.sum(dens))
+        for m, qs, side in zip(m2, q, self.sides):
+            m += e2
             # in place; at eps = 0 a cell without gradient keeps q = 0, not 0 * inf
-            np.power(scale, 0.25 * (p - 4.0), out=scale, where=scale > 0.0)
-            scale *= math.sqrt(0.5 * abs(p - 2.0))
-        for s, qfk, qbk in zip(self.strides, qf, qb):
-            qfk *= m2f[:-s]
-            qbk *= m2b[s:]
-        return wf, wb, _Curvature(math.copysign(1.0, p - 2.0), qf, qb), density
+            np.power(m, 0.25 * (p - 4.0), out=m, where=m > 0.0)
+            m *= math.sqrt(0.5 * abs(p - 2.0))
+            for qk, faces_k in zip(qs, side):
+                qk *= m[faces_k]
+        return w, _Curvature(math.copysign(1.0, p - 2.0), q), density
 
-    def faces(self, wf: np.ndarray, wb: np.ndarray) -> list[np.ndarray]:
-        """Per-face weights T_k of the frozen quadratic from per-cell weights, all bordered."""
-        half_wf, half_wb = wf * 0.5, wb * 0.5
+    def faces(self, w: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Per-face weights T_k of the frozen quadratic from each side's per-cell weights, all bordered."""
+        half = [x * 0.5 for x in w]
         T = []
         for k, s in enumerate(self.strides):
             t = np.zeros(self.size)
-            # w c^2/2 from the cell on each side of the face
-            for half_w, coefficient in ((half_wf[:-s], self.cf), (half_wb[s:], self.cb)):
-                c = coefficient(k)
+            for half_w, side in zip(half, self.sides):
+                # w c^2/2 from the face's cell on this side
+                c = self.coefficient(k, side)
                 c *= c
-                c *= half_w
+                c *= half_w[side[k]]
                 t[:-s] += c
             T.append(t)
         return T
@@ -428,28 +405,27 @@ class _Discretization(_FluxForm):
         """The energy's Hessian (no h^N) at the point of T and Q, applied to a bordered v; +0 off the free cells.
 
         ``apply(v, T)`` plus the face fluxes of the rank-one part: with
-        s = sign sum_k q_k G_k(v) per side, the forward side puts s q_k on a
-        cell's upper face and the backward side on its lower one.
+        t = sign sum_k q_k G_k(v) per side, each side puts t q_k on the face of
+        axis k that its differences cross.
         """
         out = np.zeros(self.size)
-        sf = np.zeros(self.size)
-        sb = np.zeros(self.size)
-        for s, t, qf, qb, TG in zip(self.strides, T, Q.qf, Q.qb, self._face_diffs(v)):
-            sf[:-s] += qf * TG
-            sb[s:] += qb * TG
+        sums = [np.zeros(self.size) for _ in self.sides]
+        for k, (s, t, TG) in enumerate(zip(self.strides, T, self._face_diffs(v))):
+            for total, q, side in zip(sums, Q.q, self.sides):
+                total[side[k]] += q[k] * TG
             TG *= t[:-s]
             out[s:-s] -= TG[s:]
             out[s:-s] += TG[:-s]
-        sf *= Q.sign
-        sb *= Q.sign
+        for total in sums:
+            total *= Q.sign
         # a face on the box's edge also takes the border cell's product, a
         # zero of either sign; out starts at +0 and so never holds -0, which
         # keeps that sign out of the result
-        for s, qf, qb in zip(self.strides, Q.qf, Q.qb):
-            flux = sf[:-s] * qf
-            flux += sb[s:] * qb
+        for k, s in enumerate(self.strides):
+            flux = reduce(iadd, (total[side[k]] * q[k] for total, q, side in zip(sums, Q.q, self.sides)))
             out[s:-s] -= flux[s:]
             out[s:-s] += flux[:-s]
+            del flux  # gone before the next axis's products are formed (peak memory)
         return self.free_rows(out)
 
 
@@ -715,7 +691,7 @@ class _Lagged(NamedTuple):
 
     T: list[np.ndarray]  # the face weights frozen there
     Q: _Curvature | None  # the rank-one part of the energy's Hessian there (None at p = 2)
-    density: float | None  # the energy density sum there, from the weights' magnitudes (None at p = 2)
+    density: float  # the energy density sum there: from the weights' magnitudes, or (1/2) <u, A u> at p = 2
     r: np.ndarray  # the residual A(u) u - f = grad E / h^N
 
 
@@ -737,12 +713,13 @@ def _line_step(
     _FLAT |slope at 0| and E fell by Armijo's _ARMIJO h^N |slope at 0|: the
     full step is then within a hair of the minimum along d, and the secant
     would only re-linearize a point just short of it.  The density that
-    ``lagged`` forms gives that energy for free; at p = 2 (no density) E is
+    ``lagged`` forms gives that energy for free; at p = 2 (no curvature) E is
     quadratic along d, so E(1) - E(0) = h^N (slope at 0 + slope at 1)/2 and
-    the slope test is enough.  Otherwise the secant zero of the slope on
-    [0, s], unless the chord puts it below s/8, which happens when the slope
-    grows like s^{p-1} (p > 2) and the chord falls far short of the zero: then
-    s/8, and look again.
+    the slope test is enough: rounding in the two energies could otherwise
+    reject the full step of a nearly converged solve.  Otherwise the secant
+    zero of the slope on [0, s], unless the chord puts it below s/8, which
+    happens when the slope grows like s^{p-1} (p > 2) and the chord falls far
+    short of the zero: then s/8, and look again.
     """
     d = sol - u
     slope0 = _dot(r, d)
@@ -750,7 +727,7 @@ def _line_step(
     at = lagged(v)
     slope = _dot(at.r, d)
     if 0.0 < slope <= -_FLAT * slope0 and (
-        at.density is None or energy(v, density=at.density) <= e0 + _ARMIJO * h_vol * slope0
+        at.Q is None or energy(v, density=at.density) <= e0 + _ARMIJO * h_vol * slope0
     ):
         return v, at
     while slope > 0.0:
@@ -816,7 +793,7 @@ class _SolveContext:
         return out
 
     def _unit_weight_faces(self) -> list[np.ndarray]:
-        return self.disc.faces(self.disc.inside, self.disc.inside)  # weight 1 on the free cells
+        return self.disc.faces([self.disc.inside for _ in self.disc.sides])  # weight 1 on the free cells
 
     def _vcycle(self, T: list[np.ndarray]) -> _VCycle:
         self.work.cycle_builds += 1
@@ -833,18 +810,20 @@ class _SolveContext:
         return self._vcycle(self.unit_faces)
 
     def lagged(self, vals: np.ndarray, fv: np.ndarray, p: float, eps: float) -> _Lagged:
-        """Face weights frozen at vals, the Hessian's curvature and the energy density there
-        (None at p = 2) and the residual A(vals) vals - f = grad E / h^N, all bordered on the crop."""
+        """Face weights frozen at vals, the Hessian's curvature (None at p = 2), the energy density
+        and the residual A(vals) vals - f = grad E / h^N there, all bordered on the crop."""
         kept = self.kept.get((p, eps))
         if p == 2.0:
-            T, Q, density = self.unit_faces, None, None
+            T, Q = self.unit_faces, None
         elif kept is not None and np.array_equal(kept.u.view(np.uint64), vals.view(np.uint64)):
             T, Q, density = kept.T, kept.Q, kept.density  # the same bytes, so the same weights
         else:
             self.work.linearizations += 1
-            wf, wb, Q, density = self.disc.weights(vals, p, eps)
-            T = self.disc.faces(wf, wb)
+            w, Q, density = self.disc.linearize(vals, p, eps)
+            T = self.disc.faces(w)  # formed once the squared magnitudes are gone (peak memory)
         r = self.disc.free_rows(self.disc.apply(vals, T))
+        if Q is None:
+            density = 0.5 * _dot(vals, r)  # phi_eps(s) = s/2: the frozen quadratic at unit weights
         return _Lagged(T, Q, density, np.subtract(r, fv, out=r))
 
     def minimize(self, prob: DirichletProblem, initial: ScalarField | None = None) -> _Minimum:
@@ -867,7 +846,7 @@ class _SolveContext:
         cg_cap = max(2000, 40 * max(self.free.shape))
 
         lagged = partial(self.lagged, fv=fv, p=p, eps=eps)
-        energy = partial(disc.energy, fvals=fv, p=p, eps=eps, h_vol=hvol)
+        energy = partial(disc.energy, fvals=fv, h_vol=hvol)
         T, Q, density, r = lagged(u)
         # from a zero start at p > 2 the degenerate weights eps^{p-2} blow up
         # the first linear solution; seed with the unit-weight operator (the

@@ -12,7 +12,8 @@ rho -> 0 for bounded f, since mass(rho) ~ |f(x)|^2 omega_N rho^N.
 The discrete ball mass is stair-stepped below the grid scale (a ball
 smaller than a cell either contains the center or not), so the segment
 [0, rho_min] is integrated analytically with the locally-constant value
-g = |f(x)| sqrt(omega_N); above rho_min a composite midpoint rule is used.
+g = |f(x)| sqrt(omega_N); above rho_min a composite midpoint rule is used,
+whose nodes below one grid spacing (when rho_min < h) take that value too.
 For constant f the integrand is exactly constant and both pieces are exact
 up to rounding.
 
@@ -327,14 +328,18 @@ def _profile_values(f: ScalarField, R: float, quad: PotentialQuadrature, box: tu
     Raises FloatingPointError when f^2 summed over a ball leaves float64's range."""
     grid, N = f.grid, f.grid.N
     rho0, rho, width = _quad_nodes(quad, grid, R)
-    patch = math.sqrt(unit_ball_volume(N)) * rho0
+    root = math.sqrt(unit_ball_volume(N))
     if not rho0 < R:
-        return np.abs(f.values[box]) * patch
-    vals = np.zeros(tuple(b.stop - b.start for b in box))
-    for term in _ball_masses_fft(f.values, grid, rho, box):
-        vals += term
+        return np.abs(f.values[box]) * (root * rho0)
+    # a node whose ball is smaller than a cell takes ``_ball_mass``'s analytic
+    # mass, so its term is |f| sqrt(omega_N); the FFT pass gives the others
+    below = int(np.count_nonzero(rho < grid.spacing))
+    vals = np.abs(f.values[box]) * (below * root)
+    if below < len(rho):
+        for term in _ball_masses_fft(f.values, grid, rho[below:], box):
+            vals += term
     vals *= width
-    vals += np.abs(f.values[box]) * patch
+    vals += np.abs(f.values[box]) * (root * rho0)
     if not np.isfinite(vals.max()):
         raise FloatingPointError("f^2 summed over a ball overflows float64")
     return vals
@@ -344,7 +349,8 @@ def potential_profile(f: ScalarField, R: float, quad: PotentialQuadrature) -> Sc
     """P_f(x, R) evaluated at every cell center, as a field on the same grid.
 
     Computes the same quadrature as ``potential_P`` for all centers at once
-    (the per-radius ball masses come from one FFT convolution each).  The two
+    (the per-radius ball masses come from one FFT convolution each, and a
+    ball smaller than a cell takes the same analytic mass in both).  The two
     paths agree up to convolution rounding plus an occasional single-cell tie
     break on the ball boundary: the kernel measures offsets as off * h while
     the direct path takes differences of rounded cell centers, so a cell

@@ -17,6 +17,7 @@ from plapbench.field import (
     Region,
     ScalarField,
     VectorField,
+    ball_box,
     ball_mask,
     cutoff_eta,
     delta_h,
@@ -175,13 +176,18 @@ def test_ball_mask_volume_converges():
     radius=st.floats(1e-3, 5.0),
 )
 def test_ball_mask_is_the_full_grid_formula(N, n, center, radius):
-    # the mask is formed on the ball's bounding box only; it equals the
-    # comparison on the whole grid, also for balls cut by or outside the box
+    # the mask is formed on the ball's box only (``ball_box``, which the CLI's
+    # radial oracle reads too); it equals the comparison on the whole grid,
+    # also for balls cut by or outside the box.  The box holds every cell of
+    # the ball, and its squared distances are the whole grid's there
     g = Grid(N, 1.5, n)
     b = ball_mask(g, center[:N], radius)
-    full = g.squared_distance(center[:N]) < radius * radius
+    d2_full = g.squared_distance(center[:N])
+    full = d2_full < radius * radius
     assert np.array_equal(b.mask, full)
     assert b.count == int(full.sum())
+    box, d2 = ball_box(g, center[:N], radius * radius)
+    assert np.array_equal(d2, d2_full[box]) and int(full[box].sum()) == b.count
 
 
 def test_w1p_norm_combines_value_and_gradient():

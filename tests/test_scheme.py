@@ -215,7 +215,7 @@ def test_scheme_work_counts_match_the_solves(monkeypatch):
     # V-cycle builds on this config.  Warm p != 2 solves take up the last
     # one's linearization and V-cycle, so at most half the outer steps build a cycle
     events = dict.fromkeys(("solves", "outer_steps", "cg_iterations", "cycle_builds", "linearizations"), 0)
-    minimize, pcg, weights = _SolveContext.minimize, plap_solver._pcg, _Discretization.weights
+    minimize, pcg, linearize = _SolveContext.minimize, plap_solver._pcg, _Discretization.linearize
 
     def counted_minimize(self, prob, initial=None):
         res = minimize(self, prob, initial)
@@ -233,14 +233,14 @@ def test_scheme_work_counts_match_the_solves(monkeypatch):
             events["cycle_builds"] += 1
             super().__init__(disc, T)
 
-    def counted_weights(self, u, p, eps):
+    def counted_linearize(self, u, p, eps):
         events["linearizations"] += 1
-        return weights(self, u, p, eps)
+        return linearize(self, u, p, eps)
 
     monkeypatch.setattr(_SolveContext, "minimize", counted_minimize)
     monkeypatch.setattr(plap_solver, "_pcg", counted_pcg)
     monkeypatch.setattr(plap_solver, "_VCycle", CountingVCycle)
-    monkeypatch.setattr(_Discretization, "weights", counted_weights)
+    monkeypatch.setattr(_Discretization, "linearize", counted_linearize)
     states, report = run_scheme(bench_spec(Grid(2, 2.0, 64)), [1, 2, 4, 8], rho=0.5)
     assert all(report.converged_n)
     assert {name: sum(getattr(s.work, name) for s in states) for name in events} == events

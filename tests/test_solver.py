@@ -20,7 +20,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from _oracles import StridedDiscretization, StridedVCycle, full_grid_weak_residual, strided_pcg, strided_prolong
 from plapbench import plap_solver
-from plapbench.field import Grid, ScalarField, ball_mask
+from plapbench.field import Grid, Region, ScalarField, ball_mask
 from plapbench.jsonio import canonical_json
 from plapbench.plap_solver import (
     DirichletProblem,
@@ -126,12 +126,12 @@ def test_sparse_direct_crosscheck_p2():
     from plapbench.plap_solver import _free_mask
 
     disc = _Discretization(_free_mask(prob), prob.grid.spacing)
-    wf, wb = disc.weights(np.zeros(disc.size), prob.p, prob.resolved_eps)[:2]
+    w = disc.linearize(np.zeros(disc.size), prob.p, prob.resolved_eps)[0]
     cols = []
     for j in range(n_free):
         e = np.zeros(prob.grid.shape)
         e[tuple(a[j] for a in np.nonzero(free))] = 1.0
-        cols.append(_fine_op(disc, e, disc.faces(wf, wb))[free])
+        cols.append(_fine_op(disc, e, disc.faces(w))[free])
     A = sp.csc_matrix(np.column_stack(cols))
     b = prob.f.values[free]
     direct = spla.spsolve(A, b)
@@ -149,7 +149,7 @@ def test_sparse_direct_crosscheck_p2():
 def test_flux_operator_symmetric_and_tied_to_energy(N, n, center, radius, seed):
     # the flux form -sum_k diff(T_k G_k), probed on unit vectors, is a
     # symmetric matrix whose diagonal is diagonal(T), and its quadratic form
-    # is the frozen energy (1/2) sum (w_f m2f + w_b m2b) of one_sided_sq
+    # is the frozen energy (1/2) sum (w_f m2f + w_b m2b) of the reference's one_sided_sq
     grid = Grid(N, 1.0, n)
     free = ball_mask(grid, center[:N], radius).mask
     assume(free.any())
@@ -157,7 +157,7 @@ def test_flux_operator_symmetric_and_tied_to_energy(N, n, center, radius, seed):
     rng = np.random.default_rng(seed)
     wf = rng.uniform(0.1, 10.0, free.shape)
     wb = rng.uniform(0.1, 10.0, free.shape)
-    T = disc.faces(disc.bordered_copy(wf), disc.bordered_copy(wb))
+    T = disc.faces([disc.bordered_copy(wf), disc.bordered_copy(wb)])
     cells = np.argwhere(free)
     A = np.empty((len(cells), len(cells)))
     for j, cell in enumerate(cells):
@@ -167,7 +167,7 @@ def test_flux_operator_symmetric_and_tied_to_energy(N, n, center, radius, seed):
     assert np.max(np.abs(A - A.T)) <= 1e-14 * np.max(np.abs(A))
     assert np.allclose(np.diag(A), disc.cells(disc.diagonal(T))[free], rtol=1e-14, atol=0.0)
     u = rng.standard_normal(free.shape) * free
-    m2f, m2b = disc.one_sided_sq(disc.bordered_copy(u))
+    m2f, m2b = StridedDiscretization(free, grid.spacing).one_sided_sq(u)
     frozen = 0.5 * float(np.sum(wf * m2f + wb * m2b))
     assert float(np.sum(u * _fine_op(disc, u, T))) == pytest.approx(frozen, rel=1e-12)
 
@@ -250,17 +250,18 @@ def test_kernels_match_the_strided_oracle_byte_for_byte(N, data, ball, sink, p, 
     u = rng.standard_normal(shape) * (rng.random(shape) < 0.7) * free
     v = rng.standard_normal(shape)
 
-    assert all(_same_bytes(a, b) for a, b in zip(disc.one_sided_sq(bordered(u)), ref.one_sided_sq(u)))
-    wf, wb, Q, density = disc.weights(bordered(u), p, eps)
+    w, Q, density = disc.linearize(bordered(u), p, eps)
     rwf, rwb, rQ = ref.weights(u, p, eps)
-    assert _same_bytes(wf, bordered(rwf)) and _same_bytes(wb, bordered(rwb))
+    assert len(w) == len(Q.q) == 2  # forward, then backward
+    assert _same_bytes(w[0], bordered(rwf)) and _same_bytes(w[1], bordered(rwb))
     assert _same_bytes(density, ref.energy_density(u, p, eps))
     assert Q.sign == rQ[0]
-    for k, s in enumerate(disc.strides):
-        qf, qb = np.zeros(disc.size), np.zeros(disc.size)
-        qf[:-s], qb[s:] = Q.qf[k], Q.qb[k]
-        assert _same_bytes(disc.cells(qf), rQ[1][k]) and _same_bytes(disc.cells(qb), rQ[2][k])
-    T, rT = disc.faces(wf, wb), ref.faces(rwf, rwb)
+    for q, rq, side in zip(Q.q, rQ[1:], disc.sides):
+        for k, faces_k in enumerate(side):
+            cell_aligned = np.zeros(disc.size)
+            cell_aligned[faces_k] = q[k]
+            assert _same_bytes(disc.cells(cell_aligned), rq[k])
+    T, rT = disc.faces(w), ref.faces(rwf, rwb)
     assert all(_same_bytes(disc.face_view(t, k), rt) for k, (t, rt) in enumerate(zip(T, rT)))
 
     S = rng.uniform(0.0, 2.0, shape) * free if sink else None
@@ -322,7 +323,7 @@ def test_vcycle_symmetric_positive_and_galerkin(shape, density, p, seed):
     assume(free.any())
     disc = _Discretization(free, 0.1)
     u = rng.standard_normal(shape) * (rng.random(shape) < 0.5) * free
-    T = disc.faces(*disc.weights(disc.bordered_copy(u), p, 1e-3 if p < 2.0 else 1e-6)[:2])
+    T = disc.faces(disc.linearize(disc.bordered_copy(u), p, 1e-3 if p < 2.0 else 1e-6)[0])
     A = _probe(lambda x: disc.apply(x, T), disc)
     vcycle = _vcycle_in(np.float64, disc, T)
     B = _probe(vcycle, disc)
@@ -381,7 +382,7 @@ def test_vcycle_finite_where_the_weights_vanish():
     island = np.zeros(free.shape)
     island[5:10, 4:9] = np.random.default_rng(4).standard_normal((5, 5))
     for u in (u, island):
-        T = disc.faces(*disc.weights(disc.bordered_copy(u), 3.0, 0.0)[:2])
+        T = disc.faces(disc.linearize(disc.bordered_copy(u), 3.0, 0.0)[0])
         assert (disc.diagonal(T) == np.finfo(np.float64).tiny).any()
         cycle = _VCycle(disc, T)
         if u is island:
@@ -510,7 +511,7 @@ def _certified(u, prob, free):
     # the residual certificate recomputed on the full grid with the free mask
     disc = _Discretization(free, prob.grid.spacing)
     ub = disc.bordered_copy(u.values)
-    T = disc.faces(*disc.weights(ub, prob.p, prob.resolved_eps)[:2])
+    T = disc.faces(disc.linearize(ub, prob.p, prob.resolved_eps)[0])
     r = (disc.cells(disc.apply(ub, T)) - prob.f.values) * free
     f = prob.f.values * free
     hvol = prob.grid.cell_volume
@@ -607,18 +608,18 @@ def test_warm_start_reuses_the_linearization_exactly(monkeypatch):
     fv = ctx.vector(fields[2])
     fresh = _SolveContext(grid, domain.mask.copy()).lagged(u, fv, p, eps)
     calls = []  # the point, p and eps of every weight evaluation
-    weights = _Discretization.weights
+    linearize = _Discretization.linearize
 
     def counted(self, vals, p, eps):
         calls.append((vals.copy(), p, eps))
-        return weights(self, vals, p, eps)
+        return linearize(self, vals, p, eps)
 
-    monkeypatch.setattr(_Discretization, "weights", counted)
+    monkeypatch.setattr(_Discretization, "linearize", counted)
     at = ctx.lagged(u, fv, p, eps)
     assert calls == []
     assert all(_same_bytes(a, b) for a, b in zip(at.T, fresh.T))
     assert at.Q.sign == fresh.Q.sign
-    assert all(_same_bytes(a, b) for a, b in zip(at.Q.qf + at.Q.qb, fresh.Q.qf + fresh.Q.qb))
+    assert all(_same_bytes(a, b) for q, fq in zip(at.Q.q, fresh.Q.q) for a, b in zip(q, fq))
     assert _same_bytes(at.density, fresh.density) and _same_bytes(at.r, fresh.r)
     moved = u.copy()
     j = int(np.flatnonzero(u)[0])
@@ -644,11 +645,16 @@ def test_warm_start_reuses_the_linearization_exactly(monkeypatch):
         len(again.energy_history) - 2, len(own.energy_history) - 1)
 
 
+def _energy(ctx, u, fv, prob):
+    """E(u) for bordered u and f values on a solver context, from the density that ``lagged`` forms at u."""
+    return ctx.disc.energy(u, fv, ctx.grid.cell_volume, ctx.lagged(u, fv, prob.p, prob.resolved_eps).density)
+
+
 def test_energy_history_is_each_iterates_energy():
     # for p != 2 each energy in the history is formed from the squared magnitudes
     # that the weights at the accepted iterate take; it equals the energy
-    # recomputed from that iterate, byte for byte.  A solve cut at k steps
-    # stops at the full solve's k-th iterate
+    # recomputed from that iterate on a fresh context, byte for byte.  A solve
+    # cut at k steps stops at the full solve's k-th iterate
     grid = Grid(2, 2.0, 24)
     ball = ball_mask(grid, (0.1, -0.2), 0.9)
     f = bump_field(grid, draw_bump_params(np.random.default_rng(11), 2))
@@ -656,15 +662,62 @@ def test_energy_history_is_each_iterates_energy():
     ctx = _SolveContext(grid, ball.mask.copy())
     bordered = ctx.disc.bordered_copy
     fv = bordered(np.where(ctx.free, f.values[ctx.crop], 0.0))
-    args = (fv, prob.p, prob.resolved_eps, grid.cell_volume)
+    fresh = _SolveContext(grid, ball.mask.copy())
     whole = ctx.minimize(prob)
     outer = len(whole.energy_history) - 1
     assert whole.converged and outer >= 3
-    assert _same_bytes(whole.energy_history[0], ctx.disc.energy(bordered(np.zeros(ctx.free.shape)), *args))
+    assert _same_bytes(whole.energy_history[0], _energy(fresh, np.zeros(fresh.disc.size), fv, prob))
     for k in range(1, outer + 1):
         cut = ctx.minimize(dataclasses.replace(prob, max_iter=k))
         assert cut.energy_history == whole.energy_history[: k + 1]
-        assert _same_bytes(cut.energy_history[-1], ctx.disc.energy(bordered(cut.values[ctx.crop]), *args))
+        assert _same_bytes(cut.energy_history[-1], _energy(fresh, bordered(cut.values[ctx.crop]), fv, prob))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    N=st.sampled_from((2, 3)),
+    data=st.data(),
+    ball=st.booleans(),
+    warm=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_p2_energy_history_is_the_reference_energy(N, data, ball, warm, seed):
+    # at p = 2 lagged reads the density off its apply, (1/2) <u, A u>; every
+    # energy in the history equals the reference's h^N (energy_density(u) -
+    # <f, u>) at its iterate, relative to the larger of the two terms, on ball
+    # and random masks, from a zero and from a warm start
+    n = data.draw(st.integers(4, 16 if N == 2 else 8))
+    grid = Grid(N, 1.0, n)
+    rng = np.random.default_rng(seed)
+    if ball:
+        domain = ball_mask(grid, tuple(rng.uniform(-0.3, 0.3, N)), rng.uniform(0.3, 1.2))
+    else:
+        mask = rng.random(grid.shape) < rng.uniform(0.3, 1.0)
+        domain = Region(grid, mask, int(mask.sum()) * grid.cell_volume, int(mask.sum()))
+    assume(domain.count > 0)
+    f = ScalarField(grid, rng.standard_normal(grid.shape))
+    initial = ScalarField(grid, rng.standard_normal(grid.shape)) if warm else None
+    prob = DirichletProblem(grid, 2.0, f, tol=1e-10, domain=domain)
+    ctx = _SolveContext(grid, domain.mask.copy())
+    iterates = [ctx.vector(initial) if warm else np.zeros(ctx.disc.size)]
+    line_step = plap_solver._line_step
+
+    def recorded(*args):
+        v, at = line_step(*args)
+        iterates.append(v.copy())
+        return v, at
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plap_solver, "_line_step", recorded)
+        res = ctx.minimize(prob, initial)
+    assert res.converged and len(res.energy_history) == len(iterates)
+    ref = StridedDiscretization(ctx.free, grid.spacing)
+    fc = np.where(ctx.free, f.values[ctx.crop], 0.0)
+    for energy, ub in zip(res.energy_history, iterates):
+        u = ctx.disc.cells(ub)
+        density, work = ref.energy_density(u, 2.0, prob.resolved_eps), float(np.sum(fc * u))
+        expected = grid.cell_volume * (density - work)
+        assert abs(energy - expected) <= 1e-12 * grid.cell_volume * (abs(density) + abs(work))
 
 
 def test_unit_weight_operators_kept_for_p2_solves_only(monkeypatch):
@@ -718,7 +771,7 @@ def test_local_minimality_nonlinear():
     ctx = _SolveContext(prob.grid, prob.domain.mask.copy())
 
     def energy(u, prob):
-        return ctx.disc.energy(ctx.vector(u), ctx.vector(prob.f), prob.p, prob.resolved_eps, prob.grid.cell_volume)
+        return _energy(ctx, ctx.vector(u), ctx.vector(prob.f), prob)
 
     E0 = energy(u, prob)
     for win, phi in _test_functions(prob.grid, prob.domain.mask):
