@@ -14,9 +14,10 @@ an output directory (--out), and finishes by writing ``manifest.json``
 listing the seed, the config hash, and the SHA-256 of every artifact.
 Outputs are canonical (sorted keys, fixed separators, no timestamps), so a
 rerun with identical config and seed produces byte-identical files;
-``report`` verifies exactly that, and that the directory holds no other
-file.  Exit codes: 0 pass, 1 analytic failure (non-convergence, failed
-verdict, manifest mismatch), 2 usage or configuration error.
+``report`` verifies exactly that, that the manifest names only files of
+the directory, and that the directory holds no other file.  Exit codes:
+0 pass, 1 analytic failure (non-convergence, failed verdict, manifest
+mismatch), 2 usage or configuration error.
 
 The seed only influences commands whose config asks for drawn fields
 (``random_bumps``); everything else is deterministic outright.
@@ -159,7 +160,11 @@ _LEVEL = _required(n=int, eps=float, picard_iters=int, increment_p=_float_or_inf
 
 
 def _file_hashes(value: Any) -> dict[str, str]:
+    """The manifest's files: each a plain file name in the run directory, other than the manifest's own."""
     if isinstance(value, dict) and all(isinstance(digest, str) for digest in value.values()):
+        for name in value:
+            if os.path.basename(name) != name or name in ("", ".", "..", "manifest.json"):
+                raise ValueError(f"lists {name!r}, which is not a file name of the run directory")
         return value
     raise ValueError(f"must be an object of file name -> SHA-256 string, got {value!r}")
 
@@ -187,8 +192,6 @@ def _field_from_spec(grid: Grid, spec: dict, seed: int) -> ScalarField:
         params = draw_bump_params(rng, grid.N, max_bumps=spec["max_bumps"], center_halfwidth=spec["center_halfwidth"])
         return bump_field(grid, params)
     fld = load_field(spec["path"])
-    if not isinstance(fld, ScalarField):
-        raise ConfigError("field file holds a vector field, expected scalar")
     if fld.grid != grid:
         raise ConfigError("field file grid does not match the configured grid")
     return fld

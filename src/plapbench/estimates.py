@@ -170,15 +170,14 @@ def gradient_estimate_ratio(
     r: float,
     R: float,
     quad: PotentialQuadrature | None = None,
-    center: Sequence[float] | None = None,
 ) -> EstimateReport:
     """Empirical constant of the gradient sup bound for a solved pair (u, f).
 
     lhs = ||grad u||_{L^inf(B_R)}^{p-1}; rhs = ||grad u||_p^{p-1} + ||f||_r
-    (full box standing in for R^N).  The context also records the local
-    potential form: prop_rhs = (avg_{B_2R} |grad u|^p)^{1/p'}
-    + potential_sup(f, B_2R, 2R) and its ratio.  Both sides are homogeneous
-    of degree p-1 under (u, f) -> (lam u, lam^{p-1} f).
+    (full box standing in for R^N, balls about the origin).  The context
+    also records the local potential form: prop_rhs = (avg_{B_2R} |grad
+    u|^p)^{1/p'} + potential_sup(f, B_2R, 2R) and its ratio.  Both sides are
+    homogeneous of degree p-1 under (u, f) -> (lam u, lam^{p-1} f).
     """
     if u.grid != f.grid:
         raise ValueError("u and f live on different grids")
@@ -189,12 +188,11 @@ def gradient_estimate_ratio(
         raise ValueError("the sup bound needs r > N")
     if not R > 0.0:
         raise ValueError("R must be positive")
-    if center is None:
-        center = (0.0,) * grid.N
     if 2.0 * R > grid.extent:
         raise ValueError("B_2R does not fit inside the box")
     if quad is None:
         quad = PotentialQuadrature()
+    center = (0.0,) * grid.N
     inner = ball_mask(grid, center, R)
     outer = ball_mask(grid, center, 2.0 * R)
     g = gradient(u)
@@ -254,7 +252,7 @@ def comptest_chain(
     br = ball_mask(grid, center, R)
     hvol = grid.cell_volume
 
-    eta, eps_geom = cutoff_eta(grid, t, s, center)
+    eta, eps_geom = cutoff_eta(grid, t, s)
     grad_u = gradient(u_n)
     V = VectorField(grid, _stress_values(grad_u.values, p))
     dV = delta_h(V, h_cells)

@@ -4,7 +4,10 @@ The computational domain is the box [-L, L]^N (N = 2 or 3) split into
 ``cells_per_axis`` cells per axis, spacing h = 2L/cells_per_axis, with cell
 centers at -L + (i + 1/2) h.  Fields live on cell centers and are understood
 as extended by zero outside the box, which is the discrete stand-in for
-zero Dirichlet data on the truncation boundary.
+zero Dirichlet data on the truncation boundary.  A ``ScalarField`` holds one
+value per cell; a ``VectorField`` is a discrete gradient's value, one
+N-vector per cell, read by the norms, shifts and difference quotients.
+Field files and CSV export hold scalar fields only.
 
 Shifts are restricted to exact lattice vectors so that difference quotients
 delta_h u = u(. + h) - u carry no interpolation error, and norms use plain
@@ -16,6 +19,7 @@ repeated runs (and any thread-count setting) give bit-identical results.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import itertools
 import math
 import struct
@@ -108,40 +112,33 @@ def _as_values(grid: Grid, values: np.ndarray, trailing: tuple[int, ...]) -> np.
 
 
 @dataclass(frozen=True, eq=False)
-class _GridField:
-    """Arithmetic shared by the field types: sums and differences of two fields
-    of one type on one grid, and scalar multiples."""
+class ScalarField:
+    """One value per cell.  A difference of two fields on one grid and a scalar multiple are fields again."""
 
     grid: Grid
     values: np.ndarray
 
-    def _other_values(self, other: "_GridField") -> np.ndarray:
-        if type(other) is not type(self):
-            raise ValueError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", _as_values(self.grid, self.values, ()))
+
+    def __sub__(self, other: "ScalarField") -> "ScalarField":
         _require_same_grid(self, other)
-        return other.values
+        return ScalarField(self.grid, self.values - other.values)
 
-    def __add__(self, other):
-        return type(self)(self.grid, self.values + self._other_values(other))
-
-    def __sub__(self, other):
-        return type(self)(self.grid, self.values - self._other_values(other))
-
-    def __mul__(self, c: float):
-        return type(self)(self.grid, self.values * float(c))
+    def __mul__(self, c: float) -> "ScalarField":
+        return ScalarField(self.grid, self.values * float(c))
 
     __rmul__ = __mul__
 
 
 @dataclass(frozen=True, eq=False)
-class ScalarField(_GridField):
+class VectorField:
+    """A gradient's values: one N-vector per cell, shape ``grid.shape + (N,)``."""
+
+    grid: Grid
+    values: np.ndarray
+
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _as_values(self.grid, self.values, ()))
-
-
-@dataclass(frozen=True, eq=False)
-class VectorField(_GridField):
-    def __post_init__(self) -> None:  # values: shape grid.shape + (N,)
         object.__setattr__(self, "values", _as_values(self.grid, self.values, (self.grid.N,)))
 
 
@@ -150,12 +147,12 @@ Field = ScalarField | VectorField
 
 @dataclass(frozen=True, eq=False)
 class Region:
-    """Boolean cell mask together with its summed cell volume."""
+    """Boolean cell mask; its cell count and summed cell volume (count h^N) follow from it."""
 
     grid: Grid
     mask: np.ndarray
-    volume: float
-    count: int
+    count: int = dataclasses.field(init=False)
+    volume: float = dataclasses.field(init=False)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.mask, dtype=bool)
@@ -164,6 +161,8 @@ class Region:
         m = np.ascontiguousarray(m)
         m.setflags(write=False)
         object.__setattr__(self, "mask", m)
+        object.__setattr__(self, "count", int(m.sum()))
+        object.__setattr__(self, "volume", self.count * self.grid.cell_volume)
 
 
 def _require_same_grid(a, b) -> None:
@@ -202,8 +201,7 @@ def ball_mask(grid: Grid, center: Sequence[float], radius: float) -> Region:
     box, d2 = ball_box(grid, center, r2)
     mask = np.zeros(grid.shape, dtype=bool)
     mask[box] = d2 < r2
-    cnt = int(mask.sum())
-    return Region(grid, mask, cnt * grid.cell_volume, cnt)
+    return Region(grid, mask)
 
 
 def _gradient_values(vals: np.ndarray, h: float) -> np.ndarray:
@@ -302,25 +300,18 @@ def lattice_vector(grid: Grid, cells: Sequence[int]) -> np.ndarray:
     return np.asarray(cells, dtype=np.float64) * grid.spacing
 
 
-def cutoff_eta(
-    grid: Grid, t: float, s: float, center: Sequence[float] | None = None
-) -> tuple[ScalarField, float]:
-    """Radial cutoff: 1 on B_t, 0 outside B_s, linear ramp in between.
+def cutoff_eta(grid: Grid, t: float, s: float) -> tuple[ScalarField, float]:
+    """Radial cutoff about the origin: 1 on B_t, 0 outside B_s, linear ramp in between.
 
-    eta(x) = clamp((s - |x - center|)/(s - t), 0, 1).  Returns the field and
-    the measured grid-anisotropy slack eps_geom, defined so that the discrete
+    eta(x) = clamp((s - |x|)/(s - t), 0, 1).  Returns the field and the
+    measured grid-anisotropy slack eps_geom, defined so that the discrete
     gradient magnitude is <= (1 + eps_geom)/(s - t) at every cell.
     """
-    if center is None:
-        center = (0.0,) * grid.N
-    if len(center) != grid.N:
-        raise ValueError("center dimension mismatch")
     if not (0.0 < t < s):
         raise ValueError("need 0 < t < s")
-    for ck in center:
-        if abs(ck) + s > grid.extent * (1.0 + 1e-12):
-            raise ValueError("B_s must lie inside the box")
-    vals = _cutoff_values(grid.open_centers(), t, s, center)
+    if s > grid.extent * (1.0 + 1e-12):
+        raise ValueError("B_s must lie inside the box")
+    vals = _cutoff_values(grid.open_centers(), t, s, (0.0,) * grid.N)
     eta = ScalarField(grid, vals)
     gmax = linf_norm(gradient(eta))
     eps_geom = max(0.0, gmax * (s - t) - 1.0)
@@ -334,18 +325,20 @@ def _cutoff_values(coords: Sequence[np.ndarray], t: float, s: float, center: Seq
 
 
 # ---------------------------------------------------------------------------
-# binary field files and CSV export
+# binary field files and CSV export, scalar fields only
 
 
-def save_field(field: Field, path: str | Path) -> None:
-    """Write the binary field format: fixed header, then row-major LE doubles, from the values' own buffer."""
-    ncomp = 1 if isinstance(field, ScalarField) else field.grid.N
+def save_field(field: ScalarField, path: str | Path) -> None:
+    """Write the binary field format: fixed header (component count 1), then the row-major LE doubles,
+    from the values' own buffer."""
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, field.grid.N, field.grid.cells_per_axis, field.grid.extent, ncomp))
+        fh.write(_HEADER.pack(_MAGIC, field.grid.N, field.grid.cells_per_axis, field.grid.extent, 1))
         fh.write(np.ascontiguousarray(field.values, dtype="<f8").data)
 
 
-def load_field(path: str | Path) -> Field:
+def load_field(path: str | Path) -> ScalarField:
+    """Read a file ``save_field`` wrote.  Raises ValueError for a bad magic, grid or payload size, and for a
+    header whose component count is not 1."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise ValueError(f"{path}: truncated field file")
@@ -353,23 +346,16 @@ def load_field(path: str | Path) -> Field:
     if magic != _MAGIC:
         raise ValueError(f"{path}: bad magic {magic!r}")
     grid = Grid(int(N), float(extent), int(n_c))
-    if ncomp == 1:
-        shape: tuple[int, ...] = grid.shape
-    elif ncomp == grid.N:
-        shape = grid.shape + (grid.N,)
-    else:
-        raise ValueError(f"{path}: component count {ncomp} not supported for N={grid.N}")
-    expected = _HEADER.size + 8 * math.prod(shape)  # Python integers: a header's n**N cannot overflow
+    if ncomp != 1:
+        raise ValueError(f"{path}: component count {ncomp} not supported, field files hold one")
+    expected = _HEADER.size + 8 * math.prod(grid.shape)  # Python integers: a header's n**N cannot overflow
     if len(raw) != expected:
         raise ValueError(f"{path}: payload size {len(raw)} != expected {expected}")
-    vals = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(shape)
-    if ncomp == 1:
-        return ScalarField(grid, vals)
-    return VectorField(grid, vals)
+    return ScalarField(grid, np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(grid.shape))
 
 
-def export_csv(field: Field, path: str | Path) -> None:
-    """One cell per row: coordinates, then value (scalar) or components (vector).
+def export_csv(field: ScalarField, path: str | Path) -> None:
+    """One cell per row: coordinates x1 .. xN, then the value v.
 
     The bytes are ``_write_csv``'s: no coordinate or ``repr`` value needs
     quoting, and every row ends in ``\\r\\n``.  Each slab of the first axis is
@@ -377,28 +363,16 @@ def export_csv(field: Field, path: str | Path) -> None:
     and separators are laid out once."""
     grid = field.grid
     ax = [repr(x) for x in grid.axis_centers().tolist()]
-    names = [f"x{k + 1}" for k in range(grid.N)]
-    if isinstance(field, ScalarField):
-        names.append("v")
-        per_cell = 1
-    else:
-        names += [f"v{k + 1}" for k in range(grid.N)]
-        per_cell = grid.N
-    # a row's parts: the first coordinate, ",x2,...,xN,", then each component and
-    # its separator ("," or the line end); C order, the last axis runs fastest
-    stride = 2 + 2 * per_cell
+    # a row's parts: the first coordinate, ",x2,...,xN,", the value, the line end; C order, the last axis runs fastest
     inner = ["".join("," + x for x in c) + "," for c in itertools.product(ax, repeat=grid.N - 1)]
-    parts = [""] * (stride * len(inner))
-    parts[1::stride] = inner
-    for c in range(per_cell):
-        parts[3 + 2 * c::stride] = ["," if c < per_cell - 1 else "\r\n"] * len(inner)
+    parts = [""] * (4 * len(inner))
+    parts[1::4] = inner
+    parts[3::4] = ["\r\n"] * len(inner)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(names) + "\r\n")
+        fh.write(",".join([f"x{k + 1}" for k in range(grid.N)] + ["v"]) + "\r\n")
         for first, slab in zip(ax, field.values):
-            parts[0::stride] = [first] * len(inner)
-            values = list(map(repr, slab.ravel().tolist()))
-            for c in range(per_cell):
-                parts[2 + 2 * c::stride] = values[c::per_cell]
+            parts[0::4] = [first] * len(inner)
+            parts[2::4] = map(repr, slab.ravel().tolist())
             fh.write("".join(parts))
 
 

@@ -510,10 +510,16 @@ def test_report_refuses_files_of_another_run(tmp_path, capsys):
 
 
 def test_report_malformed_manifest_exit_2(tmp_path):
-    # a manifest that is not the object _OutputDir writes is a config error
-    files_list = {"command": "check", "seed": 0, "config_sha256": "0" * 64, "files": []}
-    for k, manifest in enumerate((files_list, [1])):
-        (tmp_path / f"m{k}").mkdir()
+    # a manifest that is not the object _OutputDir writes is a config error, and so is one that
+    # lists anything but a plain file name of the run directory, even with that file's digest
+    secret = tmp_path / "secret"
+    secret.write_text("not a file of any run")
+    digest = cli._sha256(secret)
+    base = {"command": "check", "seed": 0, "config_sha256": "0" * 64}
+    names = ["../secret", str(secret), "sub/secret", ".", "..", "", "manifest.json"]
+    for k, manifest in enumerate([{**base, "files": []}, [1], *({**base, "files": {n: digest}} for n in names)]):
+        (tmp_path / f"m{k}" / "sub").mkdir(parents=True)
+        (tmp_path / f"m{k}" / "sub" / "secret").write_bytes(secret.read_bytes())
         (tmp_path / f"m{k}" / "manifest.json").write_text(json.dumps(manifest))
         assert main(["report", "--out", str(tmp_path / f"m{k}")]) == 2, manifest
 

@@ -1,11 +1,11 @@
 """Nonlinear potential: closed forms, FFT profile vs direct quadrature,
 homogeneity, and the constant-free Hölder bound."""
 
+import concurrent.futures
 import math
 import multiprocessing
 import os
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -250,26 +250,33 @@ def test_two_slots_run_in_a_forked_child(monkeypatch):
 
 
 def test_two_slots_wait_for_the_worker(monkeypatch):
-    # each of the worker's radii takes 0.2 s longer than the caller's: one
-    # radius of six in the "two" schedule, radii 4 and 5 in "runs" (the
-    # caller takes 0 .. 3, two per call).  An error on either thread reaches
-    # the caller only once the worker is done, and a generator closed after its
-    # first term has waited for the worker's whole run.  The worker then still
-    # takes jobs, under the caller's numpy error state, and the pass still
-    # gives the same bytes
+    # the worker's radii (one of six in the "two" schedule, radii 4 and 5 in
+    # "runs", where the caller takes 0 .. 3, two per call) start only once
+    # this thread waits on the worker's job, so each finishes after the
+    # caller's own radii.  An error on either thread reaches the caller only
+    # once the worker is done, and a generator closed after its first term has
+    # waited for the worker's whole run.  The worker then still takes jobs,
+    # under the caller's numpy error state, and the pass still gives the same bytes
     g = Grid(2, 1.0, 16)
     f = bump_field(g, draw_bump_params(np.random.default_rng(2), 2))
     radii, box = np.linspace(0.2, 0.6, 6), (slice(0, 16),) * 2
     kernel_rfftn = potential._kernel_rfftn
     done, fail, states = [], [], set()
+    waiting = threading.Event()  # set when this thread waits on a job of the worker
+    wait = concurrent.futures.Future.exception
+
+    def caller_waits(job, timeout=None):
+        if threading.current_thread() is threading.main_thread():
+            waiting.set()
+        return wait(job, timeout)
 
     def slow_kernel(kernel, out):
         on_worker = threading.current_thread() is not threading.main_thread()
         if on_worker:
             states.add(np.geterr()["over"])
         try:
-            if on_worker:
-                time.sleep(0.2)
+            if on_worker and not waiting.wait(timeout=10):
+                raise AssertionError("the caller never waited on the worker's job")
             if fail == ["worker" if on_worker else "caller"]:
                 raise RuntimeError("radius failed")
             return kernel_rfftn(kernel, out)
@@ -283,13 +290,16 @@ def test_two_slots_wait_for_the_worker(monkeypatch):
             _schedule(mp, name, spectrum_bytes=16 * 24 * 13)  # the 24 x 13 spectrum of the 24^2 lattice
             ref = [m.copy() for m in potential._ball_masses_fft(f.values, g, radii, box)]
             mp.setattr(potential, "_kernel_rfftn", slow_kernel)
+            mp.setattr(concurrent.futures.Future, "exception", caller_waits)
             for side in ("worker", "caller"):
                 done.clear()
+                waiting.clear()
                 fail[:] = [side]
                 with pytest.raises(RuntimeError, match="radius failed"):
                     list(potential._ball_masses_fft(f.values, g, radii, box))
                 assert True in done, (name, side)  # the worker had finished its run
             done.clear()
+            waiting.clear()
             fail.clear()
             masses = potential._ball_masses_fft(f.values, g, radii, box)
             assert next(masses).tobytes() == ref[0].tobytes()
@@ -297,14 +307,11 @@ def test_two_slots_wait_for_the_worker(monkeypatch):
             assert done.count(True) == worker_radii and done.count(False) == per_call, (name, done)
             assert potential._fft_worker().submit(int, "7").result(timeout=10) == 7
             states.clear()
+            waiting.clear()
             with np.errstate(over="raise"):
                 masses = [m.tobytes() for m in potential._ball_masses_fft(f.values, g, radii, box)]
             assert masses == [m.tobytes() for m in ref], name
             assert states == {"raise"}, name
-
-
-def _region(g, mask):
-    return Region(g, mask, int(mask.sum()) * g.cell_volume, int(mask.sum()))
 
 
 def test_pruned_transforms_equal_full_lattice(monkeypatch):
@@ -327,7 +334,7 @@ def test_pruned_transforms_equal_full_lattice(monkeypatch):
         L = potential._smooth_size(n + m)
         slab = np.zeros(g.shape, dtype=bool)
         slab[n // 3] = True
-        regions = [ball_mask(g, (0.3,) * N, 0.5), _region(g, slab)]
+        regions = [ball_mask(g, (0.3,) * N, 0.5), Region(g, slab)]
         results = []
         for name in SCHEDULES:
             with monkeypatch.context() as mp:
@@ -379,7 +386,7 @@ def test_potential_sup_on_region_box(N, n, kind, frac, R, seed):
         else:  # a slab one cell thick, part of the other axes: a non-cubic box
             mask[(idx[0],) + tuple(slice(i // 2, i + 1) for i in idx[1:])] = True
     assume(mask.any())
-    region = _region(g, mask)
+    region = Region(g, mask)
     q = PotentialQuadrature(num_nodes=8)
     sup = potential_sup(f, region, R, q)
     assert math.isclose(sup, float(np.max(potential_profile(f, R, q).values[mask])), rel_tol=1e-13)

@@ -3,6 +3,7 @@ stability under iteration parameters, and the per-level report."""
 
 import json
 import math
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from plapbench.field import Grid, ScalarField, ball_mask, gradient, linf_norm, w1p_norm
 from plapbench.hypotheses import config_from_dict
 from plapbench.jsonio import canonical_json
-from plapbench import plap_solver
+from plapbench import plap_solver, scheme
 from plapbench.plap_solver import AnalyticFailure, DirichletProblem, _Discretization, _SolveContext, solve
 from plapbench.scheme import (
     ReactionSpec,
@@ -168,6 +169,29 @@ def test_picard_constant_reaction_single_productive_step():
     u_direct, rep = solve(prob)
     assert rep.converged
     assert linf_norm(state.u - u_direct) < 1e-8
+
+
+def test_picard_damping_halves_tau_on_the_solved_pair(monkeypatch):
+    # a step whose combined increment exceeds the last one halves tau, down to
+    # 1/64, and forms each damped update from the pair that step solved, with
+    # no new solve; the next step doubles tau back.  Step 2's increments are
+    # inflated here; the spy reads the step, tau and the solve count of
+    # picard_solve_level each time it measures an increment
+    seen = []
+
+    def inflated_w1p_norm(d, p):
+        frame = sys._getframe(1)
+        k, tau, ctx = (frame.f_locals[name] for name in ("k", "tau", "ctx"))
+        seen.append((k, tau, ctx.work.solves))
+        return 1e300 if k == 2 else w1p_norm(d, p)
+
+    monkeypatch.setattr(scheme, "w1p_norm", inflated_w1p_norm)
+    picard_solve_level(bench_spec(Grid(2, 2.0, 16)), 1, max_picard=3)
+    step = {k: [(tau, solves) for j, tau, solves in seen if j == k] for k in (1, 2, 3)}
+    assert [tau for tau, _ in step[1]] == [1.0, 1.0]
+    assert [tau for tau, _ in step[2]] == [2.0**-i for i in range(7) for _ in "uv"]
+    assert {solves for _, solves in step[2]} == {step[1][0][1] + 2}
+    assert step[3][0][0] == 2.0**-5
 
 
 def test_picard_fixed_point_parameter_independent():

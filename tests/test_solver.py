@@ -693,7 +693,7 @@ def test_p2_energy_history_is_the_reference_energy(N, data, ball, warm, seed):
         domain = ball_mask(grid, tuple(rng.uniform(-0.3, 0.3, N)), rng.uniform(0.3, 1.2))
     else:
         mask = rng.random(grid.shape) < rng.uniform(0.3, 1.0)
-        domain = Region(grid, mask, int(mask.sum()) * grid.cell_volume, int(mask.sum()))
+        domain = Region(grid, mask)
     assume(domain.count > 0)
     f = ScalarField(grid, rng.standard_normal(grid.shape))
     initial = ScalarField(grid, rng.standard_normal(grid.shape)) if warm else None
