@@ -14,8 +14,9 @@ an output directory (--out), and finishes by writing ``manifest.json``
 listing the seed, the config hash, and the SHA-256 of every artifact.
 Outputs are canonical (sorted keys, fixed separators, no timestamps), so a
 rerun with identical config and seed produces byte-identical files;
-``report`` verifies exactly that, that the manifest names only files of
-the directory, and that the directory holds no other file.  Exit codes:
+``report`` verifies exactly that, that the manifest names only regular
+files of the directory (no links), and that the directory holds no other
+file.  Exit codes:
 0 pass, 1 analytic failure (non-convergence, failed verdict, manifest
 mismatch), 2 usage or configuration error.
 
@@ -93,6 +94,9 @@ class _OutputDir:
         tmp = self.root / f".{name}.partial"
         try:
             save(tmp)
+            # a rename over an existing file can flush the new data to disk first (ext4), so the old
+            # artifact goes first; the manifest is already gone, so nothing certifies the gap
+            (self.root / name).unlink(missing_ok=True)
             os.replace(tmp, self.root / name)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -319,9 +323,7 @@ def cmd_verify(cfg: dict, out: _OutputDir) -> int:
     chain_reports = []
     for state in states:
         rhs_f, _ = frozen_reactions(spec, state)
-        for cells in h_cells_list:
-            rep = comptest_chain(state.u, rhs_f, c.p, r, cells, t, s, R)
-            chain_reports.append((state.n, rep))
+        chain_reports += [(state.n, rep) for rep in comptest_chain(state.u, rhs_f, c.p, r, h_cells_list, t, s, R)]
     table = rfk_decay([st.u for st in states], c.p, t, h_cells_list)
 
     chain_ok = all(rep.verdict for _, rep in chain_reports)
@@ -362,8 +364,10 @@ def cmd_report(out_dir: Path) -> int:
     bad = []
     for name, digest in manifest["files"].items():
         path = out_dir / name
-        if not path.exists():
+        if not os.path.lexists(path):
             bad.append(f"{name}: missing")
+        elif path.is_symlink() or not path.is_file():  # a link would certify a file outside the directory
+            bad.append(f"{name}: not a regular file")
         elif _sha256(path) != digest:
             bad.append(f"{name}: hash mismatch")
     # a file the manifest does not list belongs to another run, which this one does not certify

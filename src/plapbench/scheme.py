@@ -164,6 +164,22 @@ class SchemeReport:
             raise ValueError("report invariant M_observed >= sigma_rho >= 0 violated")
 
 
+def _reaction(mhat: float, weight: ScalarField, eps: float, shifted: tuple[ScalarField, float],
+              other: tuple[ScalarField, float], conv_u: tuple[float, VectorField, float],
+              conv_v: tuple[float, VectorField, float]) -> ScalarField:
+    """mhat a [s^e_s max(o, 0)^e_o + c_u |grad u|^a + c_v |grad v|^b] for the shifted argument
+    (s, e_s), the other one (o, e_o) and the convection terms (c_u, grad u, a), (c_v, grad v, b)."""
+    (sh, e_s), (o, e_o), (c_u, grad_u, a), (c_v, grad_v, b) = shifted, other, conv_u, conv_v
+    if not eps > 0.0:
+        raise ValueError("eps must be positive")
+    if float(np.min(sh.values)) < 0.5 * eps:
+        raise AnalyticFailure("shifted iterate fell below eps/2: positivity invariant broken upstream")
+    sing = np.power(sh.values, e_s) * np.power(np.maximum(o.values, 0.0), e_o)
+    conv = c_u * np.power(_magnitude(grad_u), a)
+    conv = conv + c_v * np.power(_magnitude(grad_v), b)
+    return ScalarField(weight.grid, mhat * weight.values * (sing + conv))
+
+
 def eval_f(
     spec: ReactionSpec,
     u_shifted: ScalarField,
@@ -173,15 +189,9 @@ def eval_f(
     eps: float,
 ) -> ScalarField:
     """Model reaction f at a frozen state; u_shifted must already carry +eps."""
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
-    if float(np.min(u_shifted.values)) < 0.5 * eps:
-        raise AnalyticFailure("shifted iterate fell below eps/2: positivity invariant broken upstream")
     c = spec.exponents
-    sing = np.power(u_shifted.values, c.alpha1) * np.power(np.maximum(v.values, 0.0), c.beta1)
-    conv = spec.coeff_grad1_own * np.power(_magnitude(grad_u), c.gamma1)
-    conv = conv + spec.coeff_grad1_other * np.power(_magnitude(grad_v), c.delta1)
-    return ScalarField(spec.grid, c.mhat1 * spec.weight_a1.values * (sing + conv))
+    return _reaction(c.mhat1, spec.weight_a1, eps, (u_shifted, c.alpha1), (v, c.beta1),
+                     (spec.coeff_grad1_own, grad_u, c.gamma1), (spec.coeff_grad1_other, grad_v, c.delta1))
 
 
 def eval_g(
@@ -193,15 +203,9 @@ def eval_g(
     eps: float,
 ) -> ScalarField:
     """Model reaction g at a frozen state; v_shifted must already carry +eps."""
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
-    if float(np.min(v_shifted.values)) < 0.5 * eps:
-        raise AnalyticFailure("shifted iterate fell below eps/2: positivity invariant broken upstream")
     c = spec.exponents
-    sing = np.power(np.maximum(u.values, 0.0), c.alpha2) * np.power(v_shifted.values, c.beta2)
-    conv = spec.coeff_grad2_other * np.power(_magnitude(grad_u), c.gamma2)
-    conv = conv + spec.coeff_grad2_own * np.power(_magnitude(grad_v), c.delta2)
-    return ScalarField(spec.grid, c.mhat2 * spec.weight_a2.values * (sing + conv))
+    return _reaction(c.mhat2, spec.weight_a2, eps, (v_shifted, c.beta2), (u, c.alpha2),
+                     (spec.coeff_grad2_other, grad_u, c.gamma2), (spec.coeff_grad2_own, grad_v, c.delta2))
 
 
 def _reactions(

@@ -268,8 +268,8 @@ def _criterion_6(run):
     chain = []
     for state in states:
         rhs_f, _ = frozen_reactions(spec, state)
-        for k in (1, 2, 4, 8):
-            rep = comptest_chain(state.u, rhs_f, c.p, r, (k, 0), 0.4, 0.6, 1.25)
+        reps = comptest_chain(state.u, rhs_f, c.p, r, [(k, 0) for k in (1, 2, 4, 8)], 0.4, 0.6, 1.25)
+        for k, rep in zip((1, 2, 4, 8), reps):
             chain.append({"n": state.n, "h_cells": k, "lhs": rep.lhs, "rhs": rep.rhs,
                           "verdict": rep.verdict})
     table = rfk_decay([st.u for st in states], c.p, 0.4, [(8, 0), (4, 0), (2, 0), (1, 0)])

@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _peak import traced_peak
-from plapbench import cli, scheme
+from plapbench import cli, estimates, scheme
 from plapbench.cli import _SCHEMAS, _OutputDir, _check, canonical_json, main
-from plapbench.field import Grid, ScalarField, ball_mask, load_field
+from plapbench.field import Grid, ScalarField, ball_mask, load_field, save_field
 from plapbench.plap_solver import AnalyticFailure, exact_radial
 
 GOOD_EXPONENTS = {
@@ -294,7 +294,7 @@ def test_potential_overflow_is_an_analytic_failure(tmp_path, value, holder_r):
     assert not out_dir.exists()
 
 
-def test_scheme_verify_and_determinism(tmp_path):
+def test_scheme_verify_and_determinism(tmp_path, monkeypatch):
     code, scheme_out = run(tmp_path, "scheme", SCHEME_CFG, out="scheme1")
     assert code == 0
     states = json.loads((scheme_out / "states.json").read_text())
@@ -317,8 +317,16 @@ def test_scheme_verify_and_determinism(tmp_path):
         "R": 1.25,
         "h_cells": [[3, 0], [2, 0], [1, 0]],
     }
+    # the chain and its cutoff are built once per level, not once per shift
+    calls = {"comptest_chain": 0, "cutoff_eta": 0}
+    for module, name in ((cli, "comptest_chain"), (estimates, "cutoff_eta")):
+        def counted(*args, _inner=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(module, name, counted)
     code3, verify_out = run(tmp_path, "verify", vcfg, name="v.json", out="verify")
     assert code3 == 0
+    assert calls == {"comptest_chain": 2, "cutoff_eta": 2}
     vrep = json.loads((verify_out / "verify_report.json").read_text())
     assert vrep["chain_all_ok"] is True
     assert vrep["decay_non_increasing"] is True
@@ -507,6 +515,67 @@ def test_report_refuses_files_of_another_run(tmp_path, capsys):
     assert main(["report", "--out", str(out_dir)]) == 1
     assert json.loads(capsys.readouterr().out)["problems"] == ["solution.fld: not in manifest",
                                                                "solve_report.json: not in manifest"]
+
+
+def test_report_names_a_missing_artifact(tmp_path, capsys):
+    code, out_dir = run(tmp_path, "solve", {"grid": GRID_16, "p": 2.0, "field": CONSTANT_FIELD})
+    assert code == 0
+    (out_dir / "solution.fld").unlink()
+    capsys.readouterr()
+    assert main(["report", "--out", str(out_dir)]) == 1
+    assert json.loads(capsys.readouterr().out)["problems"] == ["solution.fld: missing"]
+
+
+def test_report_refuses_a_linked_artifact(tmp_path, capsys):
+    # a link named as the artifact would certify a file outside the run directory
+    secret = tmp_path / "secret"
+    secret.write_text("not a file of any run")
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "data").symlink_to("../secret")
+    manifest = {"command": "check", "seed": 0, "config_sha256": "0" * 64, "files": {"data": cli._sha256(secret)}}
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["report", "--out", str(run_dir)]) == 1
+    assert json.loads(capsys.readouterr().out)["problems"] == ["data: not a regular file"]
+
+
+def test_rerun_into_the_same_directory_replaces_no_existing_file(tmp_path, monkeypatch):
+    # each old artifact is removed before its successor is renamed into place
+    cfg = {"grid": GRID_16, "p": 2.0, "field": CONSTANT_FIELD}
+    code, out_dir = run(tmp_path, "solve", cfg)
+    assert code == 0
+    first = tree_bytes(out_dir)
+    seen = []
+    replace = os.replace
+
+    def spy(src, dst):
+        seen.append((Path(dst).name, os.path.lexists(dst)))
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", spy)
+    code, out_dir = run(tmp_path, "solve", cfg)
+    assert code == 0
+    assert seen == [("solution.fld", False), ("solve_report.json", False)]
+    assert tree_bytes(out_dir) == first
+    assert main(["report", "--out", str(out_dir)]) == 0
+
+
+def test_file_field_must_match_the_grid(tmp_path):
+    path = tmp_path / "f.fld"
+    g = Grid(**GRID_16)
+    save_field(ScalarField(g, ball_mask(g, (0.0, 0.0), 0.5).mask * 1.0), path)
+    field = {"kind": "file", "path": str(path)}
+    code, out_dir = run(tmp_path, "solve", {"grid": GRID_16, "p": 2.0, "field": field}, out="solve")
+    assert code == 0
+    assert json.loads((out_dir / "solve_report.json").read_text())["converged"] is True
+    code, out_dir = run(tmp_path, "potential", {"grid": GRID_16, "field": field, "R": 1.0}, out="potential")
+    assert code == 0
+    assert json.loads((out_dir / "potential_report.json").read_text())["sup_over_box"] > 0.0
+    other = {**GRID_16, "cells_per_axis": 8}
+    code, out_dir = run(tmp_path, "solve", {"grid": other, "p": 2.0, "field": field}, out="other")
+    assert code == 2
+    assert not out_dir.exists()
 
 
 def test_report_malformed_manifest_exit_2(tmp_path):

@@ -146,28 +146,29 @@ def test_gradient_estimate_validation():
 def test_comptest_chain_radial():
     p = 2.5
     u, f = radial_solution(p, 48, 1.0)
-    rep = comptest_chain(u, f, p, 3.0, (2, 0), 0.4, 0.6, 1.25)
+    rep, rep2 = comptest_chain(u, f, p, 3.0, [(2, 0), (2, 2)], 0.4, 0.6, 1.25)  # a diagonal shift too
     assert rep.verdict, (rep.lhs, rep.rhs)
     assert rep.lhs >= 0.0
     ctx = rep.context
     for key in ("eq_weighted", "eq_cross", "eq_reaction", "eps_geom", "h_mag"):
         assert np.isfinite(ctx[key])
     assert ctx["h_cells"] == [2, 0]
-    # diagonal shift too
-    rep2 = comptest_chain(u, f, p, 3.0, (2, 2), 0.4, 0.6, 1.25)
     assert rep2.verdict
+    assert rep2.context["h_cells"] == [2, 2]
+    # a shift's report does not depend on the other shifts of the list
+    assert comptest_chain(u, f, p, 3.0, [(2, 2)], 0.4, 0.6, 1.25) == [rep2]
 
 
 def test_comptest_chain_validation():
     u, f = radial_solution(2.0, 32, 1.0)
     with pytest.raises(ValueError):
-        comptest_chain(u, f, 2.0, 3.0, (1, 0), 0.6, 0.4, 1.25)  # t >= s
+        comptest_chain(u, f, 2.0, 3.0, [(1, 0)], 0.6, 0.4, 1.25)  # t >= s
     with pytest.raises(ValueError):
-        comptest_chain(u, f, 2.0, 3.0, (12, 0), 0.4, 0.6, 1.25)  # |h| >= R - s
+        comptest_chain(u, f, 2.0, 3.0, [(1, 0), (12, 0)], 0.4, 0.6, 1.25)  # |h| >= R - s for one shift
     with pytest.raises(ValueError):
-        comptest_chain(u, f, 2.0, math.inf, (1, 0), 0.4, 0.6, 1.25)
+        comptest_chain(u, f, 2.0, math.inf, [(1, 0)], 0.4, 0.6, 1.25)
     with pytest.raises(ValueError):
-        comptest_chain(u, f, 2.0, 3.0, (1, 0), 0.4, 0.6, 2.5)  # B_R leaves the box
+        comptest_chain(u, f, 2.0, 3.0, [(1, 0)], 0.4, 0.6, 2.5)  # B_R leaves the box
 
 
 def test_rfk_decay_table():
