@@ -15,8 +15,8 @@ listing the seed, the config hash, and the SHA-256 of every artifact.
 Outputs are canonical (sorted keys, fixed separators, no timestamps), so a
 rerun with identical config and seed produces byte-identical files;
 ``report`` verifies exactly that, that the manifest names only regular
-files of the directory (no links), and that the directory holds no other
-file.  Exit codes:
+files of the directory (no links), and that the directory holds nothing
+else: no other file, link or directory.  Exit codes:
 0 pass, 1 analytic failure (non-convergence, failed verdict, manifest
 mismatch), 2 usage or configuration error.
 
@@ -370,9 +370,10 @@ def cmd_report(out_dir: Path) -> int:
             bad.append(f"{name}: not a regular file")
         elif _sha256(path) != digest:
             bad.append(f"{name}: hash mismatch")
-    # a file the manifest does not list belongs to another run, which this one does not certify
+    # an entry the manifest does not list, of whatever kind (a link, dangling or not, or a directory),
+    # belongs to another run, which this one does not certify
     listed = {*manifest["files"], "manifest.json"}
-    bad += [f"{p.name}: not in manifest" for p in sorted(out_dir.iterdir()) if p.is_file() and p.name not in listed]
+    bad += [f"{p.name}: not in manifest" for p in sorted(out_dir.iterdir()) if p.name not in listed]
     summary = {
         "command": manifest["command"],
         "files_listed": len(manifest["files"]),

@@ -47,11 +47,15 @@ stopping rule is the residual certificate ||A(u) u - f||_{L2} <= tol
 (1 + ||f||_{L2}).  At p = 2 the weights are 1, H = A_T and the system is
 linear, so the CG runs once, to half the certificate; phi_eps(s) = s/2, so
 the energy density is the frozen quadratic (1/2) <u, A_T u>, read off the
-apply that forms the residual.  The V-cycle is a symmetric aggregation cycle
-built once per outer step from the face weights (at p = 2 once per solver
-context; for warm solves see below): 2^N box aggregates, Galerkin coarse
-operators that are again flux forms (plus a sink per cell, no stored
-matrix), degree-2 Chebyshev smoothing in D^-1 A
+apply that forms the residual.  When every cell of the grid is free (the
+domain is the whole box), that CG is preconditioned by the unit-weight
+operator's exact inverse, a sine transform per axis (``_SineInverse``, the
+fast Poisson solver), so its first iterate is the solution and it stops
+after one iteration; on any other domain, by the V-cycle.  The V-cycle is a
+symmetric aggregation cycle built once per outer step from the face weights
+(at p = 2 once per solver context; for warm solves see below): 2^N box
+aggregates, Galerkin coarse operators that are again flux forms (plus a
+sink per cell, no stored matrix), degree-2 Chebyshev smoothing in D^-1 A
 (Adams, Brezina, Hu & Tuminaro, J. Comput. Phys. 188, 2003) and an
 over-corrected coarse step (Notay, ETNA 37, 2010; Braess, Computing 55,
 1995), so the iterations per outer step do not grow with the grid size.
@@ -81,7 +85,8 @@ float32's smallest normal number.  A certificate whose ||f||^2 or ||r||^2
 leaves float64's range raises ``SolverDivergenceError``.
 
 ``_SolveContext`` keeps what depends only on the grid and the free-cell mask
-(crop, free cells, discretization, unit-weight V-cycle at p = 2); only it
+(crop, free cells, discretization, and at p = 2 the unit-weight
+preconditioner: the exact inverse on a full box, else a V-cycle); only it
 reads f and the warm start and writes the solution and the final residual
 cell-shaped, and it counts its solves' work where it happens (``SolverWork``).
 ``solve`` builds one per call and reports its count, freed before its weak
@@ -164,7 +169,7 @@ class SolverWork:
     solves: int = 0
     outer_steps: int = 0
     cg_iterations: int = 0
-    cycle_builds: int = 0  # V-cycles built, the unit-weight one included
+    cycle_builds: int = 0  # V-cycles built, a unit-weight one included; the exact full-box inverse is not one
     linearizations: int = 0  # lagged weights computed (p != 2), not those taken up from the last warm solve
 
 
@@ -641,6 +646,77 @@ def _smooth(level: tuple, t: np.ndarray) -> np.ndarray:
     return y
 
 
+class _SineInverse:
+    """The exact inverse of the unit-weight operator on a box whose cells are all free, in float64.
+
+    There ``faces`` gives every inner face the weight 1/h^2 and every face of
+    the box 2/h^2 (the Dirichlet value sits h/2 away), so along each axis the
+    operator is the cell-centred Dirichlet Laplacian, whose eigenvectors are
+    the sines sin(pi m (j + 1/2)/n), m = 1..n, with the eigenvalues
+    4 sin^2(pi m/(2n))/h^2 (Strang, SIAM Review 41, 1999).  A^-1 is the
+    type-II sine transform along every axis, a division by the eigenvalue
+    sums, and the inverse transform back: the fast Poisson solver of Buzbee,
+    Golub & Nielson (SIAM J. Numer. Anal. 7, 1970), for any n, odd or even.
+    Each transform is numpy's real FFT of length 2n along one axis at a time
+    (no BLAS, so no thread count changes a bit), and its phase is applied
+    in place.
+    """
+
+    def __init__(self, disc: _Discretization):
+        self.disc = disc
+        nd = disc.ndim
+        # per axis, sin and cos of theta_m = pi m/(2n), m = 1..n, shaped to run along that axis
+        self.phases = []
+        eigs = 0.0
+        for k, n in enumerate(disc.free.shape):
+            theta = ((0.5 * math.pi / n) * np.arange(1, n + 1)).reshape([n if i == k else 1 for i in range(nd)])
+            sin = np.sin(theta)
+            self.phases.append((sin, np.cos(theta)))
+            eigs = eigs + 4.0 * sin * sin
+        # each inverse transform below returns half the values, 2^-N in all
+        self.scale = (2.0**nd * disc.h * disc.h) / eigs
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        """A^-1 r for a bordered float64 r, bordered, +0 on the border."""
+        disc = self.disc
+        nd = disc.ndim
+        x = disc.cells(r).copy()
+        for k in range(nd):
+            self._forward(x, k)
+        x *= self.scale
+        for k in range(nd):
+            n = x.shape[k]
+            Y = self._spectrum(x, k)
+            del x  # each of x, Y and y is gone before the next is formed (peak memory)
+            y = np.fft.irfft(Y, 2 * n, axis=k)
+            del Y
+            x = y[_axslice(nd, k, slice(None, n))].copy()
+            del y
+        return disc.bordered_copy(x)
+
+    def _forward(self, x: np.ndarray, k: int) -> None:
+        """The type-II sine transform of x along axis k, X_m = sum_j x_j sin(theta_m (2j + 1)), in place.
+
+        With Z the FFT of x padded to 2n, X_m = Re Z_m sin(theta_m) - Im Z_m cos(theta_m).
+        """
+        sin, cos = self.phases[k]
+        Z = np.fft.rfft(x, 2 * x.shape[k], axis=k)[_axslice(x.ndim, k, slice(1, None))]
+        np.multiply(Z.real, sin, out=x)
+        im = Z.imag
+        im *= cos
+        x -= im
+
+    def _spectrum(self, x: np.ndarray, k: int) -> np.ndarray:
+        """The half spectrum Y of an odd extension, of length 2n along axis k, whose inverse FFT
+        begins with half the inverse of ``_forward``: Y_0 = 0, Y_m = X_m (sin(theta_m) - i cos(theta_m))."""
+        sin, cos = self.phases[k]
+        Y = np.zeros(x.shape[:k] + (x.shape[k] + 1,) + x.shape[k + 1:], complex)
+        Ym = Y[_axslice(x.ndim, k, slice(1, None))]
+        np.multiply(x, sin, out=Ym.real)
+        np.multiply(x, -cos, out=Ym.imag)
+        return Y
+
+
 def _pcg(
     apply_A: Callable[[np.ndarray], np.ndarray],
     r0: np.ndarray,
@@ -765,8 +841,11 @@ class _SolveContext:
 
     The crop to the free bounding box, the free cells and the discretization;
     at p = 2 the weights (m^2 + eps^2)^0 are 1 on every free cell, so the
-    unit-weight face weights and their V-cycle are built on first use and kept.
-    The seed step of a cold p > 2 solve builds its own, which go with it.
+    unit-weight face weights and their preconditioner are built on first use
+    and kept: the operator's exact inverse (``_SineInverse``) when the mask is
+    the whole grid, which ``work`` does not count as a V-cycle build, else
+    its V-cycle.  The seed step of a cold p > 2 solve builds its own face
+    weights and V-cycle, which go with it.
 
     A warm-started p != 2 solve keeps what it ended with (``_Kept``), one per
     p and eps, as the Picard scheme's steps alternate two exponents.  The next
@@ -805,8 +884,10 @@ class _SolveContext:
         return self._unit_weight_faces()
 
     @cached_property
-    def unit_cycle(self) -> _VCycle:
-        """The V-cycle of the unit-weight operator."""
+    def unit_precond(self) -> _SineInverse | _VCycle:
+        """The unit-weight operator's exact inverse when the mask is the whole grid, else its V-cycle."""
+        if self.mask.all():
+            return _SineInverse(self.disc)
         return self._vcycle(self.unit_faces)
 
     def lagged(self, vals: np.ndarray, fv: np.ndarray, p: float, eps: float) -> _Lagged:
@@ -868,7 +949,7 @@ class _SolveContext:
             if seed:  # its unit-weight operators are not kept
                 T, Q = self._unit_weight_faces(), None
             if p == 2.0:
-                precond = self.unit_cycle
+                precond = self.unit_precond
             elif len(history) == 1 and cycle is not None:
                 precond = cycle
             else:

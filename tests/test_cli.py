@@ -205,6 +205,27 @@ def test_solve_memory_stays_within_budget(tmp_path, p):
     assert peak <= {2.0: 3.99, 3.0: 5.16}[p] * 8 * n**3
 
 
+def test_full_box_p2_solve_memory_stays_within_the_vcycle_peak(tmp_path):
+    # the same solve without the domain mask: every solver array spans the
+    # whole 64^3 box, and the p = 2 CG is preconditioned by the exact
+    # sine-transform inverse, whose FFTs form their 2n values one axis at a
+    # time.  The budget is the traced peak of this solve preconditioned by the
+    # unit-weight V-cycle, 18.46 full arrays; the inverse peaks at 15.76
+    n = 64
+    cfg = {
+        "grid": {"N": 3, "extent": 2.0, "cells_per_axis": n},
+        "p": 2.0,
+        "field": {"kind": "ball_indicator", "radius": 1.0},
+        "tol": 1e-10,
+        "radial_oracle": {"R": 1.0},
+    }
+    (code, out_dir), peak = traced_peak(lambda: run(tmp_path, "solve", cfg))
+    assert code == 0
+    rep = json.loads((out_dir / "solve_report.json").read_text())
+    assert (rep["iterations"], rep["cg_iterations"]) == (1, 1)
+    assert peak <= 18.46 * 8 * n**3
+
+
 def test_failed_save_leaves_no_partial_artifact(tmp_path, monkeypatch):
     def torn_save(field, path):
         Path(path).write_bytes(b"PLAPFLD1 and then the disk filled up")
@@ -538,6 +559,18 @@ def test_report_refuses_a_linked_artifact(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", "--out", str(run_dir)]) == 1
     assert json.loads(capsys.readouterr().out)["problems"] == ["data: not a regular file"]
+
+
+@pytest.mark.parametrize("name, target", [("extra", "/nonexistent"), ("up", "..")])
+def test_report_refuses_an_unlisted_link(tmp_path, capsys, name, target):
+    # an entry the manifest does not list is a problem whatever its kind: a
+    # dangling link, or a link to a directory, added to a finished run
+    code, out_dir = run(tmp_path, "solve", {"grid": GRID_16, "p": 2.0, "field": CONSTANT_FIELD})
+    assert code == 0
+    (out_dir / name).symlink_to(target)
+    capsys.readouterr()
+    assert main(["report", "--out", str(out_dir)]) == 1
+    assert json.loads(capsys.readouterr().out)["problems"] == [f"{name}: not in manifest"]
 
 
 def test_rerun_into_the_same_directory_replaces_no_existing_file(tmp_path, monkeypatch):

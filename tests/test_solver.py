@@ -3,8 +3,9 @@ cross-check at p = 2, the frozen operator's symmetry and its tie to the
 energy's differences, the Hessian's tie to the residual and its symmetry,
 the multigrid preconditioner's symmetry, definiteness, Galerkin coarse
 operator and size-independent work, the Newton steps' outer-step counts and
-their fallback, the single CG run of a p = 2 solve and the solver context
-it keeps, what a warm solve takes up from the last one, energy descent,
+their fallback, the single CG run of a p = 2 solve (one iteration on a full
+box, whose preconditioner is the operator's exact sine-transform inverse) and
+the solver context it keeps, what a warm solve takes up from the last one, energy descent,
 local minimality for p != 2, and the kernels' byte identity with their
 strided reference."""
 
@@ -405,6 +406,70 @@ def test_small_free_region_takes_one_cg_iteration():
     assert rep.converged and (rep.iterations, rep.cg_iterations) == (1, 1)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.sampled_from((2, 3)),
+    n=st.integers(2, 40),
+    scale=st.sampled_from((1.0, 1e100, 1e-100)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(N=2, n=2, scale=1.0, seed=0).via("the smallest box")
+@example(N=3, n=40, scale=1e100, seed=1).via("the largest box, large data")
+@example(N=3, n=39, scale=1e-100, seed=2).via("an odd box, small data")
+def test_sine_inverse_inverts_the_full_box_operator(N, n, scale, seed):
+    # on a box whose cells are all free the unit-weight operator is
+    # diagonalised by the type-II sine transform, so the p = 2 preconditioner
+    # is its inverse up to float64 rounding, odd n and data far from 1 included
+    grid = Grid(N, 2.0, n)
+    ctx = _SolveContext(grid, np.ones(grid.shape, dtype=bool))
+    disc = ctx.disc
+    assert isinstance(ctx.unit_precond, plap_solver._SineInverse)
+    f = disc.bordered_copy(np.random.default_rng(seed).standard_normal(grid.shape) * scale)
+    x = ctx.unit_precond(f)
+    assert not np.signbit(x[disc.outside]).any() and not x[disc.outside].any()
+    back = disc.free_rows(disc.apply(x, ctx.unit_faces))
+    assert np.max(np.abs(back - f)) <= 1e-12 * np.max(np.abs(f))
+
+
+def _counting_vcycles(monkeypatch) -> list:
+    built = []
+
+    class CountingVCycle(plap_solver._VCycle):
+        def __init__(self, disc, T):
+            built.append(len(T))
+            super().__init__(disc, T)
+
+    monkeypatch.setattr(plap_solver, "_VCycle", CountingVCycle)
+    return built
+
+
+@pytest.mark.parametrize("N, n", [(2, 64), (3, 24)])
+def test_full_box_p2_solve_takes_one_cg_iteration(monkeypatch, N, n):
+    # the exact inverse makes the first CG iterate the solution, which the
+    # certificate accepts, and no V-cycle is built (11 and 13 CG iterations with one)
+    built = _counting_vcycles(monkeypatch)
+    grid = Grid(N, 2.0, n)
+    rng = np.random.default_rng(20 + N)
+    prob = DirichletProblem(grid, 2.0, bump_field(grid, draw_bump_params(rng, N)), tol=1e-10)
+    ctx = _SolveContext(grid, np.ones(grid.shape, dtype=bool))
+    for initial in (None, bump_field(grid, draw_bump_params(rng, N))):
+        u, rep = solve(prob, initial=initial)
+        assert rep.converged and (rep.iterations, rep.cg_iterations) == (1, 1), (initial is None, rep)
+        assert ctx.minimize(prob, initial).converged
+    assert built == [] and ctx.work.cycle_builds == 0 and ctx.work.cg_iterations == 2
+
+
+def test_ball_p2_solve_still_builds_one_vcycle(monkeypatch):
+    # a domain mask that leaves out a cell keeps the V-cycle, built once per context
+    built = _counting_vcycles(monkeypatch)
+    grid = Grid(2, 2.0, 32)
+    ball = ball_mask(grid, (0.0, 0.0), 0.9)
+    f = bump_field(grid, draw_bump_params(np.random.default_rng(4), 2))
+    _, rep = solve(DirichletProblem(grid, 2.0, f, tol=1e-10, domain=ball))
+    assert rep.converged and rep.iterations == 1 and rep.cg_iterations > 1
+    assert built == [2]
+
+
 def test_cg_work_flat_in_n():
     # the multigrid-preconditioned CG needs a bounded number of iterations
     # per outer step however fine the grid (Jacobi-PCG grows like n)
@@ -723,14 +788,7 @@ def test_p2_energy_history_is_the_reference_energy(N, data, ball, warm, seed):
 def test_unit_weight_operators_kept_for_p2_solves_only(monkeypatch):
     # a kept context builds the unit-weight V-cycle once for all its p = 2
     # solves; the seed step of a cold p > 2 solve builds its own and keeps none
-    built = []
-
-    class CountingVCycle(plap_solver._VCycle):
-        def __init__(self, disc, T):
-            built.append(len(T))
-            super().__init__(disc, T)
-
-    monkeypatch.setattr(plap_solver, "_VCycle", CountingVCycle)
+    built = _counting_vcycles(monkeypatch)
     grid = Grid(2, 2.0, 24)
     ball = ball_mask(grid, (0.0, 0.0), 0.9)
     rng = np.random.default_rng(5)
@@ -743,7 +801,7 @@ def test_unit_weight_operators_kept_for_p2_solves_only(monkeypatch):
     res = cold.minimize(DirichletProblem(grid, 3.0, f, tol=1e-9, domain=ball))
     outer = len(res.energy_history) - 1
     assert res.converged and len(built) == 1 + outer
-    assert "unit_faces" not in vars(cold) and "unit_cycle" not in vars(cold)
+    assert "unit_faces" not in vars(cold) and "unit_precond" not in vars(cold)
 
 
 def test_context_refuses_another_grid_or_mask():
