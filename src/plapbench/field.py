@@ -100,15 +100,27 @@ class Grid:
         return tuple(idx)
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """arr, C-contiguous and read-only; a copy when its data can still be written through another array
+    (one on its ``.base`` chain is writeable), so no holder's write reaches it."""
+    arr = np.ascontiguousarray(arr)
+    base = arr.base
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            arr = arr.copy()
+            break
+        base = base.base
+    arr.setflags(write=False)
+    return arr
+
+
 def _as_values(grid: Grid, values: np.ndarray, trailing: tuple[int, ...]) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape != grid.shape + trailing:
         raise ValueError(f"values shape {arr.shape} does not match grid shape {grid.shape + trailing}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("field values must be finite")
-    arr = np.ascontiguousarray(arr)
-    arr.setflags(write=False)
-    return arr
+    return _frozen(arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,8 +170,7 @@ class Region:
         m = np.asarray(self.mask, dtype=bool)
         if m.shape != self.grid.shape:
             raise ValueError("mask shape does not match grid")
-        m = np.ascontiguousarray(m)
-        m.setflags(write=False)
+        m = _frozen(m)
         object.__setattr__(self, "mask", m)
         object.__setattr__(self, "count", int(m.sum()))
         object.__setattr__(self, "volume", self.count * self.grid.cell_volume)

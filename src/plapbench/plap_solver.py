@@ -87,11 +87,14 @@ leaves float64's range raises ``SolverDivergenceError``.
 ``_SolveContext`` keeps what depends only on the grid and the free-cell mask
 (crop, free cells, discretization, and at p = 2 the unit-weight
 preconditioner: the exact inverse on a full box, else a V-cycle); only it
-reads f and the warm start and writes the solution and the final residual
-cell-shaped, and it counts its solves' work where it happens (``SolverWork``).
-``solve`` builds one per call and reports its count, freed before its weak
-residual, which pairs the last outer step's residual with the test functions;
-the Picard scheme keeps one per level, whose count is the level's.  A
+reads f and the warm start, it returns the solution and the final residual on
+the crop, and it counts its solves' work where it happens (``SolverWork``).
+``solve`` builds one per call and reports its count; the context is freed
+before the weak residual, which pairs the last outer step's residual with the
+test functions, and before the solution is put on the full grid
+(``_on_grid``), so no full-grid array shares the peak with its operators.  The
+Picard scheme keeps one context per level, whose count is the level's, and
+reads each solution off it (``_SolveContext.values``).  A
 warm-started p != 2 solve there picks up where the last one at its p ended:
 from the same bytes it takes up that solve's linearization, which changes no
 bit, and its first outer step takes up that solve's last V-cycle.
@@ -601,12 +604,14 @@ class _VCycle:
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """The cycle applied to a bordered float64 r; float64, +0 off the free cells."""
         exponent = _binary_exponent(max(float(np.max(r)), -float(np.min(r))))
-        # scaled in float64, then rounded into float32: casting r first overflows on large data
-        rb = np.multiply(r, 2.0**-exponent, out=np.empty(self.fine.size, _CYCLE_DTYPE), casting="same_kind")
-        z = self._cycle(0, rb).astype(np.float64)
+        # scaled in float64, then rounded into float32: casting r first overflows on large data.
+        # Passed unnamed, so the cycle holds its only reference
+        z = self._cycle(0, np.multiply(r, 2.0**-exponent, out=np.empty(self.fine.size, _CYCLE_DTYPE),
+                                       casting="same_kind")).astype(np.float64)
         return self.fine.free_rows(np.ldexp(z, exponent - self.exponent, out=z))
 
     def _cycle(self, i: int, r: np.ndarray) -> np.ndarray:
+        """The cycle from level i on, for a residual r that nothing else holds, which it frees once read."""
         if i == len(self.levels):
             z = np.zeros_like(r)
             z[self.dense_cells] = np.einsum("ij,j->i", self.inverse, r[self.dense_cells])
@@ -619,6 +624,7 @@ class _VCycle:
         np.add(cells, _prolong(form.coarse.cells(zc), form.free.shape), out=cells, where=form.free)
         t = form.apply(z, T, S)
         np.subtract(r, t, out=t)
+        del r  # gone before the post-smoothing's apply (peak memory)
         t *= w
         z += _smooth(level, t)
         return z
@@ -752,14 +758,17 @@ def _pcg(
         rz_new = _dot(r, z)
         pvec *= rz_new / rz
         pvec += z
+        del z  # not alive while the next preconditioner call forms its own (peak memory)
         rz = rz_new
     return x, max_iter
 
 
 def _free_mask(prob: DirichletProblem) -> np.ndarray:
+    """The free cells: the domain's mask itself (a ``Region``'s mask is read-only, and no other array
+    writes its data), or all True."""
     if prob.domain is None:
         return np.ones(prob.grid.shape, dtype=bool)
-    return prob.domain.mask.copy()
+    return prob.domain.mask
 
 
 class _Lagged(NamedTuple):
@@ -819,7 +828,10 @@ def _line_step(
 
 
 class _Minimum(NamedTuple):
-    values: np.ndarray  # on the full grid
+    """What ``_SolveContext.minimize`` returns, all of it on the crop; ``_SolveContext.values`` (or
+    ``_on_grid``, once the context is gone) puts the iterate on the full grid."""
+
+    u: np.ndarray  # the returned iterate, bordered on the crop
     residual: np.ndarray  # A(u) u - f at the returned iterate, on the free bounding box (a view of the bordered one)
     converged: bool
     energy_history: list[float]  # the energy at the start and after each outer step
@@ -908,7 +920,8 @@ class _SolveContext:
         return _Lagged(T, Q, density, np.subtract(r, fv, out=r))
 
     def minimize(self, prob: DirichletProblem, initial: ScalarField | None = None) -> _Minimum:
-        """The outer iteration of ``solve`` for a problem on this grid and mask."""
+        """The outer iteration of ``solve`` for a problem on this grid and mask; its iterate stays on the
+        crop, so no full-grid array is formed while this context's operators are alive."""
         if prob.grid != self.grid or not np.array_equal(_free_mask(prob), self.mask):
             raise ValueError("problem lives on another grid or mask than the solver context")
         disc = self.disc
@@ -981,9 +994,18 @@ class _SolveContext:
             raise SolverDivergenceError("non-finite iterate")
         if warm:
             self.kept[p, eps] = _Kept(u, T, Q, density, cycle)
-        full = np.zeros(self.grid.shape)
-        np.multiply(disc.cells(u), self.free, out=full[self.crop])
-        return _Minimum(full, disc.cells(r), rnorm <= target, history)
+        return _Minimum(u, disc.cells(r), rnorm <= target, history)
+
+    def values(self, res: _Minimum) -> np.ndarray:
+        """A minimum's iterate on the full grid, +0 off the free cells."""
+        return _on_grid(self.grid, self.crop, self.free, self.disc.cells(res.u))
+
+
+def _on_grid(grid: Grid, crop: tuple[slice, ...], free: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Values on the cells of ``crop`` on the full grid, +0 off the free cells ``free`` of the crop."""
+    full = np.zeros(grid.shape)
+    np.multiply(cells, free, out=full[crop])
+    return full
 
 
 def solve(prob: DirichletProblem, initial: ScalarField | None = None) -> tuple[ScalarField, SolveReport]:
@@ -994,15 +1016,17 @@ def solve(prob: DirichletProblem, initial: ScalarField | None = None) -> tuple[S
     after prob.max_iter steps.  ``iterations`` counts the steps taken and
     ``energy_history`` holds the energy before the first and after each.
 
-    Raises SolverDivergenceError on non-finite values; never clips.
+    The solver context is dropped before the returned field's full-grid array
+    is formed.  Raises SolverDivergenceError on non-finite values; never clips.
     """
     mask = _free_mask(prob)
     ctx = _SolveContext(prob.grid, mask)
-    res, work = ctx.minimize(prob, initial), ctx.work
-    del ctx  # its operators and V-cycles go before the weak residual (peak memory)
+    res = ctx.minimize(prob, initial)
+    work, crop, free, cells = ctx.work, ctx.crop, ctx.free, ctx.disc.cells(res.u)
+    del ctx  # its operators and V-cycles go before the weak residual and the full-grid field (peak memory)
     report = SolveReport(work.outer_steps, res.energy_history[-1], res.energy_history,
                          _weak_residual(prob.grid, mask, res.residual, prob.p), res.converged, work.cg_iterations)
-    return ScalarField(prob.grid, res.values), report
+    return ScalarField(prob.grid, _on_grid(prob.grid, crop, free, cells)), report
 
 
 def _test_functions(grid: Grid, free: np.ndarray) -> Iterator[tuple[tuple[slice, ...], np.ndarray]]:

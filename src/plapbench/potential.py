@@ -30,12 +30,14 @@ and radii on, so a sweep of fields on one grid pays for them about twice
 and a single call keeps nothing.
 
 The transforms run in place where their data already fills the lattice
-(numpy >= 2's FFT ``out=``).  A slot is one set of buffers (the product, the
-irfft output and the kernel spectra) that ``_ball_masses_fft`` fills for a
-batch of radii, one transform call, and reuses for the next batch.  A batch
-holds as many radii as their lattice spectra fit in ``_SPLIT_BYTES`` (256 KiB:
-4 on the 80 x 41 lattice of ``potential_sup`` over B_1 on the 64^2 grid), and
-one radius where a single spectrum reaches it (the 64^3 and 256^2 profiles).
+(numpy >= 2's FFT ``out=``).  A slot is one set of buffers (the product and
+the irfft output) that ``_ball_masses_fft`` fills for a batch of radii, one
+transform call, and reuses for the next batch; a call that keeps no spectra
+builds each in the product buffer and multiplies the field's into it in
+place.  A batch holds as many radii as their lattice spectra fit in
+``_SPLIT_BYTES`` (256 KiB: 4 on the 80 x 41 lattice of ``potential_sup`` over
+B_1 on the 64^2 grid), and one radius where a single spectrum reaches it (the
+64^3 and 256^2 profiles).
 When the process may run on two CPUs or more and the radii take two batches
 or more, two slots run two runs of radii at once, round by round: the calling
 thread takes radii j .. j + K - 1 and one lazily started worker thread takes
@@ -263,17 +265,26 @@ def _ball_masses_fft(f: np.ndarray, grid: Grid, radii: np.ndarray, box: tuple[sl
 
     def fill(slot: tuple[np.ndarray, ...], j: int) -> np.ndarray:
         """The terms of radii j, j + 1, ..., as many as the slot holds, in the slot's irfft buffer."""
-        product, real, own = slot
+        product, real = slot
         b = min(len(product), len(radii) - j)
         product, real = product[:b], real[:b]
-        spec = kept[j:j + b] if kept is not None else own[:b]
+        spec = kept[j:j + b] if kept is not None else None
         if build:
             for i, rho in enumerate(radii[j:j + b]):
                 # the kernel is even, so its spectrum is real up to rounding
-                np.copyto(spec[i], _kernel_rfftn((dist2 < rho * rho).astype(np.float64), product[i]).real)
+                _kernel_rfftn((dist2 < rho * rho).astype(np.float64), product[i])
+                if spec is not None:
+                    np.copyto(spec[i], product[i].real)
+        if spec is None:
+            # F times each spectrum's real part, in the product buffer that holds it: the imaginary
+            # part first, from the real part, which its own product then overwrites
+            np.multiply(product.real, F.imag, out=product.imag)
+            np.multiply(product.real, F.real, out=product.real)
+            G = product
+        else:
+            G = np.multiply(F, spec, out=product)
         # irfftn in its own order (axes 0 .. N-2 in place, then the last into ``real``),
         # dropping the unread rows after each axis
-        G = np.multiply(F, spec, out=product)
         for axis in range(1, nd):
             G = np.fft.ifft(G, axis=axis, out=G)[_axslice(nd + 1, axis, rows[axis - 1])]
         np.fft.irfft(G, axis=nd, n=L, out=real)
@@ -293,8 +304,8 @@ def _ball_masses_fft(f: np.ndarray, grid: Grid, radii: np.ndarray, box: tuple[sl
         # as many batches as the worker's finished terms fit in the budget, and at most half of them
         batches = -(-len(radii) // per_slot)
         run *= min(-(-batches // 2), _SPLIT_BYTES // (per_slot * 8 * math.prod(box_shape)))
-    slots = [(np.empty((per_slot,) + F.shape, dtype=np.complex128), np.empty((per_slot,) + box_shape[:-1] + (L,)),
-              None if kept is not None else np.empty((per_slot,) + F.shape)) for _ in range(1 + two)]
+    slots = [(np.empty((per_slot,) + F.shape, dtype=np.complex128), np.empty((per_slot,) + box_shape[:-1] + (L,)))
+             for _ in range(1 + two)]
     store = np.empty((run,) + box_shape) if run > per_slot else None  # made here, not in the worker's arena
 
     def worker_run(j: int) -> np.ndarray:

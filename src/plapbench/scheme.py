@@ -251,7 +251,7 @@ def _positivity_seed(
     out = []
     for pw, rhs in ((c.p, rf), (c.q, rg)):
         w = ctx.minimize(DirichletProblem(grid, pw, rhs, tol=solver_tol, max_iter=solver_max_iter))
-        out.append(ScalarField(grid, np.maximum(w.values, 0.0)))
+        out.append(ScalarField(grid, np.maximum(ctx.values(w), 0.0)))
     return out[0], out[1]
 
 
@@ -314,13 +314,14 @@ def picard_solve_level(
         rhs_f, rhs_g = _reactions(spec, u, v, eps)
         prob_u = DirichletProblem(grid, c.p, rhs_f, tol=step_tol, max_iter=solver_max_iter)
         prob_v = DirichletProblem(grid, c.q, rhs_g, tol=step_tol, max_iter=solver_max_iter)
-        u_t = ctx.minimize(prob_u, initial=u)
-        v_t = ctx.minimize(prob_v, initial=v)
-        inner_ok = u_t.converged and v_t.converged
+        res_u = ctx.minimize(prob_u, initial=u)
+        res_v = ctx.minimize(prob_v, initial=v)
+        inner_ok = res_u.converged and res_v.converged
+        u_t, v_t = ctx.values(res_u), ctx.values(res_v)
 
         while True:
-            u_new = ScalarField(grid, np.maximum((1.0 - tau) * u.values + tau * u_t.values, 0.0))
-            v_new = ScalarField(grid, np.maximum((1.0 - tau) * v.values + tau * v_t.values, 0.0))
+            u_new = ScalarField(grid, np.maximum((1.0 - tau) * u.values + tau * u_t, 0.0))
+            v_new = ScalarField(grid, np.maximum((1.0 - tau) * v.values + tau * v_t, 0.0))
             inc_p = w1p_norm(u_new - u, c.p)
             inc_q = w1p_norm(v_new - v, c.q)
             if inc_p + inc_q <= prev_inc or tau <= _TAU_MIN:

@@ -183,15 +183,8 @@ def test_radial_oracle_without_inner_cells_exits_2(tmp_path):
         assert not out.exists(), R
 
 
-@pytest.mark.parametrize("p", [2.0, 3.0])
-def test_solve_memory_stays_within_budget(tmp_path, p):
-    # traced peak of a whole CLI solve on the 3-D unit ball at 64^3, in full
-    # float64 grid arrays: the solution and the data, the solver's arrays on
-    # the ball's bounding box (1/8 of the grid), and nothing of grid size
-    # after the solve (the oracle reads only its inner ball's box).  The
-    # budgets sit 1 % and 3 % above the peaks of the solver with cell-shaped
-    # CG vectors (3.95 arrays at p = 2, 5.01 at p = 3)
-    n = 64
+def _ball_solve_peak(tmp_path, n, p):
+    """The traced peak of a CLI solve on the 3-D unit ball at n^3 cells, in full float64 grid arrays."""
     cfg = {
         "grid": {"N": 3, "extent": 2.0, "cells_per_axis": n},
         "p": p,
@@ -202,7 +195,29 @@ def test_solve_memory_stays_within_budget(tmp_path, p):
     }
     (code, _), peak = traced_peak(lambda: run(tmp_path, "solve", cfg))
     assert code == 0
-    assert peak <= {2.0: 3.99, 3.0: 5.16}[p] * 8 * n**3
+    return peak / (8 * n**3)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_solve_memory_stays_within_budget(tmp_path, p):
+    # traced peak of a whole CLI solve on the 3-D unit ball at 64^3: the data
+    # f (1.0) and the domain mask (0.125), the solver's arrays on the ball's
+    # bounding box (1/8 of the grid), and the solution's full-grid array,
+    # formed once the solver context and its operators are gone (the oracle
+    # reads only its inner ball's box).  At p = 2 the peak sits in the
+    # V-cycle's finest post-smoothing, at p = 3 in a Hessian apply.  The
+    # budgets sit 1 % and 3 % above the peaks, 3.305 and 4.786 arrays (3.77
+    # and 5.06 when the solver formed the full-grid field next to its operators)
+    assert _ball_solve_peak(tmp_path, 64, p) <= {2.0: 3.34, 3.0: 4.93}[p]
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_128_cell_ball_solve_memory_stays_within_budget(tmp_path, p):
+    # the same solve at 128^3, where the ball's bounding box holds a smaller
+    # share of the bordered crop: the peaks are 3.092 and 4.450 arrays (3.53
+    # and 4.71 when the solver formed the full-grid field next to its
+    # operators).  p = 2 is held 1 % above its peak; p = 3 to 4.50, 1.1 % above
+    assert _ball_solve_peak(tmp_path, 128, p) <= {2.0: 3.13, 3.0: 4.50}[p]
 
 
 def test_full_box_p2_solve_memory_stays_within_the_vcycle_peak(tmp_path):

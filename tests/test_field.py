@@ -88,6 +88,32 @@ def test_field_validation():
         f.values[0, 0] = 2.0  # stored array is read-only
 
 
+def test_fields_and_regions_do_not_change_under_their_holder():
+    # a view of a writeable array is copied, so a write through its base after
+    # construction reaches neither the values nor the mask and its count; an
+    # array that nothing else can write through (owned, or a view of read-only
+    # data) is frozen in place, without a copy
+    g = Grid(2, 1.0, 4)
+    base = np.zeros((6, 4))
+    f = ScalarField(g, base[:4])
+    vbase = np.zeros((4, 4, 2))
+    v = VectorField(g, vbase.reshape(-1).reshape(g.shape + (2,)))  # a view of a view
+    base[0, 0] = vbase[0, 0, 0] = 7.0
+    assert f.values[0, 0] == 0.0 and v.values[0, 0, 0] == 0.0
+    mb = np.ones((8, 4), dtype=bool)
+    r = Region(g, mb[:4])
+    mb[:4] = False
+    assert r.mask.all() and r.count == 16 and r.volume == 16 * g.cell_volume
+    owned = np.ones((4, 4))
+    assert ScalarField(g, owned).values is owned
+    read_only = np.ones((6, 4))
+    read_only.setflags(write=False)
+    assert ScalarField(g, read_only[:4]).values.base is read_only
+    mask = np.ones((4, 4), dtype=bool)
+    assert Region(g, mask).mask is mask
+    assert not (f.values.flags.writeable or r.mask.flags.writeable or owned.flags.writeable)
+
+
 def test_field_arithmetic_stays_on_grid():
     g = Grid(2, 1.0, 4)
     a = ScalarField(g, np.ones(g.shape))

@@ -437,6 +437,25 @@ def test_two_slot_profile_memory_stays_within_seven_spectra(monkeypatch):
     assert peak <= 7 * L * L * (L // 2 + 1) * 16, peak / (L * L * (L // 2 + 1) * 16)
 
 
+def test_one_off_64_cube_profile_holds_no_spectrum_buffer(monkeypatch):
+    # R = 1 on the 64^3 grid of half-width 2 needs an 80^3 lattice, one radius
+    # a slot.  A call that keeps no spectra builds each one in its slot's
+    # product buffer and multiplies the transform of f^2 into it in place, so
+    # the two slots hold a product and an irfft output each: the traced peak
+    # is 5.52 lattice spectra, 6.52 with a separate real spectrum per slot
+    monkeypatch.setattr(potential, "_kept", None)
+    monkeypatch.setattr(potential, "_last_key", None)
+    _schedule(monkeypatch, "two")
+    q = PotentialQuadrature()
+    potential_profile(ScalarField(Grid(3, 2.0, 8), np.ones((8,) * 3)), 1.0, q)  # starts the worker untraced
+    g = Grid(3, 2.0, 64)
+    f = ScalarField(g, np.ones(g.shape))
+    _, peak = traced_peak(lambda: potential_profile(f, 1.0, q))
+    L = 80
+    assert peak <= 5.6 * L * L * (L // 2 + 1) * 16, peak / (L * L * (L // 2 + 1) * 16)
+    assert potential._kept is None  # a one-off call keeps nothing
+
+
 def test_phase_a_sup_rounds_and_memory(monkeypatch):
     # the sup over B_1 with R = 2 on the 64^2 grid reads a 32^2 box through
     # the 80 x 41 lattice spectrum, 4 radii per transform call.  On two CPUs

@@ -643,11 +643,11 @@ def test_kept_context_solves_bit_identical():
             kept = ctx.minimize(prob, initial)
             own = _SolveContext(grid, domain.mask.copy()).minimize(prob, initial)
             u, rep = solve(prob, initial)
-            assert np.array_equal(kept.values, own.values) and np.array_equal(kept.values, u.values)
+            assert np.array_equal(ctx.values(kept), ctx.values(own)) and np.array_equal(ctx.values(kept), u.values)
             assert kept.energy_history == own.energy_history == rep.energy_history
             assert (len(kept.energy_history) - 1, ctx.work.cg_iterations - cg_before, kept.converged) == (
                 rep.iterations, rep.cg_iterations, rep.converged)
-        warm = ScalarField(grid, kept.values)
+        warm = ScalarField(grid, ctx.values(kept))
 
 
 def test_warm_start_reuses_the_linearization_exactly(monkeypatch):
@@ -665,9 +665,9 @@ def test_warm_start_reuses_the_linearization_exactly(monkeypatch):
     ctx = _SolveContext(grid, domain.mask.copy())
     cold = ctx.minimize(problems[0])
     assert not ctx.kept  # cold solves keep nothing
-    warm = ctx.minimize(problems[1], ScalarField(grid, cold.values))
+    warm = ctx.minimize(problems[1], ScalarField(grid, ctx.values(cold)))
     assert warm.converged and list(ctx.kept) == [(p, eps)]
-    u = ctx.vector(ScalarField(grid, warm.values))
+    u = ctx.vector(ScalarField(grid, ctx.values(warm)))
     assert _same_bytes(u, ctx.kept[p, eps].u)
 
     fv = ctx.vector(fields[2])
@@ -696,7 +696,7 @@ def test_warm_start_reuses_the_linearization_exactly(monkeypatch):
     # the next warm solve from the kept point: the same first energy as a
     # fresh context's, no weights computed at its start and no V-cycle built
     # for its first outer step
-    initial = ScalarField(grid, warm.values)
+    initial = ScalarField(grid, ctx.values(warm))
     own_ctx = _SolveContext(grid, domain.mask.copy())
     own = own_ctx.minimize(problems[2], initial)
     calls.clear()
@@ -735,7 +735,7 @@ def test_energy_history_is_each_iterates_energy():
     for k in range(1, outer + 1):
         cut = ctx.minimize(dataclasses.replace(prob, max_iter=k))
         assert cut.energy_history == whole.energy_history[: k + 1]
-        assert _same_bytes(cut.energy_history[-1], _energy(fresh, bordered(cut.values[ctx.crop]), fv, prob))
+        assert _same_bytes(cut.energy_history[-1], _energy(fresh, bordered(ctx.values(cut)[ctx.crop]), fv, prob))
 
 
 @settings(max_examples=30, deadline=None)
