@@ -211,7 +211,11 @@ def cmd_solve(cfg: dict, out: _OutputDir) -> int:
     grid = Grid(**cfg["grid"])
     dom = cfg["domain"]
     center = _point(None if dom is None else dom["center"], grid)
-    prob = DirichletProblem(
+    if cfg["radial_oracle"] is not None:
+        _oracle_cells(grid, cfg["radial_oracle"]["R"], center)  # a bad R fails before anything is written
+    # the problem is built in the call, so the solver holds its only reference and frees f once it is
+    # on the solver's crop (peak memory)
+    u, rep = solve(DirichletProblem(
         grid,
         cfg["p"],
         _field_from_spec(grid, cfg["field"], out.seed),
@@ -219,14 +223,11 @@ def cmd_solve(cfg: dict, out: _OutputDir) -> int:
         tol=cfg["tol"],
         max_iter=cfg["max_iter"],
         domain=None if dom is None else ball_mask(grid, center, dom["ball_radius"]),
-    )
-    if cfg["radial_oracle"] is not None:
-        _oracle_cells(grid, cfg["radial_oracle"]["R"], center)  # a bad R fails before anything is written
-    u, rep = solve(prob)
+    ))
     out.write("solution.fld", partial(save_field, u))
     report = asdict(rep)
     if cfg["radial_oracle"] is not None:
-        report["radial_linf_error"] = _radial_linf_error(u, prob.p, cfg["radial_oracle"]["R"], center)
+        report["radial_linf_error"] = _radial_linf_error(u, cfg["p"], cfg["radial_oracle"]["R"], center)
     out.write_json("solve_report.json", report)
     return 0 if rep.converged else 1
 

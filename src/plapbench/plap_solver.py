@@ -86,15 +86,18 @@ leaves float64's range raises ``SolverDivergenceError``.
 
 ``_SolveContext`` keeps what depends only on the grid and the free-cell mask
 (crop, free cells, discretization, and at p = 2 the unit-weight
-preconditioner: the exact inverse on a full box, else a V-cycle); only it
-reads f and the warm start, it returns the solution and the final residual on
-the crop, and it counts its solves' work where it happens (``SolverWork``).
-``solve`` builds one per call and reports its count; the context is freed
-before the weak residual, which pairs the last outer step's residual with the
-test functions, and before the solution is put on the full grid
-(``_on_grid``), so no full-grid array shares the peak with its operators.  The
-Picard scheme keeps one context per level, whose count is the level's, and
-reads each solution off it (``_SolveContext.values``).  A
+preconditioner: the exact inverse on a full box, else a V-cycle).  Only its
+load step (``load``) reads f and the warm start, onto the crop; the outer
+iteration (``iterate``) reads crop vectors and scalars alone.  It returns the
+solution and the final residual on the crop, and it counts its solves' work
+where it happens (``SolverWork``).  ``solve`` builds one per call and reports
+its count.  It lets go of the problem after the load step, so the full-grid f
+lives only as long as its caller holds it (the CLI holds none), and it frees
+the context before the weak residual, which pairs the last outer step's
+residual with the test functions, and before the solution is put on the full
+grid (``_on_grid``), so no full-grid array shares the peak with its
+operators.  The Picard scheme keeps one context per level, whose count is the
+level's, and reads each solution off it (``_SolveContext.values``).  A
 warm-started p != 2 solve there picks up where the last one at its p ended:
 from the same bytes it takes up that solve's linearization, which changes no
 bit, and its first outer step takes up that solve's last V-cycle.
@@ -837,6 +840,17 @@ class _Minimum(NamedTuple):
     energy_history: list[float]  # the energy at the start and after each outer step
 
 
+class _Start(NamedTuple):
+    """A problem and its warm start as ``_SolveContext.load`` reads them: crop vectors and scalars."""
+
+    fv: np.ndarray  # f, bordered on the crop
+    u: np.ndarray | None  # the warm start, bordered on the crop; None for the zero start
+    p: float
+    eps: float  # the resolved regularization
+    tol: float
+    max_iter: int
+
+
 class _Kept(NamedTuple):
     """What a warm-started p != 2 solve ended with, bordered on the crop, for the next one at its p and eps."""
 
@@ -896,9 +910,14 @@ class _SolveContext:
         return self._unit_weight_faces()
 
     @cached_property
+    def full(self) -> bool:
+        """Whether every cell of the grid is free."""
+        return bool(self.mask.all())
+
+    @cached_property
     def unit_precond(self) -> _SineInverse | _VCycle:
         """The unit-weight operator's exact inverse when the mask is the whole grid, else its V-cycle."""
-        if self.mask.all():
+        if self.full:
             return _SineInverse(self.disc)
         return self._vcycle(self.unit_faces)
 
@@ -920,22 +939,39 @@ class _SolveContext:
         return _Lagged(T, Q, density, np.subtract(r, fv, out=r))
 
     def minimize(self, prob: DirichletProblem, initial: ScalarField | None = None) -> _Minimum:
-        """The outer iteration of ``solve`` for a problem on this grid and mask; its iterate stays on the
-        crop, so no full-grid array is formed while this context's operators are alive."""
-        if prob.grid != self.grid or not np.array_equal(_free_mask(prob), self.mask):
-            raise ValueError("problem lives on another grid or mask than the solver context")
-        disc = self.disc
-        fv = self.vector(prob.f)
-        p, eps = prob.p, prob.resolved_eps
-        hvol = self.grid.cell_volume
-        self.work.solves += 1
+        """``load`` then ``iterate``: the outer iteration of ``solve`` for a problem on this grid and mask."""
+        return self.iterate(self.load(prob, initial))
 
+    def load(self, prob: DirichletProblem, initial: ScalarField | None = None) -> _Start:
+        """The problem and warm start read onto the crop, for ``iterate``.
+
+        Raises ValueError if the problem lives on another grid or free-cell mask;
+        a problem without a domain is compared through ``full``, so no grid-sized
+        temporary is formed for it."""
+        if prob.grid != self.grid or not (
+            self.full if prob.domain is None else np.array_equal(prob.domain.mask, self.mask)
+        ):
+            raise ValueError("problem lives on another grid or mask than the solver context")
+        fv = self.vector(prob.f)
+        u = None
         if initial is not None:
             _require_same_grid(initial, prob)
             u = self.vector(initial)
-        else:
+        return _Start(fv, u, prob.p, prob.resolved_eps, prob.tol, prob.max_iter)
+
+    def iterate(self, start: _Start) -> _Minimum:
+        """The outer iteration from a loaded start.  It reads crop vectors and scalars only, and its
+        iterate stays on the crop, so no full-grid array is formed while this context's operators are
+        alive."""
+        fv, u, p, eps, tol, max_iter = start
+        del start  # from ``minimize``, u is then the warm start's only reference, gone after the first step
+        disc = self.disc
+        hvol = self.grid.cell_volume
+        self.work.solves += 1
+
+        warm = u is not None and p != 2.0
+        if u is None:
             u = np.zeros(disc.size)
-        warm = initial is not None and p != 2.0
 
         cg_cap = max(2000, 40 * max(self.free.shape))
 
@@ -952,12 +988,12 @@ class _SolveContext:
         history = [energy(u, density=density)]  # and one more per outer step
         with np.errstate(over="ignore"):  # an overflow fails the check below
             # the certificate in Euclidean norm: ||r||_{L2} = sqrt(hvol) ||r||_2
-            target = prob.tol * (1.0 + math.sqrt(_dot(fv, fv) * hvol)) / math.sqrt(hvol)
+            target = tol * (1.0 + math.sqrt(_dot(fv, fv) * hvol)) / math.sqrt(hvol)
             rnorm = prev_rnorm = math.sqrt(_dot(r, r))
         if not (math.isfinite(target) and math.isfinite(rnorm)):
             # ||f||^2 or ||r||^2 overflows: inf > inf is false, so the loop would certify u
             raise SolverDivergenceError("the residual certificate leaves float64's range")
-        while rnorm > target and len(history) <= prob.max_iter:
+        while rnorm > target and len(history) <= max_iter:
             self.work.outer_steps += 1
             if seed:  # its unit-weight operators are not kept
                 T, Q = self._unit_weight_faces(), None
@@ -1016,17 +1052,25 @@ def solve(prob: DirichletProblem, initial: ScalarField | None = None) -> tuple[S
     after prob.max_iter steps.  ``iterations`` counts the steps taken and
     ``energy_history`` holds the energy before the first and after each.
 
-    The solver context is dropped before the returned field's full-grid array
-    is formed.  Raises SolverDivergenceError on non-finite values; never clips.
+    Memory contract: once f and the warm start are on the solver's crop,
+    ``solve`` holds no reference to ``prob`` or ``initial``; of the problem it
+    keeps the grid, p and the free-cell mask.  A caller that holds no
+    reference to the problem either, as in ``solve(DirichletProblem(...))``,
+    has its full-grid f freed before the first face weights or preconditioner
+    exist.  The solver context is dropped before the returned field's
+    full-grid array is formed.
+    Raises SolverDivergenceError on non-finite values; never clips.
     """
-    mask = _free_mask(prob)
-    ctx = _SolveContext(prob.grid, mask)
-    res = ctx.minimize(prob, initial)
+    grid, p, mask = prob.grid, prob.p, _free_mask(prob)
+    ctx = _SolveContext(grid, mask)
+    start = ctx.load(prob, initial)
+    del prob, initial  # the last references this call holds to the full-grid f (peak memory)
+    res = ctx.iterate(start)
     work, crop, free, cells = ctx.work, ctx.crop, ctx.free, ctx.disc.cells(res.u)
-    del ctx  # its operators and V-cycles go before the weak residual and the full-grid field (peak memory)
+    del ctx, start  # the operators, V-cycles and f on the crop go before the weak residual and the full-grid field
     report = SolveReport(work.outer_steps, res.energy_history[-1], res.energy_history,
-                         _weak_residual(prob.grid, mask, res.residual, prob.p), res.converged, work.cg_iterations)
-    return ScalarField(prob.grid, _on_grid(prob.grid, crop, free, cells)), report
+                         _weak_residual(grid, mask, res.residual, p), res.converged, work.cg_iterations)
+    return ScalarField(grid, _on_grid(grid, crop, free, cells)), report
 
 
 def _test_functions(grid: Grid, free: np.ndarray) -> Iterator[tuple[tuple[slice, ...], np.ndarray]]:

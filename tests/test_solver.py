@@ -12,6 +12,7 @@ strided reference."""
 import dataclasses
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -818,6 +819,39 @@ def test_context_refuses_another_grid_or_mask():
         with pytest.raises(ValueError):
             ctx.minimize(prob)
     assert ctx.minimize(DirichletProblem(grid, 2.0, f, domain=ball)).converged
+    # a full-box context: a problem without a domain, or with a domain whose mask is all True, fits it
+    box = _SolveContext(grid, np.ones(grid.shape, dtype=bool))
+    with pytest.raises(ValueError):
+        box.minimize(DirichletProblem(grid, 2.0, f, domain=ball))
+    assert box.minimize(DirichletProblem(grid, 2.0, f)).converged
+    everywhere = Region(grid, np.ones(grid.shape, dtype=bool))
+    assert box.minimize(DirichletProblem(grid, 2.0, f, domain=everywhere)).converged
+    with pytest.raises(ValueError):
+        ctx.minimize(DirichletProblem(grid, 2.0, f, domain=everywhere))
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_solve_frees_an_unheld_problems_f_before_its_first_cg_run(monkeypatch, p):
+    # solve's memory contract: a problem built in the call has its full-grid f
+    # freed once f is on the solver's crop, before the first operator exists
+    grid = Grid(2, 2.0, 24)
+    ball = ball_mask(grid, (0.0, 0.0), 0.9)
+    refs, alive = [], []
+    pcg = plap_solver._pcg
+
+    def problem():
+        f = ScalarField(grid, np.where(ball.mask, 1.0, 0.0))
+        refs.append(weakref.ref(f.values))
+        return DirichletProblem(grid, p, f, tol=1e-9, domain=ball)
+
+    def spy(*args, **kwargs):
+        alive.append(refs[0]() is not None)
+        return pcg(*args, **kwargs)
+
+    monkeypatch.setattr(plap_solver, "_pcg", spy)
+    _, rep = solve(problem())
+    assert rep.converged
+    assert alive[0] is False
 
 
 def test_local_minimality_nonlinear():
