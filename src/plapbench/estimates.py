@@ -40,11 +40,11 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from .discretization import _stress_values
 from .field import (
     Region,
     ScalarField,
     VectorField,
-    _stress_values,
     ball_mask,
     cutoff_eta,
     delta_h,
@@ -232,9 +232,7 @@ def comptest_chain(
     context carries the cutoff-weighted intermediate integrals (the discrete
     analogs of testing with eta^2 delta_h u and its -h translate) for audit.
     They do not balance: the one-sided gradient has no discrete product
-    rule, and the gap eq_weighted + eq_cross - eq_reaction is larger past one
-    cell (on the 64^2 scheme levels, +5.0 to +7.5 % of |eq_reaction| at
-    h = (1, 0), -29 to -50 % at h = (2, 0), (4, 0) and (8, 0)).
+    rule, so the gap eq_weighted + eq_cross - eq_reaction is not zero.
     """
     if u_n.grid != f_n.grid:
         raise ValueError("u and f live on different grids")

@@ -29,6 +29,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .discretization import _gradient_values
+
 _MAGIC = b"PLAPFLD1"
 _HEADER = struct.Struct("<8sIIdI")  # magic, N, cells_per_axis, extent, n_components
 
@@ -64,10 +66,6 @@ class Grid:
     def axis_centers(self) -> np.ndarray:
         h = self.spacing
         return -self.extent + (np.arange(self.cells_per_axis) + 0.5) * h
-
-    def centers(self) -> list[np.ndarray]:
-        """Full coordinate arrays, one per axis, each of shape ``grid.shape``."""
-        return list(np.meshgrid(*([self.axis_centers()] * self.N), indexing="ij"))
 
     def open_centers(self) -> list[np.ndarray]:
         """Axis coordinates shaped to broadcast against each other (no full arrays)."""
@@ -181,12 +179,6 @@ def _require_same_grid(a, b) -> None:
         raise ValueError("fields live on different grids")
 
 
-def _axslice(ndim: int, axis: int, sl: slice | np.ndarray) -> tuple:
-    idx: list = [slice(None)] * ndim
-    idx[axis] = sl
-    return tuple(idx)
-
-
 def _bbox_slices(mask: np.ndarray) -> tuple[slice, ...]:
     """The bounding box of the True cells of a nonempty mask, one slice per axis."""
     nd = mask.ndim
@@ -215,34 +207,9 @@ def ball_mask(grid: Grid, center: Sequence[float], radius: float) -> Region:
     return Region(grid, mask)
 
 
-def _gradient_values(vals: np.ndarray, h: float) -> np.ndarray:
-    """Forward differences per axis, backward in the last layer, on any box shape."""
-    nd = vals.ndim
-    out = np.empty(vals.shape + (nd,))
-    for k in range(nd):
-        d = np.diff(vals, axis=k) / h
-        out[..., k][_axslice(nd, k, slice(None, -1))] = d
-        out[..., k][_axslice(nd, k, slice(-1, None))] = d[_axslice(nd, k, slice(-1, None))]
-    return out
-
-
 def gradient(u: ScalarField) -> VectorField:
-    """Cell-centered one-sided gradient.
-
-    Forward differences (u(x + h e_k) - u(x))/h per axis; the last cell layer
-    along each axis, where no forward neighbor exists, uses the backward
-    difference instead.
-    """
+    """Cell-centered one-sided gradient, the stencil of ``discretization._gradient_values``."""
     return VectorField(u.grid, _gradient_values(u.values, u.grid.spacing))
-
-
-def _stress_values(a: np.ndarray, p: float) -> np.ndarray:
-    """|a|^{p-2} a on the last axis, 0 at a = 0."""
-    mag2 = np.einsum("...k,...k->...", a, a)
-    factor = np.zeros_like(mag2)
-    nz = mag2 > 0.0
-    factor[nz] = mag2[nz] ** (0.5 * (p - 2.0))
-    return a * factor[..., None]
 
 
 def _magnitude(field: Field, region: Region | None = None) -> np.ndarray:

@@ -1,128 +1,41 @@
-"""Regularized p-Laplacian Dirichlet solver on the truncated box.
+"""Regularized p-Laplacian Dirichlet solver on the truncated box: the iteration on ``discretization``'s stencil.
 
-Solves  -div(|grad u|^{p-2} grad u) = f  with zero Dirichlet data on the
-boundary of the free region (the whole box, or an optional cell mask such
-as a ball) by minimizing the regularized energy
+``solve`` minimizes the regularized energy of ``discretization`` for
+-div(|grad u|^{p-2} grad u) = f with zero Dirichlet data off the free cells
+of a ``DirichletProblem`` (the whole box, or a cell mask such as a ball),
+and reports what it did (``SolveReport``).  Its one stopping rule is the
+residual certificate ||A(u) u - f||_{L2} <= tol (1 + ||f||_{L2}).
+``weak_residual`` pairs a solution's residual with a family of test
+functions.  Where each part lives:
 
-    E(u) = sum_cells [ phi_eps(|Du|^2) - f u ] h^N,
-    phi_eps(s) = ((s + eps^2)^{p/2} - eps^p)/p.
+- ``_SolveContext``: what every solve on one grid and free-cell mask
+  shares; its ``load`` puts f and the warm start on the crop to the free
+  bounding box, and its ``iterate`` runs the outer iteration, Newton steps
+  for p != 2 and one CG run at p = 2, each moved along by ``_line_step``.
+  ``SolverWork`` counts its work.
+- ``_pcg``: the preconditioned conjugate gradients of every outer step.
+- ``_VCycle`` (with ``_coarsen``, ``_coarse_residual``, ``_smooth``,
+  ``_prolong`` and ``_dense_inverse``): the aggregation multigrid
+  preconditioner of the lagged-diffusivity operator, run in float32.
+- ``_SineInverse``: the exact inverse that preconditions a p = 2 solve on a
+  full box.
+- ``exact_radial``: the radial solution of -Delta_p u = 1 on a ball, an exact reference.
 
-The discrete gradient entering the energy is the average of the two
-one-sided (forward/backward) differences per axis; a difference that
-crosses into a constrained cell is taken to the Dirichlet value over the
-half spacing h/2, i.e. to the cell face where the boundary actually sits.
-Both differences are read off G_k, the jumps of u across the cell faces,
-and every formula on them (magnitudes, weights, density, Hessian) is written
-once, in a loop over the two sides (``_Discretization``).  For p = 2 this is
-exactly the standard finite-volume 5/7-point scheme with face-centered
-Dirichlet data; the plain forward-difference energy would be
-reflection-asymmetric (Neumann on one side of every axis) and visibly skews
-radial solutions, so the symmetric form is used throughout.
-
-Symmetry caveat: grouping all forward differences into one gradient
-magnitude and all backward ones into another makes the energy exactly
-invariant under axis transpositions and under the full point reflection
-x -> -x, but only asymptotically invariant under a single-axis reflection
-when p != 2 (the flip maps the forward magnitude to a mixed forward/backward
-mix, and phi_eps is nonlinear).  On radial problems the resulting axis-flip
-asymmetry of the minimizer is a discretization effect that shrinks under
-refinement and vanishes identically at p = 2.
-
-Outer iteration: Newton steps on the lagged-diffusivity (Kacanov) V-cycle.
-Freeze the weights (|Du|^2+eps^2)^{(p-2)/2} at u into one weight T_k per face:
-the flux form A_T = -sum_k diff(T_k G_k) is the Kacanov operator.  For
-p != 2 each outer step solves H d = -r with the energy's exact Hessian at u,
-H = A_T plus a rank-one term per cell and side (``_Discretization.hessian``,
-matrix free), by conjugate gradients preconditioned by the V-cycle of A_T,
-which is spectrally equivalent to H within [min(1, p-1), max(1, p-1)]
-(Huang, Li & Liu, J. Sci. Comput. 32, 2007).  The CG stops once its
-residual falls by the forcing factor eta (Eisenstat-Walker, see _ETA).  A
-Newton CG that breaks down is replaced by the Kacanov step, A_T d = -r; from a
-zero start at p > 2 the first step is a Kacanov step on unit weights.  The
-iterate moves along d by the slopes <grad E(u + s d), d>, exact since
-grad E(v) = h^N (A(v) v - f): the full step stands when its slope is not
-positive, or when it is small and the energy fell by Armijo's fraction
-(``_line_step``); otherwise a secant finds the slope's zero.  The one
-stopping rule is the residual certificate ||A(u) u - f||_{L2} <= tol
-(1 + ||f||_{L2}).  At p = 2 the weights are 1, H = A_T and the system is
-linear, so the CG runs once, to half the certificate; phi_eps(s) = s/2, so
-the energy density is the frozen quadratic (1/2) <u, A_T u>, read off the
-apply that forms the residual.  When every cell of the grid is free (the
-domain is the whole box), that CG is preconditioned by the unit-weight
-operator's exact inverse, a sine transform per axis (``_SineInverse``, the
-fast Poisson solver), so its first iterate is the solution and it stops
-after one iteration; on any other domain, by the V-cycle.  The V-cycle is a
-symmetric aggregation cycle built once per outer step from the face weights
-(at p = 2 once per solver context; for warm solves see below): 2^N box
-aggregates, Galerkin coarse operators that are again flux forms (plus a
-sink per cell, no stored matrix), degree-2 Chebyshev smoothing in D^-1 A
-(Adams, Brezina, Hu & Tuminaro, J. Comput. Phys. 188, 2003) and an
-over-corrected coarse step (Notay, ETNA 37, 2010; Braess, Computing 55,
-1995), so the iterations per outer step do not grow with the grid size.
-Coarsening stops at the first level with at most _DENSE_CELLS free cells,
-solved exactly by an inverse that LAPACK forms once per cycle.  What the
-hierarchy takes from the free mask alone (the coarse forms, their face masks
-and the dense level's indices) is cached on the forms, so the solver
-context's discretization builds it once for all its cycles.
-
-Every solver vector is bordered (``_FluxForm``): u, f, the residuals, the
-CG's vectors, the operator and Hessian results and the V-cycle's input and
-output are flat arrays of (n + 2)^N cells in C order, the box inside a zero
-border, so each face difference, flux and divergence is one contiguous pass.
-Every one is +0 off the free cells, so an inner product (``_dot``) sums the
-product of the two flat arrays, which numpy's pairwise sum adds in a fixed
-tree.
-
-Precision: the V-cycle runs every level in float32 (``_CYCLE_DTYPE``); the
-CG, the operator and Hessian applies, the residuals, the certificate and
-every artifact stay float64.  The cycle only has to be SPD and close to the
-inverse, and its kernels stream memory, so half the bytes make it faster
-(Kronbichler & Ljungkvist, ACM TOPC 6, 2019).  It stores its weights, and
-takes each residual, scaled by powers of two in float64, so float32 sees
-numbers near 1 whatever the data's scale (f = 1e100 at p = 2, 1e80 at
-p = 3), and it undoes the scaling exactly; its diagonal is clamped at
-float32's smallest normal number.  A certificate whose ||f||^2 or ||r||^2
-leaves float64's range raises ``SolverDivergenceError``.
-
-``_SolveContext`` keeps what depends only on the grid and the free-cell mask
-(crop, free cells, discretization, and at p = 2 the unit-weight
-preconditioner: the exact inverse on a full box, else a V-cycle).  Only its
-load step (``load``) reads f and the warm start, onto the crop; the outer
-iteration (``iterate``) reads crop vectors and scalars alone.  It returns the
-solution and the final residual on the crop, and it counts its solves' work
-where it happens (``SolverWork``).  ``solve`` builds one per call and reports
-its count.  It lets go of the problem after the load step, so the full-grid f
-lives only as long as its caller holds it (the CLI holds none), and it frees
-the context before the weak residual, which pairs the last outer step's
-residual with the test functions, and before the solution is put on the full
-grid (``_on_grid``), so no full-grid array shares the peak with its
-operators.  The Picard scheme keeps one context per level, whose count is the
-level's, and reads each solution off it (``_SolveContext.values``).  A
-warm-started p != 2 solve there picks up where the last one at its p ended:
-from the same bytes it takes up that solve's linearization, which changes no
-bit, and its first outer step takes up that solve's last V-cycle.
+Every solver vector lives in the bordered layout of
+``discretization._FluxForm`` and is +0 off the free cells.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
-from operator import iadd
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from functools import cached_property, partial
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .field import (
-    Grid,
-    Region,
-    ScalarField,
-    _axslice,
-    _bbox_slices,
-    _cutoff_values,
-    _gradient_values,
-    _require_same_grid,
-)
+from .discretization import _Curvature, _Discretization, _FluxForm, _axslice, _gradient_values, _pair_sums
+from .field import Grid, Region, ScalarField, _bbox_slices, _cutoff_values, _require_same_grid
 
 
 class SolverDivergenceError(RuntimeError):
@@ -194,250 +107,12 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b))
 
 
-class _FluxForm:
-    """The flux-form operator -sum_k diff(T_k G_k) + S u on the free cells of a box.
-
-    G_k = diff(u, axis=k, prepend=0, append=0) are the jumps of u across the
-    n + 1 faces per axis, T_k holds one weight per face and S (None: no sink)
-    one weight per cell.  Rows of constrained cells are zero and their diagonal
-    entries 1, so every level of the multigrid hierarchy is one of these.
-
-    Bordered layout, the one every solver vector lives in: u goes into the
-    interior of a zero border, the box of (n + 2)^N cells flattened in C
-    order, in which axis k has the stride s_k.  The face between bordered
-    cells j and j + s_k is stored at index j, so with P the bordered u,
-    G_k = P[s_k:] - P[:-s_k], and the divergence of a face array F is
-    out[s_k:-s_k] -= F[s_k:], then out[s_k:-s_k] += F[:-s_k]: every pass runs
-    over contiguous memory.  T_k and S are flat arrays of the bordered size,
-    zero off the box's faces and cells; ``face_view`` and ``cells`` are their
-    face- and cell-shaped views.  No inner product needs the views: a
-    solver vector is +0 off the free cells, so ``_dot`` sums it flat.
-    """
-
-    def __init__(self, free: np.ndarray):
-        self.free = free
-        nd = self.ndim = free.ndim
-        self.bordered = tuple(n + 2 for n in free.shape)
-        self.size = math.prod(self.bordered)
-        self.strides = [math.prod(self.bordered[k + 1:]) for k in range(nd)]
-        self._interior = (slice(1, -1),) * nd
-        self._faces = [tuple(slice(None, -1) if i == k else slice(1, -1) for i in range(nd)) for k in range(nd)]
-        self.inside = self.bordered_copy(free)
-        self.outside = ~self.inside
-
-    def cells(self, x: np.ndarray) -> np.ndarray:
-        """The cell-shaped view of a bordered array."""
-        return x.reshape(self.bordered)[self._interior]
-
-    def face_view(self, t: np.ndarray, k: int) -> np.ndarray:
-        """The face-shaped view (n + 1 faces along axis k) of a bordered face array of axis k."""
-        return t.reshape(self.bordered)[self._faces[k]]
-
-    def bordered_copy(self, x: np.ndarray) -> np.ndarray:
-        """A cell-shaped array in the bordered layout, zero on the border, in x's dtype."""
-        out = np.zeros(self.size, x.dtype)
-        self.cells(out)[...] = x
-        return out
-
-    def free_rows(self, out: np.ndarray) -> np.ndarray:
-        """out, bordered, with +0 on the border and in the rows of constrained cells, in place."""
-        np.copyto(out, 0.0, where=self.outside)
-        return out
-
-    def apply(self, P: np.ndarray, T: list[np.ndarray], S: np.ndarray | None = None) -> np.ndarray:
-        """Gradient of the frozen quadratic, -sum_k diff(T_k G_k) + S P (no h^N), in P's dtype.
-
-        P and the result are bordered; P is zero on the border, and the
-        result's entries off the free cells are not zeroed (``free_rows``).
-        """
-        out = np.zeros(self.size, P.dtype) if S is None else S * P
-        buf = np.empty(self.size, P.dtype)
-        for s, t in zip(self.strides, T):
-            TG = np.subtract(P[s:], P[:-s], out=buf[:-s])
-            TG *= t[:-s]
-            out[s:-s] -= TG[s:]
-            out[s:-s] += TG[:-s]
-        return out
-
-    def diagonal(self, T: list[np.ndarray], S: np.ndarray | None = None) -> np.ndarray:
-        """The operator's diagonal, bordered, in T's dtype, at least that dtype's smallest normal number."""
-        diag = np.zeros(self.size, T[0].dtype) if S is None else S.copy()
-        for s, t in zip(self.strides, T):
-            diag[s:] += t[:-s] + t[s:]  # the cell's lower and upper face
-        diag[self.outside] = 1.0
-        return np.maximum(diag, np.finfo(diag.dtype).tiny)
-
-    def matrix(self, T: list[np.ndarray], S: np.ndarray | None = None) -> np.ndarray:
-        """The operator on the free cells (in C order) as a dense float64 matrix; its diagonal is not clamped."""
-        cells = self.free_cells
-        faces, offsets = self._off_diagonal
-        m = cells.size
-        T = [t.astype(np.float64) for t in T]
-        M = np.zeros(m * m)
-        w = np.concatenate([t[j] for t, j in zip(T, faces)])
-        M[offsets] = -np.concatenate((w, w))
-        diag = M[:: m + 1]
-        if S is not None:
-            diag += S[cells]
-        for s, t in zip(self.strides, T):
-            diag += t[cells - s] + t[cells]  # the cell's lower and upper face, summed as in ``diagonal``
-        return M.reshape(m, m)
-
-    @cached_property
-    def free_cells(self) -> np.ndarray:
-        """The bordered indices of the free cells, in C order."""
-        return np.flatnonzero(self.inside)
-
-    @cached_property
-    def _off_diagonal(self) -> tuple[list[np.ndarray], np.ndarray]:
-        """For ``matrix``: per axis the faces between two free cells, and those faces' flat positions
-        in the matrix, above the diagonal, then below it."""
-        cells = self.free_cells
-        row = np.zeros(self.size, np.intp)
-        row[cells] = np.arange(cells.size)
-        faces = [np.flatnonzero(self.inside[:-s] & self.inside[s:]) for s in self.strides]
-        below = np.concatenate([row[j] for j in faces])
-        above = np.concatenate([row[j + s] for s, j in zip(self.strides, faces)])
-        return faces, np.concatenate((below * cells.size + above, above * cells.size + below))
-
-    @cached_property
-    def coarse(self) -> _FluxForm:
-        """The form on the 2^N box aggregates of ``_coarsen``, built once per form."""
-        return _FluxForm(_pair_sums(self.free, range(self.ndim)))
-
-    @cached_property
-    def ends(self) -> list[np.ndarray]:
-        """Per axis, True on the faces where the free region ends (exactly one side free), aligned with the faces."""
-        return [self.inside[s:] != self.inside[:-s] for s in self.strides]
-
-
-class _Curvature(NamedTuple):
-    """The rank-one part of the energy's Hessian: the sign of p - 2 and the vectors q of each side.
-
-    q[i][k] belongs to side i (``_Discretization.sides``) and is aligned with
-    the faces of axis k: its entry j belongs to the cell whose difference on
-    that side crosses face j, the bordered cell j forward and j + s_k backward.
-    """
-
-    sign: float
-    q: list[list[np.ndarray]]
-
-
-class _Discretization(_FluxForm):
-    """Face differences G_k = diff(u, axis=k, prepend=0, append=0), n + 1 per axis, read one side at a time.
-
-    A cell's forward difference is c times the jump across its upper face and
-    its backward one c times the jump across its lower face, with c = 1/h, or
-    2/h across a face that ends the free region (the Dirichlet value sits on
-    that face, h/2 away), and c = 0 on constrained cells (``coefficient``).
-    Each side of ``sides``, forward then backward, holds per axis k the slice
-    that aligns a bordered cell array with the faces of axis k, [:-s_k] or
-    [s_k:], and each per-side formula is one loop over the sides.  Frozen
-    weights w give one weight per face, T_k = the sum over the sides of
-    w c^2/2 from the face's cell on that side; the frozen quadratic is
-    (1/2) sum_k sum_faces T_k G_k^2 and its gradient -sum_k diff(T_k G_k).
-    """
-
-    def __init__(self, free: np.ndarray, h: float):
-        super().__init__(free)
-        self.h = h
-        self.sides = [[slice(None, -s) for s in self.strides], [slice(s, None) for s in self.strides]]
-
-    def coefficient(self, k: int, side: list[slice]) -> np.ndarray:
-        """c of a side's differences along axis k (``side`` is one of ``sides``), aligned with the faces of axis k."""
-        # inside (1 + ends) / h, formed in one array
-        c = 1.0 + self.ends[k]
-        c *= self.inside[side[k]]
-        c /= self.h
-        return c
-
-    def _face_diffs(self, P: np.ndarray) -> Iterator[np.ndarray]:
-        """G_k of a bordered P for k = 0, ..., N - 1, one at a time."""
-        for s in self.strides:
-            yield P[s:] - P[:-s]
-
-    def energy(self, u: np.ndarray, fvals: np.ndarray, h_vol: float, density: float) -> float:
-        """E(u) for bordered u and f values, from the energy density sum at u that ``lagged`` forms."""
-        val = h_vol * (density - _dot(fvals, u))
-        if not np.isfinite(val):
-            raise SolverDivergenceError("non-finite energy")
-        return val
-
-    def linearize(self, u: np.ndarray, p: float, eps: float) -> tuple[list[np.ndarray], _Curvature, float]:
-        """Per side, the lagged weights w = (|g|^2+eps^2)^{(p-2)/2} of the side's gradient g at u (bordered,
-        +0 off the free cells); the rank-one part of the energy's Hessian there; and the energy density sum.
-
-        Per side the density phi_eps(|g|^2)/2 has the Hessian (w/2) (I + (p-2) g g^T/(|g|^2+eps^2))
-        in g, so the energy's Hessian is A_T plus, per side, the form
-        sign (sum_k q_k G_k(v))^2 with q_k = sqrt(|p-2|/2) (|g|^2+eps^2)^{(p-4)/4} c_k g_k
-        (``hessian``).  The products c_k g_k are kept and scaled into q in place,
-        after the density is formed from the squared magnitudes.
-        """
-        m2 = [np.zeros(self.size) for _ in self.sides]
-        q = [[] for _ in self.sides]
-        for k, G in enumerate(self._face_diffs(u)):
-            for m, qs, side in zip(m2, q, self.sides):
-                c = self.coefficient(k, side)
-                g = c * G
-                m[side[k]] += g * g
-                g *= c
-                qs.append(g)
-        e2 = eps * eps
-        w = [self.free_rows((m + e2) ** (0.5 * (p - 2.0))) for m in m2]
-        # each side's phi_eps(|g|^2)/2, summed over the whole cell box with the constrained cells zeroed
-        dens = 0.5 * reduce(iadd, ((self.cells(m) + e2) ** (0.5 * p) - eps**p for m in m2)) / p
-        dens[self.cells(self.outside)] = 0.0
-        density = float(np.sum(dens))
-        for m, qs, side in zip(m2, q, self.sides):
-            m += e2
-            # in place; at eps = 0 a cell without gradient keeps q = 0, not 0 * inf
-            np.power(m, 0.25 * (p - 4.0), out=m, where=m > 0.0)
-            m *= math.sqrt(0.5 * abs(p - 2.0))
-            for qk, faces_k in zip(qs, side):
-                qk *= m[faces_k]
-        return w, _Curvature(math.copysign(1.0, p - 2.0), q), density
-
-    def faces(self, w: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Per-face weights T_k of the frozen quadratic from each side's per-cell weights, all bordered."""
-        half = [x * 0.5 for x in w]
-        T = []
-        for k, s in enumerate(self.strides):
-            t = np.zeros(self.size)
-            for half_w, side in zip(half, self.sides):
-                # w c^2/2 from the face's cell on this side
-                c = self.coefficient(k, side)
-                c *= c
-                c *= half_w[side[k]]
-                t[:-s] += c
-            T.append(t)
-        return T
-
-    def hessian(self, v: np.ndarray, T: list[np.ndarray], Q: _Curvature) -> np.ndarray:
-        """The energy's Hessian (no h^N) at the point of T and Q, applied to a bordered v; +0 off the free cells.
-
-        ``apply(v, T)`` plus the face fluxes of the rank-one part: with
-        t = sign sum_k q_k G_k(v) per side, each side puts t q_k on the face of
-        axis k that its differences cross.
-        """
-        out = np.zeros(self.size)
-        sums = [np.zeros(self.size) for _ in self.sides]
-        for k, (s, t, TG) in enumerate(zip(self.strides, T, self._face_diffs(v))):
-            for total, q, side in zip(sums, Q.q, self.sides):
-                total[side[k]] += q[k] * TG
-            TG *= t[:-s]
-            out[s:-s] -= TG[s:]
-            out[s:-s] += TG[:-s]
-        for total in sums:
-            total *= Q.sign
-        # a face on the box's edge also takes the border cell's product, a
-        # zero of either sign; out starts at +0 and so never holds -0, which
-        # keeps that sign out of the result
-        for k, s in enumerate(self.strides):
-            flux = reduce(iadd, (total[side[k]] * q[k] for total, q, side in zip(sums, Q.q, self.sides)))
-            out[s:-s] -= flux[s:]
-            out[s:-s] += flux[:-s]
-            del flux  # gone before the next axis's products are formed (peak memory)
-        return self.free_rows(out)
+def _energy(u: np.ndarray, fvals: np.ndarray, h_vol: float, density: float) -> float:
+    """E(u) for bordered u and f values, from the energy density sum at u that ``_SolveContext.lagged`` forms."""
+    val = h_vol * (density - _dot(fvals, u))
+    if not np.isfinite(val):
+        raise SolverDivergenceError("non-finite energy")
+    return val
 
 
 # V(2,2) cycle: each level smooths before and after its coarse correction
@@ -450,7 +125,8 @@ class _Discretization(_FluxForm):
 # smoothing step from the residual r0 is 2 t - _CHEB_K w A t with
 # t = w r0 and w = _CHEB_SCALE D^-1 (``_smooth``).  The coarse step is scaled
 # by _ALPHA because the piecewise-constant Galerkin operator is about twice too
-# stiff for a Laplacian.  Coarsening stops at the first level with at most
+# stiff for a Laplacian (an over-corrected coarse step: Notay, ETNA 37, 2010;
+# Braess, Computing 55, 1995).  Coarsening stops at the first level with at most
 # _DENSE_CELLS free cells, which is solved exactly by its stored inverse: at
 # that size LAPACK's inverse has the same bits whatever OPENBLAS_NUM_THREADS
 # is, and one product costs less than one smoothing step
@@ -462,6 +138,8 @@ _ALPHA = 1.8
 _DENSE_CELLS = 64
 # the V-cycle's arithmetic: a preconditioner need only be SPD and close to the
 # inverse, and the cycle's kernels stream memory, so half the bytes pay
+# (Kronbichler & Ljungkvist, ACM TOPC 6, 2019).  The CG, the operator and
+# Hessian applies, the residuals, the certificate and every artifact stay float64
 _CYCLE_DTYPE = np.float32
 # forcing term: each outer step's CG solve stops once its residual is a
 # fraction eta of the nonlinear residual at u, so the linear solves are only
@@ -477,15 +155,6 @@ _ETA_MIN = 1e-3
 # _FLAT |slope at 0| and the energy fell by Armijo's _ARMIJO h^N |slope at 0|
 _FLAT = 0.1
 _ARMIJO = 1e-4
-
-
-def _pair_sums(x: np.ndarray, axes: Iterable[int]) -> np.ndarray:
-    """Sums of neighbouring pairs along ``axes``; an odd axis keeps its last layer alone."""
-    for k in axes:
-        odd = x[_axslice(x.ndim, k, slice(1, None, 2))]
-        x = x[_axslice(x.ndim, k, slice(None, None, 2))].copy()
-        x[_axslice(x.ndim, k, slice(None, odd.shape[k]))] += odd
-    return x
 
 
 def _coarsen(form: _FluxForm, T: list[np.ndarray], S: np.ndarray | None) -> tuple[list[np.ndarray], np.ndarray]:
@@ -577,7 +246,11 @@ class _VCycle:
     before starts from z = 0, whose residual is r, so it needs no apply to
     form it.  The cycle is a fixed linear map, symmetric positive definite
     whenever the operator is, and serves as the conjugate-gradient
-    preconditioner.
+    preconditioner, so the CG iterations per outer step do not grow with the
+    grid size.  What the hierarchy takes from the free mask alone (the coarse
+    forms, their face masks and the dense level's indices) is cached on the
+    forms, so a solver context's discretization builds it once for all its
+    cycles.
 
     Every smoothed level keeps its weights, sink and Chebyshev weights
     w = _CHEB_SCALE D^-1 in the bordered layout, w zero off the free cells,
@@ -668,7 +341,8 @@ class _SineInverse:
     Golub & Nielson (SIAM J. Numer. Anal. 7, 1970), for any n, odd or even.
     Each transform is numpy's real FFT of length 2n along one axis at a time
     (no BLAS, so no thread count changes a bit), and its phase is applied
-    in place.
+    in place.  A CG preconditioned by it takes one iteration: its first
+    iterate is the solution.
     """
 
     def __init__(self, disc: _Discretization):
@@ -879,7 +553,9 @@ class _SolveContext:
     bytes-equal iterate takes up its face weights, curvature and density, which
     changes no bit, and the first outer step preconditions with its V-cycle
     instead of building one.  Cold solves keep nothing.  ``work`` counts the
-    work of every solve on the context.
+    work of every solve on the context.  The Picard scheme keeps one context
+    per level, whose count is the level's, and reads each solution off it
+    (``values``).
     """
 
     def __init__(self, grid: Grid, mask: np.ndarray):
@@ -962,7 +638,19 @@ class _SolveContext:
     def iterate(self, start: _Start) -> _Minimum:
         """The outer iteration from a loaded start.  It reads crop vectors and scalars only, and its
         iterate stays on the crop, so no full-grid array is formed while this context's operators are
-        alive."""
+        alive.
+
+        Each outer step freezes the weights at u into the face weights T (``lagged``), whose flux form
+        A_T is the lagged-diffusivity (Kacanov) operator.  For p != 2 it is a Newton step: H d = -r with
+        the energy's exact Hessian H at u (``_Discretization.hessian``, matrix free), by CG to the
+        forcing factor of ``_ETA``, preconditioned by a V-cycle of A_T (built for the step, or taken up
+        by a warm solve's first step), which is spectrally equivalent to H within
+        [min(1, p-1), max(1, p-1)] (Huang, Li & Liu, J. Sci. Comput. 32, 2007).  A Newton CG that breaks
+        down is replaced by the Kacanov step A_T d = -r; from a zero start at p > 2 the first step is a
+        Kacanov step on unit weights.  At p = 2 the weights are 1, H = A_T and the system is linear, so
+        the CG runs once, to half the certificate, on the context's ``unit_precond``.  ``_line_step``
+        then moves the iterate along d.
+        """
         fv, u, p, eps, tol, max_iter = start
         del start  # from ``minimize``, u is then the warm start's only reference, gone after the first step
         disc = self.disc
@@ -976,7 +664,7 @@ class _SolveContext:
         cg_cap = max(2000, 40 * max(self.free.shape))
 
         lagged = partial(self.lagged, fv=fv, p=p, eps=eps)
-        energy = partial(disc.energy, fvals=fv, h_vol=hvol)
+        energy = partial(_energy, fvals=fv, h_vol=hvol)
         T, Q, density, r = lagged(u)
         # from a zero start at p > 2 the degenerate weights eps^{p-2} blow up
         # the first linear solution; seed with the unit-weight operator (the
@@ -1057,9 +745,10 @@ def solve(prob: DirichletProblem, initial: ScalarField | None = None) -> tuple[S
     keeps the grid, p and the free-cell mask.  A caller that holds no
     reference to the problem either, as in ``solve(DirichletProblem(...))``,
     has its full-grid f freed before the first face weights or preconditioner
-    exist.  The solver context is dropped before the returned field's
-    full-grid array is formed.
-    Raises SolverDivergenceError on non-finite values; never clips.
+    exist.  The solver context is dropped before the weak residual and the
+    returned field's full-grid array are formed.
+    Raises SolverDivergenceError on non-finite values and on a certificate
+    whose ||f||^2 or ||r||^2 leaves float64's range; never clips.
     """
     grid, p, mask = prob.grid, prob.p, _free_mask(prob)
     ctx = _SolveContext(grid, mask)

@@ -63,7 +63,8 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .field import Grid, Region, ScalarField, _axslice, _bbox_slices, linf_norm, lp_norm
+from .discretization import _axslice
+from .field import Grid, Region, ScalarField, _bbox_slices, linf_norm, lp_norm
 
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor

@@ -2,6 +2,10 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _peak import traced_peak
+from plapbench import discretization
+from plapbench.discretization import _Discretization, _axslice, _gradient_values, _stress_values
 from plapbench.field import (
     _HEADER,
     _MAGIC,
-    _stress_values,
     Grid,
     Region,
     ScalarField,
@@ -35,7 +40,7 @@ from plapbench.field import (
 
 def linear_field(grid, slopes, offset=0.0):
     vals = np.full(grid.shape, offset)
-    for k, (c, s) in enumerate(zip(grid.centers(), slopes)):
+    for k, (c, s) in enumerate(zip(np.meshgrid(*[grid.axis_centers()] * grid.N, indexing="ij"), slopes)):
         vals = vals + s * c
     return ScalarField(grid, vals)
 
@@ -359,7 +364,7 @@ def test_export_csv_roundtrips_values(tmp_path):
 def _export_csv_reference(field, path):
     """The row-by-row writer: full coordinate arrays, one writerow per cell."""
     grid = field.grid
-    coords = [c.ravel() for c in grid.centers()]
+    coords = [c.ravel() for c in np.meshgrid(*[grid.axis_centers()] * grid.N, indexing="ij")]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{k + 1}" for k in range(grid.N)] + ["v"])
@@ -392,3 +397,33 @@ def test_export_csv_bytes_match_row_writer(tmp_path):
         new = (tmp_path / f"new{k}.csv").read_bytes()
         assert new == (tmp_path / f"ref{k}.csv").read_bytes(), k
         assert new.count(b"\r\n") == f.grid.cells_per_axis**f.grid.N + 1
+
+
+def test_discretization_imports_no_other_plapbench_module():
+    # field, estimates and plap_solver import the stencil, so it imports none of them
+    src = str(Path(discretization.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, plapbench.discretization; print(*sorted(m for m in sys.modules if m.startswith('plapbench')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True).stdout
+    assert out.split() == ["plapbench", "plapbench.discretization"]
+
+
+@pytest.mark.parametrize("grid", [Grid(2, 2.0, 16), Grid(3, 2.0, 8)], ids=["2d", "3d"])
+def test_field_gradient_is_the_solvers_forward_difference_but_in_the_last_layer(grid):
+    # how the two stencils relate today: on a full box, component k of the
+    # field gradient is the solver's forward-side difference c G_k on cells
+    # 0 .. n - 2 and its backward-side one on cell n - 1.  h is a power of
+    # two, so dividing by h and multiplying by c = 1/h round alike
+    u = np.random.default_rng(34).standard_normal(grid.shape)
+    g = _gradient_values(u, grid.spacing)
+    disc = _Discretization(np.ones(grid.shape, dtype=bool), grid.spacing)
+    for k, G in enumerate(disc._face_diffs(disc.bordered_copy(u))):
+        forward, backward = (np.zeros(disc.size) for _ in disc.sides)
+        for diff, side in zip((forward, backward), disc.sides):
+            diff[side[k]] = disc.coefficient(k, side) * G
+        forward, backward = disc.cells(forward), disc.cells(backward)
+        inner, last = _axslice(grid.N, k, slice(None, -1)), _axslice(grid.N, k, slice(-1, None))
+        assert np.array_equal(g[..., k][inner], forward[inner])
+        assert np.array_equal(g[..., k][last], backward[last])
+        # the solver's forward difference in the last layer runs to the Dirichlet face instead
+        assert not np.array_equal(g[..., k][last], forward[last])

@@ -112,7 +112,7 @@ def test_profile_matches_pointwise_potential():
         assert rho_min is None or q.rho_min(g) + 0.5 * (R - q.rho_min(g)) / 16 < g.spacing
         prof = potential_profile(f, R, q)
         idxs = [tuple(rng.integers(0, g.cells_per_axis, N)) for _ in range(12)]
-        centers = g.centers()
+        centers = np.meshgrid(*[g.axis_centers()] * g.N, indexing="ij")
         for idx in idxs:
             x = tuple(float(centers[k][idx]) for k in range(N))
             direct = potential_P(f, x, R, q)

@@ -9,11 +9,12 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from plapbench.discretization import _Discretization
 from plapbench.field import Grid, ScalarField, ball_mask, gradient, linf_norm, w1p_norm
 from plapbench.hypotheses import config_from_dict
 from plapbench.jsonio import canonical_json
 from plapbench import plap_solver, scheme
-from plapbench.plap_solver import AnalyticFailure, DirichletProblem, _Discretization, _SolveContext, solve
+from plapbench.plap_solver import AnalyticFailure, DirichletProblem, _SolveContext, solve
 from plapbench.scheme import (
     ReactionSpec,
     SystemState,

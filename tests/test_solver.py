@@ -22,12 +22,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from _oracles import StridedDiscretization, StridedVCycle, full_grid_weak_residual, strided_pcg, strided_prolong
 from plapbench import plap_solver
+from plapbench.discretization import _Discretization
 from plapbench.field import Grid, Region, ScalarField, ball_mask
 from plapbench.jsonio import canonical_json
 from plapbench.plap_solver import (
     DirichletProblem,
     SolverDivergenceError,
-    _Discretization,
     _dot,
     _pcg,
     _prolong,
@@ -713,7 +713,7 @@ def test_warm_start_reuses_the_linearization_exactly(monkeypatch):
 
 def _energy(ctx, u, fv, prob):
     """E(u) for bordered u and f values on a solver context, from the density that ``lagged`` forms at u."""
-    return ctx.disc.energy(u, fv, ctx.grid.cell_volume, ctx.lagged(u, fv, prob.p, prob.resolved_eps).density)
+    return plap_solver._energy(u, fv, ctx.grid.cell_volume, ctx.lagged(u, fv, prob.p, prob.resolved_eps).density)
 
 
 def test_energy_history_is_each_iterates_energy():

@@ -41,7 +41,7 @@ def test_bump_field_values_and_resolution_consistency():
     # hand value at one fine cell center
     g = fine.grid
     idx = g.nearest_index((0.25, -0.25))
-    c = g.centers()
+    c = np.meshgrid(*[g.axis_centers()] * g.N, indexing="ij")
     d2 = (c[0][idx] - 0.25) ** 2 + (c[1][idx] + 0.25) ** 2
     assert np.isclose(fine.values[idx], 2.0 * np.exp(-d2 / 0.08))
 
