@@ -30,6 +30,17 @@ mix, and phi_eps is nonlinear).  On radial problems the resulting axis-flip
 asymmetry of the minimizer is a discretization effect that shrinks under
 refinement and vanishes identically at p = 2.
 
+Minimum principle: for f >= 0 the minimizer is >= 0.  Replacing u by
+u+ = max(u, 0) shrinks no face jump, since |a+ - b+| <= |a - b| and the
+Dirichlet value is 0, so it raises no magnitude and no phi_eps term; for
+f >= 0 it also lowers -sum f u.  So E(u+) <= E(u), and since the strictly
+convex energy has one minimizer, u+ = u (``tests/test_invariants.py``).
+Comparison, f1 <= f2 => u1 <= u2, is exact at p = 2, where the operator is
+an M-matrix.  For p != 2 it would need max(u1, u2) and min(u1, u2) to lower
+the energy too, and one cell's magnitude mixes the jumps of all its axes: on
+rough data (white noise plus a one-cell spike on 32^2) u2 < u1 in a cell or
+two at p = 1.2 and at p = 6, by up to 1.7e-3 of max |u2 - u1|.
+
 The field gradient (``_gradient_values``, behind ``field.gradient``) takes a
 single one-sided difference per cell, not the energy's pair.  It feeds the
 reactions, the estimates and the weak residual's test functions.

@@ -5,8 +5,11 @@ drawn once from a seeded generator and evaluated on any grid, so the same
 analytic field can be compared across resolutions.  Widths are kept at or
 below 0.3: the closed-form Hölder bound for the potential drops
 the unit-ball-volume factor (absorbed into the generic constant of the
-estimate), so wide fat bumps can genuinely exceed the constant-free bound
-while narrow ones cannot.
+estimate), so wide fat bumps can genuinely exceed the constant-free bound.
+Narrow widths make that rare, not impossible: the potential-sweep bench's
+field 273 at seed 801, three bumps of widths 0.276-0.288, has sup 6.443
+against the r = 6 bound 6.414.  ROADMAP item 1 puts the missing
+omega_N^{1/2 - 1/r} into the bound.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from _peak import traced_peak
 from plapbench import cli, estimates, plap_solver, scheme
 from plapbench.cli import _SCHEMAS, _OutputDir, _check, canonical_json, main
-from plapbench.field import Grid, ScalarField, ball_mask, load_field, save_field
+from plapbench.field import _HEADER, _MAGIC, Grid, ScalarField, ball_mask, load_field, save_field
 from plapbench.plap_solver import AnalyticFailure, exact_radial
 
 GOOD_EXPONENTS = {
@@ -210,7 +210,8 @@ def test_solve_frees_the_configured_field_before_its_first_cg_run(tmp_path, monk
 
 
 def _ball_solve_peak(tmp_path, n, p):
-    """The traced peak of a CLI solve on the 3-D unit ball at n^3 cells, in full float64 grid arrays."""
+    """The traced peak of a CLI solve on the 3-D unit ball at n^3 cells, in full float64 grid arrays,
+    and its report; the solve converges, meets the radial oracle within 0.02 and report finds no problem."""
     cfg = {
         "grid": {"N": 3, "extent": 2.0, "cells_per_axis": n},
         "p": p,
@@ -219,9 +220,12 @@ def _ball_solve_peak(tmp_path, n, p):
         "tol": 1e-10,
         "radial_oracle": {"R": 1.0},
     }
-    (code, _), peak = traced_peak(lambda: run(tmp_path, "solve", cfg))
+    (code, out_dir), peak = traced_peak(lambda: run(tmp_path, "solve", cfg))
     assert code == 0
-    return peak / (8 * n**3)
+    assert main(["report", "--out", str(out_dir)]) == 0
+    rep = json.loads((out_dir / "solve_report.json").read_text())
+    assert rep["converged"] and rep["radial_linf_error"] < 0.02, rep
+    return peak / (8 * n**3), rep
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
@@ -235,7 +239,8 @@ def test_solve_memory_stays_within_budget(tmp_path, p):
     # V-cycle's finest post-smoothing, at p = 3 in a Hessian apply.  The
     # budgets sit 1 % and 3 % above the peaks, 2.307 and 3.783 arrays (3.31
     # and 4.78 while the CLI held f through the solve)
-    assert _ball_solve_peak(tmp_path, 64, p) <= {2.0: 2.33, 3.0: 3.90}[p]
+    peak, _ = _ball_solve_peak(tmp_path, 64, p)
+    assert peak <= {2.0: 2.33, 3.0: 3.90}[p]
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
@@ -243,8 +248,11 @@ def test_128_cell_ball_solve_memory_stays_within_budget(tmp_path, p):
     # the same solve at 128^3, where the ball's bounding box holds a smaller
     # share of the bordered crop: the peaks are 2.092 and 3.449 arrays (3.09
     # and 4.45 while the CLI held f through the solve).  p = 2 is held 1.4 %
-    # above its peak; p = 3 to 3.55, 2.9 % above
-    assert _ball_solve_peak(tmp_path, 128, p) <= {2.0: 2.12, 3.0: 3.55}[p]
+    # above its peak; p = 3 to 3.55, 2.9 % above.  p = 2 takes one outer step
+    # of 14 CG iterations, p = 3 seven Newton steps of 29 in all
+    peak, rep = _ball_solve_peak(tmp_path, 128, p)
+    assert peak <= {2.0: 2.12, 3.0: 3.55}[p]
+    assert (rep["iterations"], rep["cg_iterations"]) == {2.0: (1, 14), 3.0: (7, 29)}[p]
 
 
 def test_full_box_p2_solve_memory_stays_within_the_vcycle_peak(tmp_path):
@@ -409,35 +417,94 @@ def test_scheme_verify_and_determinism(tmp_path, monkeypatch):
     assert main(["report", "--out", str(scheme_out)]) == 1
 
 
-def test_scheme_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # the V-cycle inverts its last level (at most 64 cells) with LAPACK: the
-    # CI's 32^2 scheme, run with one OpenBLAS thread and with two, writes the
-    # same bytes
-    cfg = tmp_path / "scheme32.json"
-    cfg.write_text(json.dumps({"exponents": {**GOOD_EXPONENTS, "N": 2},
-                               "grid": {"N": 2, "extent": 2.0, "cells_per_axis": 32},
-                               "n_list": [1, 2, 4, 8], "rho": 0.5}))
+def _run_under_blas_threads(tmp_path, command, cfg):
+    """The output directories of ``command`` run in a fresh interpreter with one OpenBLAS thread and with two."""
+    cfg_path = tmp_path / f"{command}.json"
+    cfg_path.write_text(json.dumps(cfg))
     src = str(Path(cli.__file__).resolve().parents[1])
-    trees = []
+    outs = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         out = tmp_path / f"threads-{threads}"
-        subprocess.run([sys.executable, "-m", "plapbench.cli", "scheme", "--config", str(cfg), "--out", str(out)],
+        subprocess.run([sys.executable, "-m", "plapbench.cli", command, "--config", str(cfg_path), "--out", str(out)],
                        env=env, check=True)
-        trees.append(tree_bytes(out))
-    assert trees[0]["manifest.json"] == trees[1]["manifest.json"]
-    assert trees[0] == trees[1]
+        outs.append(out)
+    return outs
+
+
+SCHEME32_CFG = {"exponents": {**GOOD_EXPONENTS, "N": 2}, "grid": {"N": 2, "extent": 2.0, "cells_per_axis": 32},
+                "n_list": [1, 2, 4, 8], "rho": 0.5}
+
+
+def test_scheme_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the V-cycle inverts its last level (at most 64 cells) with LAPACK: the
+    # 32^2 four-level scheme, run with one OpenBLAS thread and with two,
+    # writes the same bytes.  Each Picard step's inner solves are only as
+    # tight as its increment needs, yet every level converges, in 135 CG
+    # iterations in all (the q = 2 solves on the full box take one each, on
+    # the exact inverse).  A warm p = 2.5 solve takes up the linearization
+    # and the V-cycle the last one ended with, so 23 of the 84 outer steps
+    # build a cycle (51 of 84 when every outer step builds its own).  A rerun
+    # into the same --out writes the same manifest, and verify accepts the
+    # levels: on 32^2 the shifts stay within the R - s band up to 4 cells
+    one, two = _run_under_blas_threads(tmp_path, "scheme", SCHEME32_CFG)
+    first = tree_bytes(one)
+    assert first["manifest.json"] == tree_bytes(two)["manifest.json"]
+    assert first == tree_bytes(two)
+    levels = json.loads(first["states.json"])
+    assert all(level["converged"] for level in levels)
+    assert sum(level["cg_iterations"] for level in levels) <= 450
+    assert sum(level["cycle_builds"] for level in levels) <= sum(level["outer_steps"] for level in levels) // 2
+    code, _ = run(tmp_path, "scheme", SCHEME32_CFG, out=one.name)
+    assert code == 0
+    assert (one / "manifest.json").read_bytes() == first["manifest.json"]
+    vcfg = {"scheme_out": str(one), "t": 0.4, "s": 0.6, "R": 1.25, "h_cells": [[4, 0], [2, 0], [1, 0]]}
+    code, verify_out = run(tmp_path, "verify", vcfg, name="v.json", out="verify")
+    assert code == 0
+    for out in (one, verify_out):
+        assert main(["report", "--out", str(out)]) == 0
+
+
+BALL_48 = {"grid": {"N": 3, "extent": 2.0, "cells_per_axis": 48}, "p": 2.0,
+           "field": {"kind": "ball_indicator", "radius": 1.0}, "tol": 1e-10}
+
+
+@pytest.mark.parametrize(
+    "cfg, work",
+    [({**BALL_48, "domain": {"ball_radius": 1.0}, "radial_oracle": {"R": 1.0}}, (1, 12)), (BALL_48, (1, 1))],
+    ids=["ball", "box"],
+)
+def test_solve_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, cfg, work):
+    # a p = 2 solve is one outer step.  On the 48^3 unit ball the V-cycle
+    # inverts its last level with LAPACK, and CG takes 12 iterations; on the
+    # whole 48^3 box the exact sine-transform inverse, numpy's FFTs and no
+    # BLAS, takes one.  Under one OpenBLAS thread or two each writes the same
+    # bytes, and exactly the files its manifest lists: every artifact is
+    # written under a temporary name and renamed into place.  The energy,
+    # read off the residual's operator apply, never rises, and the report's
+    # final energy is the history's last
+    one, two = _run_under_blas_threads(tmp_path, "solve", cfg)
+    first = tree_bytes(one)
+    assert first["manifest.json"] == tree_bytes(two)["manifest.json"]
+    assert first == tree_bytes(two)
+    for out in (one, two):
+        assert main(["report", "--out", str(out)]) == 0
+    rep = json.loads(first["solve_report.json"])
+    assert (rep["iterations"], rep["cg_iterations"]) == work
+    hist = rep["energy_history"]
+    assert all(b <= a for a, b in zip(hist, hist[1:]))
+    assert rep["final_energy"] == hist[-1]
 
 
 def test_scheme_rejects_bad_picard_config(tmp_path):
     # unknown keys (the retired damping among them) and values that are not
-    # numbers are config errors: exit 2 before any level runs, and no manifest
+    # numbers are config errors: exit 2 before any level runs, and no output directory
     bad = ({"bogus": 1}, {"damping": 0.5}, {"tol": [1e-4]}, {"max_picard": "many"}, [1e-4])
     for k, picard in enumerate(bad):
         code, out_dir = run(tmp_path, "scheme", {**SCHEME_CFG, "picard": picard}, name=f"p{k}.json", out=f"p{k}")
         assert code == 2, picard
-        assert not (out_dir / "manifest.json").exists()
+        assert not out_dir.exists()
 
 
 def test_scheme_refuses_exponents_of_another_dimension(tmp_path):
@@ -652,6 +719,13 @@ def test_file_field_must_match_the_grid(tmp_path):
     code, out_dir = run(tmp_path, "solve", {"grid": other, "p": 2.0, "field": field}, out="other")
     assert code == 2
     assert not out_dir.exists()
+    # a file whose header gives N components holds a vector field, not the scalar data
+    vector = tmp_path / "vector.fld"
+    vector.write_bytes(_HEADER.pack(_MAGIC, 2, 16, 2.0, 2) + bytes(8 * 16 * 16 * 2))
+    code, out_dir = run(tmp_path, "solve", {"grid": GRID_16, "p": 2.0, "field": {"kind": "file", "path": str(vector)}},
+                        out="vector")
+    assert code == 2
+    assert not out_dir.exists()
 
 
 def test_report_malformed_manifest_exit_2(tmp_path):
@@ -705,6 +779,9 @@ def test_verify_refuses_unconverged_levels(tmp_path):
         ("solve", {"grid": GRID_16, "p": 2.0, "field": CONSTANT_FIELD, "max_iter": 0}),
         ("scheme", {**TINY_SCHEME_CFG, "picard": {"max_picard": 0}}),
         ("scheme", {**TINY_SCHEME_CFG, "picard": {"solver_max_iter": -1}}),
+        # the same misspelt grid key on a solve, and an inner solve cap of 0
+        ("solve", {"grid": {**GRID_16, "cell_per_axis": 64}, "p": 2.0, "field": CONSTANT_FIELD}),
+        ("scheme", {**TINY_SCHEME_CFG, "picard": {"solver_max_iter": 0}}),
     ],
 )
 def test_nested_config_errors_exit_2(tmp_path, command, cfg):

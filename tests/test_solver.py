@@ -485,16 +485,20 @@ def test_cg_work_flat_in_n():
 def test_newton_halves_the_outer_steps():
     # the 64^2 unit ball at f = 1 and tol 1e-9: the lagged-diffusivity loop
     # took 90/31/18/43 outer steps and 359/123/39/102 CG iterations at
-    # p = 1.2/1.5/3/6; Newton steps take at most half the steps, and no more
-    # CG iterations
+    # p = 1.2/1.5/3/6; Newton steps take at most half the steps (at p = 1.2
+    # at most 20, where they take 8), and no more CG iterations.  The energy
+    # never rises, and the report's final energy is the history's last
     grid = Grid(2, 1.0, 64)
     ball = ball_mask(grid, (0.0, 0.0), 1.0)
     f = ScalarField(grid, np.ones(grid.shape))
-    for p, outer, cg in ((1.2, 45, 359), (1.5, 15, 123), (3.0, 9, 39), (6.0, 21, 102)):
+    for p, outer, cg in ((1.2, 20, 359), (1.5, 15, 123), (3.0, 9, 39), (6.0, 21, 102)):
         _, rep = solve(DirichletProblem(grid, p, f, tol=1e-9, domain=ball))
         assert rep.converged, p
         assert rep.iterations <= outer, (p, rep.iterations)
         assert rep.cg_iterations <= cg, (p, rep.cg_iterations)
+        hist = rep.energy_history
+        assert all(b <= a for a, b in zip(hist, hist[1:])), p
+        assert rep.final_energy == hist[-1], p
 
 
 @pytest.mark.parametrize("p, value, outer, cg", [(2.0, 1e39, 1, 11), (2.0, 1e100, 1, 11), (3.0, 1e80, 7, 23)])
