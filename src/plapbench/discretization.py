@@ -1,4 +1,4 @@
-"""How a grid function is differenced: the solver's face stencil and the field gradient.
+"""How a grid function is differenced: one face stencil for the solver and the field gradient.
 
 It imports numpy and the standard library only, so ``field``, ``estimates``
 and ``plap_solver`` all import from it.
@@ -41,9 +41,15 @@ the energy too, and one cell's magnitude mixes the jumps of all its axes: on
 rough data (white noise plus a one-cell spike on 32^2) u2 < u1 in a cell or
 two at p = 1.2 and at p = 6, by up to 1.7e-3 of max |u2 - u1|.
 
-The field gradient (``_gradient_values``, behind ``field.gradient``) takes a
-single one-sided difference per cell, not the energy's pair.  It feeds the
-reactions, the estimates and the weak residual's test functions.
+The field gradient (``_gradient_sides``, behind ``field.gradient``) is the
+same pair: both one-sided differences of every cell, read off the face
+jumps of ``_Discretization`` with every cell of the box free (c = 2/h across
+the box's edge), forward then backward.  The reactions, the estimates and the
+weak residual's test functions average the two sides as the energy does, and
+where they need only each side's |g|^2 they take it without forming the pair
+(``_side_squares``).  So a reaction, a norm or an estimate integrand keeps
+the energy's symmetries: under x -> -x the forward and backward sides trade
+places.
 """
 
 from __future__ import annotations
@@ -69,21 +75,6 @@ def _pair_sums(x: np.ndarray, axes: Iterable[int]) -> np.ndarray:
         x = x[_axslice(x.ndim, k, slice(None, None, 2))].copy()
         x[_axslice(x.ndim, k, slice(None, odd.shape[k]))] += odd
     return x
-
-
-def _gradient_values(vals: np.ndarray, h: float) -> np.ndarray:
-    """Forward differences (u(x + h e_k) - u(x))/h per axis, on any box shape; the last cell layer along
-    each axis, where no forward neighbour exists, takes the backward difference instead.
-
-    On a full box this is ``_Discretization``'s c G_k of the forward side but in the last layer, where it
-    is the backward side's (bit for bit when h is a power of two)."""
-    nd = vals.ndim
-    out = np.empty(vals.shape + (nd,))
-    for k in range(nd):
-        d = np.diff(vals, axis=k) / h
-        out[..., k][_axslice(nd, k, slice(None, -1))] = d
-        out[..., k][_axslice(nd, k, slice(-1, None))] = d[_axslice(nd, k, slice(-1, None))]
-    return out
 
 
 def _stress_values(a: np.ndarray, p: float) -> np.ndarray:
@@ -246,13 +237,12 @@ class _Discretization(_FluxForm):
         self.h = h
         self.sides = [[slice(None, -s) for s in self.strides], [slice(s, None) for s in self.strides]]
 
-    def coefficient(self, k: int, side: list[slice]) -> np.ndarray:
-        """c of a side's differences along axis k (``side`` is one of ``sides``), aligned with the faces of axis k."""
-        # inside (1 + ends) / h, formed in one array
-        c = 1.0 + self.ends[k]
-        c *= self.inside[side[k]]
-        c /= self.h
-        return c
+    def coefficient(self, k: int, side: list[slice] | None = None) -> np.ndarray:
+        """c of a side's differences along axis k (``side`` is one of ``sides``), aligned with the faces of axis k;
+        with no side, c on every face as if the cells on both sides were free."""
+        # 1 << ends is 1, or 2 on a face that ends the free region; a side's constrained cell makes it 0
+        free = 1 if side is None else self.inside[side[k]].view(np.uint8)
+        return (free << self.ends[k].view(np.uint8)) * (1.0 / self.h)
 
     def _face_diffs(self, P: np.ndarray) -> Iterator[np.ndarray]:
         """G_k of a bordered P for k = 0, ..., N - 1, one at a time."""
@@ -334,3 +324,32 @@ class _Discretization(_FluxForm):
             out[s:-s] += flux[:-s]
             del flux  # gone before the next axis's products are formed (peak memory)
         return self.free_rows(out)
+
+
+def _box_differences(vals: np.ndarray, h: float) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per axis k, the array of c G_k of a box of values, as ``_Discretization`` reads it with every cell free
+    (c = 2/h across the box's edge, where the Dirichlet value sits h/2 away), and the forward and the backward
+    difference of every cell: two cell-shaped views of that one array."""
+    disc = _Discretization(np.ones(vals.shape, dtype=bool), h)
+    for k, (s, G) in enumerate(zip(disc.strides, disc._face_diffs(disc.bordered_copy(vals)))):
+        # the face between bordered cells j and j + s goes to index j + s, so a cell's upper face sits s past its
+        # own index and its lower face at it
+        faces = np.zeros(disc.size + s)
+        np.multiply(disc.coefficient(k), G, out=faces[s:disc.size])
+        yield faces, disc.cells(faces[s:]), disc.cells(faces[:disc.size])
+
+
+def _gradient_sides(vals: np.ndarray, h: float) -> np.ndarray:
+    """Both one-sided differences of every cell (``_box_differences``), shape vals.shape + (2, N): [..., i, k] is
+    side i's, forward then backward, along axis k."""
+    return np.stack([np.stack(sides, axis=-1) for _, *sides in _box_differences(vals, h)], axis=-1)
+
+
+def _side_squares(vals: np.ndarray, h: float) -> list[np.ndarray]:
+    """Per side, |g|^2 of ``_gradient_sides`` (its squares summed over the axes in order, in the same bits),
+    cell-shaped, with one axis's differences formed at a time."""
+    m2 = [0.0, 0.0]
+    for faces, *sides in _box_differences(vals, h):
+        faces *= faces  # the sides are views of it
+        m2 = [m + g for m, g in zip(m2, sides)]
+    return m2

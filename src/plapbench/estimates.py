@@ -30,7 +30,9 @@
 
 All shifts are exact lattice translations (no interpolation), all sums are
 cell-volume weighted, and every report stores the inputs needed to audit
-the inequality instance.
+the inequality instance.  grad u is ``field.gradient``, the solver's forward
+and backward difference per cell, and every cell sum of a gradient term is
+the mean over the two sides, as in the solver's energy.
 """
 
 from __future__ import annotations
@@ -220,19 +222,24 @@ def comptest_chain(
 ) -> list[EstimateReport]:
     """Discrete compactness-chain inequality for one solved pair, one report per shift.
 
-    lhs is the monotonicity integral sum_{B_t} delta_h V . delta_h grad u;
-    rhs is assembled from the explicit cutoff constant (1+eps_geom)/(s-t)
-    and two Hölder steps (never fitted):
+    lhs is the monotonicity integral sum_{B_t} delta_h V . delta_h grad u,
+    averaged over the two sides of the gradient; rhs is assembled from the
+    explicit cutoff constant (1+eps_geom)/(s-t) and two Hölder steps (never
+    fitted):
 
         rhs = 4 (1+eps_geom)/(s-t) ||delta_h u||_{p,B_R} ||grad u||_{p,B_R}^{p-1}
               + 2 ||f||_{r',B_R} ||delta_h u||_{r,B_R}.
 
     Every shift is checked before anything is built; the cutoff, the balls,
     grad u, V and the two level norms are built once for all shifts.  The
-    context carries the cutoff-weighted intermediate integrals (the discrete
-    analogs of testing with eta^2 delta_h u and its -h translate) for audit.
-    They do not balance: the one-sided gradient has no discrete product
-    rule, so the gap eq_weighted + eq_cross - eq_reaction is not zero.
+    context carries, for audit, the weak form tested with
+    phi = delta_{-h}(eta^2 delta_h u), eq_reaction = sum f phi, split by each
+    side's exact product rule D_{s,k}(eta^2 w) = eta^2(x + sigma_s e_k) D_{s,k} w
+    + w D_{s,k} eta^2 (sigma = +1 forward, -1 backward) into
+    eq_weighted = (1/2) sum_s sum_k eta^2(x + sigma_s e_k) delta_h V_{s,k} delta_h g_{s,k} and
+    eq_cross = (1/2) sum_s delta_h u sum_k delta_h V_{s,k} D_{s,k} eta^2 (all times h^N).
+    For a pair solved on the whole box they balance, eq_weighted + eq_cross =
+    eq_reaction, to the solver's tolerance: the solver's weak form is this one.
     """
     if u_n.grid != f_n.grid:
         raise ValueError("u and f live on different grids")
@@ -254,8 +261,11 @@ def comptest_chain(
     hvol = grid.cell_volume
 
     eta, eps_geom = cutoff_eta(grid, t, s)
-    eta2 = eta.values**2
-    grad_eta = gradient(eta)
+    eta2 = ScalarField(grid, eta.values**2)
+    grad_eta2 = gradient(eta2).values
+    # eta^2 at the cell across the face of each difference: x + e_k forward, x - e_k backward
+    across = np.stack([np.stack([shift(eta2, sign * e).values for e in np.eye(grid.N, dtype=int)], axis=-1)
+                       for sign in (1, -1)], axis=-2)
     grad_u = gradient(u_n)
     V = VectorField(grid, _stress_values(grad_u.values, p))
     rprime = r / (r - 1.0)
@@ -265,19 +275,17 @@ def comptest_chain(
 
     reports = []
     for cells, hmag in zip(h_cells_list, hmags):
-        dV = delta_h(V, cells)
-        dgrad = delta_h(grad_u, cells)
+        dV = delta_h(V, cells).values
+        dgrad = delta_h(grad_u, cells).values
         du = delta_h(u_n, cells)
 
-        integrand = np.einsum("...k,...k->...", dV.values, dgrad.values)
-        lhs = _ball_sum(integrand, bt, hvol)
+        products = dV * dgrad
+        lhs = _ball_sum(np.sum(products, axis=-1), bt, 0.5 * hvol)
 
-        phi = ScalarField(grid, eta2 * du.values)
+        phi = ScalarField(grid, eta2.values * du.values)
         d_minus_phi = delta_h(phi, [-c for c in cells])
-        eq_weighted = float(np.sum(eta2 * integrand)) * hvol
-        eq_cross = 2.0 * float(
-            np.sum(eta.values * du.values * np.einsum("...k,...k->...", dV.values, grad_eta.values))
-        ) * hvol
+        eq_weighted = 0.5 * float(np.sum(across * products)) * hvol
+        eq_cross = 0.5 * float(np.sum(du.values[..., None] * np.einsum("...k,...k->...", dV, grad_eta2))) * hvol
         eq_reaction = float(np.sum(f_n.values * d_minus_phi.values)) * hvol
 
         rhs = 4.0 * c_cut * lp_norm(du, p, br) * grad_norm
@@ -330,7 +338,8 @@ def rfk_decay(
     """Decay table of the difference-quotient gradient norms, uniform in n.
 
     For p in (1, 2) each row additionally records the weighted quantities
-    int_{B_t} W_nh |delta_h grad u_n|^2 and the Hölder comparison bound
+    int_{B_t} W_nh |delta_h grad u_n|^2 (like every integral here, the mean
+    over the gradient's two sides) and the Hölder comparison bound
     (int W |d|^2)^{p/2} (int W^{p/(p-2)})^{(2-p)/2} >= ||delta_h grad u||_p^p,
     W_nh = (1 + |grad u_n(.+h)|^2 + |grad u_n|^2)^{(p-2)/2}.
     """
@@ -354,7 +363,7 @@ def rfk_decay(
         if t + reach > grid.extent:
             raise ValueError(f"shift {tuple(cells)} leaves the box from B_t")
     grads = [gradient(u) for u in sequence]
-    hvol = grid.cell_volume
+    half = 0.5 * grid.cell_volume  # each side's share of a cell
 
     rows = []
     for cells in h_cells_list:
@@ -367,8 +376,8 @@ def rfk_decay(
             if p < 2.0:
                 w = _regularized_weight(gh.values, g.values, p)
                 d2 = np.einsum("...k,...k->...", dgrad.values, dgrad.values)
-                wq = _ball_sum(w * d2, bt, hvol)
-                mass = _ball_sum(w ** (p / (p - 2.0)), bt, hvol)
+                wq = _ball_sum(w * d2, bt, half)
+                mass = _ball_sum(w ** (p / (p - 2.0)), bt, half)
                 weighted.append(wq)
                 holder.append(wq ** (0.5 * p) * mass ** (0.5 * (2.0 - p)))
         rows.append(

@@ -5,9 +5,11 @@ The computational domain is the box [-L, L]^N (N = 2 or 3) split into
 centers at -L + (i + 1/2) h.  Fields live on cell centers and are understood
 as extended by zero outside the box, which is the discrete stand-in for
 zero Dirichlet data on the truncation boundary.  A ``ScalarField`` holds one
-value per cell; a ``VectorField`` is a discrete gradient's value, one
-N-vector per cell, read by the norms, shifts and difference quotients.
-Field files and CSV export hold scalar fields only.
+value per cell; a ``VectorField`` is a discrete gradient's value, two
+N-vectors per cell, the forward and the backward one-sided difference of the
+solver's stencil, read by the norms, shifts and difference quotients.  Every
+sum over a vector field's cells is the mean over its two sides, as the
+solver's energy takes it.  Field files and CSV export hold scalar fields only.
 
 Shifts are restricted to exact lattice vectors so that difference quotients
 delta_h u = u(. + h) - u carry no interpolation error, and norms use plain
@@ -29,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .discretization import _gradient_values
+from .discretization import _gradient_sides, _side_squares
 
 _MAGIC = b"PLAPFLD1"
 _HEADER = struct.Struct("<8sIIdI")  # magic, N, cells_per_axis, extent, n_components
@@ -143,13 +145,13 @@ class ScalarField:
 
 @dataclass(frozen=True, eq=False)
 class VectorField:
-    """A gradient's values: one N-vector per cell, shape ``grid.shape + (N,)``."""
+    """A gradient's values: per cell the forward and the backward N-vector, shape ``grid.shape + (2, N)``."""
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _as_values(self.grid, self.values, (self.grid.N,)))
+        object.__setattr__(self, "values", _as_values(self.grid, self.values, (2, self.grid.N)))
 
 
 Field = ScalarField | VectorField
@@ -208,41 +210,53 @@ def ball_mask(grid: Grid, center: Sequence[float], radius: float) -> Region:
 
 
 def gradient(u: ScalarField) -> VectorField:
-    """Cell-centered one-sided gradient, the stencil of ``discretization._gradient_values``."""
-    return VectorField(u.grid, _gradient_values(u.values, u.grid.spacing))
+    """Both one-sided differences of every cell, on the solver's stencil (``discretization._gradient_sides``)."""
+    return VectorField(u.grid, _gradient_sides(u.values, u.grid.spacing))
 
 
-def _magnitude(field: Field, region: Region | None = None) -> np.ndarray:
-    """|value| at every cell, or at the cells of a nonempty region."""
-    if isinstance(field, ScalarField):
-        mag = np.abs(field.values)
-    else:
-        mag = np.sqrt(np.einsum("...k,...k->...", field.values, field.values))
+def _squares(grad: VectorField) -> list[np.ndarray]:
+    """Per side, |value|^2 at every cell, in the bits of ``discretization._side_squares``."""
+    return [sum(side[..., k] ** 2 for k in range(grad.grid.N)) for side in np.moveaxis(grad.values, -2, 0)]
+
+
+def _magnitudes(field: Field, region: Region | None = None) -> list[np.ndarray]:
+    """|value| at every cell, or at the cells of a nonempty region: one array for a scalar field, one per side
+    for a vector field."""
+    mags = [np.abs(field.values)] if isinstance(field, ScalarField) else [np.sqrt(m) for m in _squares(field)]
     if region is None:
-        return mag
+        return mags
     _require_same_grid(field, region)
     if region.count == 0:
         raise ValueError("empty region")
-    return mag[region.mask]
+    return [m[region.mask] for m in mags]
+
+
+def _mean_power(mags: Sequence[np.ndarray], p_exp: float) -> float:
+    """The mean over the arrays of sum |m|^p_exp: a scalar field's sum, or the mean over a gradient's two sides,
+    each with half the weight, as the solver's energy takes them."""
+    return sum(float(np.sum(m**p_exp)) for m in mags) / len(mags)
 
 
 def lp_norm(field: Field, p_exp: float, region: Region | None = None) -> float:
-    """(sum |value|^p_exp * h^N)^{1/p_exp} over the region (default: whole box)."""
+    """(sum |value|^p_exp * h^N)^{1/p_exp} over the region (default: whole box), the sum a vector field's mean
+    over its two sides (``_mean_power``)."""
     if not (np.isfinite(p_exp) and p_exp >= 1.0):
         raise ValueError("p_exp must be a finite real >= 1")
-    s = float(np.sum(_magnitude(field, region) ** p_exp))
-    return (s * field.grid.cell_volume) ** (1.0 / p_exp)
+    return (_mean_power(_magnitudes(field, region), p_exp) * field.grid.cell_volume) ** (1.0 / p_exp)
 
 
 def linf_norm(field: Field, region: Region | None = None) -> float:
-    return float(np.max(_magnitude(field, region)))
+    """max |value| over the region (default: whole box), over both sides of a vector field."""
+    return max(float(np.max(m)) for m in _magnitudes(field, region))
 
 
 def w1p_norm(u: ScalarField, p_exp: float, region: Region | None = None) -> float:
-    """(||u||_p^p + ||grad u||_p^p)^{1/p} over the region."""
-    a = lp_norm(u, p_exp, region)
-    b = lp_norm(gradient(u), p_exp, region)
-    return (a**p_exp + b**p_exp) ** (1.0 / p_exp)
+    """(||u||_p^p + ||grad u||_p^p)^{1/p} over the region, grad u's term as ``lp_norm`` forms it, from each
+    side's |g|^2 (``discretization._side_squares``) without forming grad u."""
+    a = lp_norm(u, p_exp, region)  # checks the region
+    sides = _side_squares(u.values, u.grid.spacing)
+    b = _mean_power([np.sqrt(m if region is None else m[region.mask]) for m in sides], p_exp)
+    return (a**p_exp + b * u.grid.cell_volume) ** (1.0 / p_exp)
 
 
 def _shift_values(values: np.ndarray, grid: Grid, cells: Sequence[int]) -> np.ndarray:
@@ -283,7 +297,7 @@ def cutoff_eta(grid: Grid, t: float, s: float) -> tuple[ScalarField, float]:
 
     eta(x) = clamp((s - |x|)/(s - t), 0, 1).  Returns the field and the
     measured grid-anisotropy slack eps_geom, defined so that the discrete
-    gradient magnitude is <= (1 + eps_geom)/(s - t) at every cell.
+    gradient magnitude is <= (1 + eps_geom)/(s - t) on both sides of every cell.
     """
     if not (0.0 < t < s):
         raise ValueError("need 0 < t < s")

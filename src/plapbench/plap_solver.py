@@ -34,8 +34,8 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .discretization import _Curvature, _Discretization, _FluxForm, _axslice, _gradient_values, _pair_sums
-from .field import Grid, Region, ScalarField, _bbox_slices, _cutoff_values, _require_same_grid
+from .discretization import _Curvature, _Discretization, _FluxForm, _axslice, _pair_sums, _side_squares
+from .field import Grid, Region, ScalarField, _bbox_slices, _cutoff_values, _mean_power, _require_same_grid
 
 
 class SolverDivergenceError(RuntimeError):
@@ -481,14 +481,22 @@ def _line_step(
     reject the full step of a nearly converged solve.  Otherwise the secant
     zero of the slope on [0, s], unless the chord puts it below s/8, which
     happens when the slope grows like s^{p-1} (p > 2) and the chord falls far
-    short of the zero: then s/8, and look again.
+    short of the zero: then s/8, and look again.  A trial point whose slope or
+    energy density leaves float64's range (a Newton step far too long at large
+    p) is backed off to s/8 until both are finite, before any of this.
     """
     d = sol - u
     slope0 = _dot(r, d)
     s, v = 1.0, sol
-    at = lagged(v)
-    slope = _dot(at.r, d)
-    if 0.0 < slope <= -_FLAT * slope0 and (
+    with np.errstate(over="ignore", invalid="ignore"):
+        at = lagged(v)
+        # a finite d reaches v = u, which is finite, before s underflows to 0, which ends the loop for any d
+        while not (math.isfinite(slope := _dot(at.r, d)) and math.isfinite(at.density)) and s > 0.0:
+            s /= 8.0
+            v = u + s * d
+            at = None  # freed before the next point's operators are formed (peak memory)
+            at = lagged(v)
+    if s == 1.0 and 0.0 < slope <= -_FLAT * slope0 and (
         at.Q is None or energy(v, density=at.density) <= e0 + _ARMIJO * h_vol * slope0
     ):
         return v, at
@@ -770,8 +778,8 @@ def _test_functions(grid: Grid, free: np.ndarray) -> Iterator[tuple[tuple[slice,
     well as for the whole box.  Each is given on its window: the cells of the
     free bounding box within its reach of its centre along every axis (its
     support and any cell within rounding of it), plus one cell below and two
-    above, where the one-sided differences of ``gradient`` see the same values
-    as on the whole grid.  A function without a free cell in reach is skipped.
+    above, where the one-sided differences of ``field.gradient`` see the same
+    values as on the whole grid.  A function without a free cell in reach is skipped.
     """
     centers = grid.open_centers()
     cnt = float(np.count_nonzero(free))
@@ -830,10 +838,9 @@ def _weak_residual(grid: Grid, mask: np.ndarray, r: np.ndarray, p: float) -> flo
         # the pairing runs over the window's cells on the box, where r lives
         both = [slice(max(w.start, b.start), min(w.stop, b.stop)) for w, b in zip(win, box)]
         num = hvol * _dot(r[within(both, box)], phi[within(both, win)])
-        g = _gradient_values(phi, grid.spacing)
-        mag = np.sqrt(np.einsum("...k,...k->...", g, g))
-        den = 1.0 + (float(np.sum(mag**pprime)) * hvol) ** (1.0 / pprime)
-        worst = max(worst, abs(num) / den)
+        # ||D phi||_{p'}^{p'} / h^N, as ``field.lp_norm`` forms it for a gradient
+        dphi = _mean_power([np.sqrt(m) for m in _side_squares(phi, grid.spacing)], pprime)
+        worst = max(worst, abs(num) / (1.0 + (dphi * hvol) ** (1.0 / pprime)))
     return worst
 
 

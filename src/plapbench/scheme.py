@@ -44,11 +44,12 @@ from typing import Sequence
 
 import numpy as np
 
+from .discretization import _side_squares
 from .field import (
     Grid,
     ScalarField,
     VectorField,
-    _magnitude,
+    _squares,
     ball_mask,
     gradient,
     linf_norm,
@@ -165,19 +166,19 @@ class SchemeReport:
 
 
 def _reaction(mhat: float, weight: ScalarField, eps: float, shifted: tuple[ScalarField, float],
-              other: tuple[ScalarField, float], conv_u: tuple[float, VectorField, float],
-              conv_v: tuple[float, VectorField, float]) -> ScalarField:
+              other: tuple[ScalarField, float], conv_u: tuple[float, list[np.ndarray], float],
+              conv_v: tuple[float, list[np.ndarray], float]) -> ScalarField:
     """mhat a [s^e_s max(o, 0)^e_o + c_u |grad u|^a + c_v |grad v|^b] for the shifted argument
-    (s, e_s), the other one (o, e_o) and the convection terms (c_u, grad u, a), (c_v, grad v, b)."""
-    (sh, e_s), (o, e_o), (c_u, grad_u, a), (c_v, grad_v, b) = shifted, other, conv_u, conv_v
+    (s, e_s), the other one (o, e_o) and the convection terms (c_u, |grad u|^2, a), (c_v, |grad v|^2, b), the
+    squared magnitudes per side; each gradient power is the mean over the two sides."""
+    (sh, e_s), (o, e_o), (c_u, sq_u, a), (c_v, sq_v, b) = shifted, other, conv_u, conv_v
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     if float(np.min(sh.values)) < 0.5 * eps:
         raise AnalyticFailure("shifted iterate fell below eps/2: positivity invariant broken upstream")
     sing = np.power(sh.values, e_s) * np.power(np.maximum(o.values, 0.0), e_o)
-    conv = c_u * np.power(_magnitude(grad_u), a)
-    conv = conv + c_v * np.power(_magnitude(grad_v), b)
-    return ScalarField(weight.grid, mhat * weight.values * (sing + conv))
+    conv = c_u * sum(np.power(m, 0.5 * a) for m in sq_u) + c_v * sum(np.power(m, 0.5 * b) for m in sq_v)
+    return ScalarField(weight.grid, mhat * weight.values * (sing + 0.5 * conv))
 
 
 def eval_f(
@@ -189,9 +190,7 @@ def eval_f(
     eps: float,
 ) -> ScalarField:
     """Model reaction f at a frozen state; u_shifted must already carry +eps."""
-    c = spec.exponents
-    return _reaction(c.mhat1, spec.weight_a1, eps, (u_shifted, c.alpha1), (v, c.beta1),
-                     (spec.coeff_grad1_own, grad_u, c.gamma1), (spec.coeff_grad1_other, grad_v, c.delta1))
+    return _f(spec, u_shifted, v, _squares(grad_u), _squares(grad_v), eps)
 
 
 def eval_g(
@@ -203,20 +202,31 @@ def eval_g(
     eps: float,
 ) -> ScalarField:
     """Model reaction g at a frozen state; v_shifted must already carry +eps."""
+    return _g(spec, u, v_shifted, _squares(grad_u), _squares(grad_v), eps)
+
+
+def _f(spec: ReactionSpec, u_shifted: ScalarField, v: ScalarField, sq_u: list, sq_v: list, eps: float) -> ScalarField:
+    """``eval_f`` from each side's |grad u|^2 and |grad v|^2."""
+    c = spec.exponents
+    return _reaction(c.mhat1, spec.weight_a1, eps, (u_shifted, c.alpha1), (v, c.beta1),
+                     (spec.coeff_grad1_own, sq_u, c.gamma1), (spec.coeff_grad1_other, sq_v, c.delta1))
+
+
+def _g(spec: ReactionSpec, u: ScalarField, v_shifted: ScalarField, sq_u: list, sq_v: list, eps: float) -> ScalarField:
+    """``eval_g`` from each side's |grad u|^2 and |grad v|^2."""
     c = spec.exponents
     return _reaction(c.mhat2, spec.weight_a2, eps, (v_shifted, c.beta2), (u, c.alpha2),
-                     (spec.coeff_grad2_other, grad_u, c.gamma2), (spec.coeff_grad2_own, grad_v, c.delta2))
+                     (spec.coeff_grad2_other, sq_u, c.gamma2), (spec.coeff_grad2_own, sq_v, c.delta2))
 
 
 def _reactions(
     spec: ReactionSpec, u: ScalarField, v: ScalarField, eps: float
 ) -> tuple[ScalarField, ScalarField]:
-    """The reactions f and g frozen at the pair (u, v) of level eps."""
-    gu = gradient(u)
-    gv = gradient(v)
-    u_sh = ScalarField(spec.grid, u.values + eps)
-    v_sh = ScalarField(spec.grid, v.values + eps)
-    return eval_f(spec, u_sh, v, gu, gv, eps), eval_g(spec, u, v_sh, gu, gv, eps)
+    """The reactions f and g frozen at the pair (u, v) of level eps, from each side's |grad|^2 without forming
+    the gradients (``discretization._side_squares``)."""
+    sq_u, sq_v = (_side_squares(w.values, spec.grid.spacing) for w in (u, v))
+    return (_f(spec, ScalarField(spec.grid, u.values + eps), v, sq_u, sq_v, eps),
+            _g(spec, u, ScalarField(spec.grid, v.values + eps), sq_u, sq_v, eps))
 
 
 def frozen_reactions(spec: ReactionSpec, state: SystemState) -> tuple[ScalarField, ScalarField]:

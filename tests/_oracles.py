@@ -401,8 +401,10 @@ def full_grid_weak_residual(grid, mask, r, p):
 
     The family of ``plap_solver._test_functions`` (hats at the free cells'
     centroid and 0.35 half-widths off it along each axis, two radial cutoffs),
-    each normalized by 1 + ||D phi||_{p'} with forward differences, backward
-    in the last layer.
+    each normalized by 1 + ||D phi||_{p'}, D phi both one-sided differences of
+    every cell, each side with half the weight.  A difference across the
+    grid's edge runs to the Dirichlet value h/2 away, so its face jump is
+    divided by h/2.
     """
     nd, h = grid.N, grid.spacing
     x = np.meshgrid(*[grid.axis_centers()] * nd, indexing="ij")
@@ -425,11 +427,13 @@ def full_grid_weak_residual(grid, mask, r, p):
             dist = np.sqrt(sum((xk - ck) ** 2 for xk, ck in zip(x, c)))
             phi = np.clip((reach - dist) / (reach - inner), 0.0, 1.0)
         phi = phi * mask
-        grad2 = np.zeros(phi.shape)
+        forward, backward = np.zeros(phi.shape), np.zeros(phi.shape)
         for k in range(nd):
-            d = np.diff(phi, axis=k, append=np.take(phi, [-1], axis=k)) / h
-            d[_axslice(nd, k, slice(-1, None))] = np.take(d, [-2], axis=k)
-            grad2 += d * d
-        norm = (float(np.sum(np.sqrt(grad2) ** pprime)) * grid.cell_volume) ** (1.0 / pprime)
+            d = np.diff(phi, axis=k, prepend=0.0, append=0.0) / h  # the n + 1 face jumps, zero beyond the grid
+            d[_axslice(nd, k, [0, -1])] *= 2.0
+            forward += d[_axslice(nd, k, slice(1, None))] ** 2
+            backward += d[_axslice(nd, k, slice(None, -1))] ** 2
+        sides = sum(float(np.sum(np.sqrt(m) ** pprime)) for m in (forward, backward))
+        norm = (0.5 * sides * grid.cell_volume) ** (1.0 / pprime)
         worst = max(worst, abs(grid.cell_volume * float(np.sum(r * phi))) / (1.0 + norm))
     return worst

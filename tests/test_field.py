@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from _peak import traced_peak
 from plapbench import discretization
-from plapbench.discretization import _Discretization, _axslice, _gradient_values, _stress_values
+from plapbench.discretization import _Discretization, _axslice, _side_squares, _stress_values
 from plapbench.field import (
     _HEADER,
     _MAGIC,
@@ -88,6 +88,8 @@ def test_field_validation():
         ScalarField(g, np.full((4, 4), np.nan))
     with pytest.raises(ValueError):
         VectorField(g, np.zeros((4, 4)))
+    with pytest.raises(ValueError):
+        VectorField(g, np.zeros((4, 4, 2)))  # one side only
     f = ScalarField(g, np.ones((4, 4)))
     with pytest.raises(ValueError):
         f.values[0, 0] = 2.0  # stored array is read-only
@@ -101,10 +103,10 @@ def test_fields_and_regions_do_not_change_under_their_holder():
     g = Grid(2, 1.0, 4)
     base = np.zeros((6, 4))
     f = ScalarField(g, base[:4])
-    vbase = np.zeros((4, 4, 2))
-    v = VectorField(g, vbase.reshape(-1).reshape(g.shape + (2,)))  # a view of a view
-    base[0, 0] = vbase[0, 0, 0] = 7.0
-    assert f.values[0, 0] == 0.0 and v.values[0, 0, 0] == 0.0
+    vbase = np.zeros((4, 4, 2, 2))
+    v = VectorField(g, vbase.reshape(-1).reshape(g.shape + (2, 2)))  # a view of a view
+    base[0, 0] = vbase[0, 0, 0, 0] = 7.0
+    assert f.values[0, 0] == 0.0 and v.values[0, 0, 0, 0] == 0.0
     mb = np.ones((8, 4), dtype=bool)
     r = Region(g, mb[:4])
     mb[:4] = False
@@ -130,22 +132,28 @@ def test_field_arithmetic_stays_on_grid():
         a - other
     # a vector field is not subtracted from a scalar one, not even where the shapes broadcast
     with pytest.raises(ValueError):
-        a - VectorField(g, np.ones(g.shape + (2,)))
+        a - VectorField(g, np.ones(g.shape + (2, 2)))
     tiny = Grid(2, 1.0, 2)
     with pytest.raises(ValueError):
-        ScalarField(tiny, np.ones((2, 2))) - VectorField(tiny, np.ones((2, 2, 2)))
+        ScalarField(tiny, np.ones((2, 2))) - VectorField(tiny, np.ones((2, 2, 2, 2)))
 
 
 def test_gradient_exact_on_linear_fields():
-    # forward differences are exact for affine data, including the backward
-    # fallback on the last layer
+    # both one-sided differences are exact for affine data but in the box-edge
+    # layer that each runs out of: there the forward (backward) difference runs
+    # to the Dirichlet value 0 on the box's face, h/2 away
     for N in (2, 3):
         g = Grid(N, 1.5, 12)
         slopes = [0.7, -1.3, 2.1][:N]
         u = linear_field(g, slopes, offset=0.4)
-        gr = gradient(u)
+        gr = gradient(u).values
+        assert gr.shape == g.shape + (2, N)
         for k, s in enumerate(slopes):
-            assert np.allclose(gr.values[..., k], s, atol=1e-12), f"axis {k}"
+            first, last = _axslice(N, k, slice(None, 1)), _axslice(N, k, slice(-1, None))
+            assert np.allclose(gr[..., 0, k][_axslice(N, k, slice(None, -1))], s, atol=1e-12), f"axis {k}"
+            assert np.allclose(gr[..., 1, k][_axslice(N, k, slice(1, None))], s, atol=1e-12), f"axis {k}"
+            assert np.allclose(gr[..., 0, k][last], -u.values[last] / (g.spacing / 2), atol=1e-12)
+            assert np.allclose(gr[..., 1, k][first], u.values[first] / (g.spacing / 2), atol=1e-12)
 
 
 def test_lp_norm_constant_field():
@@ -261,18 +269,22 @@ def test_delta_h_adjoint_identity():
 
 
 def test_stress_values_magnitude_power():
+    # on the cells off the box-edge layers, where both sides of an affine
+    # field's gradient are exact
     g = Grid(2, 1.0, 16)
-    u = linear_field(g, (0.6, -0.8))  # |grad u| = 1 everywhere, handy
+    inner = (slice(1, -1), slice(1, -1))
+    u = linear_field(g, (0.6, -0.8))  # |grad u| = 1 there, handy
     for p in (1.5, 2.0, 3.0):
-        V = _stress_values(gradient(u).values, p)
+        V = _stress_values(gradient(u).values[inner], p)
         mag = np.sqrt(np.einsum("...k,...k->...", V, V))
+        assert mag.shape == (14, 14, 2)
         assert np.allclose(mag, 1.0, atol=1e-12)
     u2 = linear_field(g, (3.0, 4.0))  # |grad u| = 5
-    V = _stress_values(gradient(u2).values, 3.0)
+    V = _stress_values(gradient(u2).values[inner], 3.0)
     mag = np.sqrt(np.einsum("...k,...k->...", V, V))
     assert np.allclose(mag, 5.0**2, atol=1e-9)
     flat = ScalarField(g, np.ones(g.shape))
-    V = _stress_values(gradient(flat).values, 1.5)  # p < 2 at zero gradient: no division blowup
+    V = _stress_values(gradient(flat).values[inner], 1.5)  # p < 2 at zero gradient: no division blowup
     assert np.all(np.isfinite(V))
     assert np.all(V == 0.0)
 
@@ -408,22 +420,20 @@ def test_discretization_imports_no_other_plapbench_module():
     assert out.split() == ["plapbench", "plapbench.discretization"]
 
 
-@pytest.mark.parametrize("grid", [Grid(2, 2.0, 16), Grid(3, 2.0, 8)], ids=["2d", "3d"])
-def test_field_gradient_is_the_solvers_forward_difference_but_in_the_last_layer(grid):
-    # how the two stencils relate today: on a full box, component k of the
-    # field gradient is the solver's forward-side difference c G_k on cells
-    # 0 .. n - 2 and its backward-side one on cell n - 1.  h is a power of
-    # two, so dividing by h and multiplying by c = 1/h round alike
+@pytest.mark.parametrize("grid", [Grid(2, 2.0, 16), Grid(3, 1.5, 9)], ids=["2d", "3d"])
+def test_field_gradient_is_the_solvers_two_one_sided_differences(grid):
+    # on a full box, side i of component k of the field gradient is the
+    # solver's c G_k of side i, bit for bit, on every cell, the box-edge
+    # layers included (c = 2/h there); h = 1/3 in 3-D is no power of two.
+    # Each side's |g|^2, taken without forming the gradient, is the sum of
+    # its squares over the axes, in the same bits
     u = np.random.default_rng(34).standard_normal(grid.shape)
-    g = _gradient_values(u, grid.spacing)
+    g = gradient(ScalarField(grid, u)).values
     disc = _Discretization(np.ones(grid.shape, dtype=bool), grid.spacing)
     for k, G in enumerate(disc._face_diffs(disc.bordered_copy(u))):
-        forward, backward = (np.zeros(disc.size) for _ in disc.sides)
-        for diff, side in zip((forward, backward), disc.sides):
+        for i, side in enumerate(disc.sides):
+            diff = np.zeros(disc.size)
             diff[side[k]] = disc.coefficient(k, side) * G
-        forward, backward = disc.cells(forward), disc.cells(backward)
-        inner, last = _axslice(grid.N, k, slice(None, -1)), _axslice(grid.N, k, slice(-1, None))
-        assert np.array_equal(g[..., k][inner], forward[inner])
-        assert np.array_equal(g[..., k][last], backward[last])
-        # the solver's forward difference in the last layer runs to the Dirichlet face instead
-        assert not np.array_equal(g[..., k][last], forward[last])
+            assert np.array_equal(g[..., i, k], disc.cells(diff)), (i, k)
+    for i, m in enumerate(_side_squares(u, grid.spacing)):
+        assert np.array_equal(m, sum(g[..., i, k] ** 2 for k in range(grid.N)))

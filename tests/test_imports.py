@@ -1,4 +1,5 @@
-"""Every name a program module imports is read somewhere in that module."""
+"""Every name a program module imports is read somewhere in that module, and only ``discretization``
+differences grid functions."""
 
 import ast
 from pathlib import Path
@@ -57,3 +58,30 @@ def test_the_check_finds_an_unused_import_and_reads_string_annotations():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def stencil_calls(source: str) -> list[str]:
+    """The calls of numpy's diff or gradient (numpy bound as np or numpy) in a module; each as "line: name"."""
+    return [
+        f"{node.lineno}: {node.func.attr}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("diff", "gradient") and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("np", "numpy")
+    ]
+
+
+def test_the_stencil_check_finds_numpy_differencing():
+    source = "import numpy as np\nx = np.diff([1.0, 2.0])\ny = np.gradient(x)\nz = x.diff()\nw = gradient(x)\n"
+    assert stencil_calls(source) == ["2: diff", "3: gradient"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_discretization_differences_grid_functions(path):
+    # one stencil: the solver, the field gradient, the reactions, the estimates
+    # and the weak residual all read discretization's one-sided differences,
+    # and the single-sided field gradient they replaced stays gone
+    source = path.read_text()
+    if path.name != "discretization.py":
+        assert stencil_calls(source) == []
+    assert "_gradient_values" not in source

@@ -1,6 +1,7 @@
 """Coupled-system Picard scheme: reaction evaluation oracles, fixed-point
 stability under iteration parameters, and the per-level report."""
 
+import functools
 import json
 import math
 import sys
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 
 from plapbench.discretization import _Discretization
+from plapbench.estimates import comptest_chain
 from plapbench.field import Grid, ScalarField, ball_mask, gradient, linf_norm, w1p_norm
-from plapbench.hypotheses import config_from_dict
+from plapbench.hypotheses import config_from_dict, derive
 from plapbench.jsonio import canonical_json
 from plapbench import plap_solver, scheme
 from plapbench.plap_solver import AnalyticFailure, DirichletProblem, _SolveContext, solve
@@ -93,16 +95,17 @@ def test_eval_f_hand_computed():
     gu, gv = gradient(u), gradient(v)
     u_sh = ScalarField(g, u.values + eps)
     f = eval_f(spec, u_sh, v, gu, gv, eps)
-    mag = lambda w: np.sqrt(np.einsum("...k,...k->...", w.values, w.values))
+    # each gradient term is the mean over the forward and the backward side of |grad w|^a
+    mag = lambda w, a: 0.5 * np.sum(np.sqrt(np.einsum("...ik,...ik->...i", w.values, w.values)) ** a, axis=-1)
     expect = spec.weight_a1.values * (
-        (u.values + eps) ** -0.5 * v.values**0.3 + mag(gu) ** 0.4 + mag(gv) ** 0.3
+        (u.values + eps) ** -0.5 * v.values**0.3 + mag(gu, 0.4) + mag(gv, 0.3)
     )
     assert np.allclose(f.values, expect, rtol=1e-13)
     # mirrored reaction
     v_sh = ScalarField(g, v.values + eps)
     gfun = eval_g(spec, u, v_sh, gu, gv, eps)
     expect_g = spec.weight_a2.values * (
-        u.values**0.3 * (v.values + eps) ** -0.5 + mag(gu) ** 0.3 + mag(gv) ** 0.4
+        u.values**0.3 * (v.values + eps) ** -0.5 + mag(gu, 0.3) + mag(gv, 0.4)
     )
     assert np.allclose(gfun.values, expect_g, rtol=1e-13)
 
@@ -290,9 +293,11 @@ def test_frozen_reactions_match_eval():
     v = ScalarField(g, rng.uniform(0.0, 1.0, g.shape))
     st = SystemState(2, 0.5, u, v, 1, 0.1, 0.1, True, True)
     rf, rg = frozen_reactions(spec, st)
+    # the frozen reactions take each side's |grad|^2 without forming the gradients, in the same bits
     gu, gv = gradient(u), gradient(v)
     direct = eval_f(spec, ScalarField(g, u.values + 0.5), v, gu, gv, 0.5)
     assert np.array_equal(rf.values, direct.values)
+    assert np.array_equal(rg.values, eval_g(spec, u, ScalarField(g, v.values + 0.5), gu, gv, 0.5).values)
     assert np.all(rg.values > 0.0)
 
 
@@ -328,3 +333,38 @@ def test_positivity_of_converged_levels():
     ball = ball_mask(g, (0.0, 0.0), 1.0)
     assert float(np.min(state.u.values[ball.mask])) > 0.0
     assert float(np.min(state.v.values[ball.mask])) > 0.0
+
+
+@functools.lru_cache(maxsize=None)
+def _scheme_64():
+    spec = bench_spec(Grid(2, 2.0, 64))
+    states, _ = run_scheme(spec, [1, 2, 4, 8], rho=0.5)
+    return spec, states
+
+
+def test_scheme_levels_are_point_symmetric():
+    # the Gaussian weight is symmetric under x -> -x, and so are the energy
+    # and the reactions, whose gradient terms average the forward and the
+    # backward side, which the reflection swaps: every level keeps the
+    # symmetry to rounding (64 -> 32 -> 16 -> 8 cells: every V-cycle level is
+    # even, so the preconditioner is symmetric too)
+    _, states = _scheme_64()
+    for state in states:
+        for w in (state.u.values, state.v.values):
+            assert np.max(np.abs(w - w[::-1, ::-1])) <= 1e-12 * np.max(np.abs(w)), state.n
+
+
+def test_chain_audit_balances_on_scheme_levels():
+    # the chain's audit is the discrete weak form tested with
+    # delta_{-h}(eta^2 delta_h u), split by each side's exact product rule:
+    # on a solved level it balances to the Picard and solver tolerances
+    # (8.2e-7 of |eq_reaction| at most, measured)
+    spec, states = _scheme_64()
+    c = spec.exponents
+    for state in states:
+        rhs_f, _ = frozen_reactions(spec, state)
+        shifts = [(k, 0) for k in (1, 2, 4, 8)]
+        for rep in comptest_chain(state.u, rhs_f, c.p, derive(c).r_window.midpoint(), shifts, 0.4, 0.6, 1.25):
+            ctx = rep.context
+            gap = ctx["eq_weighted"] + ctx["eq_cross"] - ctx["eq_reaction"]
+            assert abs(gap) <= 1e-5 * abs(ctx["eq_reaction"]), (state.n, ctx["h_cells"], gap)

@@ -501,6 +501,19 @@ def test_newton_halves_the_outer_steps():
         assert rep.final_energy == hist[-1], p
 
 
+def test_large_p_line_step_backs_off_a_non_finite_trial():
+    # at p = 20 a Newton step can be so long that (|g|^2 + eps^2)^9 leaves
+    # float64's range at its full length; the line step backs off to s/8 until
+    # the slope and the energy density there are finite, and the solve
+    # converges to the radial solution (sup 0.92; error 0.0225 measured)
+    prob, ball = radial_problem(20.0, 2, 64, tol=1e-9)
+    u, rep = solve(prob)
+    assert rep.converged
+    assert radial_error(u, 20.0, ball) < 0.03
+    hist = rep.energy_history
+    assert all(b <= a for a, b in zip(hist, hist[1:]))
+
+
 @pytest.mark.parametrize("p, value, outer, cg", [(2.0, 1e39, 1, 11), (2.0, 1e100, 1, 11), (3.0, 1e80, 7, 23)])
 def test_large_data_solves_keep_their_work(p, value, outer, cg):
     # data far outside float32's range: the V-cycle scales its weights and
