@@ -26,35 +26,44 @@ indicator kernels on a zero-padded lattice sized by the read box, with
 transforms pruned to the lattice lines that hold data or are read (see
 ``_ball_masses_fft``).  One kernel transform is needed per quadrature node;
 the transforms are kept from the second request of the same grid, lattice
-and radii on, so a sweep of fields on one grid pays for them about twice
-and a single call keeps nothing.
+and radii on, and released by a request on another, so a sweep of fields on
+one grid pays for them about twice and a single call keeps nothing.
 
 The transforms run in place where their data already fills the lattice
 (numpy >= 2's FFT ``out=``).  A slot is one set of buffers (the product and
-the irfft output) that ``_ball_masses_fft`` fills for a batch of radii, one
-transform call, and reuses for the next batch; a call that keeps no spectra
-builds each in the product buffer and multiplies the field's into it in
-place.  A batch holds as many radii as their lattice spectra fit in
-``_SPLIT_BYTES`` (256 KiB: 4 on the 80 x 41 lattice of ``potential_sup`` over
-B_1 on the 64^2 grid), and one radius where a single spectrum reaches it (the
-64^3 and 256^2 profiles).
-When the process may run on two CPUs or more and the radii take two batches
-or more, two slots run two runs of radii at once, round by round: the calling
-thread takes radii j .. j + K - 1 and one lazily started worker thread takes
-j + K .. j + 2K - 1, a batch at a time.  K is one radius on the large
-lattices.  On the small ones it is as many batches as the worker's finished
-terms, kept in a store until the caller yields them, fit in the same budget,
-and at most half of the batches: 32 radii for that sup, so its 64 nodes take
-one round.  The caller yields its own terms as it makes them and waits for the
-worker before it yields the worker's terms or raises, also when the generator
-is closed early.  Every 1-D transform sees the same data in every schedule and
-the terms come out in radius order, so the bits do not depend on the number
-of threads.
+the irfft output) that ``_ball_masses_fft`` fills for a batch of radii and
+reuses for the next batch; a call that keeps no spectra builds each in the
+product buffer and multiplies the field's into it in place.
+
+A radius whose lattice spectrum reaches ``_SPLIT_BYTES`` (256 KiB; the 64^3
+and 256^2 profiles) is large: the pass takes large radii one at a time in a
+single slot and never keeps their spectra.  When the process may run on two
+CPUs or more, every stage of a large radius splits its lines into two halves
+along an axis the stage does not transform, the calling thread taking one
+and one lazily started worker thread the other; the caller waits for the
+worker before the next stage and before it raises.  The terms of a radius and the kernel of the
+next share one split of axis 0, so a radius takes two hand-offs.
+
+Smaller spectra share a slot, as many radii per transform call as their
+spectra fit in ``_SPLIT_BYTES`` (4 on the 80 x 41 lattice of
+``potential_sup`` over B_1 on the 64^2 grid), and only they are kept.  On two
+CPUs, when the radii take two batches or more, two slots run two runs of
+radii at once, round by round: the calling thread takes radii j .. j + K - 1
+and the worker j + K .. j + 2K - 1, a batch at a time, where K is as many
+batches as the worker's finished terms, kept in a store until the caller
+yields them, fit in the same budget, and at most half of the batches: 32
+radii for that sup, so its 64 nodes take one round.  The caller yields its
+own terms as it makes them and waits for the worker before it yields the
+worker's terms or raises, also when the generator is closed early.
+
+Every 1-D transform sees the same data in every schedule and the terms come
+out in radius order, so the bits do not depend on the number of threads.
 """
 
 from __future__ import annotations
 
 import contextvars
+import itertools
 import math
 import os
 import threading
@@ -64,7 +73,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 from .discretization import _axslice
-from .field import Grid, Region, ScalarField, _bbox_slices, linf_norm, lp_norm
+from .field import Grid, Region, ScalarField, _bbox_slices, ball_box, linf_norm, lp_norm
 
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
@@ -99,7 +108,8 @@ def _ball_mass(f: ScalarField, idx: tuple[int, ...], f2: np.ndarray, dist2: np.n
     """Squared L^2 mass of f over B_rho(x), f extended by zero outside the box.
 
     f2 = f^2 and dist2 = |c - x|^2 are built by the caller, so a sweep over
-    radii builds them once; idx is the cell nearest to x.  Below one grid
+    radii builds them once, on the whole grid or on a box of it that holds
+    the ball; idx is the cell nearest to x.  Below one grid
     spacing the analytic form |f(x)|^2 omega_N rho^N with the nearest-cell
     value replaces the stair-step of sub-cell balls.  This direct sum gives
     ``potential_P`` (the CLI's ``value_at_x``) its masses; ``potential_profile``
@@ -125,16 +135,18 @@ def potential_P(f: ScalarField, x: Sequence[float], R: float, quad: PotentialQua
 
     The segment [0, rho0] (rho0 = min(rho_min, R)) contributes the analytic
     value |f(x)| sqrt(omega_N) rho0; the rest is a midpoint sum of
-    mass(rho)^{1/2} rho^{-N/2}.  Raises FloatingPointError when f^2 summed
-    over a ball leaves float64's range.
+    mass(rho)^{1/2} rho^{-N/2}.  Every ball lies in B_R(x), so f^2 and
+    |c - x|^2 are formed only on the box of ``field.ball_box``: the same cells,
+    in the same order, as on the whole grid.  Raises FloatingPointError when
+    f^2 summed over a ball leaves float64's range.
     """
     grid, N = f.grid, f.grid.N
     rho0, rho, width = _quad_nodes(quad, grid, R)
     idx = grid.nearest_index(x)
     total = abs(float(f.values[idx])) * math.sqrt(unit_ball_volume(N)) * rho0
     if rho0 < R:
-        f2 = f.values**2
-        dist2 = grid.squared_distance(x)
+        box, dist2 = ball_box(grid, x, R * R)
+        f2 = f.values[box] ** 2
         g = np.array([math.sqrt(_ball_mass(f, idx, f2, dist2, float(r))) * float(r) ** (-0.5 * N) for r in rho])
         total += float(np.sum(g)) * width
     if not math.isfinite(total):
@@ -162,10 +174,11 @@ _last_key: tuple | None = None
 _kept: tuple[tuple, np.ndarray] | None = None
 
 
-# A radius whose lattice spectrum holds at least this many bytes gets a slot of
-# its own; smaller spectra share one slot, as many radii per transform call as
-# fit in this many bytes, and on two CPUs or more the worker's store of
-# finished terms holds at most this many bytes.
+# A radius whose lattice spectrum holds at least this many bytes is large: it
+# has the pass's one slot to itself, its stages split their lines between the
+# two threads, and its spectrum is never kept.  Smaller spectra share a slot,
+# as many radii per transform call as fit in this many bytes, and on two CPUs
+# or more the worker's store of finished terms holds at most this many bytes.
 _SPLIT_BYTES = 256 * 1024
 _worker: tuple[int, ThreadPoolExecutor] | None = None  # (pid of the process that started it, the worker)
 _worker_lock = threading.Lock()
@@ -179,8 +192,8 @@ def _usable_cpus() -> int:
 
 
 def _fft_worker() -> ThreadPoolExecutor:
-    """The one worker thread of the second slot, started on first use, and
-    again in a forked child, which inherits the executor but not its thread."""
+    """The one worker thread (half of each stage on large lattices, the second slot's runs on small ones),
+    started on first use, and again in a forked child, which inherits the executor but not its thread."""
     from concurrent.futures import ThreadPoolExecutor  # here, so a command that never uses it does not import it
 
     global _worker
@@ -200,24 +213,31 @@ def _lattice_rfftn(a: np.ndarray, L: int) -> np.ndarray:
     return a
 
 
-def _kernel_rfftn(kernel: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``np.fft.rfftn`` of a (2m + 1)^N kernel of offsets -m .. m per axis on the (L,)*N lattice of out,
-    offset o in slot o mod L, into out.
+def _kernel_rows(kernel: np.ndarray, out: np.ndarray, part: slice) -> None:
+    """The axis-0 rows ``part`` of out after ``np.fft.rfftn``'s transforms of every axis but axis 0, for
+    a (2m + 1)^N kernel of offsets -m .. m per axis on the (L,)*N lattice of out, offset o in slot o mod L.
 
     One axis at a time in rfftn's order, each line as the full lattice has it: the last axis on the
-    kernel placed into zeros, every later axis in place in out, first on just the axis-0 rows that
-    hold offsets (0 .. m and L - m .. L - 1), axis 0 last on all of out."""
+    kernel's rows placed into zeros, straight into out, and every later axis in place, on just the rows
+    that hold offsets (0 .. m and L - m .. L - 1).  The axis-0 transform is left to the caller."""
     L, m, nd = out.shape[0], kernel.shape[0] // 2, kernel.ndim
-    slots = np.arange(-m, m + 1) % L
-    placed = np.zeros(kernel.shape[:-1] + (L,))
-    placed[..., slots] = kernel
-    out.fill(0)
-    out[np.ix_(*[slots] * (nd - 1))] = np.fft.rfft(placed, axis=-1)
-    del placed  # freed before the next stage's buffer is made
-    for axis in reversed(range(1, nd - 1)):
-        for rows in (slice(0, m + 1), slice(L - m, L)):
-            np.fft.fft(out[rows], axis=axis, out=out[rows])
-    return np.fft.fft(out, axis=0, out=out)
+    start, stop, _ = part.indices(L)
+    out[part].fill(0)
+    # (kernel indices, slots) of offsets 0 .. m and of offsets -m .. -1
+    runs = ((slice(m, 2 * m + 1), slice(0, m + 1)), (slice(0, m), slice(L - m, L)))
+    for held, slots in runs:
+        lo, hi = max(start, slots.start), min(stop, slots.stop)
+        if lo >= hi:
+            continue
+        placed = np.zeros((hi - lo,) + kernel.shape[1:-1] + (L,))
+        for k, o in runs:
+            placed[..., o] = kernel[held.start + lo - slots.start:held.start + hi - slots.start, ..., k]
+        for sel in itertools.product(runs, repeat=nd - 2):
+            np.fft.rfft(placed[(slice(None),) + tuple(k for k, _ in sel)], axis=-1,
+                        out=out[(slice(lo, hi),) + tuple(o for _, o in sel)])
+        del placed  # freed before the next run's is made
+        for axis in reversed(range(1, nd - 1)):
+            np.fft.fft(out[lo:hi], axis=axis, out=out[lo:hi])
 
 
 def _ball_masses_fft(f: np.ndarray, grid: Grid, radii: np.ndarray, box: tuple[slice, ...]) -> Iterator[np.ndarray]:
@@ -234,9 +254,14 @@ def _ball_masses_fft(f: np.ndarray, grid: Grid, radii: np.ndarray, box: tuple[sl
     The transforms skip all-zero input lines and unread output rows; every
     other line sees full-lattice rfftn/irfftn's data, so the bits match theirs.
 
-    Each slot (see the module docstring) holds its batch of radii along a
-    leading axis.  This thread waits for the worker before it yields the
-    worker's terms or raises, and the terms come out in radius order.
+    A radius goes through three stages, each on lines along an axis it does
+    not transform: the kernel's transforms but axis 0's (rows of lattice
+    axis 0); axis 0's forward transform, the product with the transform of
+    f^2 and axis 0's inverse (rows of lattice axis 1); the other inverse axes
+    and the term (the read rows of lattice axis 0).  Each slot (see the module
+    docstring) holds its batch of radii along a leading axis.  This thread
+    waits for the worker before the next stage, before it yields the worker's
+    terms or raises, and the terms come out in radius order.
     """
     global _last_key, _kept
     n, nd = grid.cells_per_axis, grid.N
@@ -247,61 +272,112 @@ def _ball_masses_fft(f: np.ndarray, grid: Grid, radii: np.ndarray, box: tuple[sl
     L = _smooth_size(max(D, m) + m + 1)
     rows = tuple(slice(b.start - s.start, b.stop - s.start) for b, s in zip(box, src))
     F = _lattice_rfftn(np.square(f[src]), L)
+    large = F.nbytes >= _SPLIT_BYTES
     key = (grid, L, radii.tobytes())
-    build = _kept is None or _kept[0] != key
-    if build:
-        keep = key == _last_key
-        _last_key = key
-        if keep:
-            _kept = None  # hold one set at a time
-        kept = np.empty(radii.shape + F.shape) if keep else None
-    else:
-        keep, kept = False, _kept[1]
+    if _kept is not None and _kept[0] != key:
+        _kept = None  # hold one set at a time, and none through a call on another key
+    build = _kept is None
+    keep = build and key == _last_key and not large
+    _last_key = key
+    kept = np.empty(radii.shape + F.shape) if keep else None if build else _kept[1]
     off = np.arange(-m, m + 1)
     # |o h|^2 on the (2m + 1)^N block of offsets, summed over the axes in order
     sq = (off * grid.spacing) ** 2
     dist2 = sum(sq.reshape([-1 if j == k else 1 for j in range(nd)]) for k in range(nd))
     hvol = grid.cell_volume
     scale = np.array([float(r) ** (-0.5 * nd) for r in radii]).reshape((-1,) + (1,) * nd)
+    context = contextvars.copy_context()  # numpy's error state (np.errstate) holds on the worker too
 
-    def fill(slot: tuple[np.ndarray, ...], j: int) -> np.ndarray:
-        """The terms of radii j, j + 1, ..., as many as the slot holds, in the slot's irfft buffer."""
-        product, real = slot
-        b = min(len(product), len(radii) - j)
-        product, real = product[:b], real[:b]
-        spec = kept[j:j + b] if kept is not None else None
+    def balls(j: int, b: int) -> list[np.ndarray]:
+        """The ball kernels of radii j .. j + b - 1 on the block of offsets."""
+        return [(dist2 < rho * rho).astype(np.float64) for rho in radii[j:j + b]]
+
+    def kernels(slot: tuple[np.ndarray, ...], ks: list[np.ndarray], part: slice) -> None:
+        """The spectra of kernels ``ks`` but for axis 0's transform, on the axis-0 rows ``part`` of
+        the slot's product buffer."""
+        for k, out in zip(ks, slot[0]):
+            _kernel_rows(k, out, part)
+
+    def spectrum(slot: tuple[np.ndarray, ...], j: int, part: slice) -> None:
+        """Axis 0's transform of those spectra, F times them and axis 0's inverse on the axis-1 rows
+        ``part``: the first axis of irfftn, in place."""
+        G = slot[0][:len(radii) - j, :, part]
+        spec = kept[j:j + len(G)] if kept is not None else None
         if build:
-            for i, rho in enumerate(radii[j:j + b]):
-                # the kernel is even, so its spectrum is real up to rounding
-                _kernel_rfftn((dist2 < rho * rho).astype(np.float64), product[i])
-                if spec is not None:
-                    np.copyto(spec[i], product[i].real)
+            np.fft.fft(G, axis=1, out=G)
+            if keep:
+                np.copyto(spec[:, :, part], G.real)
         if spec is None:
-            # F times each spectrum's real part, in the product buffer that holds it: the imaginary
-            # part first, from the real part, which its own product then overwrites
-            np.multiply(product.real, F.imag, out=product.imag)
-            np.multiply(product.real, F.real, out=product.real)
-            G = product
+            # F times each spectrum's real part (the kernel is even, so its spectrum is real up to
+            # rounding) in place: the imaginary part first, from the real part, which its own product
+            # then overwrites
+            np.multiply(G.real, F[:, part].imag, out=G.imag)
+            np.multiply(G.real, F[:, part].real, out=G.real)
         else:
-            G = np.multiply(F, spec, out=product)
-        # irfftn in its own order (axes 0 .. N-2 in place, then the last into ``real``),
-        # dropping the unread rows after each axis
-        for axis in range(1, nd):
+            np.multiply(F[:, part], spec[:, :, part], out=G)
+        np.fft.ifft(G, axis=1, out=G)
+
+    def terms(slot: tuple[np.ndarray, ...], j: int, part: slice) -> np.ndarray:
+        """The rest of irfftn in its order (axes 1 .. N-2 in place, then the last into the slot's irfft
+        buffer), dropping the unread rows after each axis, and the terms, on the read axis-0 rows in
+        ``part``; returns the terms of all read rows."""
+        product, real = (a[:len(radii) - j] for a in slot)
+        start, stop, _ = part.indices(L)
+        start, stop = max(start, rows[0].start), min(stop, rows[0].stop)
+        G = product[:, start:stop]
+        for axis in range(2, nd):
             G = np.fft.ifft(G, axis=axis, out=G)[_axslice(nd + 1, axis, rows[axis - 1])]
-        np.fft.irfft(G, axis=nd, n=L, out=real)
-        t = real[_axslice(nd + 1, nd, rows[-1])]
+        t = real[:, start - rows[0].start:stop - rows[0].start]
+        np.fft.irfft(G, axis=nd, n=L, out=t)
+        t = t[_axslice(nd + 1, nd, rows[-1])]
         np.maximum(t, 0.0, out=t)
         t *= hvol
         np.sqrt(t, out=t)
-        t *= scale[j:j + b]
-        return t
+        t *= scale[j:j + len(t)]
+        return real[_axslice(nd + 1, nd, rows[-1])]
 
-    large = F.nbytes >= _SPLIT_BYTES
-    per_slot = 1 if large else min(len(radii), _SPLIT_BYTES // F.nbytes)
-    two = len(radii) > per_slot and _usable_cpus() > 1
+    def fill(slot: tuple[np.ndarray, ...], j: int) -> np.ndarray:
+        """The terms of radii j, j + 1, ..., as many as the slot holds, in the slot's irfft buffer."""
+        if build:
+            kernels(slot, balls(j, len(slot[0])), slice(None))
+        spectrum(slot, j, slice(None))
+        return terms(slot, j, slice(None))
+
     box_shape = tuple(b.stop - b.start for b in box)
+    two = _usable_cpus() > 1
+    if large:
+        # one slot, one radius at a time.  On two CPUs each stage splits its rows into two halves, the
+        # second for the worker; the axis-0 halves meet at the middle read row, so one hand-off runs a
+        # radius's terms and the next radius's kernel on the same rows
+        slot = (np.empty((1,) + F.shape, dtype=np.complex128), np.empty((1,) + box_shape[:-1] + (L,)))
+        mid = rows[0].start + box_shape[0] // 2
+
+        def each(stage, mid: int, size: int) -> None:
+            if not two:
+                return stage(slice(None))
+            job = _fft_worker().submit(context.run, stage, slice(mid, size))
+            try:
+                stage(slice(0, mid))
+            finally:
+                job.exception()  # waits for the worker, also when this thread raised
+            job.result()
+
+        for j in range(len(radii) + 1):
+            def rows0(part: slice, j: int = j, ks: list[np.ndarray] = balls(j, 1)) -> None:
+                if j:
+                    terms(slot, j - 1, part)
+                kernels(slot, ks, part)
+
+            each(rows0, mid, L)
+            if j:
+                yield from slot[1][_axslice(nd + 1, nd, rows[-1])]
+            if j < len(radii):
+                each(lambda part, j=j: spectrum(slot, j, part), F.shape[1] // 2, F.shape[1])
+        return
+    per_slot = min(len(radii), _SPLIT_BYTES // F.nbytes)
+    two = two and len(radii) > per_slot
     run = per_slot  # radii per thread per round
-    if two and not large:
+    if two:
         # as many batches as the worker's finished terms fit in the budget, and at most half of them
         batches = -(-len(radii) // per_slot)
         run *= min(-(-batches // 2), _SPLIT_BYTES // (per_slot * 8 * math.prod(box_shape)))
@@ -320,7 +396,6 @@ def _ball_masses_fft(f: np.ndarray, grid: Grid, radii: np.ndarray, box: tuple[sl
             store[i - j:i - j + len(t)] = t
         return store[:stop - j]
 
-    context = contextvars.copy_context()  # numpy's error state (np.errstate) holds on the worker too
     for j in range(0, len(radii), run * len(slots)):
         job = _fft_worker().submit(context.run, worker_run, j + run) if two and j + run < len(radii) else None
         try:

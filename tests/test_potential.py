@@ -123,10 +123,12 @@ def test_profile_matches_pointwise_potential():
 
 def test_profile_bit_identical_across_repeated_calls(monkeypatch):
     # the kernel spectra are rebuilt on the first call of a grid and radii,
-    # kept on the second and reused after that; every path must give the
-    # same bytes, under every schedule of the pass, and kept spectra must
-    # never serve another grid or radii (the 3-D grid has the 2-D grid's
-    # radii and lattice size)
+    # kept on the second and reused after that, but only where they take the
+    # batched path: a large spectrum (every one under "one" and "split") is
+    # never kept.  A call on another grid or radii releases them.  Every path
+    # must give the same bytes, under every schedule of the pass, and kept
+    # spectra must never serve another grid or radii (the 3-D grid has the 2-D
+    # grid's radii and lattice size)
     g, g3 = Grid(2, 1.0, 24), Grid(3, 1.0, 24)
     rng = np.random.default_rng(8)
     f = bump_field(g, draw_bump_params(rng, 2))
@@ -145,11 +147,12 @@ def test_profile_bit_identical_across_repeated_calls(monkeypatch):
             other_nodes = potential_profile(f, 0.9, q24).values.tobytes()
             other_grid = potential_profile(f3, 0.9, q).values.tobytes()
             first = potential_profile(f, 0.9, q).values.tobytes()
-            assert kept_grid() != g  # a single call keeps nothing
+            assert kept_grid() is None  # a single call keeps nothing
             assert potential_profile(f, 0.9, q).values.tobytes() == first
-            assert kept_grid() == g
+            assert kept_grid() == (g if name in ("several", "runs") else None)
             assert potential_profile(f, 0.9, q).values.tobytes() == first
             assert potential_profile(f3, 0.9, q).values.tobytes() == other_grid
+            assert kept_grid() is None
             assert potential_profile(f, 0.9, q).values.tobytes() == first
             assert potential_profile(f, 0.9, q24).values.tobytes() == other_nodes
             assert potential_profile(f, 0.9, q).values.tobytes() == first
@@ -189,24 +192,25 @@ def _full_lattice_profile(f, R, q):
     return np.abs(f.values) * (math.sqrt(unit_ball_volume(N)) * rho0) + acc * width, m
 
 
-SCHEDULES = ("one", "several", "two", "runs")
+SCHEDULES = ("one", "several", "split", "runs")
 
 
 def _schedule(mp, name, spectrum_bytes=None):
     """Put the ball-mass pass on one schedule, whatever the CPU count: "one"
-    radius per transform call, "several" radii per call (five when each
-    radius's lattice spectrum holds ``spectrum_bytes``, else all of them), both
-    on this thread, "two" slots at once, one radius each, on this thread and
-    the worker, or two "runs" of radii at once, two radii per call when each
-    spectrum holds ``spectrum_bytes`` (else as many as fit in 64 KiB), so each
-    thread takes one call or more a round.  Returns the list that grows by
-    (made on the worker, radii in the call) per irfft call of the pass."""
+    radius at a time on the large path (every spectrum large), "several" radii
+    per call (five when each radius's lattice spectrum holds
+    ``spectrum_bytes``, else all of them), both on this thread, the large path
+    with each stage "split" between this thread and the worker, or two "runs"
+    of radii at once, two radii per call when each spectrum holds
+    ``spectrum_bytes`` (else as many as fit in 64 KiB), so each thread takes
+    one call or more a round.  Returns the list that grows by (made on the
+    worker, radii in the call) per irfft call of the pass."""
     budget = {
         "several": 1 << 40 if spectrum_bytes is None else 5 * spectrum_bytes,
         "runs": 1 << 16 if spectrum_bytes is None else 2 * spectrum_bytes,
     }.get(name, 0)
     mp.setattr(potential, "_SPLIT_BYTES", budget)
-    mp.setattr(potential, "_usable_cpus", lambda: 2 if name in ("two", "runs") else 1)
+    mp.setattr(potential, "_usable_cpus", lambda: 2 if name in ("split", "runs") else 1)
     calls = []
     irfft = np.fft.irfft
 
@@ -221,13 +225,13 @@ def _schedule(mp, name, spectrum_bytes=None):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
 def test_two_slots_run_in_a_forked_child(monkeypatch):
     # a child forked after the worker started inherits the executor but not
-    # its thread: its two-slot profiles must still finish, with the same bits,
-    # with one radius a slot and in two runs (the worker takes 3 of the 9
-    # radii, 2 per call)
+    # its thread: its profiles on two threads must still finish, with the same
+    # bits, with each stage split (the worker takes half of each stage's rows)
+    # and in two runs (the worker takes 3 of the 9 radii, 2 per call)
     g = Grid(3, 1.0, 10)
     f = bump_field(g, draw_bump_params(np.random.default_rng(5), 3))
     q = PotentialQuadrature(num_nodes=9)
-    for name in ("two", "runs"):
+    for name in ("split", "runs"):
         with monkeypatch.context() as mp:
             mp.setattr(potential, "_kept", None)
             mp.setattr(potential, "_last_key", None)
@@ -250,17 +254,19 @@ def test_two_slots_run_in_a_forked_child(monkeypatch):
 
 
 def test_two_slots_wait_for_the_worker(monkeypatch):
-    # the worker's radii (one of six in the "two" schedule, radii 4 and 5 in
-    # "runs", where the caller takes 0 .. 3, two per call) start only once
-    # this thread waits on the worker's job, so each finishes after the
-    # caller's own radii.  An error on either thread reaches the caller only
-    # once the worker is done, and a generator closed after its first term has
-    # waited for the worker's whole run.  The worker then still takes jobs,
-    # under the caller's numpy error state, and the pass still gives the same bytes
+    # the worker's kernels (its half of the rows of every kernel in the
+    # "split" schedule, radii 4 and 5 in "runs", where the caller takes 0 .. 3,
+    # two per call) start only once this thread waits on the worker's job, so
+    # each finishes after the caller's own part.  An error on either thread
+    # reaches the caller only once the worker is done, and a generator closed
+    # after its first term has waited for the worker's whole part: the first
+    # term comes with the next radius's kernel under "split", so both threads
+    # have made two kernels' rows.  The worker then still takes jobs, under the
+    # caller's numpy error state, and the pass still gives the same bytes
     g = Grid(2, 1.0, 16)
     f = bump_field(g, draw_bump_params(np.random.default_rng(2), 2))
     radii, box = np.linspace(0.2, 0.6, 6), (slice(0, 16),) * 2
-    kernel_rfftn = potential._kernel_rfftn
+    kernel_rows = potential._kernel_rows
     done, fail, states = [], [], set()
     waiting = threading.Event()  # set when this thread waits on a job of the worker
     wait = concurrent.futures.Future.exception
@@ -270,7 +276,7 @@ def test_two_slots_wait_for_the_worker(monkeypatch):
             waiting.set()
         return wait(job, timeout)
 
-    def slow_kernel(kernel, out):
+    def slow_kernel(kernel, out, part):
         on_worker = threading.current_thread() is not threading.main_thread()
         if on_worker:
             states.add(np.geterr()["over"])
@@ -279,17 +285,17 @@ def test_two_slots_wait_for_the_worker(monkeypatch):
                 raise AssertionError("the caller never waited on the worker's job")
             if fail == ["worker" if on_worker else "caller"]:
                 raise RuntimeError("radius failed")
-            return kernel_rfftn(kernel, out)
+            return kernel_rows(kernel, out, part)
         finally:
             done.append(on_worker)
 
-    for name, per_call, worker_radii in (("two", 1, 1), ("runs", 2, 2)):
+    for name, caller_kernels, worker_kernels in (("split", 2, 2), ("runs", 2, 2)):
         with monkeypatch.context() as mp:
             mp.setattr(potential, "_kept", None)
             mp.setattr(potential, "_last_key", None)
             _schedule(mp, name, spectrum_bytes=16 * 24 * 13)  # the 24 x 13 spectrum of the 24^2 lattice
             ref = [m.copy() for m in potential._ball_masses_fft(f.values, g, radii, box)]
-            mp.setattr(potential, "_kernel_rfftn", slow_kernel)
+            mp.setattr(potential, "_kernel_rows", slow_kernel)
             mp.setattr(concurrent.futures.Future, "exception", caller_waits)
             for side in ("worker", "caller"):
                 done.clear()
@@ -304,7 +310,7 @@ def test_two_slots_wait_for_the_worker(monkeypatch):
             masses = potential._ball_masses_fft(f.values, g, radii, box)
             assert next(masses).tobytes() == ref[0].tobytes()
             masses.close()
-            assert done.count(True) == worker_radii and done.count(False) == per_call, (name, done)
+            assert done.count(True) == worker_kernels and done.count(False) == caller_kernels, (name, done)
             assert potential._fft_worker().submit(int, "7").result(timeout=10) == 7
             states.clear()
             waiting.clear()
@@ -318,11 +324,12 @@ def test_pruned_transforms_equal_full_lattice(monkeypatch):
     # the pruned transforms give every 1-D transform the full lattice's data,
     # so the profile equals the full-lattice one bit for bit: odd n, the
     # kernel reaching one cell (R < 2h) and reaching n - 1 cells (R beyond
-    # the box diagonal), in 2-D and 3-D.  Every schedule (one radius per
-    # call, five per call with a shorter last call, two slots at once) gives
-    # those bytes on a fresh call, the call that keeps the spectra and one
-    # served from them, and the same sup bytes, also for a region one cell
-    # thick
+    # the box diagonal), in 2-D and 3-D.  Every schedule (one radius at a
+    # time, five per call with a shorter last call, each stage split between
+    # two threads, two runs at once) gives those bytes on a fresh call, the
+    # call that keeps the spectra and one served from them (where the batched
+    # path keeps them), and the same sup bytes, also for a region one cell
+    # thick, whose axis-0 rows the split gives all to the worker
     cases = ((2, 33, 1.9 * 2.0 / 33, 1), (2, 33, 0.45, None), (2, 33, 3.0, 32),
              (3, 13, 1.9 * 2.0 / 13, 1), (3, 13, 0.7, None), (3, 13, 3.0, 12))
     for N, n, R, reach in cases:
@@ -342,13 +349,14 @@ def test_pruned_transforms_equal_full_lattice(monkeypatch):
                 mp.setattr(potential, "_last_key", None)
                 calls = _schedule(mp, name, spectrum_bytes=16 * L ** (N - 1) * (L // 2 + 1))
                 profiles = [potential_profile(f, R, q).values.tobytes() for _ in range(3)]
-                assert potential._kept is not None  # the third profile was served from kept spectra
+                # the third profile was served from kept spectra, which a large spectrum never is
+                assert (potential._kept is not None) == (name in ("several", "runs")), name
                 sups = [potential_sup(f, region, R, q) for region in regions]
             assert profiles == [ref.tobytes()] * 3, (N, n, R, name)
             ran = {
                 "one": all(b == 1 and not worker for worker, b in calls),
                 "several": (False, 5) in calls and (False, 2) in calls,
-                "two": any(worker for worker, _ in calls) and all(b == 1 for _, b in calls),
+                "split": {worker for worker, _ in calls} == {False, True} and all(b == 1 for _, b in calls),
                 "runs": {worker for worker, b in calls if b > 1} == {False, True},
             }
             assert ran[name], (name, calls)
@@ -396,7 +404,8 @@ def test_sup_and_profile_lattices_keep_apart(monkeypatch):
     # on the 64^2 grid with R = 2 the sup over B_1 reads a 32^2 box and needs
     # an 80^2 lattice, the whole-grid profile 96^2; alternating calls on one
     # grid and one set of radii must never serve one lattice's kept spectra
-    # to the other, so every profile has the bytes of a fresh call
+    # to the other, so every profile has the bytes of a fresh call.  A call on
+    # the other lattice releases the kept set
     monkeypatch.setattr(potential, "_kept", None)
     monkeypatch.setattr(potential, "_last_key", None)
     g = Grid(2, 2.0, 64)
@@ -411,49 +420,65 @@ def test_sup_and_profile_lattices_keep_apart(monkeypatch):
     first = potential_sup(f, region, 2.0, q)
     assert potential_sup(f, region, 2.0, q) == first
     assert kept_lattice() == 80
-    assert potential_profile(f, 2.0, q).values.tobytes() == fresh
     assert potential_sup(f, region, 2.0, q) == first  # served from the kept 80^2 spectra
     assert potential_profile(f, 2.0, q).values.tobytes() == fresh
+    assert kept_lattice() is None
+    assert potential_profile(f, 2.0, q).values.tobytes() == fresh
     assert kept_lattice() == 96
-    assert potential_sup(f, region, 2.0, q) == first
     assert potential_profile(f, 2.0, q).values.tobytes() == fresh  # served from the kept 96^2 spectra
+    assert potential_sup(f, region, 2.0, q) == first
+    assert kept_lattice() is None
 
 
-def test_two_slot_profile_memory_stays_within_seven_spectra(monkeypatch):
-    # R = 1 on the 48^3 grid of half-width 2 needs a 60^3 lattice.  With two
-    # slots at once the pass holds the transform of f^2, two slots of
-    # buffers and the running sum: its traced peak stays within 7 lattice
-    # spectra (L * L * (L/2 + 1) complex each), so a slot that brings back a
-    # per-radius temporary fails
-    monkeypatch.setattr(potential, "_kept", None)
-    monkeypatch.setattr(potential, "_last_key", None)
-    _schedule(monkeypatch, "two")
+def _profile_peaks(n, L, calls=1):
+    """The traced peaks of ``calls`` consecutive profiles of f = 1 on the n^3 grid of half-width 2 with
+    R = 1 (an L^3 lattice), in lattice spectra (L * L * (L/2 + 1) complex each), under the current
+    schedule, each with whether the pass then keeps spectra."""
     q = PotentialQuadrature()
     potential_profile(ScalarField(Grid(3, 2.0, 8), np.ones((8,) * 3)), 1.0, q)  # starts the worker untraced
-    g = Grid(3, 2.0, 48)
+    g = Grid(3, 2.0, n)
     f = ScalarField(g, np.ones(g.shape))
-    _, peak = traced_peak(lambda: potential_profile(f, 1.0, q))
-    L = 60
-    assert peak <= 7 * L * L * (L // 2 + 1) * 16, peak / (L * L * (L // 2 + 1) * 16)
+    spectrum = L * L * (L // 2 + 1) * 16
+    return [(traced_peak(lambda: potential_profile(f, 1.0, q))[1] / spectrum, potential._kept is not None)
+            for _ in range(calls)]
+
+
+def test_split_profile_memory_holds_one_slot(monkeypatch):
+    # R = 1 on the 48^3 grid needs a 60^3 lattice.  With each stage split
+    # between two threads the pass holds the transform of f^2, one slot of
+    # buffers (the product and the irfft output) and the running sum, plus
+    # each thread's kernel rows: its traced peak (3.44 spectra) stays within
+    # 3.5, so a second slot or a per-radius spectrum-sized temporary fails
+    monkeypatch.setattr(potential, "_kept", None)
+    monkeypatch.setattr(potential, "_last_key", None)
+    _schedule(monkeypatch, "split")
+    [(peak, _)] = _profile_peaks(48, 60)
+    assert peak <= 3.5, peak
 
 
 def test_one_off_64_cube_profile_holds_no_spectrum_buffer(monkeypatch):
     # R = 1 on the 64^3 grid of half-width 2 needs an 80^3 lattice, one radius
-    # a slot.  A call that keeps no spectra builds each one in its slot's
-    # product buffer and multiplies the transform of f^2 into it in place, so
-    # the two slots hold a product and an irfft output each: the traced peak
-    # is 5.52 lattice spectra, 6.52 with a separate real spectrum per slot
+    # at a time in one slot.  A call that keeps no spectra builds each one in
+    # the slot's product buffer and multiplies the transform of f^2 into it in
+    # place, so the slot holds a product and an irfft output: the traced peak
+    # is 3.39 lattice spectra (5.52 with two slots, one per thread)
     monkeypatch.setattr(potential, "_kept", None)
     monkeypatch.setattr(potential, "_last_key", None)
-    _schedule(monkeypatch, "two")
-    q = PotentialQuadrature()
-    potential_profile(ScalarField(Grid(3, 2.0, 8), np.ones((8,) * 3)), 1.0, q)  # starts the worker untraced
-    g = Grid(3, 2.0, 64)
-    f = ScalarField(g, np.ones(g.shape))
-    _, peak = traced_peak(lambda: potential_profile(f, 1.0, q))
-    L = 80
-    assert peak <= 5.6 * L * L * (L // 2 + 1) * 16, peak / (L * L * (L // 2 + 1) * 16)
-    assert potential._kept is None  # a one-off call keeps nothing
+    _schedule(monkeypatch, "split")
+    [(peak, kept)] = _profile_peaks(64, 80)
+    assert peak <= 3.45, peak
+    assert not kept  # a one-off call keeps nothing
+
+
+def test_repeated_64_cube_profiles_keep_no_spectra(monkeypatch):
+    # the 64 spectra of the 80^3 lattice would hold 134.5 MB: a large
+    # spectrum is never kept, so the second and third of three consecutive
+    # profiles on one grid and radii stay within the one-off bound too
+    monkeypatch.setattr(potential, "_kept", None)
+    monkeypatch.setattr(potential, "_last_key", None)
+    _schedule(monkeypatch, "split")
+    peaks = _profile_peaks(64, 80, calls=3)
+    assert all(peak <= 3.45 and not kept for peak, kept in peaks), peaks
 
 
 def test_phase_a_sup_rounds_and_memory(monkeypatch):
@@ -525,6 +550,34 @@ def test_potential_P_is_sum_of_ball_masses():
             terms = [math.sqrt(ball_mass(f, x, float(r))) * float(r) ** (-0.5 * N) for r in rho]
             total += float(np.sum(np.array(terms))) * width
             assert potential_P(f, x, R, q) == total, (N, x, R)
+
+
+def test_potential_P_reads_its_ball_box():
+    # potential_P forms f^2 and |x - c|^2 only on the box that holds B_R(x):
+    # the cells inside each ball and their order are those of the whole grid,
+    # so it equals the full-grid sum bit for bit, also where the box is cut
+    # by the edge of the grid or R reaches past it.  On the 64^3 grid with
+    # R = 1 its traced peak is a third of one full-grid array (3.03 on the
+    # whole grid)
+    rng = np.random.default_rng(23)
+    for N, n in ((2, 40), (3, 16)):
+        g = Grid(N, 1.0, n)
+        f = bump_field(g, draw_bump_params(rng, N))
+        q = PotentialQuadrature(num_nodes=16, rho_min_policy=0.5 * g.spacing)
+        edge = 1.0 - 0.3 * g.spacing
+        for x, R in (((edge,) * N, 0.4), ((-edge,) + (0.2,) * (N - 1), 0.7), ((0.1,) * N, 2.5),
+                     ((0.5 * g.spacing - 1.0,) * N, 3 * g.spacing)):
+            rho0 = min(q.rho_min(g), R)
+            width = (R - rho0) / q.num_nodes
+            rho = rho0 + (np.arange(q.num_nodes) + 0.5) * width
+            terms = [math.sqrt(ball_mass(f, x, float(r))) * float(r) ** (-0.5 * N) for r in rho]
+            total = abs(float(f.values[g.nearest_index(x)])) * math.sqrt(unit_ball_volume(N)) * rho0
+            total += float(np.sum(np.array(terms))) * width
+            assert potential_P(f, x, R, q) == total, (N, x, R)
+    g = Grid(3, 2.0, 64)
+    f = ScalarField(g, np.ones(g.shape))
+    _, peak = traced_peak(lambda: potential_P(f, (0.0,) * 3, 1.0, PotentialQuadrature()))
+    assert peak <= 0.35 * f.values.nbytes, peak / f.values.nbytes
 
 
 def test_potential_sup_consistency():
