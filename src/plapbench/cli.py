@@ -261,7 +261,7 @@ def cmd_potential(cfg: dict, out: _OutputDir) -> int:
     # field whose powers of |f| overflow float64 (exit 1) leave nothing behind
     try:
         with np.errstate(over="raise"):
-            bounds = {str(r): potential_holder_bound(f, r, grid.N) for r in cfg["holder_r"]}
+            bounds = {str(r): potential_holder_bound(f, r, grid.N, quad) for r in cfg["holder_r"]}
             value = potential_P(f, x, R, quad)
             profile = potential_profile(f, R, quad)
     except FloatingPointError as exc:

@@ -18,8 +18,11 @@ For constant f the integrand is exactly constant and both pieces are exact
 up to rounding.
 
 The companion bound exchanges the mass for the full L^r norm by Hölder
-(r > N): P_f(x, 2) <= C ||f||_{L^r} int_0^2 rho^{-N/r} drho, and the rho
-integral has the closed form 2^{1-N/r}/(1 - N/r).  ``potential_profile``
+(r > N): P_f(x, 2) <= C ||f||_{L^r} int_0^2 rho^{-N/r} drho, where the rho
+integral has the closed form 2^{1-N/r}/(1 - N/r) and C = lambda
+omega_N^{1/2 - 1/r}, lambda >= 1 being the largest excess of the computed
+quadrature terms over the Hölder integrand on the grid's lattice balls
+(``_lattice_excess``), so the bound holds for what the program computes.  ``potential_profile``
 (every cell) and ``potential_sup`` (its region's bounding box) get the ball
 masses of the cells they read at once, by FFT convolution against ball
 indicator kernels on a zero-padded lattice sized by the read box, with
@@ -63,6 +66,7 @@ out in radius order, so the bits do not depend on the number of threads.
 from __future__ import annotations
 
 import contextvars
+import functools
 import itertools
 import math
 import os
@@ -466,13 +470,42 @@ def holder_rho_integral(N: int, r: float) -> float:
     return 2.0 ** (1.0 - a) / (1.0 - a)
 
 
-def potential_holder_bound(f: ScalarField, r: float, N: int) -> float:
-    """||f||_{L^r(box)} * int_0^2 rho^{-N/r} drho, the Hölder-step upper bound
-    for sup_x P_f(x, 2) (up to the absorbed Hölder constant).  Raises
-    FloatingPointError when the norm leaves float64's range."""
+@functools.lru_cache(maxsize=16)
+def _lattice_excess(grid: Grid, quad: PotentialQuadrature, r: float) -> float:
+    """lambda >= 1 such that every term of ``potential_sup``'s quadrature of P_f(x, 2) is at most lambda
+    times the Hölder integrand omega_N^{1/2 - 1/r} ||f||_{L^r} rho^{-N/r} integrated over its segment.
+
+    A node rho >= h sums n(rho) cells, those whose offset o from x has |o h|^2 < rho^2 (the kernel's own
+    test, counted on the whole lattice), so Hölder gives mass <= ||f||_r^2 (n h^N)^{1 - 2/r} and its
+    ratio is kappa^{1/2 - 1/r}, kappa = n h^N / (omega_N rho^N).  A node below h and the patch [0, rho0]
+    take |f(x)| sqrt(omega_N) <= h^{-N/r} ||f||_r sqrt(omega_N): ratios (omega_N rho^N / h^N)^{1/r}
+    and that at rho0 times (1 - N/r).  rho^{-N/r} is convex, so the midpoint sum of the integrand is at
+    most its integral."""
+    N, h = grid.N, grid.spacing
+    omega, e = unit_ball_volume(N), 0.0 if math.isinf(r) else 1.0 / r
+    rho0, rho, _ = _quad_nodes(quad, grid, 2.0)
+    m = int(rho.max() / h) + 1
+    sq = (np.arange(-m, m + 1) * h) ** 2
+    dist2 = np.sort(sum(sq.reshape([-1 if j == k else 1 for j in range(N)]) for k in range(N)), axis=None)
+    cells = np.searchsorted(dist2, rho * rho, side="left")
+    ratios = np.where(rho < h, (omega * (rho / h) ** N) ** e, (cells * h**N / (omega * rho**N)) ** (0.5 - e))
+    return max(1.0, (omega * (rho0 / h) ** N) ** e * (1.0 - N * e), float(ratios.max()))
+
+
+def potential_holder_bound(f: ScalarField, r: float, N: int, quad: PotentialQuadrature = PotentialQuadrature()) -> float:
+    """lambda omega_N^{1/2 - 1/r} ||f||_{L^r(box)} int_0^2 rho^{-N/r} drho, an upper bound for
+    ``potential_sup(f, region, 2, quad)`` over any region, up to the transforms' rounding.
+
+    Hölder on the ball mass gives |f|^2(B_rho) <= ||f||_r^2 |B_rho|^{1 - 2/r}, so the integrand of
+    P_f is at most omega_N^{1/2 - 1/r} ||f||_r rho^{-N/r}; lambda >= 1 (``_lattice_excess``) is the
+    largest factor by which a quadrature term of ``quad`` exceeds that on the grid's lattice balls
+    (1.052 for r = 6 with 64 nodes on the 64^2 grid of half-width 2, where the largest lattice ball
+    holds 1.165 times omega_N rho^N).  Raises FloatingPointError when the norm leaves float64's range."""
     if N != f.grid.N:
         raise ValueError("N does not match the field's grid dimension")
-    coef = holder_rho_integral(N, r)
+    coef = holder_rho_integral(N, r)  # checks r > N
+    e = 0.0 if math.isinf(r) else 1.0 / r
+    coef *= _lattice_excess(f.grid, quad, r) * unit_ball_volume(N) ** (0.5 - e)
     bound = (linf_norm(f) if math.isinf(r) else lp_norm(f, r)) * coef
     if not math.isfinite(bound):
         raise FloatingPointError("the L^r norm of f overflows float64")
