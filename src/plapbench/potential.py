@@ -357,8 +357,11 @@ def _ball_masses_fft(f: np.ndarray, grid: Grid, radii: np.ndarray, box: tuple[sl
         mid = rows[0].start + box_shape[0] // 2
 
         def each(stage, mid: int, size: int) -> None:
+            """stage on the rows mid .. size - 1 of its split axis on the worker and on the rows before
+            mid on this thread, or on all of them here on one CPU."""
             if not two:
-                return stage(slice(None))
+                stage(slice(None))
+                return
             job = _fft_worker().submit(context.run, stage, slice(mid, size))
             try:
                 stage(slice(0, mid))
@@ -366,17 +369,18 @@ def _ball_masses_fft(f: np.ndarray, grid: Grid, radii: np.ndarray, box: tuple[sl
                 job.exception()  # waits for the worker, also when this thread raised
             job.result()
 
-        for j in range(len(radii) + 1):
-            def rows0(part: slice, j: int = j, ks: list[np.ndarray] = balls(j, 1)) -> None:
-                if j:
-                    terms(slot, j - 1, part)
-                kernels(slot, ks, part)
+        def rows0(j: int, ks: list[np.ndarray], part: slice) -> None:
+            """Radius j - 1's terms, then radius j's kernel, on the axis-0 rows ``part``."""
+            if j:
+                terms(slot, j - 1, part)
+            kernels(slot, ks, part)
 
-            each(rows0, mid, L)
+        for j in range(len(radii) + 1):
+            each(functools.partial(rows0, j, balls(j, 1)), mid, L)
             if j:
                 yield from slot[1][_axslice(nd + 1, nd, rows[-1])]
             if j < len(radii):
-                each(lambda part, j=j: spectrum(slot, j, part), F.shape[1] // 2, F.shape[1])
+                each(functools.partial(spectrum, slot, j), F.shape[1] // 2, F.shape[1])
         return
     per_slot = min(len(radii), _SPLIT_BYTES // F.nbytes)
     two = two and len(radii) > per_slot
