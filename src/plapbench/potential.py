@@ -356,15 +356,15 @@ def _ball_masses_fft(f: np.ndarray, grid: Grid, radii: np.ndarray, box: tuple[sl
         slot = (np.empty((1,) + F.shape, dtype=np.complex128), np.empty((1,) + box_shape[:-1] + (L,)))
         mid = rows[0].start + box_shape[0] // 2
 
-        def each(stage, mid: int, size: int) -> None:
-            """stage on the rows mid .. size - 1 of its split axis on the worker and on the rows before
-            mid on this thread, or on all of them here on one CPU."""
+        def each(stage, split: int, size: int) -> None:
+            """stage on the rows split .. size - 1 of its split axis on the worker and on the rows before
+            them on this thread, or on all of them here on one CPU."""
             if not two:
                 stage(slice(None))
                 return
-            job = _fft_worker().submit(context.run, stage, slice(mid, size))
+            job = _fft_worker().submit(context.run, stage, slice(split, size))
             try:
-                stage(slice(0, mid))
+                stage(slice(0, split))
             finally:
                 job.exception()  # waits for the worker, also when this thread raised
             job.result()
