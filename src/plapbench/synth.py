@@ -3,11 +3,10 @@
 Fields are described by plain bump parameters (center, width, amplitude)
 drawn once from a seeded generator and evaluated on any grid, so the same
 analytic field can be compared across resolutions.  Widths are kept at or
-below 0.3.  The potential's Hölder-step bound holds for every field (it
-carries omega_N^{1/2 - 1/r} and the quadrature's lattice excess); before it
-did, this bound dropped the unit-ball-volume factor, and the potential-sweep
-bench's field 273 at seed 801, three bumps of widths 0.276-0.288, had sup
-6.443 against the r = 6 bound 6.414 (9.885 with both factors).
+below 0.3.  The potential's Hölder-step bound holds for every field, wide
+or narrow: the potential-sweep bench's field 273 at seed 801, three bumps of
+widths 0.276-0.288, has sup 6.443 against the r = 6 bound 9.885, which
+without its omega_N^{1/2 - 1/r} and lattice-excess factors would be 6.414.
 """
 
 from __future__ import annotations
