@@ -262,10 +262,12 @@ def _ball_masses_fft(f: np.ndarray, grid: Grid, radii: np.ndarray, box: tuple[sl
     not transform: the kernel's transforms but axis 0's (rows of lattice
     axis 0); axis 0's forward transform, the product with the transform of
     f^2 and axis 0's inverse (rows of lattice axis 1); the other inverse axes
-    and the term (the read rows of lattice axis 0).  Each slot (see the module
-    docstring) holds its batch of radii along a leading axis.  This thread
-    waits for the worker before the next stage, before it yields the worker's
-    terms or raises, and the terms come out in radius order.
+    and the term (the read rows of lattice axis 0).  ``fill`` runs them on a
+    batch of radii in one slot, which holds the batch along a leading axis;
+    on a large lattice ``rows0`` (a radius's term, then the next radius's
+    kernel) and ``spectrum`` run them split between the two threads.  This
+    thread waits for the worker before the next stage, before it yields the
+    worker's terms or raises, and the terms come out in radius order.
     """
     global _last_key, _kept
     n, nd = grid.cells_per_axis, grid.N
@@ -302,50 +304,37 @@ def _ball_masses_fft(f: np.ndarray, grid: Grid, radii: np.ndarray, box: tuple[sl
         for k, out in zip(ks, slot[0]):
             _kernel_rows(k, out, part)
 
-    def spectrum(slot: tuple[np.ndarray, ...], j: int, part: slice) -> None:
-        """Axis 0's transform of those spectra, F times them and axis 0's inverse on the axis-1 rows
-        ``part``: the first axis of irfftn, in place."""
-        G = slot[0][:len(radii) - j, :, part]
-        spec = kept[j:j + len(G)] if kept is not None else None
+    def fill(slot: tuple[np.ndarray, ...], j: int) -> np.ndarray:
+        """The terms of radii j, j + 1, ..., as many as the slot holds, in the slot's irfft buffer."""
+        product, real = slot
+        b = min(len(product), len(radii) - j)
+        product, real = product[:b], real[:b]
+        spec = kept[j:j + b] if kept is not None else None
         if build:
-            np.fft.fft(G, axis=1, out=G)
-            if keep:
-                np.copyto(spec[:, :, part], G.real)
+            kernels(slot, balls(j, b), slice(None))
+            np.fft.fft(product, axis=1, out=product)
+            if spec is not None:
+                np.copyto(spec, product.real)
         if spec is None:
             # F times each spectrum's real part (the kernel is even, so its spectrum is real up to
-            # rounding) in place: the imaginary part first, from the real part, which its own product
-            # then overwrites
-            np.multiply(G.real, F[:, part].imag, out=G.imag)
-            np.multiply(G.real, F[:, part].real, out=G.real)
+            # rounding), in the product buffer that holds it: the imaginary part first, from the real
+            # part, which its own product then overwrites
+            np.multiply(product.real, F.imag, out=product.imag)
+            np.multiply(product.real, F.real, out=product.real)
+            G = product
         else:
-            np.multiply(F[:, part], spec[:, :, part], out=G)
-        np.fft.ifft(G, axis=1, out=G)
-
-    def terms(slot: tuple[np.ndarray, ...], j: int, part: slice) -> np.ndarray:
-        """The rest of irfftn in its order (axes 1 .. N-2 in place, then the last into the slot's irfft
-        buffer), dropping the unread rows after each axis, and the terms, on the read axis-0 rows in
-        ``part``; returns the terms of all read rows."""
-        product, real = (a[:len(radii) - j] for a in slot)
-        start, stop, _ = part.indices(L)
-        start, stop = max(start, rows[0].start), min(stop, rows[0].stop)
-        G = product[:, start:stop]
-        for axis in range(2, nd):
+            G = np.multiply(F, spec, out=product)
+        # irfftn in its own order (axes 0 .. N-2 in place, then the last into ``real``),
+        # dropping the unread rows after each axis
+        for axis in range(1, nd):
             G = np.fft.ifft(G, axis=axis, out=G)[_axslice(nd + 1, axis, rows[axis - 1])]
-        t = real[:, start - rows[0].start:stop - rows[0].start]
-        np.fft.irfft(G, axis=nd, n=L, out=t)
-        t = t[_axslice(nd + 1, nd, rows[-1])]
+        np.fft.irfft(G, axis=nd, n=L, out=real)
+        t = real[_axslice(nd + 1, nd, rows[-1])]
         np.maximum(t, 0.0, out=t)
         t *= hvol
         np.sqrt(t, out=t)
-        t *= scale[j:j + len(t)]
-        return real[_axslice(nd + 1, nd, rows[-1])]
-
-    def fill(slot: tuple[np.ndarray, ...], j: int) -> np.ndarray:
-        """The terms of radii j, j + 1, ..., as many as the slot holds, in the slot's irfft buffer."""
-        if build:
-            kernels(slot, balls(j, len(slot[0])), slice(None))
-        spectrum(slot, j, slice(None))
-        return terms(slot, j, slice(None))
+        t *= scale[j:j + b]
+        return t
 
     box_shape = tuple(b.stop - b.start for b in box)
     two = _usable_cpus() > 1
@@ -370,17 +359,38 @@ def _ball_masses_fft(f: np.ndarray, grid: Grid, radii: np.ndarray, box: tuple[sl
             job.result()
 
         def rows0(j: int, ks: list[np.ndarray], part: slice) -> None:
-            """Radius j - 1's terms, then radius j's kernel, on the axis-0 rows ``part``."""
-            if j:
-                terms(slot, j - 1, part)
+            """Radius j - 1's term, then radius j's kernel, on the axis-0 rows ``part``: the rest of
+            irfftn as ``fill`` takes it, on the read rows in ``part``, then ``kernels``."""
+            start, stop, _ = part.indices(L)
+            start, stop = max(start, rows[0].start), min(stop, rows[0].stop)
+            if j and start < stop:
+                G = slot[0][:, start:stop]
+                for axis in range(2, nd):
+                    G = np.fft.ifft(G, axis=axis, out=G)[_axslice(nd + 1, axis, rows[axis - 1])]
+                t = slot[1][:, start - rows[0].start:stop - rows[0].start]
+                np.fft.irfft(G, axis=nd, n=L, out=t)
+                t = t[_axslice(nd + 1, nd, rows[-1])]
+                np.maximum(t, 0.0, out=t)
+                t *= hvol
+                np.sqrt(t, out=t)
+                t *= scale[j - 1]
             kernels(slot, ks, part)
+
+        def spectrum(j: int, part: slice) -> None:
+            """Axis 0's forward transform, F times the spectrum as ``fill`` takes it and axis 0's
+            inverse, on the axis-1 rows ``part``."""
+            G = slot[0][:, :, part]
+            np.fft.fft(G, axis=1, out=G)
+            np.multiply(G.real, F[:, part].imag, out=G.imag)
+            np.multiply(G.real, F[:, part].real, out=G.real)
+            np.fft.ifft(G, axis=1, out=G)
 
         for j in range(len(radii) + 1):
             each(functools.partial(rows0, j, balls(j, 1)), mid, L)
             if j:
                 yield from slot[1][_axslice(nd + 1, nd, rows[-1])]
             if j < len(radii):
-                each(functools.partial(spectrum, slot, j), F.shape[1] // 2, F.shape[1])
+                each(functools.partial(spectrum, j), F.shape[1] // 2, F.shape[1])
         return
     per_slot = min(len(radii), _SPLIT_BYTES // F.nbytes)
     two = two and len(radii) > per_slot
