@@ -376,7 +376,7 @@ def _ball_masses_fft(f: np.ndarray, grid: Grid, radii: np.ndarray, box: tuple[sl
                 t *= scale[j - 1]
             kernels(slot, ks, part)
 
-        def spectrum(j: int, part: slice) -> None:
+        def spectrum(part: slice) -> None:
             """Axis 0's forward transform, F times the spectrum as ``fill`` takes it and axis 0's
             inverse, on the axis-1 rows ``part``."""
             G = slot[0][:, :, part]
@@ -390,7 +390,7 @@ def _ball_masses_fft(f: np.ndarray, grid: Grid, radii: np.ndarray, box: tuple[sl
             if j:
                 yield from slot[1][_axslice(nd + 1, nd, rows[-1])]
             if j < len(radii):
-                each(functools.partial(spectrum, j), F.shape[1] // 2, F.shape[1])
+                each(spectrum, F.shape[1] // 2, F.shape[1])
         return
     per_slot = min(len(radii), _SPLIT_BYTES // F.nbytes)
     two = two and len(radii) > per_slot
