@@ -33,34 +33,41 @@ and radii on, and released by a request on another, so a sweep of fields on
 one grid pays for them about twice and a single call keeps nothing.
 
 The transforms run in place where their data already fills the lattice
-(numpy >= 2's FFT ``out=``).  A slot is one set of buffers (the product and
-the irfft output) that ``_ball_masses_fft`` fills for a batch of radii and
-reuses for the next batch; a call that keeps no spectra builds each in the
-product buffer and multiplies the field's into it in place.
+(numpy >= 2's FFT ``out=``).  ``_ball_masses_fft`` adds each radius's
+quadrature term into the caller's running sum itself.  A call that keeps no
+spectra builds each in the product buffer and multiplies the field's into it
+in place; a kept spectrum is multiplied in the same two real products.
 
 A radius whose lattice spectrum reaches ``_SPLIT_BYTES`` (256 KiB; the 64^3
 and 256^2 profiles) is large: the pass takes large radii one at a time in a
-single slot and never keeps their spectra.  When the process may run on two
-CPUs or more, every stage of a large radius splits its lines into two halves
-along an axis the stage does not transform, the calling thread taking one
-and one lazily started worker thread the other; the caller waits for the
-worker before the next stage and before it raises.  The terms of a radius and the kernel of the
-next share one split of axis 0, so a radius takes two hand-offs.
+single product buffer and never keeps their spectra.  When the process may
+run on two CPUs or more, the stages of a large radius split their lines
+into two halves along an axis the stage does not transform, the calling
+thread taking one and one lazily started worker thread the other; the
+caller waits for the worker before the next stage and before it raises.
+The terms of a radius and the kernel of the next share one split of axis
+0, so a radius takes two hand-offs.  Each thread inverts its read rows of
+the product a chunk at a time, as many rows as fit in ``_SPLIT_BYTES`` (6
+at 64^3, 102 at 256^2), and adds their terms into the sum's rows.  On a
+2-D lattice the caller alone runs axis 0's transforms around the product
+with the field's: their only lines lie along the contiguous last axis,
+which two threads split no faster.
 
-Smaller spectra share a slot, as many radii per transform call as their
-spectra fit in ``_SPLIT_BYTES`` (4 on the 80 x 41 lattice of
-``potential_sup`` over B_1 on the 64^2 grid), and only they are kept.  On two
-CPUs, when the radii take two batches or more, two slots run two runs of
-radii at once, round by round: the calling thread takes radii j .. j + K - 1
-and the worker j + K .. j + 2K - 1, a batch at a time, where K is as many
-batches as the worker's finished terms, kept in a store until the caller
-yields them, fit in the same budget, and at most half of the batches: 32
-radii for that sup, so its 64 nodes take one round.  The caller yields its
-own terms as it makes them and waits for the worker before it yields the
-worker's terms or raises, also when the generator is closed early.
+Smaller spectra share a slot (one product and one irfft output), as many
+radii per transform call as their spectra fit in ``_SPLIT_BYTES`` (4 on the
+80 x 41 lattice of ``potential_sup`` over B_1 on the 64^2 grid), and only
+they are kept.  A thread copies the read cells of its batches into a stack
+and forms the stack's terms at once.  On two CPUs, when the radii take two
+batches or more, two slots run two runs of radii at once, round by round:
+the calling thread takes radii j .. j + K - 1 and the worker
+j + K .. j + 2K - 1, a batch at a time, where K is as many batches as a
+stack fits in the same budget, and at most half of the batches: 32 radii
+for that sup, so its 64 nodes take one round.  The caller adds its own
+terms, then waits for the worker before it adds the worker's or raises.
 
-Every 1-D transform sees the same data in every schedule and the terms come
-out in radius order, so the bits do not depend on the number of threads.
+Every 1-D transform sees the same data in every schedule and each cell's
+terms are added in radius order, so the bits do not depend on the number of
+threads.
 """
 
 from __future__ import annotations
@@ -72,7 +79,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -179,10 +186,11 @@ _kept: tuple[tuple, np.ndarray] | None = None
 
 
 # A radius whose lattice spectrum holds at least this many bytes is large: it
-# has the pass's one slot to itself, its stages split their lines between the
-# two threads, and its spectrum is never kept.  Smaller spectra share a slot,
-# as many radii per transform call as fit in this many bytes, and on two CPUs
-# or more the worker's store of finished terms holds at most this many bytes.
+# has the pass's one product buffer to itself, its stages split their lines
+# between the two threads, each thread's chunk of irfft rows holds at most
+# this many bytes, and its spectrum is never kept.  Smaller spectra share a
+# slot, as many radii per transform call as fit in this many bytes, and each
+# thread's stack of a run's masses holds at most this many bytes.
 _SPLIT_BYTES = 256 * 1024
 _worker: tuple[int, ThreadPoolExecutor] | None = None  # (pid of the process that started it, the worker)
 _worker_lock = threading.Lock()
@@ -244,10 +252,10 @@ def _kernel_rows(kernel: np.ndarray, out: np.ndarray, part: slice) -> None:
             np.fft.fft(out[lo:hi], axis=axis, out=out[lo:hi])
 
 
-def _ball_masses_fft(f: np.ndarray, grid: Grid, radii: np.ndarray, box: tuple[slice, ...]) -> Iterator[np.ndarray]:
-    """The quadrature terms mass_j^{1/2} rho_j^{-N/2} at every center i of ``box``, one array of the box's
-    shape per radius in turn, with mass_j(i) = sum_{|c_k - c_i| < rho_j} f(k)^2 h^N from a circular
-    convolution on a zero-padded lattice.  Each array lives in a buffer that a later radius reuses.
+def _ball_masses_fft(f: np.ndarray, grid: Grid, radii: np.ndarray, box: tuple[slice, ...], out: np.ndarray) -> None:
+    """Adds the quadrature terms mass_j^{1/2} rho_j^{-N/2} at every center i of ``box`` into ``out`` (an array
+    of the box's shape), one radius after another, with mass_j(i) = sum_{|c_k - c_i| < rho_j} f(k)^2 h^N from
+    a circular convolution on a zero-padded lattice.
 
     The largest radius reaches m cells along an axis (the largest offset o
     with (o h)^2 < rho_max^2, the kernel's own test), so the sources are the
@@ -263,11 +271,13 @@ def _ball_masses_fft(f: np.ndarray, grid: Grid, radii: np.ndarray, box: tuple[sl
     axis 0); axis 0's forward transform, the product with the transform of
     f^2 and axis 0's inverse (rows of lattice axis 1); the other inverse axes
     and the term (the read rows of lattice axis 0).  ``fill`` runs them on a
-    batch of radii in one slot, which holds the batch along a leading axis;
-    on a large lattice ``rows0`` (a radius's term, then the next radius's
-    kernel) and ``spectrum`` run them split between the two threads.  This
-    thread waits for the worker before the next stage, before it yields the
-    worker's terms or raises, and the terms come out in radius order.
+    batch of radii in one slot, which holds the batch along a leading axis,
+    and ``terms`` stacks a run of batches' read rows and forms their terms at
+    once; on a large lattice ``rows0`` (a radius's term, a chunk of rows at a
+    time, then the next radius's kernel) and ``spectrum`` run them split
+    between the two threads.  This thread waits for the worker before the
+    next stage, before it adds the worker's terms and before it raises, and
+    each cell's terms are added in radius order.
     """
     global _last_key, _kept
     n, nd = grid.cells_per_axis, grid.N
@@ -298,88 +308,90 @@ def _ball_masses_fft(f: np.ndarray, grid: Grid, radii: np.ndarray, box: tuple[sl
         """The ball kernels of radii j .. j + b - 1 on the block of offsets."""
         return [(dist2 < rho * rho).astype(np.float64) for rho in radii[j:j + b]]
 
-    def kernels(slot: tuple[np.ndarray, ...], ks: list[np.ndarray], part: slice) -> None:
-        """The spectra of kernels ``ks`` but for axis 0's transform, on the axis-0 rows ``part`` of
-        the slot's product buffer."""
-        for k, out in zip(ks, slot[0]):
-            _kernel_rows(k, out, part)
+    def kernels(product: np.ndarray, ks: list[np.ndarray], part: slice) -> None:
+        """The spectra of kernels ``ks`` but for axis 0's transform, on the axis-0 rows ``part`` of product."""
+        for k, into in zip(ks, product):
+            _kernel_rows(k, into, part)
+
+    def tail(t: np.ndarray, j: int) -> None:
+        """The terms of radii j, j + 1, ... in place of their masses over h^N, t holding one per radius."""
+        np.maximum(t, 0.0, out=t)
+        t *= hvol
+        np.sqrt(t, out=t)
+        t *= scale[j:j + len(t)]
 
     def fill(slot: tuple[np.ndarray, ...], j: int) -> np.ndarray:
-        """The terms of radii j, j + 1, ..., as many as the slot holds, in the slot's irfft buffer."""
-        product, real = slot
+        """The masses over h^N of radii j, j + 1, ..., as many as the slot holds, on the read cells of the
+        slot's irfft buffer."""
+        product, real = slot[:2]
         b = min(len(product), len(radii) - j)
         product, real = product[:b], real[:b]
         spec = kept[j:j + b] if kept is not None else None
         if build:
-            kernels(slot, balls(j, b), slice(None))
+            kernels(product, balls(j, b), slice(None))
             np.fft.fft(product, axis=1, out=product)
             if spec is not None:
                 np.copyto(spec, product.real)
-        if spec is None:
-            # F times each spectrum's real part (the kernel is even, so its spectrum is real up to
-            # rounding), in the product buffer that holds it: the imaginary part first, from the real
-            # part, which its own product then overwrites
-            np.multiply(product.real, F.imag, out=product.imag)
-            np.multiply(product.real, F.real, out=product.real)
-            G = product
-        else:
-            G = np.multiply(F, spec, out=product)
+        # F times each spectrum's real part (the kernel is even, so its spectrum is real up to rounding,
+        # and a kept spectrum holds only that part), in the product buffer: the imaginary part first, as
+        # it may be read from the real part, which its own product then overwrites
+        re = product.real if spec is None else spec
+        np.multiply(re, F.imag, out=product.imag)
+        np.multiply(re, F.real, out=product.real)
+        G = product
         # irfftn in its own order (axes 0 .. N-2 in place, then the last into ``real``),
         # dropping the unread rows after each axis
         for axis in range(1, nd):
             G = np.fft.ifft(G, axis=axis, out=G)[_axslice(nd + 1, axis, rows[axis - 1])]
         np.fft.irfft(G, axis=nd, n=L, out=real)
-        t = real[_axslice(nd + 1, nd, rows[-1])]
-        np.maximum(t, 0.0, out=t)
-        t *= hvol
-        np.sqrt(t, out=t)
-        t *= scale[j:j + b]
-        return t
+        return real[_axslice(nd + 1, nd, rows[-1])]
 
     box_shape = tuple(b.stop - b.start for b in box)
     two = _usable_cpus() > 1
     if large:
-        # one slot, one radius at a time.  On two CPUs each stage splits its rows into two halves, the
-        # second for the worker; the axis-0 halves meet at the middle read row, so one hand-off runs a
-        # radius's terms and the next radius's kernel on the same rows
-        slot = (np.empty((1,) + F.shape, dtype=np.complex128), np.empty((1,) + box_shape[:-1] + (L,)))
+        # one product buffer, one radius at a time.  On two CPUs each stage splits its rows into two halves,
+        # the second for the worker; the axis-0 halves meet at the middle read row, so one hand-off runs a
+        # radius's terms and the next radius's kernel on the same rows.  Each thread takes its terms'
+        # irfft through a buffer of as many read rows as fit in the budget, made here, not in the worker's arena
+        product = np.empty((1,) + F.shape, dtype=np.complex128)
         mid = rows[0].start + box_shape[0] // 2
+        chunk = max(1, _SPLIT_BYTES // (8 * L * math.prod(box_shape[1:-1])))
+        bufs = [np.empty((1, chunk) + box_shape[1:-1] + (L,)) for _ in range(1 + two)]
 
-        def each(stage, split: int, size: int) -> None:
+        def each(stage, split: int, size: int, both: bool = two) -> None:
             """stage on the rows split .. size - 1 of its split axis on the worker and on the rows before
-            them on this thread, or on all of them here on one CPU."""
-            if not two:
-                stage(slice(None))
+            them on this thread, each with its own buffer, or on all of them here unless ``both``."""
+            if not both:
+                stage(slice(None), bufs[0])
                 return
-            job = _fft_worker().submit(context.run, stage, slice(split, size))
+            job = _fft_worker().submit(context.run, stage, slice(split, size), bufs[1])
             try:
-                stage(slice(0, split))
+                stage(slice(0, split), bufs[0])
             finally:
                 job.exception()  # waits for the worker, also when this thread raised
             job.result()
 
-        def rows0(j: int, ks: list[np.ndarray], part: slice) -> None:
-            """Radius j - 1's term, then radius j's kernel, on the axis-0 rows ``part``: the rest of
-            irfftn as ``fill`` takes it, on the read rows in ``part``, then ``kernels``."""
+        def rows0(j: int, ks: list[np.ndarray], part: slice, buf: np.ndarray) -> None:
+            """Radius j - 1's term added into out, then radius j's kernel, on the axis-0 rows ``part``: the
+            rest of irfftn as ``fill`` takes it, on the read rows in ``part``, a chunk through buf at a time,
+            then ``kernels``."""
             start, stop, _ = part.indices(L)
-            start, stop = max(start, rows[0].start), min(stop, rows[0].stop)
-            if j and start < stop:
-                G = slot[0][:, start:stop]
+            stop = min(stop, rows[0].stop) if j else 0  # no term before radius 0
+            for a in range(max(start, rows[0].start), stop, chunk):
+                G = product[:, a:min(a + chunk, stop)]
                 for axis in range(2, nd):
                     G = np.fft.ifft(G, axis=axis, out=G)[_axslice(nd + 1, axis, rows[axis - 1])]
-                t = slot[1][:, start - rows[0].start:stop - rows[0].start]
+                t = buf[:, :G.shape[1]]
                 np.fft.irfft(G, axis=nd, n=L, out=t)
                 t = t[_axslice(nd + 1, nd, rows[-1])]
-                np.maximum(t, 0.0, out=t)
-                t *= hvol
-                np.sqrt(t, out=t)
-                t *= scale[j - 1]
-            kernels(slot, ks, part)
+                tail(t, j - 1)
+                out[a - rows[0].start:a - rows[0].start + t.shape[1]] += t[0]
+            kernels(product, ks, part)
 
-        def spectrum(part: slice) -> None:
+        def spectrum(part: slice, _: np.ndarray) -> None:
             """Axis 0's forward transform, F times the spectrum as ``fill`` takes it and axis 0's
             inverse, on the axis-1 rows ``part``."""
-            G = slot[0][:, :, part]
+            G = product[:, :, part]
             np.fft.fft(G, axis=1, out=G)
             np.multiply(G.real, F[:, part].imag, out=G.imag)
             np.multiply(G.real, F[:, part].real, out=G.real)
@@ -387,43 +399,44 @@ def _ball_masses_fft(f: np.ndarray, grid: Grid, radii: np.ndarray, box: tuple[sl
 
         for j in range(len(radii) + 1):
             each(functools.partial(rows0, j, balls(j, 1)), mid, L)
-            if j:
-                yield from slot[1][_axslice(nd + 1, nd, rows[-1])]
             if j < len(radii):
-                each(spectrum, F.shape[1] // 2, F.shape[1])
+                # a 2-D lattice's only axis-1 rows are its contiguous last axis, which two threads split no faster
+                each(spectrum, F.shape[1] // 2, F.shape[1], two and nd > 2)
         return
     per_slot = min(len(radii), _SPLIT_BYTES // F.nbytes)
     two = two and len(radii) > per_slot
     run = per_slot  # radii per thread per round
     if two:
-        # as many batches as the worker's finished terms fit in the budget, and at most half of them
+        # as many batches as a stack of their masses fits in the budget, and at most half of them
         batches = -(-len(radii) // per_slot)
         run *= min(-(-batches // 2), _SPLIT_BYTES // (per_slot * 8 * math.prod(box_shape)))
-    slots = [(np.empty((per_slot,) + F.shape, dtype=np.complex128), np.empty((per_slot,) + box_shape[:-1] + (L,)))
-             for _ in range(1 + two)]
-    store = np.empty((run,) + box_shape) if run > per_slot else None  # made here, not in the worker's arena
+    # each thread's slot (the product and the irfft output) and stack of a run's masses, all made here, not
+    # in the worker's arena
+    slots = [(np.empty((per_slot,) + F.shape, dtype=np.complex128), np.empty((per_slot,) + box_shape[:-1] + (L,)),
+              np.empty((run,) + box_shape)) for _ in range(1 + two)]
 
-    def worker_run(j: int) -> np.ndarray:
-        """The terms of radii j .. j + run - 1 (fewer at the end) in the second slot, or, when they take
-        more than one transform call, copied call by call into the store."""
-        if store is None:
-            return fill(slots[1], j)
+    def terms(slot: tuple[np.ndarray, ...], j: int) -> np.ndarray:
+        """The terms of radii j .. j + run - 1 (fewer at the end) in the slot's stack, its masses stacked
+        call by call."""
         stop = min(j + run, len(radii))
+        t = slot[2][:stop - j]
         for i in range(j, stop, per_slot):
-            t = fill(slots[1], i)
-            store[i - j:i - j + len(t)] = t
-        return store[:stop - j]
+            masses = fill(slot, i)
+            t[i - j:i - j + len(masses)] = masses
+        tail(t, j)
+        return t
 
     for j in range(0, len(radii), run * len(slots)):
-        job = _fft_worker().submit(context.run, worker_run, j + run) if two and j + run < len(radii) else None
+        job = _fft_worker().submit(context.run, terms, slots[1], j + run) if two and j + run < len(radii) else None
         try:
-            for i in range(j, min(j + run, len(radii)), per_slot):
-                yield from fill(slots[0], i)
+            for t in terms(slots[0], j):
+                out += t
         finally:
             if job is not None:
-                job.exception()  # waits for the worker, also when this thread raised or the generator is closed
+                job.exception()  # waits for the worker, also when this thread raised
         if job is not None:
-            yield from job.result()
+            for t in job.result():
+                out += t
     if keep:
         _kept = (key, kept)
 
@@ -441,8 +454,7 @@ def _profile_values(f: ScalarField, R: float, quad: PotentialQuadrature, box: tu
     below = int(np.count_nonzero(rho < grid.spacing))
     vals = np.abs(f.values[box]) * (below * root)
     if below < len(rho):
-        for term in _ball_masses_fft(f.values, grid, rho[below:], box):
-            vals += term
+        _ball_masses_fft(f.values, grid, rho[below:], box, vals)
     vals *= width
     vals += np.abs(f.values[box]) * (root * rho0)
     if not np.isfinite(vals.max()):

@@ -258,18 +258,23 @@ def test_two_slots_wait_for_the_worker(monkeypatch):
     # "split" schedule, radii 4 and 5 in "runs", where the caller takes 0 .. 3,
     # two per call) start only once this thread waits on the worker's job, so
     # each finishes after the caller's own part.  An error on either thread
-    # reaches the caller only once the worker is done, and a generator closed
-    # after its first term has waited for the worker's whole part: the first
-    # term comes with the next radius's kernel under "split", so both threads
-    # have made two kernels' rows.  The worker then still takes jobs, under the
-    # caller's numpy error state, and the pass still gives the same bytes
+    # reaches the caller only once the worker is done, and a pass returns only
+    # once the worker has made all of its kernels: its rows of all 6 under
+    # "split", 2 under "runs".  The worker then still takes jobs, under the
+    # caller's numpy error state, and the pass adds the same bytes into the
+    # caller's sum under both schedules
     g = Grid(2, 1.0, 16)
     f = bump_field(g, draw_bump_params(np.random.default_rng(2), 2))
     radii, box = np.linspace(0.2, 0.6, 6), (slice(0, 16),) * 2
     kernel_rows = potential._kernel_rows
-    done, fail, states = [], [], set()
+    done, fail, states, refs = [], [], set(), []
     waiting = threading.Event()  # set when this thread waits on a job of the worker
     wait = concurrent.futures.Future.exception
+
+    def masses():
+        out = np.abs(f.values)  # a running sum the terms are added to
+        potential._ball_masses_fft(f.values, g, radii, box, out)
+        return out.tobytes()
 
     def caller_waits(job, timeout=None):
         if threading.current_thread() is threading.main_thread():
@@ -289,12 +294,12 @@ def test_two_slots_wait_for_the_worker(monkeypatch):
         finally:
             done.append(on_worker)
 
-    for name, caller_kernels, worker_kernels in (("split", 2, 2), ("runs", 2, 2)):
+    for name, caller_kernels, worker_kernels in (("split", 6, 6), ("runs", 4, 2)):
         with monkeypatch.context() as mp:
             mp.setattr(potential, "_kept", None)
             mp.setattr(potential, "_last_key", None)
             _schedule(mp, name, spectrum_bytes=16 * 24 * 13)  # the 24 x 13 spectrum of the 24^2 lattice
-            ref = [m.copy() for m in potential._ball_masses_fft(f.values, g, radii, box)]
+            refs.append(masses())
             mp.setattr(potential, "_kernel_rows", slow_kernel)
             mp.setattr(concurrent.futures.Future, "exception", caller_waits)
             for side in ("worker", "caller"):
@@ -302,22 +307,18 @@ def test_two_slots_wait_for_the_worker(monkeypatch):
                 waiting.clear()
                 fail[:] = [side]
                 with pytest.raises(RuntimeError, match="radius failed"):
-                    list(potential._ball_masses_fft(f.values, g, radii, box))
+                    masses()
                 assert True in done, (name, side)  # the worker had finished its run
             done.clear()
             waiting.clear()
             fail.clear()
-            masses = potential._ball_masses_fft(f.values, g, radii, box)
-            assert next(masses).tobytes() == ref[0].tobytes()
-            masses.close()
-            assert done.count(True) == worker_kernels and done.count(False) == caller_kernels, (name, done)
-            assert potential._fft_worker().submit(int, "7").result(timeout=10) == 7
             states.clear()
-            waiting.clear()
             with np.errstate(over="raise"):
-                masses = [m.tobytes() for m in potential._ball_masses_fft(f.values, g, radii, box)]
-            assert masses == [m.tobytes() for m in ref], name
+                assert masses() == refs[-1], name
+            assert done.count(True) == worker_kernels and done.count(False) == caller_kernels, (name, done)
             assert states == {"raise"}, name
+            assert potential._fft_worker().submit(int, "7").result(timeout=10) == 7
+    assert refs[0] == refs[1], "the schedules disagree"
 
 
 def test_pruned_transforms_equal_full_lattice(monkeypatch):
@@ -430,43 +431,42 @@ def test_sup_and_profile_lattices_keep_apart(monkeypatch):
     assert kept_lattice() is None
 
 
-def _profile_peaks(n, L, calls=1):
-    """The traced peaks of ``calls`` consecutive profiles of f = 1 on the n^3 grid of half-width 2 with
-    R = 1 (an L^3 lattice), in lattice spectra (L * L * (L/2 + 1) complex each), under the current
-    schedule, each with whether the pass then keeps spectra."""
+def _profile_peaks(mp, N, n, L, calls=1):
+    """The traced peaks of ``calls`` consecutive profiles of f = 1 on the n^N grid of half-width 2 with
+    R = 1 (an L^N lattice), in lattice spectra (L^(N-1) (L/2 + 1) complex each), on two CPUs with the
+    pass's own budget, each with whether the pass then keeps spectra."""
+    mp.setattr(potential, "_kept", None)
+    mp.setattr(potential, "_last_key", None)
+    mp.setattr(potential, "_usable_cpus", lambda: 2)
     q = PotentialQuadrature()
     potential_profile(ScalarField(Grid(3, 2.0, 8), np.ones((8,) * 3)), 1.0, q)  # starts the worker untraced
-    g = Grid(3, 2.0, n)
+    g = Grid(N, 2.0, n)
     f = ScalarField(g, np.ones(g.shape))
-    spectrum = L * L * (L // 2 + 1) * 16
+    spectrum = L ** (N - 1) * (L // 2 + 1) * 16
     return [(traced_peak(lambda: potential_profile(f, 1.0, q))[1] / spectrum, potential._kept is not None)
             for _ in range(calls)]
 
 
 def test_split_profile_memory_holds_one_slot(monkeypatch):
     # R = 1 on the 48^3 grid needs a 60^3 lattice.  With each stage split
-    # between two threads the pass holds the transform of f^2, one slot of
-    # buffers (the product and the irfft output) and the running sum, plus
-    # each thread's kernel rows: its traced peak (3.44 spectra) stays within
-    # 3.5, so a second slot or a per-radius spectrum-sized temporary fails
-    monkeypatch.setattr(potential, "_kept", None)
-    monkeypatch.setattr(potential, "_last_key", None)
-    _schedule(monkeypatch, "split")
-    [(peak, _)] = _profile_peaks(48, 60)
-    assert peak <= 3.5, peak
+    # between two threads the pass holds the transform of f^2, one product
+    # buffer and the running sum, plus each thread's kernel rows and its
+    # 256 KiB chunk of irfft rows: its traced peak (3.06 spectra) stays within
+    # 3.1, so a second product, a whole-box irfft output or a per-radius
+    # spectrum-sized temporary fails
+    [(peak, _)] = _profile_peaks(monkeypatch, 3, 48, 60)
+    assert peak <= 3.1, peak
 
 
 def test_one_off_64_cube_profile_holds_no_spectrum_buffer(monkeypatch):
     # R = 1 on the 64^3 grid of half-width 2 needs an 80^3 lattice, one radius
-    # at a time in one slot.  A call that keeps no spectra builds each one in
-    # the slot's product buffer and multiplies the transform of f^2 into it in
-    # place, so the slot holds a product and an irfft output: the traced peak
-    # is 3.39 lattice spectra (5.52 with two slots, one per thread)
-    monkeypatch.setattr(potential, "_kept", None)
-    monkeypatch.setattr(potential, "_last_key", None)
-    _schedule(monkeypatch, "split")
-    [(peak, kept)] = _profile_peaks(64, 80)
-    assert peak <= 3.45, peak
+    # at a time.  A call that keeps no spectra builds each one in the product
+    # buffer and multiplies the transform of f^2 into it in place, and each
+    # thread adds its terms into the running sum 6 rows at a time: the traced
+    # peak is 2.88 lattice spectra (3.39 with a whole-box irfft output, 5.52
+    # with two slots, one per thread)
+    [(peak, kept)] = _profile_peaks(monkeypatch, 3, 64, 80)
+    assert peak <= 2.95, peak
     assert not kept  # a one-off call keeps nothing
 
 
@@ -474,23 +474,29 @@ def test_repeated_64_cube_profiles_keep_no_spectra(monkeypatch):
     # the 64 spectra of the 80^3 lattice would hold 134.5 MB: a large
     # spectrum is never kept, so the second and third of three consecutive
     # profiles on one grid and radii stay within the one-off bound too
-    monkeypatch.setattr(potential, "_kept", None)
-    monkeypatch.setattr(potential, "_last_key", None)
-    _schedule(monkeypatch, "split")
-    peaks = _profile_peaks(64, 80, calls=3)
-    assert all(peak <= 3.45 and not kept for peak, kept in peaks), peaks
+    peaks = _profile_peaks(monkeypatch, 3, 64, 80, calls=3)
+    assert all(peak <= 2.95 and not kept for peak, kept in peaks), peaks
+
+
+def test_one_off_256_square_profile_memory(monkeypatch):
+    # R = 1 on the 256^2 grid of half-width 2 needs a 320^2 lattice: the
+    # transform of f^2, the product buffer, the running sum (0.64 spectra) and
+    # each thread's 102 irfft rows (0.32 each) with its kernel rows: the traced
+    # peak is 4.0 lattice spectra (4.16 with a whole-box irfft output)
+    [(peak, kept)] = _profile_peaks(monkeypatch, 2, 256, 320)
+    assert peak <= 4.1, peak
+    assert not kept
 
 
 def test_phase_a_sup_rounds_and_memory(monkeypatch):
     # the sup over B_1 with R = 2 on the 64^2 grid reads a 32^2 box through
     # the 80 x 41 lattice spectrum, 4 radii per transform call.  On two CPUs
     # the worker takes, each round, the 32 radii whose terms fill its 256 KiB
-    # store: one round for 64 nodes and 8 for 512, with the one-CPU value.  A
-    # served call's traced peak holds two slots (11.1 spectra), the store (5),
-    # the transform of f^2 and each thread's transient copies in its multiply
-    # and in-place ifft (4 each, overlapping or not): within 28 spectra at both
-    # node counts (the one-thread pass holds ~11.5), so a third slot or a store
-    # that grows with the node count fails
+    # stack: one round for 64 nodes and 8 for 512, with the one-CPU value.  A
+    # served call's traced peak holds two slots (11.1 spectra), each thread's
+    # stack (5 each), the transform of f^2 and small transients: 25.6 spectra,
+    # within 28 at both node counts (the one-thread pass holds ~9.1), so a
+    # third slot or a stack that grows with the node count fails
     monkeypatch.setattr(potential, "_kept", None)
     monkeypatch.setattr(potential, "_last_key", None)
     submits = []
