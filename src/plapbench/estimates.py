@@ -10,11 +10,8 @@
 
 2. The gradient sup bound: for a solved -Delta_p u = f,
        ||grad u||_{L^inf(B_R)}^{p-1} <= C (||grad u||_p^{p-1} + ||f||_r),
-   r > N, with the alternative local form using the nonlinear potential,
-       ||grad u||_{L^inf(B_R)} <= C [ (avg_{B_2R} |grad u|^p)^{1/p}
-                                      + sup_{B_2R} P_f(., 2R)^{1/(p-1)} ].
-   Constants are never asserted; the reports record the empirical ratio so
-   stability can be tested under refinement and rescaling.
+   r > N.  Constants are never asserted; the reports record the empirical
+   ratio so stability can be tested under refinement and rescaling.
 
 3. The difference-quotient compactness chain: testing the weak form with
    eta^2 delta_h u (eta a cutoff between B_t and B_s, |h| < R - s) bounds
@@ -56,7 +53,6 @@ from .field import (
     lp_norm,
     shift,
 )
-from .potential import PotentialQuadrature, potential_sup
 
 
 @dataclass(frozen=True)
@@ -171,14 +167,12 @@ def gradient_estimate_ratio(
     p: float,
     r: float,
     R: float,
-    quad: PotentialQuadrature | None = None,
 ) -> EstimateReport:
     """Empirical constant of the gradient sup bound for a solved pair (u, f).
 
     lhs = ||grad u||_{L^inf(B_R)}^{p-1}; rhs = ||grad u||_p^{p-1} + ||f||_r
-    (full box standing in for R^N, balls about the origin).  The context
-    also records the local potential form: prop_rhs = (avg_{B_2R} |grad
-    u|^p)^{1/p'} + potential_sup(f, B_2R, 2R) and its ratio.  Both sides are
+    (full box standing in for R^N, B_R about the origin).  The estimate
+    holds where B_2R fits in the box, which is checked.  Both sides are
     homogeneous of degree p-1 under (u, f) -> (lam u, lam^{p-1} f).
     """
     if u.grid != f.grid:
@@ -192,18 +186,10 @@ def gradient_estimate_ratio(
         raise ValueError("R must be positive")
     if 2.0 * R > grid.extent:
         raise ValueError("B_2R does not fit inside the box")
-    if quad is None:
-        quad = PotentialQuadrature()
-    center = (0.0,) * grid.N
-    inner = ball_mask(grid, center, R)
-    outer = ball_mask(grid, center, 2.0 * R)
     g = gradient(u)
-    lhs = linf_norm(g, inner) ** (p - 1.0)
+    lhs = linf_norm(g, ball_mask(grid, (0.0,) * grid.N, R)) ** (p - 1.0)
     rhs = lp_norm(g, p) ** (p - 1.0) + lp_norm(f, r)
-    avg = lp_norm(g, p, outer) ** p / outer.volume
-    prop_rhs = avg ** ((p - 1.0) / p) + potential_sup(f, outer, 2.0 * R, quad)
-    prop_ratio = lhs / prop_rhs if prop_rhs > 0.0 else 0.0
-    return EstimateReport.of(lhs, rhs, p=p, r=r, R=R, prop_rhs=prop_rhs, prop_ratio=prop_ratio)
+    return EstimateReport.of(lhs, rhs, p=p, r=r, R=R)
 
 
 def _ball_sum(values: np.ndarray, region: Region, h_vol: float) -> float:

@@ -159,12 +159,11 @@ Field = ScalarField | VectorField
 
 @dataclass(frozen=True, eq=False)
 class Region:
-    """Boolean cell mask; its cell count and summed cell volume (count h^N) follow from it."""
+    """Boolean cell mask; its cell count follows from it."""
 
     grid: Grid
     mask: np.ndarray
     count: int = dataclasses.field(init=False)
-    volume: float = dataclasses.field(init=False)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.mask, dtype=bool)
@@ -173,7 +172,6 @@ class Region:
         m = _frozen(m)
         object.__setattr__(self, "mask", m)
         object.__setattr__(self, "count", int(m.sum()))
-        object.__setattr__(self, "volume", self.count * self.grid.cell_volume)
 
 
 def _require_same_grid(a, b) -> None:

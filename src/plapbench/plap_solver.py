@@ -483,7 +483,9 @@ def _line_step(
     happens when the slope grows like s^{p-1} (p > 2) and the chord falls far
     short of the zero: then s/8, and look again.  A trial point whose slope or
     energy density leaves float64's range (a Newton step far too long at large
-    p) is backed off to s/8 until both are finite, before any of this.
+    p) is backed off to s/8 until both are finite, before any of this.  A
+    slope equal to the slope at 0 leaves the secant no zero: that raises
+    SolverDivergenceError.
     """
     d = sol - u
     slope0 = _dot(r, d)
@@ -501,6 +503,8 @@ def _line_step(
     ):
         return v, at
     while slope > 0.0:
+        if slope == slope0:
+            raise SolverDivergenceError("line step: the slope along the step does not change (no secant zero)")
         zero = s * slope0 / (slope0 - slope)
         s = max(zero, s / 8.0)
         v = u + s * d

@@ -252,6 +252,13 @@ def _kernel_rows(kernel: np.ndarray, out: np.ndarray, part: slice) -> None:
             np.fft.fft(out[lo:hi], axis=axis, out=out[lo:hi])
 
 
+def _offset_dist2(grid: Grid, m: int) -> np.ndarray:
+    """|o h|^2 on the (2m + 1)^N block of lattice offsets o, -m .. m per axis, summed over the axes in
+    order: the lattice ball of radius rho holds the offsets where it is below rho^2 (the kernel's own test)."""
+    sq = (np.arange(-m, m + 1) * grid.spacing) ** 2
+    return sum(sq.reshape([-1 if j == k else 1 for j in range(grid.N)]) for k in range(grid.N))
+
+
 def _ball_masses_fft(f: np.ndarray, grid: Grid, radii: np.ndarray, box: tuple[slice, ...], out: np.ndarray) -> None:
     """Adds the quadrature terms mass_j^{1/2} rho_j^{-N/2} at every center i of ``box`` into ``out`` (an array
     of the box's shape), one radius after another, with mass_j(i) = sum_{|c_k - c_i| < rho_j} f(k)^2 h^N from
@@ -296,10 +303,7 @@ def _ball_masses_fft(f: np.ndarray, grid: Grid, radii: np.ndarray, box: tuple[sl
     keep = build and key == _last_key and not large
     _last_key = key
     kept = np.empty(radii.shape + F.shape) if keep else None if build else _kept[1]
-    off = np.arange(-m, m + 1)
-    # |o h|^2 on the (2m + 1)^N block of offsets, summed over the axes in order
-    sq = (off * grid.spacing) ** 2
-    dist2 = sum(sq.reshape([-1 if j == k else 1 for j in range(nd)]) for k in range(nd))
+    dist2 = _offset_dist2(grid, m)
     hvol = grid.cell_volume
     scale = np.array([float(r) ** (-0.5 * nd) for r in radii]).reshape((-1,) + (1,) * nd)
     context = contextvars.copy_context()  # numpy's error state (np.errstate) holds on the worker too
@@ -511,8 +515,7 @@ def _lattice_excess(grid: Grid, quad: PotentialQuadrature, r: float) -> float:
     omega, e = unit_ball_volume(N), 0.0 if math.isinf(r) else 1.0 / r
     rho0, rho, _ = _quad_nodes(quad, grid, 2.0)
     m = int(rho.max() / h) + 1
-    sq = (np.arange(-m, m + 1) * h) ** 2
-    dist2 = np.sort(sum(sq.reshape([-1 if j == k else 1 for j in range(N)]) for k in range(N)), axis=None)
+    dist2 = np.sort(_offset_dist2(grid, m), axis=None)
     cells = np.searchsorted(dist2, rho * rho, side="left")
     ratios = np.where(rho < h, (omega * (rho / h) ** N) ** e, (cells * h**N / (omega * rho**N)) ** (0.5 - e))
     return max(1.0, (omega * (rho0 / h) ** N) ** e * (1.0 - N * e), float(ratios.max()))

@@ -111,7 +111,6 @@ def test_gradient_estimate_ratio_radial():
     rep = gradient_estimate_ratio(u, f, 2.0, 4.0, 0.5)
     assert rep.verdict
     assert 0.0 < rep.constant_estimate < 1.0
-    assert rep.context["prop_ratio"] > 0.0
 
 
 def test_gradient_estimate_scale_coherence():
@@ -122,9 +121,6 @@ def test_gradient_estimate_scale_coherence():
     lam = 3.7
     scaled = gradient_estimate_ratio(lam * u, lam ** (p - 1.0) * f, p, 4.0, 0.5)
     assert math.isclose(scaled.constant_estimate, base.constant_estimate, rel_tol=1e-10)
-    assert math.isclose(
-        scaled.context["prop_ratio"], base.context["prop_ratio"], rel_tol=1e-10
-    )
 
 
 def test_gradient_estimate_zero_case():

@@ -7,17 +7,20 @@ Symmetry: data invariant under an element of the group the discretization
 respects (axis permutations, the point reflection x -> -x and their
 products) gives a solution, and a scheme level, with the same symmetry.  A
 single-axis flip is not in the group for p != 2 (``discretization``).
+
+Positivity: the scheme's converged levels stay positive on B_{2 rho}, the
+discrete shadow of the interior lower bound.
 """
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from plapbench.field import Grid, ScalarField, ball_mask
-from plapbench.hypotheses import config_from_dict
+from plapbench.hypotheses import check_H1a, check_H2, config_from_dict
 from plapbench.plap_solver import DirichletProblem, solve
-from plapbench.scheme import ReactionSpec, picard_solve_level
-from test_scheme import BENCH
+from plapbench.scheme import ReactionSpec, picard_solve_level, run_scheme
+from test_scheme import BENCH, bench_spec
 
 
 @st.composite
@@ -117,3 +120,31 @@ def test_symmetric_weight_gives_symmetric_scheme_levels(n, element, seed):
     assume(state.converged)
     for w in (state.u.values, state.v.values):
         assert _asymmetry(w, element) <= 1e-7
+
+
+@st.composite
+def scheme_specs(draw):
+    """Exponents in their boxes with H1a and H2 holding, and a rough weight on 16^2, 24^2 or 32^2 cells of [-2, 2]^2."""
+    p, q = draw(st.floats(1.3, 3.0)), draw(st.floats(1.3, 3.0))
+    singular = st.floats(-0.9, 0.0, exclude_min=True)
+    own_p, own_q = st.floats(0.0, 0.8 * (p - 1.0)), st.floats(0.0, 0.8 * (q - 1.0))
+    cfg = config_from_dict({
+        **BENCH, "p": p, "q": q, "alpha1": draw(singular), "beta2": draw(singular),
+        "beta1": draw(own_q), "delta1": draw(own_q), "delta2": draw(own_q),
+        "gamma1": draw(own_p), "alpha2": draw(own_p), "gamma2": draw(own_p),
+    })
+    assume(check_H1a(cfg).passed and check_H2(cfg).passed)
+    grid = Grid(2, 2.0, draw(st.sampled_from((16, 24, 32))))
+    weight = ScalarField(grid, np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.5, 1.5, grid.shape))
+    return ReactionSpec(cfg, weight, weight)
+
+
+@settings(max_examples=12, deadline=None)
+@given(spec=scheme_specs())
+@example(spec=bench_spec(Grid(2, 2.0, 32)))
+def test_converged_scheme_levels_stay_positive(spec):
+    # sigma_rho_levels holds min(u, v) on B_{2 rho} per level; a level that
+    # did not converge is no solution to bound
+    _, report = run_scheme(spec, [1, 2], 0.5)
+    for sigma, converged in zip(report.sigma_rho_levels, report.converged_n):
+        assert sigma > 0.0 or not converged

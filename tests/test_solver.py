@@ -514,6 +514,19 @@ def test_large_p_line_step_backs_off_a_non_finite_trial():
     assert all(b <= a for a, b in zip(hist, hist[1:]))
 
 
+def test_line_step_with_an_unchanging_slope_raises_divergence():
+    # a residual that never changes along d keeps the slope at slope0 > 0, so
+    # the secant has no zero: the step raises SolverDivergenceError (which the
+    # CLI classifies), not ZeroDivisionError
+    u, sol, r = np.zeros(4), np.ones(4), np.ones(4)
+
+    def lagged(v):
+        return plap_solver._Lagged(T=[], Q=None, density=0.0, r=r)
+
+    with pytest.raises(SolverDivergenceError, match="secant"):
+        plap_solver._line_step(u, sol, r, 0.0, lagged, lambda v, density: 0.0, 1.0)
+
+
 @pytest.mark.parametrize("p, value, outer, cg", [(2.0, 1e39, 1, 11), (2.0, 1e100, 1, 11), (3.0, 1e80, 7, 23)])
 def test_large_data_solves_keep_their_work(p, value, outer, cg):
     # data far outside float32's range: the V-cycle scales its weights and
