@@ -323,7 +323,7 @@ def cmd_verify(cfg: dict, out: _OutputDir) -> int:
 
     chain_reports = []
     for state in states:
-        rhs_f, _ = frozen_reactions(spec, state)
+        rhs_f, _ = frozen_reactions(spec, state.u, state.v, state.eps)
         chain_reports += [(state.n, rep) for rep in comptest_chain(state.u, rhs_f, c.p, r, h_cells_list, t, s, R)]
     table = rfk_decay([st.u for st in states], c.p, t, h_cells_list)
 

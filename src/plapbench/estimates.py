@@ -122,9 +122,6 @@ def _adversarial_pairs(N: int) -> tuple[np.ndarray, np.ndarray]:
                 pairs_b.append((1.0 - rel) * v)  # near-equal parallel
         perp = np.zeros(N)
         perp[-1] = 1.0
-        if abs(float(direction @ perp)) > 0.9:
-            perp = np.zeros(N)
-            perp[0] = 1.0
         for scale in (0.1, 1.0, 9.999):
             pairs_a.append(scale * direction)
             pairs_b.append(scale * (direction + 1e-4 * perp) / np.sqrt(1.0 + 1e-8))

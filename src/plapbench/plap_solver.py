@@ -5,8 +5,8 @@
 of a ``DirichletProblem`` (the whole box, or a cell mask such as a ball),
 and reports what it did (``SolveReport``).  Its one stopping rule is the
 residual certificate ||A(u) u - f||_{L2} <= tol (1 + ||f||_{L2}).
-``weak_residual`` pairs a solution's residual with a family of test
-functions.  Where each part lives:
+``weak_residual`` pairs the residual a solve ends with with a family of
+test functions.  Where each part lives:
 
 - ``_SolveContext``: what every solve on one grid and free-cell mask
   shares; its ``load`` puts f and the warm start on the crop to the free
@@ -770,7 +770,7 @@ def solve(prob: DirichletProblem, initial: ScalarField | None = None) -> tuple[S
     work, crop, free, cells = ctx.work, ctx.crop, ctx.free, ctx.disc.cells(res.u)
     del ctx, start  # the operators, V-cycles and f on the crop go before the weak residual and the full-grid field
     report = SolveReport(work.outer_steps, res.energy_history[-1], res.energy_history,
-                         _weak_residual(grid, mask, res.residual, p), res.converged, work.cg_iterations)
+                         weak_residual(grid, mask, res.residual, p), res.converged, work.cg_iterations)
     return ScalarField(grid, _on_grid(grid, crop, free, cells)), report
 
 
@@ -814,22 +814,15 @@ def _test_functions(grid: Grid, free: np.ndarray) -> Iterator[tuple[tuple[slice,
         yield win, vals * free[win]
 
 
-def weak_residual(u: ScalarField, prob: DirichletProblem) -> float:
+def weak_residual(grid: Grid, mask: np.ndarray, r: np.ndarray, p: float) -> float:
     """max over the test functions (``_test_functions``) of
-    |<stress(u), D phi> - <f, phi>| / (1 + ||D phi||_{p'}).
+    |<stress(u), D phi> - <f, phi>| / (1 + ||D phi||_{p'}), from the residual r = A(u) u - f on the free
+    bounding box of ``mask``.
 
     The pairing <stress(u), D phi> is <A_{w(u)} u, phi> with the solver's own
-    operator, so A(u) - f is formed once, as the solver forms it, and a
-    converged solve's residual measures algebraic (not discretization) error.
+    operator, so a converged solve's residual measures algebraic (not
+    discretization) error.
     """
-    _require_same_grid(u, prob)
-    ctx = _SolveContext(prob.grid, _free_mask(prob))
-    r = ctx.lagged(ctx.vector(u), ctx.vector(prob.f), prob.p, prob.resolved_eps).r
-    return _weak_residual(prob.grid, ctx.mask, ctx.disc.cells(r), prob.p)
-
-
-def _weak_residual(grid: Grid, mask: np.ndarray, r: np.ndarray, p: float) -> float:
-    """``weak_residual`` from the residual r = A(u) u - f on the free bounding box of ``mask``."""
     box = _bbox_slices(mask)
     pprime = p / (p - 1.0)
     hvol = grid.cell_volume

@@ -48,8 +48,6 @@ from .discretization import _side_squares
 from .field import (
     Grid,
     ScalarField,
-    VectorField,
-    _squares,
     ball_mask,
     gradient,
     linf_norm,
@@ -181,57 +179,30 @@ def _reaction(mhat: float, weight: ScalarField, eps: float, shifted: tuple[Scala
     return ScalarField(weight.grid, mhat * weight.values * (sing + 0.5 * conv))
 
 
-def eval_f(
-    spec: ReactionSpec,
-    u_shifted: ScalarField,
-    v: ScalarField,
-    grad_u: VectorField,
-    grad_v: VectorField,
-    eps: float,
-) -> ScalarField:
-    """Model reaction f at a frozen state; u_shifted must already carry +eps."""
-    return _f(spec, u_shifted, v, _squares(grad_u), _squares(grad_v), eps)
-
-
-def eval_g(
-    spec: ReactionSpec,
-    u: ScalarField,
-    v_shifted: ScalarField,
-    grad_u: VectorField,
-    grad_v: VectorField,
-    eps: float,
-) -> ScalarField:
-    """Model reaction g at a frozen state; v_shifted must already carry +eps."""
-    return _g(spec, u, v_shifted, _squares(grad_u), _squares(grad_v), eps)
-
-
-def _f(spec: ReactionSpec, u_shifted: ScalarField, v: ScalarField, sq_u: list, sq_v: list, eps: float) -> ScalarField:
-    """``eval_f`` from each side's |grad u|^2 and |grad v|^2."""
+def eval_f(spec: ReactionSpec, u_shifted: ScalarField, v: ScalarField, sq_u: list, sq_v: list,
+           eps: float) -> ScalarField:
+    """Model reaction f at a frozen state, from each side's |grad u|^2 and |grad v|^2; u_shifted must already
+    carry +eps."""
     c = spec.exponents
     return _reaction(c.mhat1, spec.weight_a1, eps, (u_shifted, c.alpha1), (v, c.beta1),
                      (spec.coeff_grad1_own, sq_u, c.gamma1), (spec.coeff_grad1_other, sq_v, c.delta1))
 
 
-def _g(spec: ReactionSpec, u: ScalarField, v_shifted: ScalarField, sq_u: list, sq_v: list, eps: float) -> ScalarField:
-    """``eval_g`` from each side's |grad u|^2 and |grad v|^2."""
+def eval_g(spec: ReactionSpec, u: ScalarField, v_shifted: ScalarField, sq_u: list, sq_v: list,
+           eps: float) -> ScalarField:
+    """Model reaction g at a frozen state, from each side's |grad u|^2 and |grad v|^2; v_shifted must already
+    carry +eps."""
     c = spec.exponents
     return _reaction(c.mhat2, spec.weight_a2, eps, (v_shifted, c.beta2), (u, c.alpha2),
                      (spec.coeff_grad2_other, sq_u, c.gamma2), (spec.coeff_grad2_own, sq_v, c.delta2))
 
 
-def _reactions(
-    spec: ReactionSpec, u: ScalarField, v: ScalarField, eps: float
-) -> tuple[ScalarField, ScalarField]:
+def frozen_reactions(spec: ReactionSpec, u: ScalarField, v: ScalarField, eps: float) -> tuple[ScalarField, ScalarField]:
     """The reactions f and g frozen at the pair (u, v) of level eps, from each side's |grad|^2 without forming
     the gradients (``discretization._side_squares``)."""
     sq_u, sq_v = (_side_squares(w.values, spec.grid.spacing) for w in (u, v))
-    return (_f(spec, ScalarField(spec.grid, u.values + eps), v, sq_u, sq_v, eps),
-            _g(spec, u, ScalarField(spec.grid, v.values + eps), sq_u, sq_v, eps))
-
-
-def frozen_reactions(spec: ReactionSpec, state: SystemState) -> tuple[ScalarField, ScalarField]:
-    """Reaction fields frozen at a state (for fixed-point residual checks)."""
-    return _reactions(spec, state.u, state.v, state.eps)
+    return (eval_f(spec, ScalarField(spec.grid, u.values + eps), v, sq_u, sq_v, eps),
+            eval_g(spec, u, ScalarField(spec.grid, v.values + eps), sq_u, sq_v, eps))
 
 
 def _hypotheses_ok(config: ExponentConfig) -> bool:
@@ -321,7 +292,7 @@ def picard_solve_level(
     for k in range(1, max_picard + 1):
         iters = k
         step_tol = solver_tol if tight else max(solver_tol, min(_LOOSE_TOL, _FORCING * prev_inc))
-        rhs_f, rhs_g = _reactions(spec, u, v, eps)
+        rhs_f, rhs_g = frozen_reactions(spec, u, v, eps)
         prob_u = DirichletProblem(grid, c.p, rhs_f, tol=step_tol, max_iter=solver_max_iter)
         prob_v = DirichletProblem(grid, c.q, rhs_g, tol=step_tol, max_iter=solver_max_iter)
         res_u = ctx.minimize(prob_u, initial=u)

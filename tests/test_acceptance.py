@@ -267,7 +267,7 @@ def _criterion_6(run):
     r = derive(c).r_window.midpoint()
     chain = []
     for state in states:
-        rhs_f, _ = frozen_reactions(spec, state)
+        rhs_f, _ = frozen_reactions(spec, state.u, state.v, state.eps)
         reps = comptest_chain(state.u, rhs_f, c.p, r, [(k, 0) for k in (1, 2, 4, 8)], 0.4, 0.6, 1.25)
         for k, rep in zip((1, 2, 4, 8), reps):
             chain.append({"n": state.n, "h_cells": k, "lhs": rep.lhs, "rhs": rep.rhs,

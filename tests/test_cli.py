@@ -728,6 +728,24 @@ def test_file_field_must_match_the_grid(tmp_path):
     assert not out_dir.exists()
 
 
+def test_truncated_field_file_exits_2_and_writes_nothing(tmp_path):
+    # a field file cut inside its header: solve reading it as its source, and
+    # verify reading it as a scheme level, are config errors with no output
+    short = _MAGIC + bytes(_HEADER.size - len(_MAGIC) - 1)
+    (tmp_path / "short.fld").write_bytes(short)
+    field = {"kind": "file", "path": str(tmp_path / "short.fld")}
+    code, out_dir = run(tmp_path, "solve", {"grid": GRID_16, "p": 2.0, "field": field}, out="solve")
+    assert code == 2
+    assert not out_dir.exists()
+    code, scheme_out = run(tmp_path, "scheme", TINY_SCHEME_CFG, name="s.json", out="scheme")
+    assert code == 0
+    (scheme_out / "level_0001_v.fld").write_bytes(short)
+    vcfg = {"scheme_out": str(scheme_out), "t": 0.4, "s": 0.6, "R": 1.25, "h_cells": [[1, 0]]}
+    code, verify_out = run(tmp_path, "verify", vcfg, name="v.json", out="verify")
+    assert code == 2
+    assert not verify_out.exists()
+
+
 def test_report_malformed_manifest_exit_2(tmp_path):
     # a manifest that is not the object _OutputDir writes is a config error, and so is one that
     # lists anything but a plain file name of the run directory, even with that file's digest

@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -324,6 +325,14 @@ def test_save_load_roundtrip(tmp_path):
     trunc.write_bytes(path.read_bytes()[:40])
     with pytest.raises(ValueError):
         load_field(trunc)
+
+
+def test_load_field_rejects_a_file_shorter_than_its_header(tmp_path):
+    # a file cut inside its 28-byte header: the error names the file
+    path = tmp_path / "short.fld"
+    path.write_bytes(_MAGIC + bytes(_HEADER.size - len(_MAGIC) - 1))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: truncated field file$"):
+        load_field(path)
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ import pytest
 
 from plapbench.discretization import _Discretization
 from plapbench.estimates import comptest_chain
-from plapbench.field import Grid, ScalarField, gradient, linf_norm, w1p_norm
+from plapbench.field import Grid, ScalarField, _squares, gradient, linf_norm, w1p_norm
 from plapbench.hypotheses import config_from_dict, derive
 from plapbench.jsonio import canonical_json
 from plapbench import plap_solver, scheme
@@ -78,7 +78,7 @@ def test_eval_f_constant_reaction_case():
     g = Grid(2, 1.0, 8)
     spec = bench_spec(g, alpha1=0.0, beta1=0.0, gamma1=0.0, delta1=0.0, mhat1=2.0)
     zero = ScalarField(g, np.zeros(g.shape))
-    gz = gradient(zero)
+    gz = _squares(gradient(zero))
     eps = 0.5
     u_sh = ScalarField(g, zero.values + eps)
     f = eval_f(spec, u_sh, zero, gz, gz, eps)
@@ -94,7 +94,7 @@ def test_eval_f_hand_computed():
     eps = 0.25
     gu, gv = gradient(u), gradient(v)
     u_sh = ScalarField(g, u.values + eps)
-    f = eval_f(spec, u_sh, v, gu, gv, eps)
+    f = eval_f(spec, u_sh, v, _squares(gu), _squares(gv), eps)
     # each gradient term is the mean over the forward and the backward side of |grad w|^a
     mag = lambda w, a: 0.5 * np.sum(np.sqrt(np.einsum("...ik,...ik->...i", w.values, w.values)) ** a, axis=-1)
     expect = spec.weight_a1.values * (
@@ -103,7 +103,7 @@ def test_eval_f_hand_computed():
     assert np.allclose(f.values, expect, rtol=1e-13)
     # mirrored reaction
     v_sh = ScalarField(g, v.values + eps)
-    gfun = eval_g(spec, u, v_sh, gu, gv, eps)
+    gfun = eval_g(spec, u, v_sh, _squares(gu), _squares(gv), eps)
     expect_g = spec.weight_a2.values * (
         u.values**0.3 * (v.values + eps) ** -0.5 + mag(gu, 0.3) + mag(gv, 0.4)
     )
@@ -114,7 +114,7 @@ def test_eval_f_guards_positivity():
     g = Grid(2, 1.0, 8)
     spec = bench_spec(g)
     zero = ScalarField(g, np.zeros(g.shape))
-    gz = gradient(zero)
+    gz = _squares(gradient(zero))
     # a broken invariant is an analytic failure, a nonpositive eps a usage error
     with pytest.raises(AnalyticFailure):
         eval_f(spec, zero, zero, gz, gz, 0.5)  # unshifted iterate rejected
@@ -132,7 +132,7 @@ def test_eval_f_monotone_in_eps():
     rng = np.random.default_rng(3)
     u = ScalarField(g, rng.uniform(0.0, 1.0, g.shape))
     v = ScalarField(g, rng.uniform(0.0, 1.0, g.shape))
-    gu, gv = gradient(u), gradient(v)
+    gu, gv = _squares(gradient(u)), _squares(gradient(v))
     vals = []
     for eps in (1.0, 0.5, 0.25):
         u_sh = ScalarField(g, u.values + eps)
@@ -291,14 +291,40 @@ def test_frozen_reactions_match_eval():
     rng = np.random.default_rng(4)
     u = ScalarField(g, rng.uniform(0.0, 1.0, g.shape))
     v = ScalarField(g, rng.uniform(0.0, 1.0, g.shape))
-    st = SystemState(2, 0.5, u, v, 1, 0.1, 0.1, True, True)
-    rf, rg = frozen_reactions(spec, st)
+    rf, rg = frozen_reactions(spec, u, v, 0.5)
     # the frozen reactions take each side's |grad|^2 without forming the gradients, in the same bits
-    gu, gv = gradient(u), gradient(v)
+    gu, gv = _squares(gradient(u)), _squares(gradient(v))
     direct = eval_f(spec, ScalarField(g, u.values + 0.5), v, gu, gv, 0.5)
     assert np.array_equal(rf.values, direct.values)
     assert np.array_equal(rg.values, eval_g(spec, u, ScalarField(g, v.values + 0.5), gu, gv, 0.5).values)
     assert np.all(rg.values > 0.0)
+
+
+def test_solve_and_picard_run_the_public_residual_and_reactions(monkeypatch):
+    # one implementation each: a solve's weak residual is plap_solver.weak_residual,
+    # and a Picard step's frozen reactions are scheme.eval_f and eval_g
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((plap_solver, "weak_residual"), (scheme, "eval_f"), (scheme, "eval_g")):
+        count(module, name)
+    g = Grid(2, 2.0, 16)
+    solve(DirichletProblem(g, 2.5, ScalarField(g, np.ones(g.shape)), tol=1e-8))
+    assert calls == {"weak_residual": 1}
+    rng = np.random.default_rng(5)
+    u, v = (ScalarField(g, rng.uniform(0.1, 1.0, g.shape)) for _ in range(2))
+    state = picard_solve_level(bench_spec(g), 1, warm_start=SystemState(1, 1.0, u, v, 1, 0.1, 0.1, True, True),
+                               max_picard=1)
+    assert state.picard_iters == 1
+    assert calls == {"weak_residual": 1, "eval_f": 1, "eval_g": 1}
 
 
 def test_run_scheme_small():
@@ -350,7 +376,7 @@ def test_chain_audit_balances_on_scheme_levels():
     spec, states = _scheme_64()
     c = spec.exponents
     for state in states:
-        rhs_f, _ = frozen_reactions(spec, state)
+        rhs_f, _ = frozen_reactions(spec, state.u, state.v, state.eps)
         shifts = [(k, 0) for k in (1, 2, 4, 8)]
         for rep in comptest_chain(state.u, rhs_f, c.p, derive(c).r_window.midpoint(), shifts, 0.4, 0.6, 1.25):
             ctx = rep.context
